@@ -10,6 +10,7 @@ from .errors import (
     InvalidRateError,
     LengthMismatchError,
     MismatchWarning,
+    NonFiniteAudioError,
     PeAudioError,
     ShapeMismatchError,
     UnsupportedFormatError,

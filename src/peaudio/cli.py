@@ -48,7 +48,7 @@ class CliConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         try:
-            self.stft()
+            bark_layout(self.stft())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -17,6 +17,10 @@ class InvalidRateError(PeAudioError, ValueError):
     """Requested sample rate is zero or negative."""
 
 
+class NonFiniteAudioError(PeAudioError, ValueError):
+    """Audio samples include NaN or infinity."""
+
+
 class BufferTooShortError(PeAudioError, ValueError):
     """Audio buffer holds fewer samples than one analysis frame."""
 

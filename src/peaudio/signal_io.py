@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptHeaderError, InvalidRateError, UnsupportedFormatError
+from .errors import (
+    CorruptHeaderError,
+    InvalidRateError,
+    NonFiniteAudioError,
+    UnsupportedFormatError,
+)
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -35,7 +40,7 @@ class AudioBuffer:
             raise ValueError("AudioBuffer is mono: samples must be one-dimensional")
         if samples.size:
             if not np.isfinite(samples).all():
-                raise ValueError("samples contain non-finite values")
+                raise NonFiniteAudioError("samples contain non-finite values")
             peak = np.abs(samples).max()
             if peak > 1.0 + 1e-12:
                 raise ValueError(f"samples exceed full scale: peak {peak}")
@@ -74,7 +79,7 @@ def load_wav(path) -> AudioBuffer:
     Accepts little-endian 8/16/24-bit integer PCM and 32-bit float, mono
     or stereo. Stereo collapses to mono by averaging the channels.
     Integer samples are scaled by the format's full-scale value; float
-    samples are clipped to [-1, 1].
+    samples are clipped to [-1, 1], and NaN or infinite ones are rejected.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -117,6 +122,8 @@ def load_wav(path) -> AudioBuffer:
         if len(payload) % 4:
             raise CorruptHeaderError(f"{path}: float payload not sample-aligned")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
     else:
         bytes_per_sample = bits // 8
         if bits % 8 or bytes_per_sample == 0:

@@ -1,4 +1,5 @@
 import json
+import struct
 from importlib import resources
 
 import jsonschema
@@ -7,7 +8,10 @@ import pytest
 
 from peaudio.cli import main
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
+from peaudio.signal_io import AudioBuffer, save_wav
 from peaudio.spectral import StftConfig
+
+from conftest import harmonic_signal
 
 
 def load_schema(name):
@@ -110,13 +114,30 @@ class TestGradCheck:
         jsonschema.validate(payload, load_schema("grad_check.schema.json"))
         assert payload["pass"] is True
         assert payload["max_rel_err_vs_fd"] < 1e-4
+        assert payload["n_eligible"] >= payload["n_coords"] == 50
+        assert 0 <= payload["rel_err_p50"] <= payload["rel_err_p95"] <= payload["max_rel_err_vs_fd"]
 
     def test_silence_vacuous_pass_with_note(self, silence_wav, tmp_path):
         out = tmp_path / "g.json"
         assert run(["grad-check", str(silence_wav), "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema("grad_check.schema.json"))
         assert payload["all_kink"] is True
         assert "all-kink" in payload["note"]
+        assert payload["n_eligible"] == 0
+        assert payload["rel_err_p50"] is None and payload["rel_err_p95"] is None
+
+    def test_long_clip_passes(self, tmp_path):
+        # A whole-clip difference quotient lost precision as 1/T and failed
+        # the 1e-4 gate on this 20 s clip (max_rel_err 1.1e-4) although the
+        # gradient is right; the frame-local quotient keeps it near 1e-7.
+        wav = tmp_path / "long.wav"
+        save_wav(AudioBuffer(harmonic_signal(duration=20.0, seed=2), 22050), wav)
+        out = tmp_path / "g.json"
+        assert run(["grad-check", str(wav), "--n-coords", "100", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["n_coords"] == 100
+        assert payload["max_rel_err_vs_fd"] < 1e-5
 
     def test_zero_coords_is_config_error(self, voiced_wav):
         assert run(["grad-check", str(voiced_wav), "--n-coords", "0"]) == 3
@@ -230,3 +251,27 @@ class TestConfigHandling:
 
     def test_unknown_flag_is_config_error(self, voiced_wav):
         assert run(["analyze", str(voiced_wav), "--no-such-flag"]) == 3
+
+    def test_fft_too_small_for_bark_bands(self, voiced_wav, capsys):
+        # 64 bins at 22050 Hz are 345 Hz apart: the 100-200 Hz band gets none.
+        assert run(["analyze", str(voiced_wav), "--fft-size", "64", "--hop", "32"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and "no FFT bin" in err[0]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_wav_is_io_error(self, tmp_path, capsys, bad):
+        samples = [0.1 * np.sin(0.05 * i) for i in range(4096)]
+        samples[100] = bad
+        payload = struct.pack(f"<{len(samples)}f", *samples)
+        fmt = struct.pack("<HHIIHH", 3, 1, 22050, 22050 * 4, 4, 32)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+        body += b"data" + struct.pack("<I", len(payload)) + payload
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert run(["analyze", str(wav)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "NaN or infinite" in err[0]

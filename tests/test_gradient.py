@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from peaudio.pe import check_gradient, loss_pe_of, pe_gradient, toy_fit
+from peaudio import pe
+from peaudio.pe import check_gradient, loss_pe_of, pe_gradient, perceptual_entropy, toy_fit
 from peaudio.pe import LossConfig
 from peaudio.errors import DivergenceError
-from peaudio.psychoacoustic import bark_layout
+from peaudio.psychoacoustic import analyze, bark_layout
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
@@ -18,6 +19,76 @@ def voiced_spec():
     cfg = StftConfig(sample_rate=SR)
     buf = AudioBuffer(harmonic_signal(duration=0.6), SR)
     return stft(buf, cfg), bark_layout(cfg)
+
+
+def full_pipeline_fd(spec, layout, coordinates, rel_step=1e-5, through_thresholds=True):
+    """Central differences of the whole-clip PE loss, one coordinate at a time.
+
+    The reference the frame-local checker is held to: each quotient
+    perturbs one component of the full spectrogram and reruns the whole
+    pipeline on it, assuming nothing about which frames a component
+    reaches. Its own roundoff grows with the frame count, so it is only
+    sharp on short clips.
+    """
+    components = np.stack([spec.frames.real, spec.frames.imag], axis=-1)
+    frozen = analyze(spec, layout)
+
+    def loss_at(values):
+        rebuilt = Spectrogram(values[..., 0] + 1j * values[..., 1], spec.config)
+        if not through_thresholds:
+            return perceptual_entropy(rebuilt, frozen).loss_pe
+        return loss_pe_of(rebuilt, layout)
+
+    fd = []
+    for frame, bin_idx, part in coordinates:
+        value = components[frame, bin_idx, part]
+        h = rel_step * abs(value)
+        components[frame, bin_idx, part] = value + h
+        loss_plus = loss_at(components)
+        components[frame, bin_idx, part] = value - h
+        loss_minus = loss_at(components)
+        components[frame, bin_idx, part] = value
+        fd.append((loss_plus - loss_minus) / (2.0 * h))
+    return np.array(fd)
+
+
+class TestFrameLocalFd:
+    cfg = StftConfig(sample_rate=SR)
+
+    def _spec(self, seed=42):
+        return stft(AudioBuffer(harmonic_signal(duration=0.3, seed=seed), SR), self.cfg)
+
+    @pytest.mark.parametrize("through_thresholds", [True, False])
+    @pytest.mark.parametrize("with_phase_source", [False, True])
+    def test_matches_full_pipeline_oracle(self, through_thresholds, with_phase_source):
+        spec = self._spec()
+        layout = bark_layout(self.cfg)
+        phase_source = self._spec(seed=7) if with_phase_source else None
+        check = check_gradient(
+            spec, layout, n_coords=10, seed=1,
+            phase_source=phase_source, through_thresholds=through_thresholds,
+        )
+        assert check.n_checked == 10
+        rebuilt = spec
+        if with_phase_source:
+            phase = np.exp(1j * np.angle(phase_source.frames))
+            rebuilt = Spectrogram(np.abs(spec.frames) * phase, self.cfg)
+        reference = full_pipeline_fd(
+            rebuilt, layout, check.coordinates, through_thresholds=through_thresholds
+        )
+        # The oracle's quotient of two whole-clip losses carries ~1e-7
+        # relative roundoff on these 9 frames; a coordinate credited to the
+        # wrong frame or component would be off by order 1.
+        np.testing.assert_allclose(check.finite_differences, reference, rtol=1e-6)
+
+    def test_row_blocks_do_not_change_the_result(self, monkeypatch):
+        spec = self._spec()
+        layout = bark_layout(self.cfg)
+        whole = check_gradient(spec, layout, n_coords=60, seed=2)
+        monkeypatch.setattr(pe, "FD_BLOCK_ROWS", 6)
+        blocked = check_gradient(spec, layout, n_coords=60, seed=2)
+        np.testing.assert_array_equal(blocked.coordinates, whole.coordinates)
+        np.testing.assert_allclose(blocked.finite_differences, whole.finite_differences, rtol=1e-12)
 
 
 class TestPeGradient:

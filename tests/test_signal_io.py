@@ -3,7 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from peaudio.errors import CorruptHeaderError, InvalidRateError, UnsupportedFormatError
+from peaudio.errors import (
+    CorruptHeaderError,
+    InvalidRateError,
+    NonFiniteAudioError,
+    UnsupportedFormatError,
+)
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 
 
@@ -72,6 +77,14 @@ class TestLoadWav:
         payload = struct.pack("<3f", 0.25, -1.5, 1.0)
         path = build_wav(tmp_path / "t.wav", payload, format_tag=3, bits=32)
         np.testing.assert_allclose(load_wav(path).samples, [0.25, -1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_float32_non_finite_rejected(self, tmp_path, bad):
+        # Clipping would turn an infinity into full scale; reject it instead.
+        payload = struct.pack("<3f", 0.25, bad, 1.0)
+        path = build_wav(tmp_path / "t.wav", payload, format_tag=3, bits=32)
+        with pytest.raises(NonFiniteAudioError):
+            load_wav(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -162,7 +175,7 @@ class TestResample:
 
 class TestAudioBuffer:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteAudioError):
             AudioBuffer(np.array([0.0, np.nan]), 8000)
 
     def test_rejects_over_full_scale(self):
