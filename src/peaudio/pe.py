@@ -50,15 +50,9 @@ class PEResult:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Weights for the interpolated objective.
-
-    lam scales the perceptual-entropy loss; the two flags choose which
-    L1 terms enter the synthesis loss in toy_fit.
-    """
+    """Weights for the interpolated objective: lam scales the perceptual-entropy loss."""
 
     lam: float = 0.01
-    include_mel_l1: bool = True
-    include_linear_l1: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -142,11 +136,6 @@ def _reconstruct(spec: Spectrogram, phase_source: Spectrogram | None) -> Spectro
         raise ShapeMismatchError("phase source shape does not match the spectrum")
     phase = np.angle(phase_source.frames)
     return Spectrogram(np.abs(spec.frames) * np.exp(1j * phase), spec.config)
-
-
-def loss_pe_of(spec: Spectrogram, layout: BarkBandLayout) -> float:
-    """Forward pass only: the PE loss of a complex spectrogram."""
-    return perceptual_entropy(spec, analyze(spec, layout)).loss_pe
 
 
 def pe_gradient(
@@ -504,12 +493,8 @@ def toy_fit(
 
     def evaluate(current: np.ndarray):
         linear_err = current - ref_mag
-        l_sing_value = 0.0
-        if cfg.include_linear_l1:
-            l_sing_value += float(np.mean(np.abs(linear_err)))
         mel_err = (current**2) @ weights.T - ref_mel
-        if cfg.include_mel_l1:
-            l_sing_value += float(np.mean(np.abs(mel_err)))
+        l_sing_value = float(np.mean(np.abs(linear_err))) + float(np.mean(np.abs(mel_err)))
         pred = Spectrogram(current * cos_phi + 1j * (current * sin_phi), stft_cfg)
         pe_result = perceptual_entropy(pred, analyze(pred, layout))
         return linear_err, mel_err, pred, pe_result, l_sing_value
@@ -523,11 +508,7 @@ def toy_fit(
         if not np.isfinite(total):
             raise DivergenceError(step)
 
-        grad = np.zeros_like(mag)
-        if cfg.include_linear_l1:
-            grad += np.sign(linear_err) / n_linear
-        if cfg.include_mel_l1:
-            grad += ((np.sign(mel_err) / n_mel) @ weights) * (2.0 * mag)
+        grad = np.sign(linear_err) / n_linear + ((np.sign(mel_err) / n_mel) @ weights) * (2.0 * mag)
         if cfg.lam > 0:
             pe_grad = pe_gradient(pred, layout).grad
             grad += cfg.lam * (pe_grad.real * cos_phi + pe_grad.imag * sin_phi)

@@ -58,18 +58,17 @@ class AudioBuffer:
         return AudioBuffer(self.samples * gain, self.sample_rate)
 
 
-def _decode_pcm(payload: bytes, bits: int, path) -> np.ndarray:
+def _decode_pcm(data: bytes, offset: int, count: int, bits: int, path) -> np.ndarray:
+    """`count` integer PCM samples starting at byte `offset`, as integers."""
     if bits == 8:
-        raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-        return (raw - 128.0) / 128.0
+        return np.subtract(np.frombuffer(data, np.uint8, count, offset), 128, dtype=np.int32)
     if bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
-        return raw / 32768.0
+        return np.frombuffer(data, "<i2", count, offset)
     if bits == 24:
-        triplets = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-        raw = triplets[:, 0] | (triplets[:, 1] << 8) | (triplets[:, 2] << 16)
-        raw = (raw ^ 0x800000) - 0x800000  # sign-extend 24 -> 64 bit
-        return raw.astype(np.float64) / float(1 << 23)
+        # Read each 3-byte sample as an unaligned <i4 that starts one byte
+        # early (a chunk header always precedes the payload): the sample
+        # fills the top 24 bits and the arithmetic shift sign-extends it.
+        return np.ndarray((count,), "<i4", data, offset - 1, (3,)) >> 8
     raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
 
 
@@ -77,9 +76,10 @@ def load_wav(path) -> AudioBuffer:
     """Load a RIFF/WAVE file as normalized mono audio.
 
     Accepts little-endian 8/16/24-bit integer PCM and 32-bit float, mono
-    or stereo. Stereo collapses to mono by averaging the channels.
-    Integer samples are scaled by the format's full-scale value; float
-    samples are clipped to [-1, 1], and NaN or infinite ones are rejected.
+    or stereo. Stereo collapses to mono as exactly (L + R) / 2. Integer
+    samples are scaled by the format's full-scale value, which already
+    puts them in [-1, 1); float samples are clipped to [-1, 1], and NaN
+    or infinite ones are rejected.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -87,25 +87,25 @@ def load_wav(path) -> AudioBuffer:
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    payload = None
+    payload = None  # (offset, size) of the data chunk body; never sliced out
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+        if pos + 8 + size > len(data):
             raise CorruptHeaderError(f"{path}: truncated '{chunk_id.decode('latin1')}' chunk")
         if chunk_id == b"fmt ":
             if size < 16:
                 raise CorruptHeaderError(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
         elif chunk_id == b"data":
-            payload = body
+            payload = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
         raise CorruptHeaderError(f"{path}: missing fmt or data chunk")
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    offset, size = payload
 
     if format_tag == _FORMAT_EXTENSIBLE:
         raise UnsupportedFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE is not supported")
@@ -119,24 +119,32 @@ def load_wav(path) -> AudioBuffer:
     if format_tag == _FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedFormatError(f"{path}: {bits}-bit float is not supported")
-        if len(payload) % 4:
+        if size % 4:
             raise CorruptHeaderError(f"{path}: float payload not sample-aligned")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.isfinite(samples).all():
+        values = np.frombuffer(data, "<f4", size // 4, offset).astype(np.float64)
+        if not np.isfinite(values).all():
             raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
+        full_scale = 1
     else:
         bytes_per_sample = bits // 8
         if bits % 8 or bytes_per_sample == 0:
             raise CorruptHeaderError(f"{path}: invalid bit depth {bits}")
-        if len(payload) % bytes_per_sample:
+        if size % bytes_per_sample:
             raise CorruptHeaderError(f"{path}: PCM payload not sample-aligned")
-        samples = _decode_pcm(payload, bits, path)
+        values = _decode_pcm(data, offset, size // bytes_per_sample, bits, path)
+        full_scale = 1 << (bits - 1)
 
-    if samples.size % channels:
+    if values.size % channels:
         raise CorruptHeaderError(f"{path}: payload not aligned to {channels}-channel frames")
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    samples = np.clip(samples, -1.0, 1.0)
+        # Integer sums are exact in float64, float sums round as a two-term
+        # mean does, and the power-of-two scale below divides without rounding.
+        samples = np.add(values[0::2], values[1::2], dtype=np.float64)
+    else:
+        samples = np.asarray(values, dtype=np.float64)  # a fresh array either way
+    samples *= 1.0 / (channels * full_scale)
+    if format_tag == _FORMAT_IEEE_FLOAT:
+        np.clip(samples, -1.0, 1.0, out=samples)
     return AudioBuffer(samples, sample_rate)
 
 

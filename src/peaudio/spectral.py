@@ -132,10 +132,8 @@ def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
         raise BufferTooShortError(
             f"need at least fft_size={cfg.fft_size} samples, got {x.size}"
         )
-    n_frames = 1 + (x.size - cfg.fft_size) // cfg.hop
-    window = cfg.window_samples()
-    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(cfg.fft_size)[None, :]
-    return scipy.fft.rfft(x[idx] * window, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
+    return scipy.fft.rfft(frames * cfg.window_samples(), axis=1)
 
 
 def istft_array(frames: np.ndarray, cfg: StftConfig) -> np.ndarray:

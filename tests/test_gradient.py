@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from peaudio import pe
-from peaudio.pe import check_gradient, loss_pe_of, pe_gradient, perceptual_entropy, toy_fit
+from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy, toy_fit
 from peaudio.pe import LossConfig
 from peaudio.errors import DivergenceError
 from peaudio.psychoacoustic import analyze, bark_layout
@@ -19,6 +19,11 @@ def voiced_spec():
     cfg = StftConfig(sample_rate=SR)
     buf = AudioBuffer(harmonic_signal(duration=0.6), SR)
     return stft(buf, cfg), bark_layout(cfg)
+
+
+def loss_pe_of(spec, layout):
+    """Forward pass only: the PE loss of a complex spectrogram."""
+    return perceptual_entropy(spec, analyze(spec, layout)).loss_pe
 
 
 def full_pipeline_fd(spec, layout, coordinates, rel_step=1e-5, through_thresholds=True):

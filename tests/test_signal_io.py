@@ -2,7 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from peaudio.cli import main
 from peaudio.errors import (
     CorruptHeaderError,
     InvalidRateError,
@@ -12,30 +15,26 @@ from peaudio.errors import (
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 
 
-def build_wav(path, payload, format_tag=1, channels=1, sample_rate=22050, bits=16):
-    """Assemble raw WAV bytes so tests control every header field."""
-    block_align = channels * max(bits // 8, 1)
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                format_tag,
-                channels,
-                sample_rate,
-                sample_rate * block_align,
-                block_align,
-                bits,
-            ),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
+def riff(chunks):
+    """RIFF/WAVE bytes from (id, body) chunks, each odd body followed by its pad byte."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1) for cid, data in chunks
     )
-    path.write_bytes(header + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_body(channels, bits, format_tag=1, sample_rate=22050):
+    block_align = channels * max(bits // 8, 1)
+    return struct.pack(
+        "<HHIIHH", format_tag, channels, sample_rate, sample_rate * block_align, block_align, bits
+    )
+
+
+def build_wav(path, payload, format_tag=1, channels=1, sample_rate=22050, bits=16):
+    """Write a plain fmt-then-data WAV so tests control every header field."""
+    path.write_bytes(
+        riff([(b"fmt ", fmt_body(channels, bits, format_tag, sample_rate)), (b"data", payload)])
+    )
     return path
 
 
@@ -131,6 +130,111 @@ class TestLoadWav:
         back = load_wav(path)
         assert back.sample_rate == 16000
         np.testing.assert_allclose(back.samples, buf.samples, atol=0.5 / 32768)
+
+
+def encode_pcm(values, bits):
+    """Little-endian PCM bytes; 8-bit PCM is unsigned with its zero at 128."""
+    if bits == 8:
+        return bytes(v + 128 for v in values)
+    return b"".join(v.to_bytes(bits // 8, "little", signed=True) for v in values)
+
+
+def oracle_samples(payload, bits, channels):
+    """Independent per-sample decode: each channel over full scale, averaged."""
+    width = bits // 8
+    full_scale = float(1 << (bits - 1))
+    chunks = [payload[i : i + width] for i in range(0, len(payload), width)]
+    if bits == 8:
+        ints = [c[0] - 128 for c in chunks]
+    else:
+        ints = [int.from_bytes(c, "little", signed=True) for c in chunks]
+    frames = [ints[i : i + channels] for i in range(0, len(ints), channels)]
+    return np.array([sum(v / full_scale for v in frame) / channels for frame in frames])
+
+
+@st.composite
+def pcm_payloads(draw):
+    """(bits, channels, values): random samples plus both extremes of the format."""
+    bits = draw(st.sampled_from([8, 16, 24]))
+    channels = draw(st.sampled_from([1, 2]))
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    values = draw(st.lists(st.integers(lo, hi), max_size=40)) + [lo, hi]
+    values = draw(st.permutations(values))
+    if len(values) % channels:
+        values.append(draw(st.integers(lo, hi)))
+    return bits, channels, values
+
+
+property_settings = settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestDecoderProperties:
+    @property_settings
+    @given(pcm_payloads())
+    def test_integer_pcm_bit_identical_to_oracle(self, tmp_path, case):
+        bits, channels, values = case
+        payload = encode_pcm(values, bits)
+        path = build_wav(tmp_path / "p.wav", payload, channels=channels, bits=bits)
+        samples = load_wav(path).samples
+        assert samples.dtype == np.float64
+        assert np.array_equal(samples, oracle_samples(payload, bits, channels))
+
+    @property_settings
+    @given(
+        pcm_payloads(),
+        st.binary(max_size=9),
+        st.sampled_from(["extra_first", "extra_last", "fmt_after_data"]),
+    )
+    def test_chunk_layouts_decode_the_same(self, tmp_path, case, extra, layout):
+        bits, channels, values = case
+        payload = encode_pcm(values, bits)
+        fmt = (b"fmt ", fmt_body(channels, bits))
+        data = (b"data", payload)
+        chunks = {
+            "extra_first": [fmt, (b"LIST", extra), data],
+            "extra_last": [fmt, data, (b"LIST", extra)],
+            "fmt_after_data": [(b"LIST", extra), data, fmt],
+        }[layout]
+        path = tmp_path / "p.wav"
+        path.write_bytes(riff(chunks))
+        assert np.array_equal(load_wav(path).samples, oracle_samples(payload, bits, channels))
+
+    def test_odd_chunk_pad_byte_is_skipped(self, tmp_path):
+        # A 3-byte chunk is followed by one pad byte; the data chunk starts after it.
+        payload = encode_pcm([-32768, 32767, 5], 16)
+        blob = riff([(b"fmt ", fmt_body(1, 16)), (b"junk", b"abc"), (b"data", payload)])
+        assert blob.index(b"data") % 2 == 0
+        path = tmp_path / "p.wav"
+        path.write_bytes(blob)
+        np.testing.assert_array_equal(load_wav(path).samples, [-1.0, 32767 / 32768, 5 / 32768])
+
+    @pytest.mark.parametrize("cut", [1, 2, 5])
+    def test_truncated_last_chunk_is_corrupt(self, tmp_path, capsys, cut):
+        payload = encode_pcm([1, 2, 3, 4], 16)
+        blob = riff([(b"fmt ", fmt_body(1, 16)), (b"data", payload), (b"LIST", b"abcdef")])
+        path = tmp_path / "p.wav"
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CorruptHeaderError):
+            load_wav(path)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("bits", [8, 16, 24])
+    def test_stereo_odd_sample_count_is_corrupt(self, tmp_path, bits):
+        path = build_wav(tmp_path / "p.wav", encode_pcm([1, -1, 7], bits), channels=2, bits=bits)
+        with pytest.raises(CorruptHeaderError):
+            load_wav(path)
+        assert main(["analyze", str(path)]) == 2
+
+    def test_float_stereo_is_mean_of_channels(self, tmp_path):
+        left = np.array([0.25, 1e-30, -0.75, 1.5], dtype=np.float32)
+        right = np.array([0.5, 1.0, -0.5, 1.5], dtype=np.float32)
+        payload = np.stack([left, right], axis=1).astype("<f4").tobytes()
+        path = build_wav(tmp_path / "p.wav", payload, format_tag=3, channels=2, bits=32)
+        expected = np.clip(np.stack([left, right], axis=1).astype(np.float64).mean(axis=1), -1, 1)
+        assert np.array_equal(load_wav(path).samples, expected)
 
 
 class TestResample:

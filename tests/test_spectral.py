@@ -24,6 +24,17 @@ from peaudio.spectral import (
 from conftest import harmonic_signal
 
 
+def gathered_stft(x, cfg):
+    """The STFT framed by gathering through a (T, fft_size) index matrix.
+
+    The straightforward construction the strided framing in the library
+    must reproduce bit for bit.
+    """
+    n_frames = 1 + (x.size - cfg.fft_size) // cfg.hop
+    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(cfg.fft_size)[None, :]
+    return scipy.fft.rfft(x[idx] * cfg.window_samples(), axis=1)
+
+
 class TestStftConfig:
     def test_defaults(self):
         cfg = StftConfig()
@@ -87,6 +98,24 @@ class TestStft:
         np.testing.assert_allclose(
             shifted.frames, full.frames[1 : 1 + shifted.n_frames], atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "fft_size, hop, n_samples",
+        [
+            (512, 160, 4000),  # hop < fft_size
+            (256, 256, 4096),  # hop == fft_size, frames tile the signal
+            (1024, 661, 1024),  # exactly one frame
+            (1024, 661, 1024 + 3 * 661 + 660),  # trailing samples fill no frame
+            (64, 1, 300),  # every sample starts a frame
+        ],
+    )
+    def test_strided_framing_matches_gather(self, fft_size, hop, n_samples):
+        x = np.random.default_rng(fft_size + hop).uniform(-1, 1, n_samples)
+        cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=22050)
+        expected = gathered_stft(x, cfg)
+        got = stft(AudioBuffer(x, 22050), cfg).frames
+        assert got.shape == expected.shape == (1 + (n_samples - fft_size) // hop, cfg.bins)
+        assert np.array_equal(got, expected)
 
 
 class TestMel:
