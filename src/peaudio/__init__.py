@@ -50,7 +50,6 @@ from .spectral import (
     MelSpectrogram,
     Spectrogram,
     StftConfig,
-    griffin_lim,
     mel_cepstrum,
     mel_filterbank,
     mel_spectrogram,

@@ -254,6 +254,12 @@ def _mean_report_row(rows: list[dict]) -> dict:
     return mean
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_compare(args, cfg: CliConfig) -> int:
     if args.manifest:
         pairs = []
@@ -266,13 +272,18 @@ def cmd_compare(args, cfg: CliConfig) -> int:
                 if len(parts) != 2:
                     raise ConfigError(f"{args.manifest}:{lineno}: expected 'ref,pred'")
                 pairs.append(tuple(parts))
+        if not pairs:
+            raise ConfigError(f"{args.manifest}: no ref,pred pairs")
     elif args.ref and args.pred:
         pairs = [(args.ref, args.pred)]
     else:
         raise ConfigError("compare needs REF PRED arguments or --manifest")
 
     stft_cfg = cfg.stft()
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(pairs)))) as pool:
+    # The rows' FFTs release the GIL, so one thread per usable CPU keeps
+    # every core busy; more threads only add contention and memory.
+    workers = min(8, _usable_cpus(), len(pairs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(
             pool.map(lambda pair: compare_files(pair[0], pair[1], stft_cfg, cfg.n_mels), pairs)
         )

@@ -24,6 +24,7 @@ F0_MAX_HZ = 1100.0
 VOICING_AUTOCORR_THRESHOLD = 0.45
 VOICING_RMS_GATE = 0.01  # fraction of the utterance's peak frame RMS
 F0_WINDOW_SECONDS = 0.04
+F0_BLOCK_FRAMES = 64  # frames per autocorrelation block; bounds the tracker's memory
 
 
 @dataclass(frozen=True)
@@ -75,23 +76,30 @@ class MetricReport:
         }
 
 
-def _normalized_autocorr(frame: np.ndarray) -> np.ndarray:
-    """Autocorrelation of one frame, each lag normalized by the energies
-    of the two overlapping segments; zero-energy overlaps give 0."""
-    n = frame.size
-    size = scipy.fft.next_fast_len(2 * n)
-    spectrum = scipy.fft.rfft(frame, size)
-    raw = scipy.fft.irfft(spectrum * np.conj(spectrum), size)[:n]
-    squares = np.cumsum(frame * frame)
-    total = squares[-1]
-    lags = np.arange(n)
-    energy_head = squares[n - 1 - lags]
-    energy_tail = total - np.concatenate(([0.0], squares[:-1]))
+def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Autocorrelation of each row at lags lo..hi-1, each lag normalized
+    by the energies of the two overlapping segments; zero-energy overlaps
+    give 0.
+
+    The FFT is at least window + hi long, so no lag below hi wraps
+    around: the values are the linear autocorrelation, not an
+    approximation of it.
+    """
+    n = frames.shape[1]
+    size = scipy.fft.next_fast_len(n + hi, real=True)
+    spectrum = scipy.fft.rfft(frames, size, axis=1)
+    # |X|^2 as two squares: numpy's complex product X * conj(X) may round
+    # differently in its vector and scalar paths, which would make the
+    # result depend on how frames are split into blocks.
+    power = spectrum.real**2 + spectrum.imag**2
+    raw = scipy.fft.irfft(power, size, axis=1)[:, lo:hi]
+    # squares[:, m] is the energy of the first m samples of each row.
+    squares = np.zeros((frames.shape[0], n + 1))
+    np.cumsum(frames * frames, axis=1, out=squares[:, 1:])
+    energy_head = squares[:, n - hi + 1 : n - lo + 1][:, ::-1]
+    energy_tail = squares[:, n:] - squares[:, lo:hi]
     denom = np.sqrt(energy_head * energy_tail)
-    out = np.zeros(n)
-    good = denom > 0
-    out[good] = raw[good] / denom[good]
-    return out
+    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
 
 
 def extract_f0(
@@ -112,44 +120,54 @@ def extract_f0(
     (octave-down) picks when an integer multiple of the period happens
     to align better with the lag grid. The chosen lag is refined by
     parabolic interpolation before converting to Hz.
+
+    Frames are processed F0_BLOCK_FRAMES at a time, so memory beyond
+    the per-frame outputs does not grow with the signal's length.
     """
     rate = buf.sample_rate
     window = max(2, round(window_seconds * rate))
     hop = max(1, round(hop_seconds * rate))
     x = buf.samples
     n_frames = 1 + (x.size - window) // hop if x.size >= window else 0
-    f0 = np.zeros(max(n_frames, 0))
-    voiced = np.zeros(max(n_frames, 0), dtype=bool)
-    if n_frames <= 0:
-        return F0Track(f0, voiced, hop_seconds)
-
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
-    frames = x[idx]
-    rms = np.sqrt(np.mean(frames**2, axis=1))
-    peak_rms = rms.max()
-
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
     lag_min = max(1, math.ceil(rate / fmax))
     lag_max = min(window - 1, math.floor(rate / fmin))
-    if lag_max <= lag_min:
+    if n_frames == 0 or lag_max <= lag_min:
         return F0Track(f0, voiced, hop_seconds)
 
-    for t in range(n_frames):
-        if peak_rms == 0 or rms[t] < rms_gate * peak_rms:
-            continue
-        corr = _normalized_autocorr(frames[t])
-        candidates = corr[lag_min : lag_max + 1]
-        best = candidates.max()
-        if best < voicing_threshold:
-            continue
-        lag = lag_min + int(np.argmax(candidates >= 0.98 * best))
-        refined = float(lag)
-        if 1 <= lag < window - 1:
-            left, mid, right = corr[lag - 1], corr[lag], corr[lag + 1]
-            denom = left - 2.0 * mid + right
-            if denom < 0:
-                refined += 0.5 * (left - right) / denom
-        voiced[t] = True
-        f0[t] = min(max(rate / refined, fmin), fmax)
+    windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
+    rms = np.empty(n_frames)
+    for start in range(0, n_frames, F0_BLOCK_FRAMES):
+        block = windows[start : start + F0_BLOCK_FRAMES]
+        rms[start : start + F0_BLOCK_FRAMES] = np.sqrt(np.mean(block**2, axis=1))
+    peak_rms = rms.max()
+    if peak_rms == 0:
+        return F0Track(f0, voiced, hop_seconds)
+    gated_in = np.flatnonzero(~(rms < rms_gate * peak_rms))
+
+    # Lags lag_min-1 .. lag_max+1 are read; lag_max+1 only below window-1.
+    lo = lag_min - 1
+    hi = min(window, lag_max + 2)
+    for start in range(0, gated_in.size, F0_BLOCK_FRAMES):
+        rows = gated_in[start : start + F0_BLOCK_FRAMES]
+        corr = _normalized_autocorr(windows[rows], lo, hi)
+        candidates = corr[:, 1 : lag_max - lo + 1]
+        best = candidates.max(axis=1)
+        is_voiced = ~(best < voicing_threshold)
+        at = np.flatnonzero(is_voiced)
+        # Column of the chosen lag in corr; its neighbours are at +-1.
+        col = 1 + np.argmax(candidates[at] >= 0.98 * best[at, None], axis=1)
+        lag = lo + col
+        left = corr[at, col - 1]
+        mid = corr[at, col]
+        right = corr[at, np.minimum(col + 1, hi - lo - 1)]
+        denom = left - 2.0 * mid + right
+        refined = lag.astype(np.float64)
+        bend = (lag < window - 1) & (denom < 0)
+        refined[bend] += 0.5 * (left - right)[bend] / denom[bend]
+        voiced[rows[at]] = True
+        f0[rows[at]] = np.minimum(np.maximum(rate / refined, fmin), fmax)
 
     return F0Track(f0, voiced, hop_seconds)
 
@@ -176,7 +194,8 @@ def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
     """(f0_rmse_hz, vuv_error_pct, f0_corr) for two equal-length tracks.
 
     RMSE and correlation use only frames voiced in both tracks; the
-    correlation is NaN with fewer than 2 such frames or zero variance.
+    correlation is NaN with fewer than 2 such frames or zero variance,
+    and exactly 1 for identical tracks.
     """
     if len(ref) != len(pred):
         raise LengthMismatchError(f"track lengths differ: {len(ref)} vs {len(pred)}")
@@ -192,11 +211,14 @@ def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
         return rmse, vuv_error, float("nan")
     a = ref.f0[both]
     b = pred.f0[both]
-    sa = a.std()
-    sb = b.std()
-    if sa == 0 or sb == 0:
+    da = a - a.mean()
+    db = b - b.mean()
+    saa = np.sum(da * da)
+    sbb = np.sum(db * db)
+    if saa == 0 or sbb == 0:
         return rmse, vuv_error, float("nan")
-    corr = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    # sqrt(saa * saa) == saa in IEEE arithmetic, so identical tracks give exactly 1.
+    corr = float(np.sum(da * db) / np.sqrt(saa * sbb))
     return rmse, vuv_error, max(-1.0, min(1.0, corr))
 
 

@@ -1,4 +1,4 @@
-"""Short-time spectral analysis: STFT, mel filterbank, cepstrum, Griffin-Lim.
+"""Short-time spectral analysis: STFT, mel filterbank, cepstrum, spectrogram files.
 
 Conventions: one-sided spectra (fft_size/2 + 1 bins), unnormalized
 forward DFT (a constant frame of ones with a rectangular window puts
@@ -136,29 +136,6 @@ def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return scipy.fft.rfft(frames * cfg.window_samples(), axis=1)
 
 
-def istft_array(frames: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Weighted overlap-add inverse of _stft_array.
-
-    Output length is (T-1)*hop + fft_size. Samples where the summed
-    squared window is ~0 (frame edges at large hops) come out as 0.
-    """
-    frames = np.asarray(frames, dtype=np.complex128)
-    n_frames = frames.shape[0]
-    window = cfg.window_samples()
-    n_out = (n_frames - 1) * cfg.hop + cfg.fft_size
-    y = np.zeros(n_out)
-    wsum = np.zeros(n_out)
-    time_frames = scipy.fft.irfft(frames, n=cfg.fft_size, axis=1)
-    for t in range(n_frames):
-        start = t * cfg.hop
-        y[start : start + cfg.fft_size] += window * time_frames[t]
-        wsum[start : start + cfg.fft_size] += window * window
-    covered = wsum > 1e-12
-    y[covered] /= wsum[covered]
-    y[~covered] = 0.0
-    return y
-
-
 def hz_to_mel(freq_hz) -> np.ndarray:
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
@@ -205,41 +182,6 @@ def mel_cepstrum(mel: MelSpectrogram, n_coeffs: int = 25) -> np.ndarray:
         raise ValueError(f"n_coeffs must be in [1, {mel.n_mels}], got {n_coeffs}")
     log_mel = np.log(mel.frames + LOG_FLOOR)
     return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_coeffs]
-
-
-def griffin_lim(mag: np.ndarray, cfg: StftConfig, iters: int = 60, seed: int = 0) -> AudioBuffer:
-    """Estimate a waveform from STFT magnitudes by iterative phase refinement.
-
-    Starts from seeded random phase; each iteration inverts, re-analyzes
-    and restores the target magnitudes. iters=0 inverts the random-phase
-    spectrum directly. Deterministic for a fixed seed.
-
-    The overlap-add head and tail (fft_size - hop samples each) have
-    partial window coverage, where inconsistent phases can blow up under
-    the window-sum division; those regions are zeroed. The result is
-    peak-normalized only if it still exceeds full scale.
-    """
-    mag = np.asarray(mag, dtype=np.float64)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
-    rng = np.random.default_rng(seed)
-    phase = rng.uniform(-np.pi, np.pi, mag.shape)
-    spec = mag * np.exp(1j * phase)
-    for _ in range(iters):
-        y = istft_array(spec, cfg)
-        reanalysis = _stft_array(y, cfg)
-        norm = np.abs(reanalysis)
-        unit_phase = np.where(norm > 0, reanalysis / np.where(norm > 0, norm, 1.0), 1.0)
-        spec = mag * unit_phase
-    y = istft_array(spec, cfg)
-    edge = cfg.fft_size - cfg.hop
-    if edge and y.size > 2 * edge:
-        y[:edge] = 0.0
-        y[-edge:] = 0.0
-    peak = np.abs(y).max() if y.size else 0.0
-    if peak > 1.0:
-        y = y / peak
-    return AudioBuffer(y, cfg.sample_rate)
 
 
 def write_spectrogram_bin(spec: Spectrogram, path) -> None:

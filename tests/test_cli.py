@@ -188,6 +188,15 @@ class TestCompare:
         wav = sine_wav_factory(220.0)
         assert run(["compare", str(wav)]) == 3
 
+    def test_empty_manifest_is_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n  \n")
+        out = tmp_path / "c.csv"
+        assert run(["compare", "--manifest", str(manifest), "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
 
 class TestToyFit:
     def test_lambda_zero_arms_identical(self, voiced_wav, tmp_path):

@@ -1,6 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from peaudio import metrics
 from peaudio.errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
 from peaudio.metrics import MCD_CONSTANT, F0Track, compare, extract_f0, f0_metrics, mcd
 from peaudio.signal_io import AudioBuffer, save_wav
@@ -14,6 +19,184 @@ def track(f0_values, voiced=None, hop=0.03):
     if voiced is None:
         voiced = f0_values > 0
     return F0Track(f0_values, np.asarray(voiced, bool), hop)
+
+
+def frame_autocorr(frame):
+    """Normalized autocorrelation of one frame at every lag 0..n-1."""
+    n = frame.size
+    size = scipy.fft.next_fast_len(2 * n)
+    spectrum = scipy.fft.rfft(frame, size)
+    raw = scipy.fft.irfft(spectrum * np.conj(spectrum), size)[:n]
+    squares = np.cumsum(frame * frame)
+    total = squares[-1]
+    lags = np.arange(n)
+    energy_head = squares[n - 1 - lags]
+    energy_tail = total - np.concatenate(([0.0], squares[:-1]))
+    denom = np.sqrt(energy_head * energy_tail)
+    out = np.zeros(n)
+    good = denom > 0
+    out[good] = raw[good] / denom[good]
+    return out
+
+
+def per_frame_f0(buf, hop_seconds=0.03, window_seconds=metrics.F0_WINDOW_SECONDS,
+                 fmin=metrics.F0_MIN_HZ, fmax=metrics.F0_MAX_HZ,
+                 voicing_threshold=metrics.VOICING_AUTOCORR_THRESHOLD,
+                 rms_gate=metrics.VOICING_RMS_GATE):
+    """The tracker evaluated one frame at a time, with a full-length
+    autocorrelation per frame: the reference the blocked tracker is
+    held to."""
+    rate = buf.sample_rate
+    window = max(2, round(window_seconds * rate))
+    hop = max(1, round(hop_seconds * rate))
+    x = buf.samples
+    n_frames = 1 + (x.size - window) // hop if x.size >= window else 0
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    if n_frames == 0:
+        return f0, voiced
+    frames = x[hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]]
+    rms = np.sqrt(np.mean(frames**2, axis=1))
+    peak_rms = rms.max()
+    lag_min = max(1, math.ceil(rate / fmax))
+    lag_max = min(window - 1, math.floor(rate / fmin))
+    if lag_max <= lag_min:
+        return f0, voiced
+    for t in range(n_frames):
+        if peak_rms == 0 or rms[t] < rms_gate * peak_rms:
+            continue
+        corr = frame_autocorr(frames[t])
+        candidates = corr[lag_min : lag_max + 1]
+        best = candidates.max()
+        if best < voicing_threshold:
+            continue
+        lag = lag_min + int(np.argmax(candidates >= 0.98 * best))
+        refined = float(lag)
+        if 1 <= lag < window - 1:
+            left, mid, right = corr[lag - 1], corr[lag], corr[lag + 1]
+            denom = left - 2.0 * mid + right
+            if denom < 0:
+                refined += 0.5 * (left - right) / denom
+        voiced[t] = True
+        f0[t] = min(max(rate / refined, fmin), fmax)
+    return f0, voiced
+
+
+def pitched_signal(rate, duration, seed=0):
+    """Vibrato harmonic tone plus noise, with an exactly silent stretch,
+    a stretch below the RMS gate and one just above it."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(duration * rate)) / rate
+    f0 = rng.uniform(90.0, 600.0) * (1.0 + 0.03 * np.sin(2 * np.pi * 5.0 * t))
+    phase = 2 * np.pi * np.cumsum(f0) / rate
+    x = sum(np.sin(k * phase + rng.uniform(0, 2 * np.pi)) / k for k in range(1, 6))
+    x = 0.4 * x / np.abs(x).max() + 0.02 * rng.standard_normal(t.size)
+    quarter = t.size // 4
+    x[quarter : 2 * quarter] = 0.0
+    x[2 * quarter : 3 * quarter] *= 0.004  # below the 1% RMS gate
+    x[3 * quarter + quarter // 2 :] *= 0.05  # above it
+    return np.clip(x, -1.0, 1.0)
+
+
+class TestBlockedTrackerMatchesPerFrame:
+    """The blocked tracker against per_frame_f0: voicing decisions equal,
+    F0 equal up to FFT roundoff."""
+
+    @staticmethod
+    def assert_matches(buf, **kwargs):
+        f0, voiced = per_frame_f0(buf, **kwargs)
+        track = extract_f0(buf, **kwargs)
+        np.testing.assert_array_equal(track.voiced, voiced)
+        np.testing.assert_allclose(track.f0, f0, rtol=1e-9, atol=0)
+        return track
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    @pytest.mark.parametrize("window_seconds", [0.04, 0.02, 0.006])
+    def test_pitched_signal(self, rate, window_seconds):
+        # At 20 ms and 6 ms the longest candidate lag is window - 1,
+        # where no parabolic refinement is possible.
+        buf = AudioBuffer(pitched_signal(rate, 0.8, seed=rate), rate)
+        track = self.assert_matches(buf, hop_seconds=0.01, window_seconds=window_seconds)
+        assert track.voiced.any()
+        hop = round(0.01 * rate)
+        window = round(window_seconds * rate)
+        n = buf.samples.size
+        gated = slice(n // 2 // hop, (3 * (n // 4) - window) // hop)
+        assert not track.voiced[gated].any()
+
+    def test_best_lag_at_longest_candidate(self):
+        # A pulse-like 60.05 Hz tone (period 367.2) peaks at lag_max = 367
+        # < window - 1, so refinement reads lag 368. rate / 367 is not a
+        # whole multiple of fmin, so the clamp does not hide the refinement.
+        t = np.arange(SR) / SR
+        x = sum(np.sin(2 * np.pi * 60.05 * k * t) for k in range(1, 60)) / 60.0
+        track = self.assert_matches(AudioBuffer(x, SR), fmin=60.0)
+        assert track.voiced.any()
+        assert np.any((track.f0[track.voiced] > 60.0) & (track.f0[track.voiced] < SR / 367))
+
+    def test_gate_keeps_frames_at_exactly_the_gate(self):
+        # rms_gate = 1 lets through only the frames whose RMS equals the peak.
+        track = self.assert_matches(AudioBuffer(sine_signal(220.0), SR), rms_gate=1.0)
+        assert track.voiced.any()
+
+    def test_noise(self):
+        rng = np.random.default_rng(4)
+        buf = AudioBuffer(np.clip(rng.standard_normal(SR) / 3.0, -1, 1), SR)
+        self.assert_matches(buf)
+
+    def test_silence(self):
+        track = self.assert_matches(AudioBuffer(np.zeros(SR), SR))
+        assert len(track) > 0 and not track.voiced.any()
+
+    @pytest.mark.parametrize("extra", [0, 1, 200])
+    def test_single_frame(self, extra):
+        window = round(metrics.F0_WINDOW_SECONDS * SR)
+        buf = AudioBuffer(sine_signal(220.0, duration=(window + extra) / SR), SR)
+        track = self.assert_matches(buf, hop_seconds=0.03)
+        assert len(track) == 1 and track.voiced.all()
+
+    def test_shorter_than_one_window(self):
+        window = round(metrics.F0_WINDOW_SECONDS * SR)
+        buf = AudioBuffer(sine_signal(220.0, duration=(window - 1) / SR), SR)
+        assert len(self.assert_matches(buf)) == 0
+
+    def test_window_shorter_than_shortest_lag(self):
+        buf = AudioBuffer(sine_signal(220.0), SR)
+        track = self.assert_matches(buf, window_seconds=0.0005)
+        assert len(track) > 0 and not track.voiced.any()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        buf = AudioBuffer(pitched_signal(SR, 1.5, seed=3), SR)
+        default = extract_f0(buf, hop_seconds=0.01)
+        monkeypatch.setattr(metrics, "F0_BLOCK_FRAMES", block)
+        blocked = extract_f0(buf, hop_seconds=0.01)
+        np.testing.assert_array_equal(blocked.voiced, default.voiced)
+        np.testing.assert_array_equal(blocked.f0, default.f0)
+
+
+def traced_peak_bytes(buf):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        extract_f0(buf)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_f0_memory_does_not_grow_with_length():
+    # Beyond its per-frame outputs (a few arrays of 8 bytes or less per
+    # frame) the tracker may hold only a fixed number of frame blocks.
+    rate = 22050
+    sizes = {}
+    for seconds in (30, 300):
+        t = np.arange(seconds * rate) / rate
+        buf = AudioBuffer(0.5 * np.sin(2 * np.pi * 220.0 * t), rate)
+        del t
+        sizes[seconds] = (traced_peak_bytes(buf), len(extract_f0(buf)))
+    (short_peak, short_frames), (long_peak, long_frames) = sizes[30], sizes[300]
+    assert long_peak - short_peak <= 64 * (long_frames - short_frames)
 
 
 class TestExtractF0:
@@ -150,6 +333,12 @@ class TestF0Metrics:
         perm = rng.permutation(40)
         _, vuv2, _ = f0_metrics(track(f_ref[perm]), track(f_pred[perm]))
         assert vuv2 == vuv
+
+    def test_identical_tracks_correlate_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            a = track(rng.uniform(100, 400, rng.integers(2, 300)))
+            assert f0_metrics(a, a)[2] == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

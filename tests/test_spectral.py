@@ -8,8 +8,6 @@ from peaudio.spectral import (
     MelSpectrogram,
     Spectrogram,
     StftConfig,
-    griffin_lim,
-    istft_array,
     mel_cepstrum,
     mel_filterbank,
     mel_from_power,
@@ -185,48 +183,6 @@ class TestMelCepstrum:
         mel = MelSpectrogram(np.ones((1, 8)), 8)
         with pytest.raises(ValueError):
             mel_cepstrum(mel, 9)
-
-
-class TestGriffinLim:
-    def test_zero_magnitudes_give_silence(self):
-        cfg = StftConfig(fft_size=256, hop=64, sample_rate=22050)
-        out = griffin_lim(np.zeros((10, cfg.bins)), cfg, iters=3)
-        np.testing.assert_array_equal(out.samples, 0.0)
-
-    def test_iters_zero_is_seeded_random_phase_inverse(self):
-        cfg = StftConfig(fft_size=256, hop=64, sample_rate=22050)
-        rng = np.random.default_rng(2)
-        mag = rng.uniform(0, 1.0, (8, cfg.bins))
-        a = griffin_lim(mag, cfg, iters=0, seed=123)
-        b = griffin_lim(mag, cfg, iters=0, seed=123)
-        c = griffin_lim(mag, cfg, iters=0, seed=124)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert np.any(a.samples != c.samples)
-
-    def test_reconstruction_error_bound(self):
-        # Faded signal keeps the overlap-add edge regions quiet.
-        sr = 22050
-        sig = harmonic_signal(duration=1.0, n_harmonics=8, amplitude=0.6, noise=0.0)
-        fade = int(0.05 * sr)
-        env = np.ones_like(sig)
-        env[:fade] = np.linspace(0, 1, fade)
-        env[-fade:] = np.linspace(1, 0, fade)
-        cfg = StftConfig(fft_size=1024, hop=256, sample_rate=sr)
-        mag = np.abs(stft(AudioBuffer(sig * env, sr), cfg).frames)
-        rec = griffin_lim(mag, cfg, iters=60, seed=0)
-        remag = np.abs(stft(rec, cfg).frames)
-        frames = min(len(remag), len(mag))
-        err = np.linalg.norm(remag[:frames] - mag[:frames]) / np.linalg.norm(mag[:frames])
-        assert err < 0.15
-
-    def test_istft_inverts_stft_interior(self):
-        sr = 22050
-        x = harmonic_signal(duration=0.4, noise=0.0, amplitude=0.7)
-        cfg = StftConfig(fft_size=512, hop=128, sample_rate=sr)
-        spec = stft(AudioBuffer(x, sr), cfg)
-        y = istft_array(spec.frames, cfg)
-        a, b = cfg.fft_size, len(y) - cfg.fft_size
-        np.testing.assert_allclose(y[a:b], x[a:b], atol=1e-10)
 
 
 class TestSerialization:
