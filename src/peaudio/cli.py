@@ -8,6 +8,7 @@ can come from the PE_AUDIO_CONFIG environment variable.
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -43,8 +44,8 @@ class CliConfig:
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         try:
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy-fit", parents=[common], help="gradient-descent regularization demo")
     p.add_argument("target")
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=0.1)
     p.set_defaults(func=cmd_toy_fit)
 
     return parser
@@ -178,14 +179,13 @@ def _emit(text: str, output) -> None:
 
 
 def _load_spectrum(path, cfg: CliConfig):
-    buf = resample(load_wav(path), cfg.sample_rate)
     stft_cfg = cfg.stft()
-    spec = stft(buf, stft_cfg)
-    return buf, spec, bark_layout(stft_cfg)
+    spec = stft(resample(load_wav(path), cfg.sample_rate), stft_cfg)
+    return spec, bark_layout(stft_cfg)
 
 
 def cmd_analyze(args, cfg: CliConfig) -> int:
-    _, spec, layout = _load_spectrum(args.input, cfg)
+    spec, layout = _load_spectrum(args.input, cfg)
     result = pe_mod.perceptual_entropy(spec, analyze(spec, layout))
     if cfg.fmt == "json":
         text = json.dumps(result.to_json_dict(), indent=2) + "\n"
@@ -200,7 +200,7 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
 
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
-    _, spec, layout = _load_spectrum(args.input, cfg)
+    spec, layout = _load_spectrum(args.input, cfg)
     result = analyze(spec, layout)
     quantities = (
         ("band_power", result.band_power),
@@ -227,7 +227,7 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
 def cmd_grad_check(args, cfg: CliConfig) -> int:
     if args.n_coords < 1:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
-    _, spec, layout = _load_spectrum(args.input, cfg)
+    spec, layout = _load_spectrum(args.input, cfg)
     check = pe_mod.check_gradient(spec, layout, n_coords=args.n_coords, seed=cfg.seed)
     passed = check.passed(GRAD_CHECK_TOLERANCE)
     payload = check.to_json_dict()
@@ -317,14 +317,15 @@ def cmd_compare(args, cfg: CliConfig) -> int:
 def cmd_toy_fit(args, cfg: CliConfig) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    learning_rate = args.lr if args.lr is not None else 0.1
+    if not 0.0 < args.lr < math.inf:
+        raise ConfigError(f"--lr must be finite and positive, got {args.lr}")
     buf = resample(load_wav(args.target), cfg.sample_rate)
     stft_cfg = cfg.stft()
     arms = {}
     for name, lam in (("regularized", cfg.lam), ("baseline", 0.0)):
         loss_cfg = pe_mod.LossConfig(lam=lam)
         arms[name] = pe_mod.toy_fit(
-            buf, loss_cfg, steps=args.steps, learning_rate=learning_rate,
+            buf, loss_cfg, steps=args.steps, learning_rate=args.lr,
             seed=cfg.seed, stft_cfg=stft_cfg, n_mels=cfg.n_mels,
         )
     payload = {name: record.to_json_dict() for name, record in arms.items()}

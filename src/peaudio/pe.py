@@ -55,32 +55,16 @@ class LossConfig:
     lam: float = 0.01
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientReport:
-    """Loss partials w.r.t. the spectrum, packed re+1j*im per bin.
-
-    max_rel_err_vs_fd stays NaN until a finite-difference check fills it.
-    """
+    """Loss partials w.r.t. the spectrum, packed re+1j*im per bin, and the PE they were taken at."""
 
     grad: np.ndarray
-    max_rel_err_vs_fd: float = float("nan")
-
-    def to_json_dict(self) -> dict:
-        finite = np.isfinite(self.max_rel_err_vs_fd)
-        return {
-            "max_rel_err_vs_fd": float(self.max_rel_err_vs_fd) if finite else None,
-            "grad_shape": list(self.grad.shape),
-            "grad_max_abs": float(np.abs(self.grad).max()) if self.grad.size else 0.0,
-        }
-
-
-def quantizer_steps(analysis: BarkAnalysis) -> np.ndarray:
-    """Per-band quantizer step sqrt(6*threshold/k), shape (T, n)."""
-    return np.sqrt(6.0 * analysis.masking_threshold / analysis.layout.k)
+    pe: PEResult
 
 
 def pe_loss(mean_pe: float) -> float:
@@ -88,8 +72,14 @@ def pe_loss(mean_pe: float) -> float:
     return 1.0 / (1.0 + mean_pe)
 
 
-def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
-    """Bits of perceptible information per frame under the masking thresholds."""
+def _quantize(spec: Spectrogram, analysis: BarkAnalysis):
+    """The PE of spec under analysis, with the quantities its gradient reuses.
+
+    Returns the PEResult, the per-band quantizer steps sqrt(6*threshold/k)
+    (T, n), the same steps per bin (T, bins), and u = 2|x|/step + 1 for
+    the real and the imaginary parts (T, bins); a bin carries
+    log2(u_re) + log2(u_im) bits.
+    """
     if analysis.layout.n_bins != spec.config.bins:
         raise ValueError("analysis layout does not match the spectrogram bins")
     if analysis.n_frames != spec.n_frames:
@@ -97,12 +87,21 @@ def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     if np.any(analysis.masking_threshold <= 0):
         raise DegenerateThresholdError("masking threshold must be strictly positive")
 
-    steps = quantizer_steps(analysis)[:, analysis.layout.band_of_bin()]
-    bits = np.log2(2.0 * np.abs(spec.frames.real) / steps + 1.0)
-    bits += np.log2(2.0 * np.abs(spec.frames.imag) / steps + 1.0)
+    steps = np.sqrt(6.0 * analysis.masking_threshold / analysis.layout.k)
+    steps_bin = steps[:, analysis.layout.band_of_bin()]
+    u_re = 2.0 * np.abs(spec.frames.real) / steps_bin + 1.0
+    u_im = 2.0 * np.abs(spec.frames.imag) / steps_bin + 1.0
+    bits = np.log2(u_re)
+    bits += np.log2(u_im)
     per_frame = bits.sum(axis=1)
     mean_pe = float(per_frame.mean()) if per_frame.size else 0.0
-    return PEResult(per_frame=per_frame, mean_pe=mean_pe, loss_pe=pe_loss(mean_pe))
+    result = PEResult(per_frame=per_frame, mean_pe=mean_pe, loss_pe=pe_loss(mean_pe))
+    return result, steps, steps_bin, u_re, u_im
+
+
+def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
+    """Bits of perceptible information per frame under the masking thresholds."""
+    return _quantize(spec, analysis)[0]
 
 
 def _as_frames(x) -> np.ndarray:
@@ -144,7 +143,7 @@ def pe_gradient(
     phase_source: Spectrogram | None = None,
     through_thresholds: bool = True,
 ) -> GradientReport:
-    """Exact partials of the PE loss w.r.t. every Re and Im of the spectrum.
+    """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
 
     When phase_source is given, spec is treated as magnitude-only and the
     complex spectrum is rebuilt as |spec| * exp(i*phase) first; partials
@@ -157,35 +156,22 @@ def pe_gradient(
     branch is active, ties going to the variable branch.
     """
     spec = _reconstruct(spec, phase_source)
-    grad, _ = _gradient(spec, analyze(spec, layout), through_thresholds)
-    return GradientReport(grad=grad)
+    return _gradient(spec, analyze(spec, layout), through_thresholds)
 
 
 def _gradient(
     spec: Spectrogram, analysis: BarkAnalysis, through_thresholds: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loss partials packed re+1j*im, and the per-frame PE they were taken at."""
-    if np.any(analysis.masking_threshold <= 0):
-        raise DegenerateThresholdError("masking threshold must be strictly positive")
+) -> GradientReport:
+    """Loss partials packed re+1j*im, with the PE they were taken at."""
+    pe_result, steps, steps_bin, u_re, u_im = _quantize(spec, analysis)
     layout = analysis.layout
-
     re = spec.frames.real
     im = spec.frames.imag
-    abs_re = np.abs(re)
-    abs_im = np.abs(im)
-    n_frames = spec.n_frames
     k = layout.k
     bin_band = layout.band_of_bin()
 
-    steps = quantizer_steps(analysis)  # (T, n)
-    steps_bin = steps[:, bin_band]  # (T, bins)
-    u_re = 2.0 * abs_re / steps_bin + 1.0
-    u_im = 2.0 * abs_im / steps_bin + 1.0
-    per_frame = (np.log2(u_re) + np.log2(u_im)).sum(axis=1)
-    mean_pe = float(per_frame.mean()) if per_frame.size else 0.0
-
     # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
-    dl_dpe = -1.0 / ((1.0 + mean_pe) ** 2 * max(n_frames, 1))
+    dl_dpe = -1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(spec.n_frames, 1))
 
     # Quantizer terms, thresholds held fixed.
     dpe_dre = (2.0 / _LN2) * np.sign(re) / (steps_bin * u_re)
@@ -193,7 +179,7 @@ def _gradient(
 
     if through_thresholds:
         # d PE(t) / d step, summed over the band's bins.
-        dpe_dstep_bin = -(2.0 / _LN2) / steps_bin**2 * (abs_re / u_re + abs_im / u_im)
+        dpe_dstep_bin = -(2.0 / _LN2) / steps_bin**2 * (np.abs(re) / u_re + np.abs(im) / u_im)
         dpe_dstep = np.add.reduceat(dpe_dstep_bin, layout.lower_bins, axis=1)
         # step = sqrt(6 T'/k)  =>  d step/d T' = 3/(k*step)
         dpe_dthresh = dpe_dstep * 3.0 / (k * steps)
@@ -229,8 +215,7 @@ def _gradient(
         dpe_dre += dpe_dpower * 2.0 * re
         dpe_dim += dpe_dpower * 2.0 * im
 
-    grad = dl_dpe * (dpe_dre + 1j * dpe_dim)
-    return grad, per_frame
+    return GradientReport(grad=dl_dpe * (dpe_dre + 1j * dpe_dim), pe=pe_result)
 
 
 # Perturbed frames analysed per batch in check_gradient, two per coordinate;
@@ -251,15 +236,12 @@ class GradientCheckResult:
     report: GradientReport
     n_checked: int
     all_kink: bool
+    max_rel_err: float
     worst: dict | None = None
     n_eligible: int = 0
     coordinates: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
     finite_differences: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rel_errs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def max_rel_err(self) -> float:
-        return self.report.max_rel_err_vs_fd
 
     def passed(self, tolerance: float = 1e-4) -> bool:
         if self.all_kink:
@@ -303,8 +285,8 @@ def check_gradient(
     """
     spec = _reconstruct(spec, phase_source)
     analysis = analyze(spec, layout)
-    grad, per_frame = _gradient(spec, analysis, through_thresholds)
-    report = GradientReport(grad=grad)
+    report = _gradient(spec, analysis, through_thresholds)
+    grad = report.grad
 
     components = np.stack([spec.frames.real, spec.frames.imag], axis=-1)  # (T, bins, 2)
     magnitudes = np.abs(components).ravel()
@@ -320,13 +302,14 @@ def check_gradient(
         resolvable = np.zeros_like(off_kink)
     eligible = np.flatnonzero(off_kink & resolvable)
     if eligible.size == 0:
-        report.max_rel_err_vs_fd = 0.0
-        return GradientCheckResult(report=report, n_checked=0, all_kink=True)
+        return GradientCheckResult(report=report, n_checked=0, all_kink=True, max_rel_err=0.0)
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=min(n_coords, eligible.size), replace=False)
     coordinates = np.stack(np.unravel_index(chosen, components.shape), axis=-1)
-    fd = _frame_local_fd(spec, analysis, per_frame, coordinates, rel_step, through_thresholds)
+    fd = _frame_local_fd(
+        spec, analysis, report.pe.per_frame, coordinates, rel_step, through_thresholds
+    )
 
     frame, bin_idx, part = coordinates.T
     analytic = np.where(part == 0, grad.real[frame, bin_idx], grad.imag[frame, bin_idx])
@@ -343,11 +326,11 @@ def check_gradient(
             "rel_err": float(rel[i]),
         }
 
-    report.max_rel_err_vs_fd = float(rel[i])
     return GradientCheckResult(
         report=report,
         n_checked=int(chosen.size),
         all_kink=False,
+        max_rel_err=float(rel[i]),
         worst=worst,
         n_eligible=int(eligible.size),
         coordinates=coordinates,
@@ -490,34 +473,27 @@ def toy_fit(
     n_mel = ref_mel.size
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
-
-    def evaluate(current: np.ndarray):
-        linear_err = current - ref_mag
-        mel_err = (current**2) @ weights.T - ref_mel
-        l_sing_value = float(np.mean(np.abs(linear_err))) + float(np.mean(np.abs(mel_err)))
-        pred = Spectrogram(current * cos_phi + 1j * (current * sin_phi), stft_cfg)
-        pe_result = perceptual_entropy(pred, analyze(pred, layout))
-        return linear_err, mel_err, pred, pe_result, l_sing_value
-
-    for step in range(steps):
-        linear_err, mel_err, pred, pe_result, l_sing_value = evaluate(mag)
-        record.l_sing_curve.append(l_sing_value)
+    for step in range(steps + 1):
+        mel = (mag**2) @ weights.T
+        l_sing = sing_loss(mag, ref_mag, mel, ref_mel)
+        pred = Spectrogram(mag * cos_phi + 1j * (mag * sin_phi), stft_cfg)
+        # One masking analysis per iterate: the gradient's forward pass
+        # supplies the PE whenever the PE term moves the next step.
+        if cfg.lam > 0 and step < steps:
+            report = pe_gradient(pred, layout)
+            pe_result = report.pe
+        else:
+            pe_result = perceptual_entropy(pred, analyze(pred, layout))
+        record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)
-        total = l_sing_value + cfg.lam * pe_result.loss_pe
-        if not np.isfinite(total):
+        if not np.isfinite(total_loss(l_sing, pe_result, cfg)):
             raise DivergenceError(step)
+        if step == steps:
+            return record
 
-        grad = np.sign(linear_err) / n_linear + ((np.sign(mel_err) / n_mel) @ weights) * (2.0 * mag)
+        grad = np.sign(mag - ref_mag) / n_linear
+        grad += ((np.sign(mel - ref_mel) / n_mel) @ weights) * (2.0 * mag)
         if cfg.lam > 0:
-            pe_grad = pe_gradient(pred, layout).grad
-            grad += cfg.lam * (pe_grad.real * cos_phi + pe_grad.imag * sin_phi)
+            grad += cfg.lam * (report.grad.real * cos_phi + report.grad.imag * sin_phi)
         mag = mag - learning_rate * grad
-
-    _, _, _, pe_result, l_sing_value = evaluate(mag)
-    record.l_sing_curve.append(l_sing_value)
-    record.loss_pe_curve.append(pe_result.loss_pe)
-    record.mean_pe_curve.append(pe_result.mean_pe)
-    if not np.isfinite(l_sing_value + cfg.lam * pe_result.loss_pe):
-        raise DivergenceError(steps)
-    return record

@@ -1,4 +1,4 @@
-"""Short-time spectral analysis: STFT, mel filterbank, cepstrum, spectrogram files.
+"""Short-time spectral analysis: STFT, mel filterbank, cepstrum.
 
 Conventions: one-sided spectra (fft_size/2 + 1 bins), unnormalized
 forward DFT (a constant frame of ones with a rectangular window puts
@@ -6,14 +6,13 @@ fft_size into bin 0), frame t covering samples [t*hop, t*hop + fft_size)
 with no centering pad.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 import scipy.signal
 
-from .errors import BufferTooShortError, CorruptHeaderError
+from .errors import BufferTooShortError
 from .signal_io import AudioBuffer
 
 DEFAULT_SAMPLE_RATE = 22050
@@ -21,8 +20,6 @@ DEFAULT_FFT_SIZE = 1024
 DEFAULT_HOP = 661  # ~29.98 ms at 22050 Hz
 DEFAULT_N_MELS = 80
 LOG_FLOOR = 1e-10
-
-SPECTROGRAM_MAGIC = b"PESP"
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,6 @@ class Spectrogram:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.frames)
 
     def power(self) -> np.ndarray:
         return self.frames.real**2 + self.frames.imag**2
@@ -182,58 +176,3 @@ def mel_cepstrum(mel: MelSpectrogram, n_coeffs: int = 25) -> np.ndarray:
         raise ValueError(f"n_coeffs must be in [1, {mel.n_mels}], got {n_coeffs}")
     log_mel = np.log(mel.frames + LOG_FLOOR)
     return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_coeffs]
-
-
-def write_spectrogram_bin(spec: Spectrogram, path) -> None:
-    """Little-endian binary dump: magic "PESP", u32 T, u32 bins, f64 re/im pairs."""
-    frames = spec.frames
-    interleaved = np.empty((frames.shape[0], frames.shape[1], 2))
-    interleaved[:, :, 0] = frames.real
-    interleaved[:, :, 1] = frames.imag
-    with open(path, "wb") as fh:
-        fh.write(SPECTROGRAM_MAGIC)
-        fh.write(struct.pack("<II", frames.shape[0], frames.shape[1]))
-        fh.write(interleaved.astype("<f8").tobytes())
-
-
-def read_spectrogram_bin(path) -> np.ndarray:
-    """Read frames written by write_spectrogram_bin; returns a complex (T, bins) array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[:4] != SPECTROGRAM_MAGIC:
-        raise CorruptHeaderError(f"{path}: not a PESP spectrogram file")
-    n_frames, bins = struct.unpack_from("<II", data, 4)
-    expected = 12 + n_frames * bins * 16
-    if len(data) < expected:
-        raise CorruptHeaderError(f"{path}: truncated spectrogram payload")
-    flat = np.frombuffer(data, dtype="<f8", count=n_frames * bins * 2, offset=12)
-    pairs = flat.reshape(n_frames, bins, 2)
-    return pairs[:, :, 0] + 1j * pairs[:, :, 1]
-
-
-def write_spectrogram_csv(spec: Spectrogram, path) -> None:
-    """CSV dump: one frame per row as re,im pairs, full float precision."""
-    with open(path, "w") as fh:
-        for row in spec.frames:
-            cells = []
-            for value in row:
-                cells.append("%.17g" % value.real)
-                cells.append("%.17g" % value.imag)
-            fh.write(",".join(cells) + "\n")
-
-
-def read_spectrogram_csv(path) -> np.ndarray:
-    """Read frames written by write_spectrogram_csv; returns a complex (T, bins) array."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = np.array([float(c) for c in line.split(",")])
-            if cells.size % 2:
-                raise CorruptHeaderError(f"{path}: odd cell count, expected re,im pairs")
-            rows.append(cells[0::2] + 1j * cells[1::2])
-    if not rows:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return np.vstack(rows)

@@ -268,6 +268,32 @@ class TestConfigHandling:
         assert len(err) == 1
         assert err[0].startswith("config error:") and "no FFT bin" in err[0]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lr", "nan"],
+            ["--lr", "inf"],
+            ["--lr", "-0.5"],
+            ["--lr", "0"],
+            ["--lambda", "nan"],
+            ["--lambda", "inf"],
+        ],
+    )
+    def test_bad_toy_fit_rate_or_lambda(self, voiced_wav, tmp_path, capsys, flags):
+        out = tmp_path / "t.json"
+        args = ["toy-fit", str(voiced_wav), "--steps", "2", "--output", str(out), *flags]
+        assert run(args) == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_non_finite_lambda_in_config_file(self, voiced_wav, tmp_path):
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_text("lambda = nan\n")
+        assert run(["analyze", str(voiced_wav), "--config", str(cfg)]) == 3
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -164,6 +164,29 @@ class TestPeGradient:
             via_phase.grad.imag[off_kink_im], direct.grad.imag[off_kink_im], rtol=1e-9
         )
 
+    @pytest.mark.parametrize("through_thresholds", [True, False])
+    @pytest.mark.parametrize("with_phase_source", [False, True])
+    def test_reports_the_pe_it_was_taken_at(
+        self, voiced_spec, through_thresholds, with_phase_source
+    ):
+        spec, layout = voiced_spec
+        phase_source = None
+        if with_phase_source:
+            phase_source = spec.scaled(-1.0)
+            spec = Spectrogram(np.abs(spec.frames).astype(complex), spec.config)
+        got = pe_gradient(
+            spec, layout, phase_source=phase_source, through_thresholds=through_thresholds
+        ).pe
+        rebuilt = spec
+        if with_phase_source:
+            rebuilt = Spectrogram(
+                np.abs(spec.frames) * np.exp(1j * np.angle(phase_source.frames)), spec.config
+            )
+        want = perceptual_entropy(rebuilt, analyze(rebuilt, layout))
+        np.testing.assert_array_equal(got.per_frame, want.per_frame)
+        assert got.mean_pe == want.mean_pe
+        assert got.loss_pe == want.loss_pe
+
     def test_all_kink_vacuous_pass(self):
         cfg = StftConfig(sample_rate=SR)
         layout = bark_layout(cfg)
@@ -219,6 +242,20 @@ class TestToyFit:
             toy_fit(self._target(), LossConfig(lam=0.0), steps=300, learning_rate=1e6,
                     stft_cfg=self.cfg)
         assert excinfo.value.step >= 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_one_masking_analysis_per_iterate(self, monkeypatch, lam):
+        calls = []
+
+        def counting_analyze(spec, layout):
+            calls.append(spec.n_frames)
+            return analyze(spec, layout)
+
+        monkeypatch.setattr(pe, "analyze", counting_analyze)
+        steps = 4
+        toy_fit(self._target(), LossConfig(lam=lam), steps=steps, learning_rate=0.1,
+                seed=0, stft_cfg=self.cfg)
+        assert len(calls) == steps + 1
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):

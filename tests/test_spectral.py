@@ -12,11 +12,7 @@ from peaudio.spectral import (
     mel_filterbank,
     mel_from_power,
     mel_spectrogram,
-    read_spectrogram_bin,
-    read_spectrogram_csv,
     stft,
-    write_spectrogram_bin,
-    write_spectrogram_csv,
 )
 
 from conftest import harmonic_signal
@@ -183,46 +179,3 @@ class TestMelCepstrum:
         mel = MelSpectrogram(np.ones((1, 8)), 8)
         with pytest.raises(ValueError):
             mel_cepstrum(mel, 9)
-
-
-class TestSerialization:
-    cfg = StftConfig(fft_size=64, hop=32, sample_rate=8000)
-
-    def _spec(self):
-        rng = np.random.default_rng(7)
-        frames = rng.standard_normal((5, self.cfg.bins)) + 1j * rng.standard_normal(
-            (5, self.cfg.bins)
-        )
-        return Spectrogram(frames, self.cfg)
-
-    def test_binary_roundtrip_exact(self, tmp_path):
-        spec = self._spec()
-        path = tmp_path / "s.pesp"
-        write_spectrogram_bin(spec, path)
-        back = read_spectrogram_bin(path)
-        np.testing.assert_array_equal(back, spec.frames)
-
-    def test_binary_header_layout(self, tmp_path):
-        spec = self._spec()
-        path = tmp_path / "s.pesp"
-        write_spectrogram_bin(spec, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"PESP"
-        t, bins = np.frombuffer(raw[4:12], dtype="<u4")
-        assert (t, bins) == (5, self.cfg.bins)
-        assert len(raw) == 12 + 5 * self.cfg.bins * 16
-
-    def test_csv_roundtrip_exact(self, tmp_path):
-        spec = self._spec()
-        path = tmp_path / "s.csv"
-        write_spectrogram_csv(spec, path)
-        back = read_spectrogram_csv(path)
-        np.testing.assert_array_equal(back, spec.frames)
-
-    def test_binary_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.pesp"
-        path.write_bytes(b"XXXX\x00\x00\x00\x00")
-        from peaudio.errors import CorruptHeaderError
-
-        with pytest.raises(CorruptHeaderError):
-            read_spectrogram_bin(path)
