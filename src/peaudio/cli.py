@@ -203,14 +203,14 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
     spec, layout = _load_spectrum(args.input, cfg)
     result = analyze(spec, layout)
     quantities = (
-        ("band_power", result.band_power),
-        ("tonality", result.tonality),
-        ("threshold", result.masking_threshold),
+        ("band_power", result.band_power.tolist()),
+        ("tonality", result.tonality.tolist()),
+        ("threshold", result.masking_threshold.tolist()),
     )
     if cfg.fmt == "json":
         payload = {
             "band_center_hz": [float(c) for c in layout.band_centers()],
-            **{name: values.tolist() for name, values in quantities},
+            **dict(quantities),
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -218,7 +218,7 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
         lines = [header]
         for t in range(result.n_frames):
             for name, values in quantities:
-                lines.append(f"{t},{name}," + ",".join(repr(float(v)) for v in values[t]))
+                lines.append(f"{t},{name}," + ",".join(map(repr, values[t])))
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return EXIT_OK

@@ -19,7 +19,6 @@ from .psychoacoustic import (
     SFM_POWER_FLOOR,
     BarkAnalysis,
     BarkBandLayout,
-    absolute_threshold,
     analyze,
     bark_layout,
     spreading_gain,
@@ -72,13 +71,27 @@ def pe_loss(mean_pe: float) -> float:
     return 1.0 / (1.0 + mean_pe)
 
 
-def _quantize(spec: Spectrogram, analysis: BarkAnalysis):
-    """The PE of spec under analysis, with the quantities its gradient reuses.
+# Elements in each work buffer of one block of frames (2^15 float64 is
+# 256 KiB): the gradient's memory beyond its output stays a fixed number of
+# blocks, whatever the clip length.
+BLOCK_ELEMENTS = 1 << 15
 
-    Returns the PEResult, the per-band quantizer steps sqrt(6*threshold/k)
-    (T, n), the same steps per bin (T, bins), and u = 2|x|/step + 1 for
-    the real and the imaginary parts (T, bins); a bin carries
-    log2(u_re) + log2(u_im) bits.
+
+def _row_blocks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row slices of BLOCK_ELEMENTS elements each, and at least one row."""
+    rows = max(1, BLOCK_ELEMENTS // max(row_len, 1))
+    return [slice(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
+
+
+def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray):
+    """The PE forward pass of spec under analysis, one block of frames at a time.
+
+    Writes each frame's bits into per_frame (T,) and yields, per block,
+    its row slice, the per-band quantizer steps sqrt(6*threshold/k)
+    (rows, n) and six (rows, bins) work buffers: u = 2|x|/step + 1 for
+    the real and for the imaginary parts (a bin carries
+    log2(u_re) + log2(u_im) bits), |re|, |im| and two spares. The next
+    block overwrites all six, so the caller may use them freely in between.
     """
     if analysis.layout.n_bins != spec.config.bins:
         raise ValueError("analysis layout does not match the spectrogram bins")
@@ -87,21 +100,41 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis):
     if np.any(analysis.masking_threshold <= 0):
         raise DegenerateThresholdError("masking threshold must be strictly positive")
 
-    steps = np.sqrt(6.0 * analysis.masking_threshold / analysis.layout.k)
-    steps_bin = steps[:, analysis.layout.band_of_bin()]
-    u_re = 2.0 * np.abs(spec.frames.real) / steps_bin + 1.0
-    u_im = 2.0 * np.abs(spec.frames.imag) / steps_bin + 1.0
-    bits = np.log2(u_re)
-    bits += np.log2(u_im)
-    per_frame = bits.sum(axis=1)
+    k = analysis.layout.k
+    blocks = _row_blocks(spec.n_frames, spec.config.bins)
+    height = max((rows.stop - rows.start for rows in blocks), default=0)
+    work = np.empty((6, height, spec.config.bins))
+
+    def quantized_blocks():  # a generator of its own, so the checks above run at once
+        for rows in blocks:
+            buffers = work[:, : rows.stop - rows.start]
+            u_re, u_im, abs_re, abs_im, bits, spare = buffers
+            steps = np.sqrt(6.0 * analysis.masking_threshold[rows] / k)
+            steps_bin = np.repeat(steps, k, axis=1)
+            x = spec.frames[rows]
+            for part, magnitude, u in ((x.real, abs_re, u_re), (x.imag, abs_im, u_im)):
+                np.multiply(np.abs(part, out=magnitude), 2.0, out=u)
+                u /= steps_bin
+                u += 1.0
+            np.log2(u_re, out=bits)
+            bits += np.log2(u_im, out=spare)
+            bits.sum(axis=1, out=per_frame[rows])
+            yield rows, steps, buffers
+
+    return quantized_blocks()
+
+
+def _pe_result(per_frame: np.ndarray) -> PEResult:
     mean_pe = float(per_frame.mean()) if per_frame.size else 0.0
-    result = PEResult(per_frame=per_frame, mean_pe=mean_pe, loss_pe=pe_loss(mean_pe))
-    return result, steps, steps_bin, u_re, u_im
+    return PEResult(per_frame=per_frame, mean_pe=mean_pe, loss_pe=pe_loss(mean_pe))
 
 
 def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     """Bits of perceptible information per frame under the masking thresholds."""
-    return _quantize(spec, analysis)[0]
+    per_frame = np.empty(spec.n_frames)
+    for _ in _quantize(spec, analysis, per_frame):
+        pass
+    return _pe_result(per_frame)
 
 
 def _as_frames(x) -> np.ndarray:
@@ -120,7 +153,11 @@ def sing_loss(pred_linear, ref_linear, pred_mel, ref_mel) -> float:
         raise ShapeMismatchError(f"linear shapes differ: {pl.shape} vs {rl.shape}")
     if pm.shape != rm.shape:
         raise ShapeMismatchError(f"mel shapes differ: {pm.shape} vs {rm.shape}")
-    return float(np.mean(np.abs(pl - rl)) + np.mean(np.abs(pm - rm)))
+    return _l1_loss(pl - rl, pm - rm)
+
+
+def _l1_loss(linear_err: np.ndarray, mel_err: np.ndarray) -> float:
+    return float(np.mean(np.abs(linear_err)) + np.mean(np.abs(mel_err)))
 
 
 def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
@@ -162,60 +199,84 @@ def pe_gradient(
 def _gradient(
     spec: Spectrogram, analysis: BarkAnalysis, through_thresholds: bool
 ) -> GradientReport:
-    """Loss partials packed re+1j*im, with the PE they were taken at."""
-    pe_result, steps, steps_bin, u_re, u_im = _quantize(spec, analysis)
-    layout = analysis.layout
-    re = spec.frames.real
-    im = spec.frames.imag
-    k = layout.k
-    bin_band = layout.band_of_bin()
+    """Loss partials packed re+1j*im, with the PE they were taken at.
 
+    One pass over blocks of frames: each block's forward quantization
+    turns into its partials while it is still in cache, and each block's
+    Re and Im partials are written once into the real and imaginary views
+    of the result. All partials are formed divided by 2/ln2 * dL/dPE, the
+    one factor that needs the whole-clip mean PE; it is applied once, after
+    the last block.
+
+    Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
+    sign(x)*r, and d bits / d step is -|x|*r/step. With step =
+    sqrt(6*T/k), a band's threshold T therefore receives -sum(|x|*r)/(2*T)
+    over its bins, which the masking pipeline passes back to the band
+    powers (spreading) and the bin powers (flatness), and so, by
+    d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
+    """
+    layout = analysis.layout
+    k = layout.k
+    per_frame = np.empty(spec.n_frames)
+    blocks = _quantize(spec, analysis, per_frame)
+    grad = np.empty(spec.frames.shape, np.complex128)
+    if through_thresholds:
+        # What the threshold path makes of a band's sum(|x|*r), per band
+        # and frame. The threshold is the spread threshold over the
+        # spreading gain unless the absolute-threshold clamp replaced it.
+        gain = spreading_gain(layout)
+        clamp_inactive = analysis.masking_threshold == analysis.spread_threshold / gain
+        to_raw = np.where(clamp_inactive, -1.0 / (gain * analysis.masking_threshold), 0.0)
+        # The raw threshold is the spread power lowered by the offset ...
+        to_spread = to_raw * np.exp(analysis.offset_db * (-_LN10 / 10.0))
+        # ... and the offset is 5.5 + alpha*(9 + i), i 1-based, with alpha
+        # = sfm/SFM_DB_MAX except where it is pinned: at the fully-tonal
+        # bound (min with 1) and at the flat-band clamp (sfm exactly 0).
+        # The flatness (10/ln10)*(mean(log q) - log(mean q)) of the band's
+        # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
+        # which is 0 below the floor; to_flatness carries the band factor.
+        unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
+        offset_slope = (9.0 + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
+        to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
+        kernel = spreading_kernel(layout)
+
+    for rows, steps, (r_re, r_im, abs_re, abs_im, a, b) in blocks:
+        x = spec.frames[rows]
+        inv_steps = np.repeat(1.0 / steps, k, axis=1)
+        np.divide(inv_steps, r_re, out=r_re)
+        np.divide(inv_steps, r_im, out=r_im)
+        dpower = None
+        if through_thresholds:
+            power = np.square(abs_re, out=a)
+            power += np.square(abs_im, out=b)
+            abs_re *= r_re
+            abs_im *= r_im
+            abs_re += abs_im
+            band_sum = np.add.reduceat(abs_re, layout.lower_bins, axis=1)
+            # Band powers feed the spreading convolution: C = K @ B per frame.
+            d_band = (band_sum * to_spread[rows]) @ kernel
+            coeff = band_sum * to_flatness[rows]
+            floored = np.maximum(power, SFM_POWER_FLOOR, out=b)
+            band_total = np.add.reduceat(floored, layout.lower_bins, axis=1)
+            dpower = np.divide(np.repeat(coeff, k, axis=1), floored, out=b)
+            dpower -= np.repeat(coeff * k / band_total, k, axis=1)
+            np.copyto(dpower, 0.0, where=power < SFM_POWER_FLOOR)
+            dpower += np.repeat(d_band, k, axis=1)
+
+        # sign(x)*r, plus x times the power partial (its 2 is folded in).
+        for part, r, out in ((x.real, r_re, grad[rows].real), (x.imag, r_im, grad[rows].imag)):
+            partial = np.sign(part, out=inv_steps)
+            partial *= r
+            if dpower is not None:
+                partial += np.multiply(dpower, part, out=abs_re)
+            out[...] = partial
+
+    pe_result = _pe_result(per_frame)
     # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
     dl_dpe = -1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(spec.n_frames, 1))
-
-    # Quantizer terms, thresholds held fixed.
-    dpe_dre = (2.0 / _LN2) * np.sign(re) / (steps_bin * u_re)
-    dpe_dim = (2.0 / _LN2) * np.sign(im) / (steps_bin * u_im)
-
-    if through_thresholds:
-        # d PE(t) / d step, summed over the band's bins.
-        dpe_dstep_bin = -(2.0 / _LN2) / steps_bin**2 * (np.abs(re) / u_re + np.abs(im) / u_im)
-        dpe_dstep = np.add.reduceat(dpe_dstep_bin, layout.lower_bins, axis=1)
-        # step = sqrt(6 T'/k)  =>  d step/d T' = 3/(k*step)
-        dpe_dthresh = dpe_dstep * 3.0 / (k * steps)
-
-        gain = spreading_gain(layout)
-        quiet = absolute_threshold(layout, spec.config)
-        clamp_inactive = (analysis.spread_threshold / gain) >= quiet
-        dpe_draw = np.where(clamp_inactive, dpe_dthresh / gain, 0.0)
-
-        attenuation = 10.0 ** (-analysis.offset_db / 10.0)
-        dpe_dspread = dpe_draw * attenuation
-        dpe_doffset = dpe_draw * (-(_LN10 / 10.0) * analysis.spread_threshold)
-
-        # offset = 5.5 + alpha*(9 + i), i 1-based. Flatness is pinned both
-        # at the fully-tonal bound (min with 1) and at the flat-band clamp
-        # (sfm exactly 0); neither branch passes gradient.
-        dpe_dalpha = dpe_doffset * (9.0 + np.arange(1, layout.n + 1))
-        unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
-        dpe_dflatness = np.where(unpinned, dpe_dalpha * (1.0 / SFM_DB_MAX), 0.0)
-
-        # flatness = (10/ln10)*(mean(log q) - log(mean q)), q floored powers.
-        power = re**2 + im**2
-        floored = np.maximum(power, SFM_POWER_FLOOR)
-        arith = np.add.reduceat(floored, layout.lower_bins, axis=1) / k
-        coeff = dpe_dflatness * (10.0 / _LN10) / k  # (T, n)
-        dpe_dfloored = coeff[:, bin_band] * (1.0 / floored - 1.0 / arith[:, bin_band])
-        dpe_dpower = np.where(power >= SFM_POWER_FLOOR, dpe_dfloored, 0.0)
-
-        # Band powers feed the spreading convolution: C = K @ B per frame.
-        dpe_dband = dpe_dspread @ spreading_kernel(layout)
-        dpe_dpower += dpe_dband[:, bin_band]
-
-        dpe_dre += dpe_dpower * 2.0 * re
-        dpe_dim += dpe_dpower * 2.0 * im
-
-    return GradientReport(grad=dl_dpe * (dpe_dre + 1j * dpe_dim), pe=pe_result)
+    parts = grad.view(np.float64)
+    parts *= (2.0 / _LN2) * dl_dpe
+    return GradientReport(grad=grad, pe=pe_result)
 
 
 # Perturbed frames analysed per batch in check_gradient, two per coordinate;
@@ -263,6 +324,12 @@ class GradientCheckResult:
         }
 
 
+def _components(spec: Spectrogram) -> np.ndarray:
+    """Re and Im of every bin as a (T, bins, 2) view of the frames, no copy."""
+    frames = np.ascontiguousarray(spec.frames)
+    return frames.view(np.float64).reshape(frames.shape + (2,))
+
+
 def check_gradient(
     spec: Spectrogram,
     layout: BarkBandLayout,
@@ -288,13 +355,13 @@ def check_gradient(
     report = _gradient(spec, analysis, through_thresholds)
     grad = report.grad
 
-    components = np.stack([spec.frames.real, spec.frames.imag], axis=-1)  # (T, bins, 2)
+    components = _components(spec)
     magnitudes = np.abs(components).ravel()
     # 1e-2 of full scale keeps the relative step large enough that the
     # central difference is not dominated by float roundoff.
     guard = max(1e-8, 1e-2 * magnitudes.max()) if magnitudes.size else 1e-8
     off_kink = magnitudes > guard
-    partials = np.abs(np.stack([grad.real, grad.imag], axis=-1).ravel())
+    partials = np.abs(grad.view(np.float64)).ravel()
     if np.any(off_kink):
         rms_partial = float(np.sqrt(np.mean(partials[off_kink] ** 2)))
         resolvable = partials > 1e-2 * rms_partial
@@ -366,7 +433,7 @@ def _frame_local_fd(
     """
     n_frames = spec.n_frames
     one_plus_mean = 1.0 + float(per_frame.mean())
-    components = np.stack([spec.frames.real, spec.frames.imag], axis=-1)
+    components = _components(spec)
     fd = np.empty(len(coordinates))
     per_block = FD_BLOCK_ROWS // 2
     for start in range(0, len(coordinates), per_block):
@@ -376,7 +443,7 @@ def _frame_local_fd(
         rows_frame = np.concatenate([frame, frame])
         rows = components[rows_frame]  # rows 0..n-1 get +h, rows n..2n-1 get -h
         rows[np.arange(2 * n), np.tile(bin_idx, 2), np.tile(part, 2)] += np.concatenate([h, -h])
-        batch = Spectrogram(rows[..., 0] + 1j * rows[..., 1], spec.config)
+        batch = Spectrogram(rows.view(np.complex128)[..., 0], spec.config)
         if through_thresholds:
             batch_analysis = analyze(batch, analysis.layout)
         else:
@@ -474,9 +541,17 @@ def toy_fit(
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
-        mel = (mag**2) @ weights.T
-        l_sing = sing_loss(mag, ref_mag, mel, ref_mel)
-        pred = Spectrogram(mag * cos_phi + 1j * (mag * sin_phi), stft_cfg)
+        # A diverging run overflows to inf or nan, which the finiteness test
+        # reports as a DivergenceError before the PE runs; numpy's warnings
+        # on the way there would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mel = (mag**2) @ weights.T
+            mag_err = mag - ref_mag
+            mel_err = mel - ref_mel
+            l_sing = _l1_loss(mag_err, mel_err)
+        if not np.isfinite(l_sing):
+            raise DivergenceError(step)
+        pred = Spectrogram(phase * mag, stft_cfg)
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
         if cfg.lam > 0 and step < steps:
@@ -492,8 +567,9 @@ def toy_fit(
         if step == steps:
             return record
 
-        grad = np.sign(mag - ref_mag) / n_linear
-        grad += ((np.sign(mel - ref_mel) / n_mel) @ weights) * (2.0 * mag)
+        grad = np.sign(mag_err) / n_linear
+        grad += ((np.sign(mel_err) / n_mel) @ weights) * (2.0 * mag)
         if cfg.lam > 0:
             grad += cfg.lam * (report.grad.real * cos_phi + report.grad.imag * sin_phi)
-        mag = mag - learning_rate * grad
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag -= learning_rate * grad

@@ -1,11 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import peaudio
 from peaudio.cli import main
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, save_wav
@@ -217,6 +221,21 @@ class TestToyFit:
 
     def test_zero_steps_is_config_error(self, voiced_wav):
         assert run(["toy-fit", str(voiced_wav), "--steps", "0"]) == 3
+
+    def test_divergence_is_one_stderr_line(self, sine_wav_factory):
+        # In a process of its own, as a shell runs it: numpy's overflow
+        # warnings would print before the error line.
+        path = sine_wav_factory(440.0)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "peaudio.cli", "toy-fit", str(path),
+             "--steps", "300", "--lr", "1e6"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1
+        assert len(err) == 1
+        assert err[0].startswith("error: loss became non-finite at step ")
 
 
 class TestConfigHandling:
