@@ -46,6 +46,8 @@ class CliConfig:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         try:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
-from .signal_io import AudioBuffer, load_wav, resample
+from .signal_io import AudioBuffer, load_wav, resample, row_blocks
 from .spectral import StftConfig, mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
@@ -138,9 +138,8 @@ def extract_f0(
 
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     rms = np.empty(n_frames)
-    for start in range(0, n_frames, F0_BLOCK_FRAMES):
-        block = windows[start : start + F0_BLOCK_FRAMES]
-        rms[start : start + F0_BLOCK_FRAMES] = np.sqrt(np.mean(block**2, axis=1))
+    for block in row_blocks(n_frames, F0_BLOCK_FRAMES):
+        rms[block] = np.sqrt(np.mean(windows[block] ** 2, axis=1))
     peak_rms = rms.max()
     if peak_rms == 0:
         return F0Track(f0, voiced, hop_seconds)
@@ -149,8 +148,8 @@ def extract_f0(
     # Lags lag_min-1 .. lag_max+1 are read; lag_max+1 only below window-1.
     lo = lag_min - 1
     hi = min(window, lag_max + 2)
-    for start in range(0, gated_in.size, F0_BLOCK_FRAMES):
-        rows = gated_in[start : start + F0_BLOCK_FRAMES]
+    for block in row_blocks(gated_in.size, F0_BLOCK_FRAMES):
+        rows = gated_in[block]
         corr = _normalized_autocorr(windows[rows], lo, hi)
         candidates = corr[:, 1 : lag_max - lo + 1]
         best = candidates.max(axis=1)

@@ -24,7 +24,7 @@ from .psychoacoustic import (
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import AudioBuffer
+from .signal_io import AudioBuffer, row_blocks, rows_per_block
 from .spectral import MelSpectrogram, Spectrogram, StftConfig, mel_filterbank, stft
 
 _LN2 = float(np.log(2.0))
@@ -71,18 +71,6 @@ def pe_loss(mean_pe: float) -> float:
     return 1.0 / (1.0 + mean_pe)
 
 
-# Elements in each work buffer of one block of frames (2^15 float64 is
-# 256 KiB): the gradient's memory beyond its output stays a fixed number of
-# blocks, whatever the clip length.
-BLOCK_ELEMENTS = 1 << 15
-
-
-def _row_blocks(n_rows: int, row_len: int) -> list[slice]:
-    """Consecutive row slices of BLOCK_ELEMENTS elements each, and at least one row."""
-    rows = max(1, BLOCK_ELEMENTS // max(row_len, 1))
-    return [slice(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
-
-
 def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray):
     """The PE forward pass of spec under analysis, one block of frames at a time.
 
@@ -101,12 +89,11 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray):
         raise DegenerateThresholdError("masking threshold must be strictly positive")
 
     k = analysis.layout.k
-    blocks = _row_blocks(spec.n_frames, spec.config.bins)
-    height = max((rows.stop - rows.start for rows in blocks), default=0)
-    work = np.empty((6, height, spec.config.bins))
+    block_rows = rows_per_block(spec.config.bins)
+    work = np.empty((6, min(block_rows, spec.n_frames), spec.config.bins))
 
     def quantized_blocks():  # a generator of its own, so the checks above run at once
-        for rows in blocks:
+        for rows in row_blocks(spec.n_frames, block_rows):
             buffers = work[:, : rows.stop - rows.start]
             u_re, u_im, abs_re, abs_im, bits, spare = buffers
             steps = np.sqrt(6.0 * analysis.masking_threshold[rows] / k)
@@ -435,9 +422,8 @@ def _frame_local_fd(
     one_plus_mean = 1.0 + float(per_frame.mean())
     components = _components(spec)
     fd = np.empty(len(coordinates))
-    per_block = FD_BLOCK_ROWS // 2
-    for start in range(0, len(coordinates), per_block):
-        frame, bin_idx, part = coordinates[start : start + per_block].T
+    for block in row_blocks(len(coordinates), FD_BLOCK_ROWS // 2):
+        frame, bin_idx, part = coordinates[block].T
         h = rel_step * np.abs(components[frame, bin_idx, part])
         n = frame.size
         rows_frame = np.concatenate([frame, frame])
@@ -455,7 +441,7 @@ def _frame_local_fd(
         loss_diff = ((pe_minus - pe_plus) / n_frames) / (
             (one_plus_mean + d_plus) * (one_plus_mean + d_minus)
         )
-        fd[start : start + n] = loss_diff / (2.0 * h)
+        fd[block] = loss_diff / (2.0 * h)
     return fd
 
 

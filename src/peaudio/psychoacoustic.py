@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .signal_io import row_blocks, rows_per_block
 from .spectral import Spectrogram, StftConfig
 
 # Upper edges of the Zwicker critical bands, Hz.
@@ -269,15 +270,25 @@ def analyze(spec: Spectrogram, layout: BarkBandLayout) -> BarkAnalysis:
         raise ValueError(
             f"layout covers {layout.n_bins} bins but spectrogram has {spec.config.bins}"
         )
-    power = spec.power()
+    # The per-bin steps run one block of frames at a time and keep only
+    # their band sums; the band-level steps after the loop see whole (T, n)
+    # arrays, so the spreading product is one matrix product, rounded
+    # the same way whatever the block size.
+    lower = layout.lower_bins
+    band_power = np.empty((spec.n_frames, layout.n))
+    floored_sum, log_sum = np.empty_like(band_power), np.empty_like(band_power)
+    for block in row_blocks(spec.n_frames, rows_per_block(layout.n_bins)):
+        x = spec.frames[block]
+        power = x.real**2 + x.imag**2
+        band_power[block] = np.add.reduceat(power, lower, axis=1)
+        floored = np.maximum(power, SFM_POWER_FLOOR, out=power)
+        floored_sum[block] = np.add.reduceat(floored, lower, axis=1)
+        log_sum[block] = np.add.reduceat(np.log(floored, out=floored), lower, axis=1)
+
     k = layout.k
-
-    band_power = np.add.reduceat(power, layout.lower_bins, axis=1)
     spread_power = band_power @ spreading_kernel(layout).T
-
-    floored = np.maximum(power, SFM_POWER_FLOOR)
-    log_geo = np.add.reduceat(np.log(floored), layout.lower_bins, axis=1) / k
-    arith = np.add.reduceat(floored, layout.lower_bins, axis=1) / k
+    log_geo = log_sum / k
+    arith = floored_sum / k
     # Clamped to the AM-GM bound; float noise on flat bands can stray
     # a few ulp above 0, which would push the tonality negative.
     flatness = np.minimum((10.0 / _LN10) * (log_geo - np.log(arith)), 0.0)

@@ -4,6 +4,10 @@ All audio is reduced to mono float64 in [-1, 1] on load. The resampler
 is a plain linear interpolator: adequate here because nothing downstream
 depends on resampler quality, but it does not band-limit, so
 downsampling aliases content above the new Nyquist.
+
+Every stage of the forward path, here and in the modules above, walks
+its input in blocks of BLOCK_ELEMENTS values: it allocates what it
+returns plus a fixed number of block buffers, whatever the clip length.
 """
 
 import struct
@@ -22,6 +26,19 @@ _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
 
+# Values in each work buffer of one block (2^15 float64 is 256 KiB).
+BLOCK_ELEMENTS = 1 << 15
+
+
+def rows_per_block(row_len: int) -> int:
+    """Rows of row_len values that fill one block of BLOCK_ELEMENTS, and at least one."""
+    return max(1, BLOCK_ELEMENTS // max(row_len, 1))
+
+
+def row_blocks(n_rows: int, rows: int) -> list[slice]:
+    """Consecutive slices of at most `rows` rows that cover range(n_rows)."""
+    return [slice(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -39,9 +56,11 @@ class AudioBuffer:
         if samples.ndim != 1:
             raise ValueError("AudioBuffer is mono: samples must be one-dimensional")
         if samples.size:
-            if not np.isfinite(samples).all():
+            # max and min carry any NaN or infinity, so the two reductions
+            # check finiteness and full scale without a whole-clip temporary.
+            peak = max(samples.max(), -samples.min())
+            if not np.isfinite(peak):
                 raise NonFiniteAudioError("samples contain non-finite values")
-            peak = np.abs(samples).max()
             if peak > 1.0 + 1e-12:
                 raise ValueError(f"samples exceed full scale: peak {peak}")
 
@@ -58,17 +77,23 @@ class AudioBuffer:
         return AudioBuffer(self.samples * gain, self.sample_rate)
 
 
-def _decode_pcm(data: bytes, offset: int, count: int, bits: int, path) -> np.ndarray:
-    """`count` integer PCM samples starting at byte `offset`, as integers."""
+def _payload_reader(data: bytes, offset: int, count: int, bits: int, is_float: bool, path):
+    """A function that reads payload samples [a, b) as numbers, before scaling."""
+    if is_float:
+        raw = np.frombuffer(data, "<f4", count, offset)
+        return lambda a, b: raw[a:b]
     if bits == 8:
-        return np.subtract(np.frombuffer(data, np.uint8, count, offset), 128, dtype=np.int32)
+        raw = np.frombuffer(data, np.uint8, count, offset)
+        return lambda a, b: np.subtract(raw[a:b], 128, dtype=np.int32)
     if bits == 16:
-        return np.frombuffer(data, "<i2", count, offset)
+        raw = np.frombuffer(data, "<i2", count, offset)
+        return lambda a, b: raw[a:b]
     if bits == 24:
         # Read each 3-byte sample as an unaligned <i4 that starts one byte
         # early (a chunk header always precedes the payload): the sample
         # fills the top 24 bits and the arithmetic shift sign-extends it.
-        return np.ndarray((count,), "<i4", data, offset - 1, (3,)) >> 8
+        raw = np.ndarray((count,), "<i4", data, offset - 1, (3,))
+        return lambda a, b: raw[a:b] >> 8
     raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
 
 
@@ -116,35 +141,35 @@ def load_wav(path) -> AudioBuffer:
     if sample_rate <= 0:
         raise CorruptHeaderError(f"{path}: non-positive sample rate in header")
 
-    if format_tag == _FORMAT_IEEE_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormatError(f"{path}: {bits}-bit float is not supported")
-        if size % 4:
-            raise CorruptHeaderError(f"{path}: float payload not sample-aligned")
-        values = np.frombuffer(data, "<f4", size // 4, offset).astype(np.float64)
-        if not np.isfinite(values).all():
-            raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
-        full_scale = 1
-    else:
-        bytes_per_sample = bits // 8
-        if bits % 8 or bytes_per_sample == 0:
-            raise CorruptHeaderError(f"{path}: invalid bit depth {bits}")
-        if size % bytes_per_sample:
-            raise CorruptHeaderError(f"{path}: PCM payload not sample-aligned")
-        values = _decode_pcm(data, offset, size // bytes_per_sample, bits, path)
-        full_scale = 1 << (bits - 1)
-
-    if values.size % channels:
+    is_float = format_tag == _FORMAT_IEEE_FLOAT
+    if is_float and bits != 32:
+        raise UnsupportedFormatError(f"{path}: {bits}-bit float is not supported")
+    if bits % 8 or bits < 8:
+        raise CorruptHeaderError(f"{path}: invalid bit depth {bits}")
+    if size % (bits // 8):
+        kind = "float" if is_float else "PCM"
+        raise CorruptHeaderError(f"{path}: {kind} payload not sample-aligned")
+    count = size // (bits // 8)
+    read = _payload_reader(data, offset, count, bits, is_float, path)
+    if count % channels:
         raise CorruptHeaderError(f"{path}: payload not aligned to {channels}-channel frames")
-    if channels == 2:
-        # Integer sums are exact in float64, float sums round as a two-term
-        # mean does, and the power-of-two scale below divides without rounding.
-        samples = np.add(values[0::2], values[1::2], dtype=np.float64)
-    else:
-        samples = np.asarray(values, dtype=np.float64)  # a fresh array either way
-    samples *= 1.0 / (channels * full_scale)
-    if format_tag == _FORMAT_IEEE_FLOAT:
-        np.clip(samples, -1.0, 1.0, out=samples)
+    # Decoded block by block straight into the result. Integer sums are
+    # exact in float64, float sums round as a two-term mean does, and the
+    # power-of-two scale divides without rounding.
+    samples = np.empty(count // channels)
+    scale = 1.0 / (channels * (1 if is_float else 1 << (bits - 1)))
+    for rows in row_blocks(samples.size, rows_per_block(channels)):
+        values = read(rows.start * channels, rows.stop * channels)
+        out = samples[rows]
+        if channels == 2:
+            np.add(values[0::2], values[1::2], out=out, dtype=np.float64)
+        else:
+            out[...] = values
+        out *= scale
+        if is_float:
+            if not np.isfinite(out).all():
+                raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
+            np.clip(out, -1.0, 1.0, out=out)
     return AudioBuffer(samples, sample_rate)
 
 
@@ -187,6 +212,15 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     n_out = buf.samples.size * target_rate // buf.sample_rate
     if n_out == 0 or buf.samples.size == 0:
         return AudioBuffer(np.zeros(0), target_rate)
-    positions = np.arange(n_out) * (buf.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(buf.samples.size), buf.samples)
+    # One np.interp per block of output positions, over just the input
+    # samples that block reaches: each output sees the same neighbours,
+    # slope and arithmetic as in one whole-clip call.
+    step = buf.sample_rate / target_rate
+    out = np.empty(n_out)
+    last = buf.samples.size - 1
+    for rows in row_blocks(n_out, rows_per_block(1)):
+        positions = np.arange(rows.start, rows.stop) * step
+        lo = min(int(positions[0]), last)
+        hi = min(int(positions[-1]) + 2, last + 1)
+        out[rows] = np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi])
     return AudioBuffer(out, target_rate)

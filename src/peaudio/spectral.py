@@ -13,7 +13,7 @@ import scipy.fft
 import scipy.signal
 
 from .errors import BufferTooShortError
-from .signal_io import AudioBuffer
+from .signal_io import AudioBuffer, row_blocks, rows_per_block
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
@@ -127,7 +127,11 @@ def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
             f"need at least fft_size={cfg.fft_size} samples, got {x.size}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
-    return scipy.fft.rfft(frames * cfg.window_samples(), axis=1)
+    window = cfg.window_samples()
+    out = np.empty((frames.shape[0], cfg.bins), np.complex128)
+    for block in row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)):
+        out[block] = scipy.fft.rfft(frames[block] * window, axis=1)
+    return out
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:

@@ -313,6 +313,24 @@ class TestConfigHandling:
         cfg.write_text("lambda = nan\n")
         assert run(["analyze", str(voiced_wav), "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("command", [["grad-check"], ["toy-fit", "--steps", "2"]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_config_error(self, voiced_wav, tmp_path, capsys, command, source):
+        out = tmp_path / "out.json"
+        args = [command[0], str(voiced_wav), *command[1:], "--output", str(out)]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "pe.cfg"
+            cfg.write_text("seed = -1\n")
+            args += ["--config", str(cfg)]
+        assert run(args) == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -1,0 +1,283 @@
+"""The forward path in blocks: decode, resample, STFT, masking analysis and PE.
+
+Every stage walks its input in blocks of signal_io.BLOCK_ELEMENTS values.
+The block size must not change a bit of any result, so each stage is
+compared, at blocks of 1, 2 and 7 rows, with its default block size and
+with a whole-array oracle: the same computation as one call over the
+whole clip.
+"""
+
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from peaudio import signal_io
+from peaudio.pe import perceptual_entropy
+from peaudio.psychoacoustic import (
+    SFM_POWER_FLOOR,
+    BarkAnalysis,
+    analyze,
+    bark_layout,
+    masking_offset_db,
+    renormalize_and_clamp,
+    spread_threshold,
+    spreading_kernel,
+    tonality,
+)
+from peaudio.signal_io import AudioBuffer, load_wav, resample
+from peaudio.spectral import Spectrogram, StftConfig, stft
+
+from conftest import harmonic_signal
+
+SR = 22050
+BLOCK_ROWS = (1, 2, 7)
+_LN10 = float(np.log(10.0))
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def whole_decode(payload: bytes, bits: int, channels: int, is_float: bool) -> np.ndarray:
+    """The payload decoded as whole arrays, stereo summed, then scaled."""
+    if is_float:
+        values = np.frombuffer(payload, "<f4").astype(np.float64)
+        full_scale = 1
+    else:
+        width = bits // 8
+        raw = np.frombuffer(payload, np.uint8).reshape(-1, width).astype(np.int32)
+        values = sum(raw[:, i] << (8 * i) for i in range(width))
+        if bits == 8:
+            values = values - 128
+        else:
+            values = np.where(values >= 1 << (bits - 1), values - (1 << bits), values)
+        full_scale = 1 << (bits - 1)
+    if channels == 2:
+        samples = np.add(values[0::2], values[1::2], dtype=np.float64)
+    else:
+        samples = np.asarray(values, dtype=np.float64)
+    samples = samples / (channels * full_scale)
+    return np.clip(samples, -1.0, 1.0) if is_float else samples
+
+
+def whole_resample(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
+    """Linear interpolation as one np.interp call over the whole clip."""
+    n_out = samples.size * target_rate // rate
+    positions = np.arange(n_out) * (rate / target_rate)
+    return np.interp(positions, np.arange(samples.size), samples)
+
+
+def whole_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """One windowed rfft over the whole (T, fft_size) frame matrix."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
+    return scipy.fft.rfft(frames * cfg.window_samples(), axis=1)
+
+
+def whole_analyze(spec: Spectrogram, layout) -> BarkAnalysis:
+    """The masking pipeline with whole-clip (T, bins) power arrays."""
+    power = spec.power()
+    k = layout.k
+    band_power = np.add.reduceat(power, layout.lower_bins, axis=1)
+    spread_power = band_power @ spreading_kernel(layout).T
+    floored = np.maximum(power, SFM_POWER_FLOOR)
+    log_geo = np.add.reduceat(np.log(floored), layout.lower_bins, axis=1) / k
+    arith = np.add.reduceat(floored, layout.lower_bins, axis=1) / k
+    flatness = np.minimum((10.0 / _LN10) * (log_geo - np.log(arith)), 0.0)
+    alpha = tonality(flatness)
+    offsets = masking_offset_db(alpha, np.arange(1, layout.n + 1))
+    raw_threshold = spread_threshold(spread_power, offsets)
+    return BarkAnalysis(
+        band_power=band_power,
+        spread_power=spread_power,
+        sfm_db=flatness,
+        tonality=alpha,
+        offset_db=offsets,
+        spread_threshold=raw_threshold,
+        masking_threshold=renormalize_and_clamp(raw_threshold, layout, spec.config),
+        layout=layout,
+    )
+
+
+def whole_pe(spec: Spectrogram, analysis: BarkAnalysis) -> np.ndarray:
+    """Per-frame bits log2(2|x|/step + 1), summed over Re and Im of every bin."""
+    k = analysis.layout.k
+    steps = np.repeat(np.sqrt(6.0 * analysis.masking_threshold / k), k, axis=1)
+    bits = np.log2(np.abs(spec.frames.real) * 2.0 / steps + 1.0)
+    bits += np.log2(np.abs(spec.frames.imag) * 2.0 / steps + 1.0)
+    return bits.sum(axis=1)
+
+
+def assert_analyses_equal(got: BarkAnalysis, want: BarkAnalysis):
+    for name in ("band_power", "spread_power", "sfm_db", "tonality", "offset_db",
+                 "spread_threshold", "masking_threshold"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def wav_header(payload_size: int, bits: int, channels: int, rate: int, is_float: bool) -> bytes:
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 3 if is_float else 1, channels, rate, rate * block, block, bits)
+    return b"".join([
+        b"RIFF", struct.pack("<I", 36 + payload_size), b"WAVE",
+        b"fmt ", struct.pack("<I", 16), fmt,
+        b"data", struct.pack("<I", payload_size),
+    ])
+
+
+def encode(mono: np.ndarray, bits: int, channels: int, is_float: bool) -> bytes:
+    """Payload of a signal in [-1, 1); a stereo right channel is the left delayed and scaled."""
+    x = mono
+    if channels == 2:
+        x = np.stack([x, 0.9 * np.roll(x, 1)], axis=1).ravel()
+    if is_float:
+        return x.astype("<f4").tobytes()
+    full = 1 << (bits - 1)
+    ints = np.clip(np.round(x * full), -full, full - 1).astype("<i4")
+    if bits == 8:
+        ints = ints + 128
+    return ints.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+
+
+FORMATS = [(8, False), (16, False), (24, False), (32, True)]
+
+
+@pytest.fixture(scope="module")
+def analysis_spec():
+    """19 frames with an exact-zero gap and bins below the flatness floor."""
+    cfg = StftConfig(sample_rate=SR)
+    sig = harmonic_signal(duration=0.6, n_harmonics=6, noise=0.0)
+    sig[4000:7000] = 0.0
+    frames = stft(AudioBuffer(sig, SR), cfg).frames.copy()
+    frames[12, ::5] = 1e-7 * (1 + 1j)
+    spec = Spectrogram(frames, cfg)
+    power = spec.power()
+    assert spec.n_frames == 19
+    assert (~spec.frames.any(axis=1)).sum() == 3
+    assert np.any(power[spec.frames.any(axis=1)] < SFM_POWER_FLOOR)
+    return spec, bark_layout(cfg)
+
+
+# ---------------------------------------------------------------- block invariance
+
+
+class TestBlockInvariance:
+    @pytest.mark.parametrize("bits, is_float", FORMATS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_load_wav(self, tmp_path, monkeypatch, bits, is_float, channels):
+        mono = np.random.default_rng(bits + channels).uniform(-1.0, 1.0, 1001)
+        if is_float:
+            mono[::97] *= 1.5  # out of range: the float path clips
+        payload = encode(mono, bits, channels, is_float)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_header(len(payload), bits, channels, 44100, is_float) + payload)
+        default = load_wav(path).samples
+        np.testing.assert_array_equal(default, whole_decode(payload, bits, channels, is_float))
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * channels)
+            np.testing.assert_array_equal(load_wav(path).samples, default)
+
+    @pytest.mark.parametrize("target", [22050, 44100, 16000, 48000, 8000])
+    def test_resample(self, monkeypatch, target):
+        samples = np.random.default_rng(target).uniform(-1.0, 1.0, 1001)
+        buf = AudioBuffer(samples, 22050)
+        default = resample(buf, target).samples
+        if target != 22050:
+            np.testing.assert_array_equal(default, whole_resample(samples, 22050, target))
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows)
+            np.testing.assert_array_equal(resample(buf, target).samples, default)
+
+    def test_stft(self, monkeypatch):
+        cfg = StftConfig(sample_rate=SR)
+        x = harmonic_signal(duration=0.6)
+        default = stft(AudioBuffer(x, SR), cfg).frames
+        assert default.shape[0] == 19
+        np.testing.assert_array_equal(default, whole_stft(x, cfg))
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * cfg.fft_size)
+            np.testing.assert_array_equal(stft(AudioBuffer(x, SR), cfg).frames, default)
+
+    def test_analyze_and_perceptual_entropy(self, analysis_spec, monkeypatch):
+        spec, layout = analysis_spec
+        default = analyze(spec, layout)
+        assert_analyses_equal(default, whole_analyze(spec, layout))
+        default_pe = perceptual_entropy(spec, default).per_frame
+        np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * spec.config.bins)
+            blocked = analyze(spec, layout)
+            assert_analyses_equal(blocked, default)
+            np.testing.assert_array_equal(perceptual_entropy(spec, blocked).per_frame, default_pe)
+
+
+class TestResampleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        rate=st.integers(8000, 96000),
+        target=st.integers(8000, 96000),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, rate=8000, target=48000, block=1, seed=0)  # 1 sample, 6x up
+    @example(n=7, rate=22050, target=44100, block=2, seed=1)  # outputs past position n - 1
+    @example(n=301, rate=44100, target=22050, block=7, seed=2)  # 2:1 down
+    @example(n=300, rate=16000, target=22050, block=3, seed=3)  # non-integer up
+    def test_matches_whole_interp_at_any_block(self, n, rate, target, block, seed):
+        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        buf = AudioBuffer(samples, rate)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signal_io, "BLOCK_ELEMENTS", block)
+            got = resample(buf, target).samples
+        want = samples if target == rate else whole_resample(samples, rate, target)
+        assert got.size == n * target // rate
+        np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------- memory
+
+
+def write_stereo_24bit(path, seconds: int, rate: int = 44100):
+    """`seconds` repeats of one second of 24-bit stereo: a tone plus noise."""
+    t = np.arange(rate) / rate
+    rng = np.random.default_rng(0)
+    mono = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(rate)
+    second = encode(mono, 24, 2, False)
+    with open(path, "wb") as fh:
+        fh.write(wav_header(len(second) * seconds, 24, 2, rate, False))
+        for _ in range(seconds):
+            fh.write(second)
+
+
+def forward_peak_bytes(path) -> int:
+    cfg = StftConfig(sample_rate=SR)
+    layout = bark_layout(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = stft(resample(load_wav(path), SR), cfg)
+        perceptual_entropy(spec, analyze(spec, layout))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_path_memory_grows_at_most_twice_the_decoded_samples(tmp_path):
+    # Beyond the file's bytes and what each stage returns (decoded and
+    # resampled samples, the spectrum, the (T, 23) analysis) every stage
+    # holds a fixed number of blocks. One extra second of 44.1 kHz input
+    # is 44100 decoded float64 samples.
+    peaks = {}
+    for seconds in (30, 300):
+        path = tmp_path / f"clip-{seconds}s.wav"
+        write_stereo_24bit(path, seconds)
+        peaks[seconds] = forward_peak_bytes(path)
+        path.unlink()
+    decoded_bytes_per_s = 44100 * np.dtype(np.float64).itemsize
+    assert peaks[300] - peaks[30] <= 2 * decoded_bytes_per_s * (300 - 30)

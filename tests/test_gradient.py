@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peaudio import pe
+from peaudio import pe, signal_io
 from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy, toy_fit
 from peaudio.pe import LossConfig
 from peaudio.errors import DivergenceError
@@ -175,12 +175,12 @@ class TestFusedGradient:
     def test_block_size_does_not_change_the_result(self, gapped_spec, monkeypatch):
         spec, layout = gapped_spec
         bins = spec.config.bins
-        monkeypatch.setattr(pe, "BLOCK_ELEMENTS", spec.n_frames * bins)
+        monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", spec.n_frames * bins)
         whole = pe_gradient(spec, layout)
         scale = np.abs(whole.grad).max()
         # 19 frames leave a lone last row for blocks of 2 and 3 rows.
         for rows in (1, 2, 3, 5, 8):
-            monkeypatch.setattr(pe, "BLOCK_ELEMENTS", rows * bins)
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * bins)
             blocked = pe_gradient(spec, layout)
             forward = perceptual_entropy(spec, analyze(spec, layout))
             np.testing.assert_array_equal(blocked.pe.per_frame, whole.pe.per_frame)

@@ -1,0 +1,148 @@
+"""Check that two source trees give byte-identical CLI results on the benchmark's inputs.
+
+    python3 tools/cli_identity.py OLD_SRC NEW_SRC
+    python3 tools/cli_identity.py OLD_SRC NEW_SRC --tiny
+
+OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
+(a checkout's ``src/``). The benchmark's workload plans
+(``perfbench/workloads.py``, imported read-only) generate their seeded
+inputs into a temporary directory, and every operation of every plan
+runs under both trees twice: once with its ``--output`` file and once
+writing to stdout. Output files, stdout, stderr and exit codes are
+compared byte for byte. The script prints each difference and exits 1
+if there is any, 0 otherwise. ``--tiny`` uses the benchmark's tiny
+inputs, which make a run take seconds instead of minutes.
+
+Each tree runs in one process that imports ``peaudio.cli`` once and
+forks a child per operation, so every operation starts from a fresh
+interpreter state without paying the import again. Numeric libraries
+get one thread each, as in the benchmark.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 7  # the benchmark's traced-run seed
+BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def build_jobs(work: Path, tiny: bool) -> list[dict]:
+    """Every distinct operation of every workload, with and without --output."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    argvs = []
+    for name in workloads.NAMES:
+        inputs = work / "inputs" / name
+        inputs.mkdir(parents=True)
+        plan = workloads.build(name, SEED, str(inputs), tiny)
+        for op in [plan["warmup"], *plan["cycle"]]:
+            if op["argv"] not in argvs:
+                argvs.append(op["argv"])
+    jobs = []
+    for i, argv in enumerate(argvs):
+        at = argv.index("--output")
+        name = f"{i:02d}-{Path(argv[at + 1]).name}"
+        # A relative output path: each tree runs in a directory of its
+        # own, so both trees see the same argv.
+        jobs.append({"argv": argv[:at + 1] + [name] + argv[at + 2:], "output": name})
+        jobs.append({"argv": argv[:at] + argv[at + 2:], "output": None})
+    return jobs
+
+
+def run_tree(src: Path, jobs: list[dict], out_dir: Path) -> None:
+    out_dir.mkdir(parents=True)
+    jobs_path = out_dir / "jobs.json"
+    jobs_path.write_text(json.dumps(jobs))
+    env = {**os.environ, "PYTHONPATH": str(src), **{name: "1" for name in BLAS_ENV}}
+    env.pop("PEAUDIO_TRACE", None)
+    env.pop("PE_AUDIO_CONFIG", None)
+    subprocess.run(
+        [sys.executable, __file__, "--run-jobs", str(jobs_path), str(src)],
+        env=env, cwd=out_dir, check=True,
+    )
+
+
+def run_jobs(jobs_path: str, src: str) -> None:
+    """Run each job in a forked child of this process; cwd is the tree's output directory."""
+    import peaudio
+    from peaudio.cli import main as cli_main
+
+    if not Path(peaudio.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"peaudio imported from {peaudio.__file__}, not from {src}")
+    jobs = json.loads(Path(jobs_path).read_text())
+    codes = []
+    for i, job in enumerate(jobs):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with open(f"{i:02d}.stdout", "wb") as out, open(f"{i:02d}.stderr", "wb") as err:
+                    os.dup2(out.fileno(), 1)
+                    os.dup2(err.fileno(), 2)
+                code = cli_main(job["argv"])
+            except BaseException:  # report any crash as the CLI process would
+                import traceback
+
+                traceback.print_exc()
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        codes.append(os.waitstatus_to_exitcode(status))
+    Path("exit_codes.json").write_text(json.dumps(codes))
+
+
+def compare(jobs: list[dict], old: Path, new: Path) -> list[str]:
+    diffs = []
+    old_codes = json.loads((old / "exit_codes.json").read_text())
+    new_codes = json.loads((new / "exit_codes.json").read_text())
+    for i, job in enumerate(jobs):
+        command = "peaudio " + " ".join(job["argv"])
+        if old_codes[i] != new_codes[i]:
+            diffs.append(f"{command}: exit code {old_codes[i]} != {new_codes[i]}")
+        names = [f"{i:02d}.stdout", f"{i:02d}.stderr"] + ([job["output"]] if job["output"] else [])
+        for name in names:
+            a, b = old / name, new / name
+            if not (a.is_file() and b.is_file()):
+                if a.is_file() != b.is_file():
+                    diffs.append(f"{command}: {name} written by one tree only")
+                continue
+            if a.read_bytes() != b.read_bytes():
+                diffs.append(f"{command}: {name} differs")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--tiny", action="store_true", help="the benchmark's tiny inputs")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
+        work = Path(tmp)
+        jobs = build_jobs(work, args.tiny)
+        run_tree(args.old_src.resolve(), jobs, work / "old")
+        run_tree(args.new_src.resolve(), jobs, work / "new")
+        diffs = compare(jobs, work / "old", work / "new")
+    for line in diffs:
+        print(line)
+    print(f"{len(jobs)} runs compared, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--run-jobs":
+        run_jobs(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(main())
