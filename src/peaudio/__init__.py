@@ -36,11 +36,8 @@ from .psychoacoustic import (
     absolute_threshold,
     analyze,
     bark_layout,
-    bark_spectrum,
     masking_offset_db,
     renormalize_and_clamp,
-    sfm_db,
-    spread,
     spread_threshold,
     spreading_gain,
     tonality,

@@ -80,10 +80,6 @@ class BarkBandLayout:
     def n_bins(self) -> int:
         return int(self.upper_bins[-1]) + 1
 
-    @property
-    def bin_ranges(self) -> list[tuple[int, int]]:
-        return [(int(lo), int(hi)) for lo, hi in zip(self.lower_bins, self.upper_bins)]
-
     def band_of_bin(self) -> np.ndarray:
         """Band index (0-based) for every bin, shape (n_bins,)."""
         return np.repeat(np.arange(self.n), self.k)
@@ -148,13 +144,6 @@ def bark_layout(cfg: StftConfig) -> BarkBandLayout:
     return BarkBandLayout(edges, lower_bins, upper_bins, n)
 
 
-def bark_spectrum(frame: np.ndarray, layout: BarkBandLayout) -> np.ndarray:
-    """Sum of bin powers Re^2 + Im^2 per band for one complex frame."""
-    frame = np.asarray(frame)
-    power = frame.real**2 + frame.imag**2
-    return np.add.reduceat(power, layout.lower_bins)
-
-
 def spreading_function_db(dz) -> np.ndarray:
     """Schroeder spreading attenuation in dB at a bark offset dz (masked - masker)."""
     dz = np.asarray(dz, dtype=np.float64)
@@ -179,23 +168,6 @@ def spreading_kernel(layout: BarkBandLayout) -> np.ndarray:
 def spreading_gain(layout: BarkBandLayout) -> np.ndarray:
     """Row sums of the spreading kernel: the gain a flat spectrum receives."""
     return _kernel_and_gain(layout.n)[1]
-
-
-def spread(band_power: np.ndarray, layout: BarkBandLayout) -> np.ndarray:
-    """Convolve band powers with the spreading kernel across band index."""
-    return np.asarray(band_power, dtype=np.float64) @ spreading_kernel(layout).T
-
-
-def sfm_db(components) -> float:
-    """Spectral flatness 10*log10(geometric mean / arithmetic mean) in dB.
-
-    Components are floored at 1e-12 so silent bins keep the value
-    finite. The mean of means can stray above 0 by a few ulp on equal
-    components; the result is clamped to the AM-GM bound <= 0.
-    """
-    floored = np.maximum(np.asarray(components, dtype=np.float64), SFM_POWER_FLOOR)
-    log_geo = np.mean(np.log(floored))
-    return min(float((10.0 / _LN10) * (log_geo - np.log(np.mean(floored)))), 0.0)
 
 
 def tonality(sfm) -> np.ndarray:

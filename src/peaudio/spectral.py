@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 
 from .errors import BufferTooShortError
 from .signal_io import AudioBuffer, row_blocks, rows_per_block
@@ -21,13 +20,25 @@ DEFAULT_HOP = 661  # ~29.98 ms at 22050 Hz
 DEFAULT_N_MELS = 80
 LOG_FLOOR = 1e-10
 
+# Generalized-cosine coefficients a_k of w = sum_k a_k cos(k * fac) for
+# each supported window, as SciPy's get_window builds them. Hamming's
+# second term is written 1 - 0.54, as SciPy derives it: the literal 0.46
+# differs in the last bit.
+WINDOW_COEFFICIENTS = {
+    "hann": (0.5, 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+    "boxcar": (1.0,),
+}
+
 
 @dataclass(frozen=True)
 class StftConfig:
     """Framing parameters for short-time analysis.
 
-    fft_size must be a power of two and at least hop; window is any name
-    scipy.signal.get_window accepts ("hann", "boxcar", "hamming", ...).
+    fft_size must be a power of two and at least hop; window is one of
+    the names in WINDOW_COEFFICIENTS ("hann", "hamming", "blackman",
+    "boxcar"), always in its periodic (DFT-even) form.
     """
 
     fft_size: int = DEFAULT_FFT_SIZE
@@ -42,6 +53,10 @@ class StftConfig:
             raise ValueError(f"hop must satisfy 1 <= hop <= fft_size, got {self.hop}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.window not in WINDOW_COEFFICIENTS:
+            raise ValueError(
+                f"window must be one of {', '.join(WINDOW_COEFFICIENTS)}, got {self.window!r}"
+            )
 
     @property
     def bins(self) -> int:
@@ -52,9 +67,16 @@ class StftConfig:
         return self.hop / self.sample_rate
 
     def window_samples(self) -> np.ndarray:
-        return np.asarray(
-            scipy.signal.get_window(self.window, self.fft_size, fftbins=True), dtype=np.float64
-        )
+        """The periodic (DFT-even) window: fft_size + 1 symmetric points, last one dropped.
+
+        The same recipe, and so the same bits, as SciPy's
+        get_window(window, fft_size, fftbins=True).
+        """
+        fac = np.linspace(-np.pi, np.pi, self.fft_size + 1)
+        w = np.zeros(self.fft_size + 1)
+        for k, a_k in enumerate(WINDOW_COEFFICIENTS[self.window]):
+            w += a_k * np.cos(k * fac)
+        return w[:-1]
 
     def bin_frequencies(self) -> np.ndarray:
         """Center frequency of each one-sided bin in Hz."""

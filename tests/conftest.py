@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peaudio.psychoacoustic import SFM_POWER_FLOOR, spreading_kernel
 from peaudio.signal_io import AudioBuffer, save_wav
 
 SR = 22050
@@ -30,6 +31,37 @@ def harmonic_signal(duration=1.0, f0=220.0, n_harmonics=40, amplitude=0.9,
 def sine_signal(freq, duration=1.0, amplitude=0.95, sr=SR):
     t = np.arange(int(sr * duration)) / sr
     return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def bin_ranges(layout):
+    """Inclusive (lower, upper) bin index pair of every band."""
+    return [(int(lo), int(hi)) for lo, hi in zip(layout.lower_bins, layout.upper_bins)]
+
+
+def bark_spectrum(frame, layout):
+    """Oracle: sum of bin powers Re^2 + Im^2 per band for one complex frame."""
+    frame = np.asarray(frame)
+    return np.array([
+        np.sum(frame[lo : hi + 1].real ** 2 + frame[lo : hi + 1].imag ** 2)
+        for lo, hi in bin_ranges(layout)
+    ])
+
+
+def spread(band_power, layout):
+    """Oracle: band powers convolved with the spreading kernel across band index."""
+    return np.asarray(band_power, dtype=np.float64) @ spreading_kernel(layout).T
+
+
+def sfm_db(components):
+    """Oracle: spectral flatness 10*log10(geometric mean / arithmetic mean) in dB.
+
+    Components are floored at 1e-12 so silent bins keep the value
+    finite. The mean of means can stray above 0 by a few ulp on equal
+    components; the result is clamped to the AM-GM bound <= 0.
+    """
+    floored = np.maximum(np.asarray(components, dtype=np.float64), SFM_POWER_FLOOR)
+    log_geo = np.mean(np.log(floored))
+    return min(float((10.0 / np.log(10.0)) * (log_geo - np.log(np.mean(floored)))), 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,6 @@ from peaudio.psychoacoustic import (
     analyze,
     bark_layout,
     masking_offset_db,
-    sfm_db,
-    spread,
     spread_threshold,
     spreading_gain,
     tonality,
@@ -28,7 +26,7 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import StftConfig, Spectrogram, stft
 
-from conftest import SR, sine_signal
+from conftest import SR, sfm_db, sine_signal, spread
 from test_pe import naive_pe, toy_analysis, toy_config, toy_layout
 
 

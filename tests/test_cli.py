@@ -347,3 +347,29 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "NaN or infinite" in err[0]
+
+
+class TestColdStart:
+    def test_no_command_imports_scipy_signal(self, voiced_wav, tmp_path):
+        # In a fresh interpreter, as a shell runs it: scipy.signal alone
+        # roughly doubles the import time and the import-time RSS.
+        script = (
+            "import sys\n"
+            "from peaudio.cli import main\n"
+            "wav, out = sys.argv[1], sys.argv[2]\n"
+            "codes = [\n"
+            "    main(['analyze', wav, '--output', out]),\n"
+            "    main(['thresholds', wav, '--output', out]),\n"
+            "    main(['grad-check', wav, '--n-coords', '5', '--output', out]),\n"
+            "    main(['toy-fit', wav, '--steps', '1', '--output', out]),\n"
+            "    main(['compare', wav, wav, '--output', out]),\n"
+            "]\n"
+            "print(codes, 'scipy.signal' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(voiced_wav), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"

@@ -9,12 +9,9 @@ from peaudio.psychoacoustic import (
     absolute_threshold,
     analyze,
     bark_layout,
-    bark_spectrum,
     hearing_threshold_db_spl,
     masking_offset_db,
     renormalize_and_clamp,
-    sfm_db,
-    spread,
     spread_threshold,
     spreading_function_db,
     spreading_gain,
@@ -23,7 +20,7 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
-from conftest import harmonic_signal
+from conftest import bark_spectrum, bin_ranges, harmonic_signal, sfm_db, spread
 
 
 class TestBarkLayout:
@@ -46,7 +43,7 @@ class TestBarkLayout:
         cfg = StftConfig(sample_rate=22050)
         lay = bark_layout(cfg)
         seen = []
-        for lo, hi in lay.bin_ranges:
+        for lo, hi in bin_ranges(lay):
             seen.extend(range(lo, hi + 1))
         assert seen == list(range(cfg.bins))
         assert np.all(lay.k >= 1)
@@ -103,7 +100,7 @@ class TestBarkSpectrum:
         rng = np.random.default_rng(4)
         frame = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         expected = []
-        for lo, hi in lay.bin_ranges:
+        for lo, hi in bin_ranges(lay):
             total = 0.0
             for w in range(lo, hi + 1):
                 total += frame[w].real ** 2 + frame[w].imag ** 2
@@ -259,7 +256,7 @@ class TestRenormalizeAndClamp:
         lay = bark_layout(cfg)
         quiet = absolute_threshold(lay, cfg)
         freqs = cfg.bin_frequencies()
-        for i, (lo, hi) in enumerate(lay.bin_ranges):
+        for i, (lo, hi) in enumerate(bin_ranges(lay)):
             best_db = hearing_threshold_db_spl(freqs[lo : hi + 1]).min()
             expected = 10.0 ** ((best_db - 96.0) / 10.0)
             expected *= (cfg.window_samples().sum() / 2.0) ** 2
@@ -337,6 +334,21 @@ class TestAnalyze:
         assert np.all(res.tonality >= 0.0)
         np.testing.assert_allclose(res.tonality, 0.0, atol=1e-13)
 
+    def test_matches_per_frame_oracles(self):
+        # The blocked, whole-array pipeline against one frame and one band
+        # at a time: band sums, the spreading product and the flatness.
+        cfg = StftConfig(sample_rate=self.sr)
+        lay = bark_layout(cfg)
+        spec = stft(AudioBuffer(harmonic_signal(duration=0.3), self.sr), cfg)
+        res = analyze(spec, lay)
+        for t, frame in enumerate(spec.frames):
+            bands = bark_spectrum(frame, lay)
+            np.testing.assert_allclose(res.band_power[t], bands, rtol=1e-12)
+            np.testing.assert_allclose(res.spread_power[t], spread(bands, lay), rtol=1e-12)
+            power = frame.real**2 + frame.imag**2
+            flatness = [sfm_db(power[lo : hi + 1]) for lo, hi in bin_ranges(lay)]
+            np.testing.assert_allclose(res.sfm_db[t], flatness, rtol=1e-9, atol=1e-12)
+
     def test_rejects_mismatched_layout(self):
         cfg = StftConfig(sample_rate=self.sr)
         other = bark_layout(StftConfig(fft_size=2048, hop=512, sample_rate=self.sr))
@@ -350,7 +362,7 @@ class TestAnalyze:
         cfg = StftConfig(fft_size=1024, hop=512, sample_rate=self.sr)
         lay = bark_layout(cfg)
         frames = np.zeros((1, cfg.bins), complex)
-        lo, hi = lay.bin_ranges[10]
+        lo, hi = bin_ranges(lay)[10]
         frames[0, lo] = 3.0
         frames[0, lo + 1] = 3.0
         res = analyze(Spectrogram(frames, cfg), lay)

@@ -5,6 +5,7 @@ import scipy.fft
 from peaudio.errors import BufferTooShortError
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import (
+    WINDOW_COEFFICIENTS,
     MelSpectrogram,
     Spectrogram,
     StftConfig,
@@ -46,6 +47,10 @@ class TestStftConfig:
             StftConfig(fft_size=64, hop=0)
         with pytest.raises(ValueError):
             StftConfig(fft_size=64, hop=65)
+
+    def test_rejects_unknown_window(self):
+        with pytest.raises(ValueError, match="hann, hamming, blackman, boxcar, got 'nope'"):
+            StftConfig(window="nope")
 
 
 class TestStft:
@@ -179,3 +184,17 @@ class TestMelCepstrum:
         mel = MelSpectrogram(np.ones((1, 8)), 8)
         with pytest.raises(ValueError):
             mel_cepstrum(mel, 9)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("name", sorted(WINDOW_COEFFICIENTS))
+    def test_bit_identical_to_scipy_signal(self, name):
+        # The library builds its windows without scipy.signal; the tests
+        # may import it as the reference.
+        import scipy.signal
+
+        for n in (2**e for e in range(1, 17)):
+            ours = StftConfig(fft_size=n, hop=1, window=name).window_samples()
+            reference = scipy.signal.get_window(name, n, fftbins=True)
+            assert ours.dtype == np.float64
+            assert np.array_equal(ours, reference), (name, n)
