@@ -1,9 +1,9 @@
 """Command-line surface: analyze, thresholds, grad-check, compare, toy-fit.
 
 Exit codes: 0 success, 1 check failure, 2 I/O error, 3 config error.
-Option precedence is flags > config file > defaults; the config file is
-flat "key = value" text (unknown keys are rejected) and its default path
-can come from the PE_AUDIO_CONFIG environment variable.
+Option precedence is flags > config file > library defaults; the
+config file is flat "key = value" text (unknown keys are rejected) and
+its default path can come from the PE_AUDIO_CONFIG environment variable.
 """
 
 import argparse
@@ -14,43 +14,46 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-from . import pe as pe_mod
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import compare as compare_files
+from .pe import DEFAULT_SEED, GRAD_CHECK_TOLERANCE, LossConfig
+from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
 from .signal_io import load_wav, resample
+from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_N_MELS, DEFAULT_SAMPLE_RATE
 from .spectral import StftConfig, stft
-
-GRAD_CHECK_TOLERANCE = 1e-4
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
-_CONFIG_KEYS = ("sample_rate", "fft_size", "hop", "n_mels", "lambda", "seed", "format")
-
 
 @dataclass
 class CliConfig:
-    sample_rate: int = 22050
-    fft_size: int = 1024
-    hop: int = 661
-    n_mels: int = 80
-    lam: float = 0.01
-    seed: int = 42
-    fmt: str = "csv"
+    """The settings every command shares, with the library's defaults.
+
+    Each field is a config-file key and a flag (fft_size, --fft-size) of
+    the field's type; only lam is spelt lambda / --lambda.
+    """
+
+    sample_rate: int = DEFAULT_SAMPLE_RATE
+    fft_size: int = DEFAULT_FFT_SIZE
+    hop: int = DEFAULT_HOP
+    n_mels: int = DEFAULT_N_MELS
+    lam: float = LossConfig.lam
+    seed: int = DEFAULT_SEED
+    format: str = "csv"
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
         try:
+            LossConfig(self.lam)
             bark_layout(self.stft())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -61,12 +64,16 @@ class CliConfig:
         )
 
 
+_KEY_SPELLING = {"lam": "lambda"}  # lambda is a Python keyword
+_FIELDS_BY_KEY = {_KEY_SPELLING.get(f.name, f.name): f for f in fields(CliConfig)}
+
+
 def _parse_config_file(path) -> dict:
     values = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
@@ -75,56 +82,31 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS_BY_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = raw
     return values
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in ("sample_rate", "fft_size", "hop", "n_mels", "seed"):
-            return int(raw)
-        if key == "lambda":
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
 def resolve_config(args) -> CliConfig:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over the library defaults."""
     merged = {}
     config_path = args.config or os.environ.get("PE_AUDIO_CONFIG")
     if config_path:
         for key, raw in _parse_config_file(config_path).items():
-            merged[key] = _coerce(key, raw)
-
-    flag_map = {
-        "sample_rate": args.sample_rate,
-        "fft_size": args.fft_size,
-        "hop": args.hop,
-        "n_mels": args.n_mels,
-        "lambda": args.lam,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = value
-
-    kwargs = {}
-    rename = {"lambda": "lam", "format": "fmt"}
-    for key, value in merged.items():
-        kwargs[rename.get(key, key)] = value
-    allowed = {f.name for f in fields(CliConfig)}
-    assert set(kwargs) <= allowed
-    return CliConfig(**kwargs)
+            field = _FIELDS_BY_KEY[key]
+            try:
+                merged[field.name] = field.type(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    for field in fields(CliConfig):
+        if getattr(args, field.name) is not None:
+            merged[field.name] = getattr(args, field.name)
+    return CliConfig(**merged)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
@@ -132,13 +114,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="peaudio", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sample-rate", type=int, default=None)
-    common.add_argument("--fft-size", type=int, default=None)
-    common.add_argument("--hop", type=int, default=None)
-    common.add_argument("--n-mels", type=int, default=None)
-    common.add_argument("--lambda", dest="lam", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    for key, field in _FIELDS_BY_KEY.items():
+        flag = "--" + key.replace("_", "-")
+        common.add_argument(flag, dest=field.name, type=field.type, default=None)
     common.add_argument("--output", default=None, help="write results here instead of stdout")
     common.add_argument("--config", default=None, help="flat key=value config file")
 
@@ -188,8 +166,8 @@ def _load_spectrum(path, cfg: CliConfig):
 
 def cmd_analyze(args, cfg: CliConfig) -> int:
     spec, layout = _load_spectrum(args.input, cfg)
-    result = pe_mod.perceptual_entropy(spec, analyze(spec, layout))
-    if cfg.fmt == "json":
+    result = perceptual_entropy(spec, analyze(spec, layout))
+    if cfg.format == "json":
         text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     else:
         lines = ["frame,pe"]
@@ -209,7 +187,7 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
         ("tonality", result.tonality.tolist()),
         ("threshold", result.masking_threshold.tolist()),
     )
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {
             "band_center_hz": [float(c) for c in layout.band_centers()],
             **dict(quantities),
@@ -230,8 +208,8 @@ def cmd_grad_check(args, cfg: CliConfig) -> int:
     if args.n_coords < 1:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
     spec, layout = _load_spectrum(args.input, cfg)
-    check = pe_mod.check_gradient(spec, layout, n_coords=args.n_coords, seed=cfg.seed)
-    passed = check.passed(GRAD_CHECK_TOLERANCE)
+    check = check_gradient(spec, layout, n_coords=args.n_coords, seed=cfg.seed)
+    passed = check.passed()
     payload = check.to_json_dict()
     payload["tolerance"] = GRAD_CHECK_TOLERANCE
     payload["pass"] = passed
@@ -291,7 +269,7 @@ def cmd_compare(args, cfg: CliConfig) -> int:
         )
     rows = [report.to_json_dict() for report in reports]
 
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {
             "rows": [
                 {"ref": ref, "pred": pred, **row}
@@ -325,8 +303,8 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     stft_cfg = cfg.stft()
     arms = {}
     for name, lam in (("regularized", cfg.lam), ("baseline", 0.0)):
-        loss_cfg = pe_mod.LossConfig(lam=lam)
-        arms[name] = pe_mod.toy_fit(
+        loss_cfg = LossConfig(lam=lam)
+        arms[name] = toy_fit(
             buf, loss_cfg, steps=args.steps, learning_rate=args.lr,
             seed=cfg.seed, stft_cfg=stft_cfg, n_mels=cfg.n_mels,
         )
@@ -356,9 +334,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except PeAudioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

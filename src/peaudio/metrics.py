@@ -15,7 +15,7 @@ import scipy.fft
 
 from .errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
 from .signal_io import AudioBuffer, load_wav, resample, row_blocks
-from .spectral import StftConfig, mel_cepstrum, mel_spectrogram, stft
+from .spectral import DEFAULT_N_MELS, StftConfig, mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
@@ -225,7 +225,7 @@ def compare(
     ref_path,
     pred_path,
     cfg: StftConfig | None = None,
-    n_mels: int = 80,
+    n_mels: int = DEFAULT_N_MELS,
     n_coeffs: int = 25,
 ) -> MetricReport:
     """Load two WAVs and score prediction against reference.

@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import DegenerateThresholdError, DivergenceError, ShapeMismatchError
 from .psychoacoustic import (
+    NOISE_OFFSET_DB,
     SFM_DB_MAX,
     SFM_POWER_FLOOR,
+    TONE_OFFSET_BASE_DB,
     BarkAnalysis,
     BarkBandLayout,
     analyze,
@@ -25,10 +27,13 @@ from .psychoacoustic import (
     spreading_kernel,
 )
 from .signal_io import AudioBuffer, row_blocks, rows_per_block
-from .spectral import MelSpectrogram, Spectrogram, StftConfig, mel_filterbank, stft
+from .spectral import DEFAULT_N_MELS, MelSpectrogram, Spectrogram, StftConfig, mel_filterbank, stft
 
 _LN2 = float(np.log(2.0))
 _LN10 = float(np.log(10.0))
+
+DEFAULT_SEED = 42  # toy-fit's initial noise and grad-check's coordinate draw
+GRAD_CHECK_TOLERANCE = 1e-4  # largest relative error vs finite differences that passes
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class LossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,8 @@ def _gradient(
         # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
         # which is 0 below the floor; to_flatness carries the band factor.
         unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
-        offset_slope = (9.0 + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
+        tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 above
+        offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
         to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
         kernel = spreading_kernel(layout)
 
@@ -291,7 +297,7 @@ class GradientCheckResult:
     finite_differences: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rel_errs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def passed(self, tolerance: float = 1e-4) -> bool:
+    def passed(self, tolerance: float = GRAD_CHECK_TOLERANCE) -> bool:
         if self.all_kink:
             return True
         return bool(self.max_rel_err < tolerance)
@@ -321,7 +327,7 @@ def check_gradient(
     spec: Spectrogram,
     layout: BarkBandLayout,
     n_coords: int = 100,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     rel_step: float = 1e-5,
     phase_source: Spectrogram | None = None,
     through_thresholds: bool = True,
@@ -337,6 +343,8 @@ def check_gradient(
     is nothing to sample and the check passes vacuously. The differences
     themselves come from _frame_local_fd.
     """
+    if n_coords < 1:
+        raise ValueError(f"n_coords must be >= 1, got {n_coords}")
     spec = _reconstruct(spec, phase_source)
     analysis = analyze(spec, layout)
     report = _gradient(spec, analysis, through_thresholds)
@@ -495,9 +503,9 @@ def toy_fit(
     cfg: LossConfig,
     steps: int,
     learning_rate: float,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     stft_cfg: StftConfig | None = None,
-    n_mels: int = 80,
+    n_mels: int = DEFAULT_N_MELS,
 ) -> FitRecord:
     """Fit a free magnitude spectrogram to a target by plain gradient descent.
 

@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peaudio
-from peaudio.cli import main
+from peaudio import spectral
+from peaudio.cli import build_parser, main, resolve_config
+from peaudio.pe import DEFAULT_SEED, LossConfig
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, save_wav
 from peaudio.spectral import StftConfig
@@ -330,6 +338,149 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
         assert captured.out == ""
         assert not out.exists()
+
+
+# Per config-file key: the CliConfig field it sets, its flag, the library
+# default, and valid values that differ from it, so that a flag, the file and the
+# default can each leave a value of their own.
+SETTINGS = {
+    "sample_rate": ("sample_rate", "--sample-rate", spectral.DEFAULT_SAMPLE_RATE, [16000, 44100]),
+    "fft_size": ("fft_size", "--fft-size", spectral.DEFAULT_FFT_SIZE, [2048, 4096]),
+    "hop": ("hop", "--hop", spectral.DEFAULT_HOP, [256, 400]),
+    "n_mels": ("n_mels", "--n-mels", spectral.DEFAULT_N_MELS, [40, 64]),
+    "lambda": ("lam", "--lambda", LossConfig().lam, [0.0, 0.5]),
+    "seed": ("seed", "--seed", DEFAULT_SEED, [0, 7]),
+    "format": ("format", "--format", "csv", ["json"]),
+}
+
+
+def some_settings():
+    """Any subset of the keys, each with one of its valid values."""
+    return st.fixed_dictionaries(
+        {}, optional={key: st.sampled_from(setting[-1]) for key, setting in SETTINGS.items()}
+    )
+
+
+def flag_argv(values: dict) -> list:
+    return [arg for key, v in values.items() for arg in (SETTINGS[key][1], str(v))]
+
+
+def config_file_text(values: dict) -> str:
+    return "".join(f"{key} = {v}\n" for key, v in values.items())
+
+
+@contextlib.contextmanager
+def config_source(text: str, via_env: bool):
+    """Write text to a config file; yield the extra argv that names it.
+
+    Named by --config, the environment variable points at a missing file,
+    which would be a config error if it were read.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pe.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        env_path = path if via_env else os.path.join(tmp, "missing.cfg")
+        with mock.patch.dict(os.environ, {"PE_AUDIO_CONFIG": env_path}):
+            yield [] if via_env else ["--config", path]
+
+
+def run_quietly(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+ascii_text = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#="))
+
+
+def converts(kind, raw: str) -> bool:
+    try:
+        kind(raw.strip())
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def bad_config_lines(draw):
+    """One line that makes a config file unusable, whatever else it holds."""
+    kind = draw(st.sampled_from(["malformed", "unknown key", "uncoercible"]))
+    if kind == "malformed":
+        return draw(ascii_text.filter(str.strip))
+    if kind == "unknown key":
+        keys = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+        return f"{draw(keys.filter(lambda k: k not in SETTINGS))} = {draw(ascii_text)}"
+    key = draw(st.sampled_from([k for k in SETTINGS if k != "format"]))
+    parse = float if key == "lambda" else int
+    return f"{key} = {draw(ascii_text.filter(lambda raw: not converts(parse, raw)))}"
+
+
+class TestConfigMerge:
+    @settings(max_examples=150, deadline=None)
+    @given(file_values=some_settings(), flag_values=some_settings(), via_env=st.booleans())
+    def test_flag_beats_file_beats_library_default(self, file_values, flag_values, via_env):
+        with config_source(config_file_text(file_values), via_env) as config_argv:
+            args = build_parser().parse_args(
+                ["analyze", "in.wav", *config_argv, *flag_argv(flag_values)]
+            )
+            cfg = resolve_config(args)
+        for key, (name, _, default, _) in SETTINGS.items():
+            want = flag_values.get(key, file_values.get(key, default))
+            assert getattr(cfg, name) == want, key
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        good=some_settings(),
+        flag_values=some_settings(),
+        bad=bad_config_lines(),
+        at=st.integers(min_value=0, max_value=len(SETTINGS)),
+        via_env=st.booleans(),
+    )
+    def test_bad_config_file_is_one_line_config_error(
+        self, voiced_wav, good, flag_values, bad, at, via_env
+    ):
+        # The last line for a key wins, so no good line may follow a bad value.
+        good.pop(bad.split("=", 1)[0].strip(), None)
+        lines = config_file_text(good).splitlines()
+        lines.insert(min(at, len(lines)), bad)
+        with config_source("\n".join(lines) + "\n", via_env) as config_argv:
+            out = os.path.join(os.path.dirname(os.environ["PE_AUDIO_CONFIG"]), "out.csv")
+            argv = ["analyze", str(voiced_wav), "--output", out, *config_argv]
+            code, stdout, stderr = run_quietly(argv + flag_argv(flag_values))
+            assert not os.path.exists(out)
+        assert code == 3
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("config error: ")
+
+    def test_undecodable_config_file_is_config_error(self, voiced_wav, tmp_path):
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_bytes(b"hop = \xff\xfe\n")
+        code, _, stderr = run_quietly(["analyze", str(voiced_wav), "--config", str(cfg)])
+        assert code == 3
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"config error: cannot read config file {cfg}: ")
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--no-such-flag"], "peaudio: error: unrecognized arguments: --no-such-flag"),
+            (["--hop", "abc"], "peaudio analyze: error: argument --hop: invalid int value: 'abc'"),
+            (["--format", "xml"], "config error: format must be csv or json, got 'xml'"),
+        ],
+    )
+    def test_one_stderr_line_exit_3(self, voiced_wav, flags, line):
+        assert run_quietly(["analyze", str(voiced_wav), *flags]) == (3, "", line + "\n")
+
+    def test_bad_format_in_config_file_reads_as_the_flag_does(self, voiced_wav, tmp_path):
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_text("format = xml\n")
+        code, _, stderr = run_quietly(["analyze", str(voiced_wav), "--config", str(cfg)])
+        assert (code, stderr) == (3, "config error: format must be csv or json, got 'xml'\n")
 
 
 class TestInputErrors:

@@ -353,6 +353,14 @@ class TestPeGradient:
         assert check.passed()
         assert check.max_rel_err == 0.0
 
+    @pytest.mark.parametrize("n_coords", [0, -3])
+    def test_rejects_fewer_than_one_coordinate(self, voiced_spec, n_coords):
+        # Unchecked, 0 died in numpy's argmax of an empty sequence and a
+        # negative count in an array constructor.
+        spec, layout = voiced_spec
+        with pytest.raises(ValueError, match=f"n_coords must be >= 1, got {n_coords}"):
+            check_gradient(spec, layout, n_coords=n_coords)
+
 
 class TestToyFit:
     cfg = StftConfig(sample_rate=SR)
