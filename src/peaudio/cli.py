@@ -243,15 +243,19 @@ def _usable_cpus() -> int:
 def cmd_compare(args, cfg: CliConfig) -> int:
     if args.manifest:
         pairs = []
-        with open(args.manifest) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) != 2:
-                    raise ConfigError(f"{args.manifest}:{lineno}: expected 'ref,pred'")
-                pairs.append(tuple(parts))
+        try:
+            with open(args.manifest) as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read manifest {args.manifest}: {exc}") from exc
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 2:
+                raise ConfigError(f"{args.manifest}:{lineno}: expected 'ref,pred'")
+            pairs.append(tuple(parts))
         if not pairs:
             raise ConfigError(f"{args.manifest}: no ref,pred pairs")
     elif args.ref and args.pred:

@@ -6,7 +6,7 @@ bits, where step = sqrt(6*threshold/k) is the quantizer step its band's
 masking threshold allows. The loss 1/(1 + mean PE) rewards spectra that
 carry more perceptible information; gradients are hand-derived
 reverse-mode and flow through the whole masking pipeline (spreading,
-flatness, offsets, renormalization) unless stopped at the threshold.
+flatness, offsets, renormalization).
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from .psychoacoustic import (
     spreading_kernel,
 )
 from .signal_io import AudioBuffer, row_blocks, rows_per_block
-from .spectral import DEFAULT_N_MELS, MelSpectrogram, Spectrogram, StftConfig, mel_filterbank, stft
+from .spectral import DEFAULT_N_MELS, Spectrogram, StftConfig, mel_filterbank, mel_from_power, stft
 
 _LN2 = float(np.log(2.0))
 _LN10 = float(np.log(10.0))
@@ -129,18 +129,9 @@ def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     return _pe_result(per_frame)
 
 
-def _as_frames(x) -> np.ndarray:
-    if isinstance(x, MelSpectrogram):
-        return x.frames
-    if isinstance(x, Spectrogram):
-        return x.frames
-    return np.asarray(x)
-
-
 def sing_loss(pred_linear, ref_linear, pred_mel, ref_mel) -> float:
-    """Mean absolute error of the linear pair plus that of the mel pair."""
-    pl, rl = _as_frames(pred_linear), _as_frames(ref_linear)
-    pm, rm = _as_frames(pred_mel), _as_frames(ref_mel)
+    """Mean absolute error of the linear pair plus that of the mel pair (arrays)."""
+    pl, rl, pm, rm = (np.asarray(x) for x in (pred_linear, ref_linear, pred_mel, ref_mel))
     if pl.shape != rl.shape:
         raise ShapeMismatchError(f"linear shapes differ: {pl.shape} vs {rl.shape}")
     if pm.shape != rm.shape:
@@ -157,40 +148,18 @@ def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
     return l_sing + cfg.lam * pe_result.loss_pe
 
 
-def _reconstruct(spec: Spectrogram, phase_source: Spectrogram | None) -> Spectrogram:
-    if phase_source is None:
-        return spec
-    if phase_source.frames.shape != spec.frames.shape:
-        raise ShapeMismatchError("phase source shape does not match the spectrum")
-    phase = np.angle(phase_source.frames)
-    return Spectrogram(np.abs(spec.frames) * np.exp(1j * phase), spec.config)
-
-
-def pe_gradient(
-    spec: Spectrogram,
-    layout: BarkBandLayout,
-    phase_source: Spectrogram | None = None,
-    through_thresholds: bool = True,
-) -> GradientReport:
+def pe_gradient(spec: Spectrogram, layout: BarkBandLayout) -> GradientReport:
     """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
-
-    When phase_source is given, spec is treated as magnitude-only and the
-    complex spectrum is rebuilt as |spec| * exp(i*phase) first; partials
-    are w.r.t. the rebuilt components. With through_thresholds=False the
-    masking thresholds are treated as constants (ablation switch).
 
     Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
     tonality min(u, 1) keeps the u-branch derivative at u = 1, and the
     max() clamps (threshold floor, flatness power floor) follow whichever
     branch is active, ties going to the variable branch.
     """
-    spec = _reconstruct(spec, phase_source)
-    return _gradient(spec, analyze(spec, layout), through_thresholds)
+    return _gradient(spec, analyze(spec, layout))
 
 
-def _gradient(
-    spec: Spectrogram, analysis: BarkAnalysis, through_thresholds: bool
-) -> GradientReport:
+def _gradient(spec: Spectrogram, analysis: BarkAnalysis) -> GradientReport:
     """Loss partials packed re+1j*im, with the PE they were taken at.
 
     One pass over blocks of frames: each block's forward quantization
@@ -212,56 +181,52 @@ def _gradient(
     per_frame = np.empty(spec.n_frames)
     blocks = _quantize(spec, analysis, per_frame)
     grad = np.empty(spec.frames.shape, np.complex128)
-    if through_thresholds:
-        # What the threshold path makes of a band's sum(|x|*r), per band
-        # and frame. The threshold is the spread threshold over the
-        # spreading gain unless the absolute-threshold clamp replaced it.
-        gain = spreading_gain(layout)
-        clamp_inactive = analysis.masking_threshold == analysis.spread_threshold / gain
-        to_raw = np.where(clamp_inactive, -1.0 / (gain * analysis.masking_threshold), 0.0)
-        # The raw threshold is the spread power lowered by the offset ...
-        to_spread = to_raw * np.exp(analysis.offset_db * (-_LN10 / 10.0))
-        # ... and the offset is 5.5 + alpha*(9 + i), i 1-based, with alpha
-        # = sfm/SFM_DB_MAX except where it is pinned: at the fully-tonal
-        # bound (min with 1) and at the flat-band clamp (sfm exactly 0).
-        # The flatness (10/ln10)*(mean(log q) - log(mean q)) of the band's
-        # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
-        # which is 0 below the floor; to_flatness carries the band factor.
-        unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
-        tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 above
-        offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
-        to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
-        kernel = spreading_kernel(layout)
+    # What the threshold path makes of a band's sum(|x|*r), per band
+    # and frame. The threshold is the spread threshold over the
+    # spreading gain unless the absolute-threshold clamp replaced it.
+    gain = spreading_gain(layout)
+    clamp_inactive = analysis.masking_threshold == analysis.spread_threshold / gain
+    to_raw = np.where(clamp_inactive, -1.0 / (gain * analysis.masking_threshold), 0.0)
+    # The raw threshold is the spread power lowered by the offset ...
+    to_spread = to_raw * np.exp(analysis.offset_db * (-_LN10 / 10.0))
+    # ... and the offset is 5.5 + alpha*(9 + i), i 1-based, with alpha
+    # = sfm/SFM_DB_MAX except where it is pinned: at the fully-tonal
+    # bound (min with 1) and at the flat-band clamp (sfm exactly 0).
+    # The flatness (10/ln10)*(mean(log q) - log(mean q)) of the band's
+    # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
+    # which is 0 below the floor; to_flatness carries the band factor.
+    unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
+    tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 above
+    offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
+    to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
+    kernel = spreading_kernel(layout)
 
     for rows, steps, (r_re, r_im, abs_re, abs_im, a, b) in blocks:
         x = spec.frames[rows]
         inv_steps = np.repeat(1.0 / steps, k, axis=1)
         np.divide(inv_steps, r_re, out=r_re)
         np.divide(inv_steps, r_im, out=r_im)
-        dpower = None
-        if through_thresholds:
-            power = np.square(abs_re, out=a)
-            power += np.square(abs_im, out=b)
-            abs_re *= r_re
-            abs_im *= r_im
-            abs_re += abs_im
-            band_sum = np.add.reduceat(abs_re, layout.lower_bins, axis=1)
-            # Band powers feed the spreading convolution: C = K @ B per frame.
-            d_band = (band_sum * to_spread[rows]) @ kernel
-            coeff = band_sum * to_flatness[rows]
-            floored = np.maximum(power, SFM_POWER_FLOOR, out=b)
-            band_total = np.add.reduceat(floored, layout.lower_bins, axis=1)
-            dpower = np.divide(np.repeat(coeff, k, axis=1), floored, out=b)
-            dpower -= np.repeat(coeff * k / band_total, k, axis=1)
-            np.copyto(dpower, 0.0, where=power < SFM_POWER_FLOOR)
-            dpower += np.repeat(d_band, k, axis=1)
+        power = np.square(abs_re, out=a)
+        power += np.square(abs_im, out=b)
+        abs_re *= r_re
+        abs_im *= r_im
+        abs_re += abs_im
+        band_sum = np.add.reduceat(abs_re, layout.lower_bins, axis=1)
+        # Band powers feed the spreading convolution: C = K @ B per frame.
+        d_band = (band_sum * to_spread[rows]) @ kernel
+        coeff = band_sum * to_flatness[rows]
+        floored = np.maximum(power, SFM_POWER_FLOOR, out=b)
+        band_total = np.add.reduceat(floored, layout.lower_bins, axis=1)
+        dpower = np.divide(np.repeat(coeff, k, axis=1), floored, out=b)
+        dpower -= np.repeat(coeff * k / band_total, k, axis=1)
+        np.copyto(dpower, 0.0, where=power < SFM_POWER_FLOOR)
+        dpower += np.repeat(d_band, k, axis=1)
 
         # sign(x)*r, plus x times the power partial (its 2 is folded in).
         for part, r, out in ((x.real, r_re, grad[rows].real), (x.imag, r_im, grad[rows].imag)):
             partial = np.sign(part, out=inv_steps)
             partial *= r
-            if dpower is not None:
-                partial += np.multiply(dpower, part, out=abs_re)
+            partial += np.multiply(dpower, part, out=abs_re)
             out[...] = partial
 
     pe_result = _pe_result(per_frame)
@@ -275,6 +240,8 @@ def _gradient(
 # Perturbed frames analysed per batch in check_gradient, two per coordinate;
 # bounds its memory whatever the coordinate count.
 FD_BLOCK_ROWS = 256
+# Central-difference step of check_gradient, relative to the component's magnitude.
+FD_REL_STEP = 1e-5
 
 
 @dataclass
@@ -287,7 +254,6 @@ class GradientCheckResult:
     let through, of which the checked ones are a seeded sample.
     """
 
-    report: GradientReport
     n_checked: int
     all_kink: bool
     max_rel_err: float
@@ -297,10 +263,8 @@ class GradientCheckResult:
     finite_differences: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rel_errs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def passed(self, tolerance: float = GRAD_CHECK_TOLERANCE) -> bool:
-        if self.all_kink:
-            return True
-        return bool(self.max_rel_err < tolerance)
+    def passed(self) -> bool:
+        return self.all_kink or bool(self.max_rel_err < GRAD_CHECK_TOLERANCE)
 
     def to_json_dict(self) -> dict:
         p50 = p95 = None
@@ -328,26 +292,22 @@ def check_gradient(
     layout: BarkBandLayout,
     n_coords: int = 100,
     seed: int = DEFAULT_SEED,
-    rel_step: float = 1e-5,
-    phase_source: Spectrogram | None = None,
-    through_thresholds: bool = True,
 ) -> GradientCheckResult:
     """Compare the analytic PE-loss gradient to central finite differences.
 
     Coordinates are sampled among components whose magnitude clears a
     kink guard (well away from the |x| = 0 and power-floor corners) and
     whose analytic partial is large enough for a double-precision
-    central difference to resolve at the given relative step; where the
-    quantizer and threshold paths nearly cancel, the difference quotient
-    is pure truncation/roundoff noise. On an all-silent spectrum there
-    is nothing to sample and the check passes vacuously. The differences
-    themselves come from _frame_local_fd.
+    central difference to resolve at the relative step FD_REL_STEP:
+    where the quantizer and threshold paths nearly cancel, the
+    difference quotient is pure truncation/roundoff noise. When no
+    component qualifies (an all-silent spectrum, or one whose exact
+    gradient is zero) there is nothing to sample and the check passes
+    vacuously. The differences themselves come from _frame_local_fd.
     """
     if n_coords < 1:
         raise ValueError(f"n_coords must be >= 1, got {n_coords}")
-    spec = _reconstruct(spec, phase_source)
-    analysis = analyze(spec, layout)
-    report = _gradient(spec, analysis, through_thresholds)
+    report = _gradient(spec, analyze(spec, layout))
     grad = report.grad
 
     components = _components(spec)
@@ -363,15 +323,22 @@ def check_gradient(
     else:
         resolvable = np.zeros_like(off_kink)
     eligible = np.flatnonzero(off_kink & resolvable)
+    # The partials above are judged against each other only. Where all of
+    # them are roundoff (an exactly zero gradient), a step must also move
+    # PE(t) by more than roundoff: by about h*|dPE(t)/dx|, which is
+    # h*|dL/dx| over |dL/dPE(t)| = 1/((1 + mean PE)^2 T).
+    per_frame = report.pe.per_frame
+    pe_moved = FD_REL_STEP * magnitudes[eligible] * partials[eligible]
+    pe_moved *= (1.0 + report.pe.mean_pe) ** 2 * spec.n_frames
+    pe_at = per_frame[eligible // (2 * spec.config.bins)]
+    eligible = eligible[pe_moved >= 1e3 * np.finfo(np.float64).eps * np.maximum(pe_at, 1.0)]
     if eligible.size == 0:
-        return GradientCheckResult(report=report, n_checked=0, all_kink=True, max_rel_err=0.0)
+        return GradientCheckResult(n_checked=0, all_kink=True, max_rel_err=0.0)
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=min(n_coords, eligible.size), replace=False)
     coordinates = np.stack(np.unravel_index(chosen, components.shape), axis=-1)
-    fd = _frame_local_fd(
-        spec, analysis, report.pe.per_frame, coordinates, rel_step, through_thresholds
-    )
+    fd = _frame_local_fd(spec, layout, per_frame, coordinates)
 
     frame, bin_idx, part = coordinates.T
     analytic = np.where(part == 0, grad.real[frame, bin_idx], grad.imag[frame, bin_idx])
@@ -389,7 +356,6 @@ def check_gradient(
         }
 
     return GradientCheckResult(
-        report=report,
         n_checked=int(chosen.size),
         all_kink=False,
         max_rel_err=float(rel[i]),
@@ -403,22 +369,19 @@ def check_gradient(
 
 def _frame_local_fd(
     spec: Spectrogram,
-    analysis: BarkAnalysis,
+    layout: BarkBandLayout,
     per_frame: np.ndarray,
     coordinates: np.ndarray,
-    rel_step: float,
-    through_thresholds: bool,
 ) -> np.ndarray:
     """Central differences of the PE loss at (frame, bin, part) coordinates.
 
-    analysis and per_frame are the masking analysis and per-frame PE of
-    spec itself. Every pipeline stage works on one frame, and frames meet
-    only in the mean PE, so moving a component of frame t moves PE(t)
-    alone. Each coordinate's two perturbed copies of its frame (+-h,
-    h = rel_step * |component|) become rows of one batch that analyze and
-    perceptual_entropy see once per FD_BLOCK_ROWS rows; with
-    through_thresholds=False the rows keep frame t's unperturbed
-    thresholds instead. The loss difference is then formed in closed form,
+    per_frame is the per-frame PE of spec itself. Every pipeline stage
+    works on one frame, and frames meet only in the mean PE, so moving a
+    component of frame t moves PE(t) alone. Each coordinate's two
+    perturbed copies of its frame (+-h, h = FD_REL_STEP * |component|)
+    become rows of one batch that analyze and perceptual_entropy see once
+    per FD_BLOCK_ROWS rows. The loss difference is then formed in closed
+    form,
 
         L+ - L- = ((PE-(t) - PE+(t)) / T) / ((1 + m + d+) (1 + m + d-)),
         d+- = (PE+-(t) - PE(t)) / T,
@@ -432,17 +395,12 @@ def _frame_local_fd(
     fd = np.empty(len(coordinates))
     for block in row_blocks(len(coordinates), FD_BLOCK_ROWS // 2):
         frame, bin_idx, part = coordinates[block].T
-        h = rel_step * np.abs(components[frame, bin_idx, part])
+        h = FD_REL_STEP * np.abs(components[frame, bin_idx, part])
         n = frame.size
-        rows_frame = np.concatenate([frame, frame])
-        rows = components[rows_frame]  # rows 0..n-1 get +h, rows n..2n-1 get -h
+        rows = components[np.concatenate([frame, frame])]  # +h rows, then -h rows
         rows[np.arange(2 * n), np.tile(bin_idx, 2), np.tile(part, 2)] += np.concatenate([h, -h])
         batch = Spectrogram(rows.view(np.complex128)[..., 0], spec.config)
-        if through_thresholds:
-            batch_analysis = analyze(batch, analysis.layout)
-        else:
-            batch_analysis = analysis.select(rows_frame)
-        pe_rows = perceptual_entropy(batch, batch_analysis).per_frame
+        pe_rows = perceptual_entropy(batch, analyze(batch, layout)).per_frame
         pe_plus, pe_minus = pe_rows[:n], pe_rows[n:]
         d_plus = (pe_plus - per_frame[frame]) / n_frames
         d_minus = (pe_minus - per_frame[frame]) / n_frames
@@ -525,7 +483,7 @@ def toy_fit(
     cos_phi = phase.real
     sin_phi = phase.imag
     weights = mel_filterbank(stft_cfg, n_mels)
-    ref_mel = (ref_mag**2) @ weights.T
+    ref_mel = mel_from_power(ref_mag**2, weights)
     layout = bark_layout(stft_cfg)
 
     rng = np.random.default_rng(seed)
@@ -539,7 +497,7 @@ def toy_fit(
         # reports as a DivergenceError before the PE runs; numpy's warnings
         # on the way there would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            mel = (mag**2) @ weights.T
+            mel = mel_from_power(mag**2, weights)
             mag_err = mag - ref_mag
             mel_err = mel - ref_mel
             l_sing = _l1_loss(mag_err, mel_err)

@@ -16,7 +16,7 @@ Per spectrogram frame the pipeline is:
      (Terhardt curve, full-scale sinusoid pinned to 96 dB SPL).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -105,13 +105,6 @@ class BarkAnalysis:
     @property
     def n_frames(self) -> int:
         return self.band_power.shape[0]
-
-    def select(self, frames) -> "BarkAnalysis":
-        """The analysis of the given frame indices, in order (repeats allowed)."""
-        per_frame = {
-            f.name: getattr(self, f.name)[frames] for f in fields(self) if f.name != "layout"
-        }
-        return BarkAnalysis(**per_frame, layout=self.layout)
 
 
 def bark_layout(cfg: StftConfig) -> BarkBandLayout:

@@ -151,6 +151,19 @@ class TestGradCheck:
         assert payload["n_coords"] == 100
         assert payload["max_rel_err_vs_fd"] < 1e-5
 
+    def test_zero_exact_gradient_passes_vacuously(self, voiced_wav, tmp_path, capsys):
+        # fft 2 puts every band on the flat-band kink, where the exact
+        # gradient is 0; roundoff partials used to fail the check (exit 1).
+        out = tmp_path / "g.json"
+        argv = ["grad-check", str(voiced_wav), "--fft-size", "2", "--hop", "2",
+                "--sample-rate", "100", "--n-coords", "5", "--output", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema("grad_check.schema.json"))
+        assert payload["pass"] is True and payload["all_kink"] is True
+        assert "all-kink" in payload["note"]
+
     def test_zero_coords_is_config_error(self, voiced_wav):
         assert run(["grad-check", str(voiced_wav), "--n-coords", "0"]) == 3
 
@@ -201,13 +214,15 @@ class TestCompare:
         assert run(["compare", str(wav)]) == 3
 
     def test_empty_manifest_is_config_error(self, tmp_path, capsys):
-        manifest = tmp_path / "m.csv"
-        manifest.write_text("\n  \n")
-        out = tmp_path / "c.csv"
-        assert run(["compare", "--manifest", str(manifest), "--output", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:")
-        assert not out.exists()
+        # Blank lines only, and bytes that are not UTF-8 (once a traceback).
+        for content in (b"\n  \n", b"\xff\xfe,a"):
+            manifest = tmp_path / "m.csv"
+            manifest.write_bytes(content)
+            out = tmp_path / "c.csv"
+            assert run(["compare", "--manifest", str(manifest), "--output", str(out)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:")
+            assert not out.exists()
 
 
 class TestToyFit:
@@ -481,6 +496,49 @@ class TestArgparseErrors:
         cfg.write_text("format = xml\n")
         code, _, stderr = run_quietly(["analyze", str(voiced_wav), "--config", str(cfg)])
         assert (code, stderr) == (3, "config error: format must be csv or json, got 'xml'\n")
+
+
+@pytest.fixture(scope="module")
+def short_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wavs") / "short.wav"
+    save_wav(AudioBuffer(harmonic_signal(duration=0.25), 22050), path)
+    return path
+
+
+@st.composite
+def analysis_argv(draw):
+    """A masking command with any STFT setup, valid or not, within bounded sizes.
+
+    Rates stop at 48 kHz: resampling to far higher rates allocates in
+    proportion to the rate, which is not what this test is about.
+    """
+    command = draw(st.sampled_from(["analyze", "thresholds", "grad-check"]))
+    fft = 2 ** draw(st.integers(min_value=1, max_value=12))
+    in_range = st.integers(min_value=max(1, fft // 8), max_value=fft)
+    hop = draw(st.one_of(in_range, st.sampled_from([0, -1, fft + 1])))
+    rate = draw(st.sampled_from([1, 50, 100, 8000, 16000, 22050, 44100, 48000, 0, -5]))
+    argv = [command, "--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
+    if command == "grad-check":
+        argv += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
+    return argv
+
+
+class TestCliBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=analysis_argv())
+    def test_clean_exit_one_line_no_partial_output(self, short_wav, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            argv = argv[:1] + [str(short_wav), "--output", out] + argv[1:]
+            code, stdout, stderr = run_quietly(argv)
+            left = os.path.exists(out)
+        assert code in (0, 2, 3), stderr
+        assert stdout == ""
+        if code == 0:
+            assert left
+        else:
+            assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr, stderr
+            assert not left
 
 
 class TestInputErrors:

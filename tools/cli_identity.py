@@ -9,9 +9,12 @@ OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
 inputs into a temporary directory, and every operation of every plan
 runs under both trees twice: once with its ``--output`` file and once
 writing to stdout. Output files, stdout, stderr and exit codes are
-compared byte for byte. The script prints each difference and exits 1
-if there is any, 0 otherwise. ``--tiny`` uses the benchmark's tiny
-inputs, which make a run take seconds instead of minutes.
+compared byte for byte. The script prints each difference, then the
+Python line count of each tree (counted as the benchmark counts
+``src/``) and the change between them, and last a summary line; it
+exits 1 if there is any difference, 0 otherwise. ``--tiny`` uses the
+benchmark's tiny inputs, which make a run take seconds instead of
+minutes.
 
 Each tree runs in one process that imports ``peaudio.cli`` once and
 forks a child per operation, so every operation starts from a fresh
@@ -103,6 +106,10 @@ def run_jobs(jobs_path: str, src: str) -> None:
     Path("exit_codes.json").write_text(json.dumps(codes))
 
 
+def src_lines(src: Path) -> int:
+    return sum(len(p.read_bytes().splitlines()) for p in sorted(src.rglob("*.py")))
+
+
 def compare(jobs: list[dict], old: Path, new: Path) -> list[str]:
     diffs = []
     old_codes = json.loads((old / "exit_codes.json").read_text())
@@ -137,6 +144,9 @@ def main(argv=None) -> int:
         diffs = compare(jobs, work / "old", work / "new")
     for line in diffs:
         print(line)
+    old_lines, new_lines = src_lines(args.old_src), src_lines(args.new_src)
+    print(f"old src: {old_lines} lines")
+    print(f"new src: {new_lines} lines ({new_lines - old_lines:+d})")
     print(f"{len(jobs)} runs compared, {len(diffs)} differences")
     return 1 if diffs else 0
 
