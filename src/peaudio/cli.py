@@ -1,6 +1,7 @@
 """Command-line surface: analyze, thresholds, grad-check, compare, toy-fit.
 
-Exit codes: 0 success, 1 check failure, 2 I/O error, 3 config error.
+Exit codes: 0 success, 1 check failure, 2 I/O error or out of memory,
+3 config error.
 Option precedence is flags > config file > library defaults; the
 config file is flat "key = value" text (unknown keys are rejected) and
 its default path can come from the PE_AUDIO_CONFIG environment variable.
@@ -171,7 +172,7 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
         text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     else:
         lines = ["frame,pe"]
-        lines += [f"{t},{float(v)!r}" for t, v in enumerate(result.per_frame)]
+        lines += [f"{t},{v!r}" for t, v in enumerate(result.per_frame.tolist())]
         lines.append(f"mean_pe,{result.mean_pe!r}")
         lines.append(f"loss_pe,{result.loss_pe!r}")
         text = "\n".join(lines) + "\n"
@@ -305,13 +306,18 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
         raise ConfigError(f"--lr must be finite and positive, got {args.lr}")
     buf = resample(load_wav(args.target), cfg.sample_rate)
     stft_cfg = cfg.stft()
-    arms = {}
-    for name, lam in (("regularized", cfg.lam), ("baseline", 0.0)):
-        loss_cfg = LossConfig(lam=lam)
-        arms[name] = toy_fit(
-            buf, loss_cfg, steps=args.steps, learning_rate=args.lr,
+    lams = {"regularized": cfg.lam, "baseline": 0.0}
+
+    def fit(lam):
+        return toy_fit(
+            buf, LossConfig(lam=lam), steps=args.steps, learning_rate=args.lr,
             seed=cfg.seed, stft_cfg=stft_cfg, n_mels=cfg.n_mels,
         )
+
+    # The arms share nothing, and their FFTs and matrix products release
+    # the GIL, so each gets a thread while there is a CPU for it.
+    with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
+        arms = dict(zip(lams, pool.map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     text = json.dumps(payload, indent=2) + "\n"
     _emit(text, args.output)
@@ -343,6 +349,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -46,7 +46,7 @@ class PEResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "per_frame_pe": [float(v) for v in self.per_frame],
+            "per_frame_pe": self.per_frame.tolist(),
             "mean_pe": self.mean_pe,
             "loss_pe": self.loss_pe,
         }
@@ -139,8 +139,8 @@ def sing_loss(pred_linear, ref_linear, pred_mel, ref_mel) -> float:
     return _l1_loss(pl - rl, pm - rm)
 
 
-def _l1_loss(linear_err: np.ndarray, mel_err: np.ndarray) -> float:
-    return float(np.mean(np.abs(linear_err)) + np.mean(np.abs(mel_err)))
+def _l1_loss(linear_err: np.ndarray, mel_err: np.ndarray, scratch=None) -> float:
+    return float(np.mean(np.abs(linear_err, out=scratch)) + np.mean(np.abs(mel_err)))
 
 
 def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
@@ -477,9 +477,10 @@ def toy_fit(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     stft_cfg = stft_cfg or StftConfig()
-    ref_spec = stft(target, stft_cfg)
-    ref_mag = np.abs(ref_spec.frames)
-    phase = np.exp(1j * np.angle(ref_spec.frames))
+    ref_frames = stft(target, stft_cfg).frames
+    ref_mag = np.abs(ref_frames)
+    phase = np.exp(1j * np.angle(ref_frames))
+    del ref_frames
     cos_phi = phase.real
     sin_phi = phase.imag
     weights = mel_filterbank(stft_cfg, n_mels)
@@ -490,6 +491,14 @@ def toy_fit(
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
     n_linear = mag.size
     n_mel = ref_mel.size
+    # Every iterate reuses these, so a step allocates no spectrum-sized
+    # array of its own; the ufuncs and their order are those of the
+    # plain expressions, so no bit depends on the reuse.
+    mag_err = np.empty_like(mag)
+    grad = np.empty_like(mag)
+    scratch = np.empty_like(mag)
+    mel_err = np.empty_like(ref_mel)
+    pred_frames = np.empty_like(phase)
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
@@ -497,13 +506,13 @@ def toy_fit(
         # reports as a DivergenceError before the PE runs; numpy's warnings
         # on the way there would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            mel = mel_from_power(mag**2, weights)
-            mag_err = mag - ref_mag
-            mel_err = mel - ref_mel
-            l_sing = _l1_loss(mag_err, mel_err)
+            mel_from_power(np.square(mag, out=scratch), weights, out=mel_err)
+            mel_err -= ref_mel
+            np.subtract(mag, ref_mag, out=mag_err)
+            l_sing = _l1_loss(mag_err, mel_err, scratch)
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
-        pred = Spectrogram(phase * mag, stft_cfg)
+        pred = Spectrogram(np.multiply(phase, mag, out=pred_frames), stft_cfg)
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
         if cfg.lam > 0 and step < steps:
@@ -519,9 +528,22 @@ def toy_fit(
         if step == steps:
             return record
 
-        grad = np.sign(mag_err) / n_linear
-        grad += ((np.sign(mel_err) / n_mel) @ weights) * (2.0 * mag)
+        # sign(mag_err)/n_linear, plus ((sign(mel_err)/n_mel) @ weights) * (2*mag);
+        # mag_err and mel_err are spent once read, so they serve as scratch.
+        np.sign(mag_err, out=grad)
+        grad /= n_linear
+        np.sign(mel_err, out=mel_err)
+        mel_err /= n_mel
+        np.matmul(mel_err, weights, out=scratch)
+        scratch *= np.multiply(2.0, mag, out=mag_err)
+        grad += scratch
         if cfg.lam > 0:
-            grad += cfg.lam * (report.grad.real * cos_phi + report.grad.imag * sin_phi)
+            # lam * (Re(g) cos(phi) + Im(g) sin(phi)), the PE partial along mag.
+            np.multiply(report.grad.real, cos_phi, out=scratch)
+            scratch += np.multiply(report.grad.imag, sin_phi, out=mag_err)
+            scratch *= cfg.lam
+            grad += scratch
+            del report  # so the next iterate's gradient does not coexist with it
         with np.errstate(over="ignore", invalid="ignore"):
-            mag -= learning_rate * grad
+            grad *= learning_rate
+            mag -= grad

@@ -185,9 +185,9 @@ def mel_filterbank(cfg: StftConfig, n_mels: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def mel_from_power(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def mel_from_power(power: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """Apply a filterbank to power-spectrum rows; linear in the power."""
-    return power @ weights.T
+    return np.matmul(power, weights.T, out=out)
 
 
 def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> MelSpectrogram:

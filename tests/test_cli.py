@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import peaudio
 from peaudio import spectral
 from peaudio.cli import build_parser, main, resolve_config
-from peaudio.pe import DEFAULT_SEED, LossConfig
+from peaudio.pe import DEFAULT_SEED, LossConfig, toy_fit
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
-from peaudio.signal_io import AudioBuffer, save_wav
+from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 from peaudio.spectral import StftConfig
 
 from conftest import harmonic_signal
@@ -242,23 +242,42 @@ class TestToyFit:
             assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_concurrent_arms_match_serial_fits(self, voiced_wav, tmp_path, monkeypatch, cpus):
+        # The arms run on min(2, usable CPUs) threads, with numpy's BLAS
+        # threads as the test process has them; the bytes must be those
+        # of the two fits run one after the other.
+        monkeypatch.setattr("peaudio.cli._usable_cpus", lambda: cpus)
+        out = tmp_path / "t.json"
+        assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
+        buf = resample(load_wav(voiced_wav), spectral.DEFAULT_SAMPLE_RATE)
+        serial = {
+            name: toy_fit(buf, LossConfig(lam=lam), steps=3, learning_rate=0.1).to_json_dict()
+            for name, lam in (("regularized", LossConfig.lam), ("baseline", 0.0))
+        }
+        assert out.read_text() == json.dumps(serial, indent=2) + "\n"
+
     def test_zero_steps_is_config_error(self, voiced_wav):
         assert run(["toy-fit", str(voiced_wav), "--steps", "0"]) == 3
 
-    def test_divergence_is_one_stderr_line(self, sine_wav_factory):
+    def test_divergence_is_one_stderr_line(self, sine_wav_factory, tmp_path):
         # In a process of its own, as a shell runs it: numpy's overflow
-        # warnings would print before the error line.
+        # warnings would print before the error line. Both arms diverge
+        # on their own threads; the regularized arm's error is reported.
         path = sine_wav_factory(440.0)
+        out = tmp_path / "fit.json"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "peaudio.cli", "toy-fit", str(path),
-             "--steps", "300", "--lr", "1e6"],
+             "--steps", "300", "--lr", "1e6", "--output", str(out)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         err = proc.stderr.splitlines()
         assert proc.returncode == 1
         assert len(err) == 1
         assert err[0].startswith("error: loss became non-finite at step ")
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -556,6 +575,49 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "NaN or infinite" in err[0]
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_one_line_exit_2(self, sine_wav_factory, tmp_path):
+        # Resampling 1 s to 2 GHz asks numpy for a 14.9 GiB array, which a
+        # 1,500 MB address-space limit refuses: a MemoryError, as a huge
+        # input or setting gives on a small machine.
+        path = sine_wav_factory(220.0)
+        out = tmp_path / "pe.csv"
+        script = (
+            "import resource, sys\n"
+            "limit = 1500 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from peaudio.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", str(path), "--sample-rate", "2000000000",
+             "--fft-size", "33554432", "--hop", "16777216", "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error: out of memory"), proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, worker", [
+        ("toy-fit", "toy_fit"), ("compare", "compare_files"),
+    ])
+    def test_memory_error_in_a_pool_thread(
+        self, voiced_wav, tmp_path, capsys, monkeypatch, command, worker
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(f"peaudio.cli.{worker}", exhausted)
+        out = tmp_path / "out"
+        paths = [str(voiced_wav)] * (2 if command == "compare" else 1)
+        assert run([command, *paths, "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: out of memory: Unable to allocate 1.00 TiB"]
+        assert not out.exists()
 
 
 class TestColdStart:

@@ -365,3 +365,28 @@ class TestToyFit:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             toy_fit(self._target(), LossConfig(), steps=0, learning_rate=0.1)
+
+    def test_memory_grows_at_most_six_and_a_half_spectra(self):
+        # A regularized arm holds the target's magnitude and phase, the
+        # iterate, its prediction and three step buffers (4.5 spectra per
+        # frame), plus the gradient and analysis of the iterate under way.
+        # A step that built its temporaries afresh grew by 7.5.
+        rng = np.random.default_rng(0)
+        sizes = {}
+        for seconds in (5, 20):
+            t = np.arange(seconds * SR) / SR
+            sig = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(t.size)
+            target = AudioBuffer(sig, SR)
+            del t, sig
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                toy_fit(target, LossConfig(lam=0.01), steps=2, learning_rate=0.1,
+                        stft_cfg=self.cfg)
+                sizes[seconds] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        n_frames = {s: stft(AudioBuffer(np.zeros(s * SR), SR), self.cfg).n_frames for s in sizes}
+        spectrum_frame_bytes = self.cfg.bins * np.dtype(np.complex128).itemsize
+        growth = (sizes[20] - sizes[5]) / (n_frames[20] - n_frames[5]) / spectrum_frame_bytes
+        assert growth <= 6.5
