@@ -80,10 +80,6 @@ class BarkBandLayout:
     def n_bins(self) -> int:
         return int(self.upper_bins[-1]) + 1
 
-    def band_of_bin(self) -> np.ndarray:
-        """Band index (0-based) for every bin, shape (n_bins,)."""
-        return np.repeat(np.arange(self.n), self.k)
-
     def band_centers(self) -> np.ndarray:
         """Midpoint frequency of each band in Hz."""
         return 0.5 * (self.band_edges[:-1] + self.band_edges[1:])

@@ -67,14 +67,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
-    def scaled(self, gain: float) -> "AudioBuffer":
-        """Copy with samples multiplied by ``gain`` (result must stay in [-1, 1])."""
-        return AudioBuffer(self.samples * gain, self.sample_rate)
 
 
 def _payload_reader(data: bytes, offset: int, count: int, bits: int, is_float: bool, path):
@@ -162,7 +154,10 @@ def load_wav(path) -> AudioBuffer:
         values = read(rows.start * channels, rows.stop * channels)
         out = samples[rows]
         if channels == 2:
-            np.add(values[0::2], values[1::2], out=out, dtype=np.float64)
+            # +inf and -inf sum to NaN, which the finiteness test below
+            # reports; numpy's warning on the way would only repeat it.
+            with np.errstate(invalid="ignore"):
+                np.add(values[0::2], values[1::2], out=out, dtype=np.float64)
         else:
             out[...] = values
         out *= scale

@@ -108,9 +108,6 @@ class Spectrogram:
     def power(self) -> np.ndarray:
         return self.frames.real**2 + self.frames.imag**2
 
-    def scaled(self, gain: float) -> "Spectrogram":
-        return Spectrogram(self.frames * gain, self.config)
-
 
 @dataclass(frozen=True)
 class MelSpectrogram:

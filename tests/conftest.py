@@ -3,6 +3,7 @@ import pytest
 
 from peaudio.psychoacoustic import SFM_POWER_FLOOR, spreading_kernel
 from peaudio.signal_io import AudioBuffer, save_wav
+from peaudio.spectral import Spectrogram
 
 SR = 22050
 
@@ -31,6 +32,16 @@ def harmonic_signal(duration=1.0, f0=220.0, n_harmonics=40, amplitude=0.9,
 def sine_signal(freq, duration=1.0, amplitude=0.95, sr=SR):
     t = np.arange(int(sr * duration)) / sr
     return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def band_of_bin(layout):
+    """Band index (0-based) of every bin, shape (n_bins,)."""
+    return np.repeat(np.arange(layout.n), layout.k)
+
+
+def scaled(spec, gain):
+    """The spectrogram with every frame multiplied by gain."""
+    return Spectrogram(spec.frames * gain, spec.config)
 
 
 def bin_ranges(layout):

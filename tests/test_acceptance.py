@@ -26,7 +26,7 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import StftConfig, Spectrogram, stft
 
-from conftest import SR, sfm_db, sine_signal, spread
+from conftest import SR, scaled, sfm_db, sine_signal, spread
 from test_pe import naive_pe, toy_analysis, toy_config, toy_layout
 
 
@@ -88,10 +88,10 @@ def test_criterion_3_scale_invariance(voiced_wav):
     gain = spreading_gain(layout)
     values = {}
     for c in (0.5, 1.0, 2.0):
-        scaled = spec.scaled(c)
-        res = analyze(scaled, layout)
+        spec_c = scaled(spec, c)
+        res = analyze(spec_c, layout)
         assert np.all(res.spread_threshold / gain > quiet), f"clamp active at gain {c}"
-        values[c] = perceptual_entropy(scaled, res).mean_pe
+        values[c] = perceptual_entropy(spec_c, res).mean_pe
     for c in (0.5, 2.0):
         assert values[c] == pytest.approx(values[1.0], rel=1e-4)
     report(3, f"mean PE {values[1.0]:.3f} stable across gains 0.5/1/2")

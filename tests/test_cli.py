@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,12 +13,12 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peaudio
 from peaudio import spectral
-from peaudio.cli import build_parser, main, resolve_config
+from peaudio.cli import _json_text, build_parser, main, resolve_config
 from peaudio.pe import DEFAULT_SEED, LossConfig, toy_fit
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
@@ -280,6 +281,55 @@ class TestToyFit:
         assert not out.exists()
 
 
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and both infinities among them
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05]),
+    st.text(),  # non-ASCII and control characters among them
+)
+json_payloads = st.recursive(
+    # Lists of lists of scalars take the writer's grid path; empty rows do not.
+    json_scalars | st.lists(st.lists(json_scalars, max_size=4), max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=500, deadline=None)
+    @given(payload=json_payloads)
+    @example(payload={
+        "caf\u00e9 \u2713": [[-0.0, 5e-324], [1e16, 1e-05]],
+        "special": [math.nan, math.inf, -math.inf, True, False, None, -3],
+        "empty": [[], {}, [[]], [[], [1.5]]],
+        "nested": {"rows": [[1, "\U0001F600"], ["\n\"", None]]},
+    })
+    def test_bytes_of_json_dumps_with_indent_2(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "WAV"],
+        ["thresholds", "WAV"],
+        ["grad-check", "WAV", "--n-coords", "5"],
+        ["compare", "WAV", "WAV"],
+        ["toy-fit", "WAV", "--steps", "2"],
+    ])
+    def test_cli_json_is_stdlib_indent_2(self, short_wav, tmp_path, argv):
+        # Pins every command's JSON to the stdlib's bytes, whatever writer makes them.
+        out = tmp_path / "out.json"
+        argv = [str(short_wav) if arg == "WAV" else arg for arg in argv]
+        code, _, stderr = run_quietly([*argv, "--format", "json", "--output", str(out)])
+        assert code == 0, stderr
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestConfigHandling:
     def test_config_file_applies(self, voiced_wav, tmp_path):
         cfg = tmp_path / "pe.cfg"
@@ -525,39 +575,101 @@ def short_wav(tmp_path_factory):
 
 
 @st.composite
-def analysis_argv(draw):
-    """A masking command with any STFT setup, valid or not, within bounded sizes.
+def boundary_argv(draw):
+    """A masking command or compare with any STFT setup, valid or not, within bounded sizes.
 
-    Rates stop at 48 kHz: resampling to far higher rates allocates in
-    proportion to the rate, which is not what this test is about.
+    "WAV" stands for each input. Rates stop at 48 kHz: resampling to far
+    higher rates allocates in proportion to the rate, which is not what
+    this test is about.
     """
-    command = draw(st.sampled_from(["analyze", "thresholds", "grad-check"]))
+    command = draw(st.sampled_from(["analyze", "thresholds", "grad-check", "compare"]))
     fft = 2 ** draw(st.integers(min_value=1, max_value=12))
     in_range = st.integers(min_value=max(1, fft // 8), max_value=fft)
     hop = draw(st.one_of(in_range, st.sampled_from([0, -1, fft + 1])))
     rate = draw(st.sampled_from([1, 50, 100, 8000, 16000, 22050, 44100, 48000, 0, -5]))
-    argv = [command, "--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
+    argv = [command, "WAV", "--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
     if command == "grad-check":
         argv += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
+    if command == "compare":
+        argv += ["WAV", "--format", draw(st.sampled_from(["csv", "json"]))]
     return argv
 
 
+def run_to_file(argv):
+    """run_quietly(argv + ["--output", FILE]): (code, stdout, stderr, whether FILE was left)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        code, stdout, stderr = run_quietly([*argv, "--output", out])
+        return code, stdout, stderr, os.path.exists(out)
+
+
+def assert_clean_failure(stdout, stderr, left):
+    """A failed command printed one stderr line, no traceback, and left no output file."""
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr, stderr
+    assert not left
+
+
 class TestCliBoundary:
-    @settings(max_examples=200, deadline=None)
-    @given(argv=analysis_argv())
+    @settings(max_examples=300, deadline=None)
+    @given(argv=boundary_argv())
     def test_clean_exit_one_line_no_partial_output(self, short_wav, argv):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "out")
-            argv = argv[:1] + [str(short_wav), "--output", out] + argv[1:]
-            code, stdout, stderr = run_quietly(argv)
-            left = os.path.exists(out)
+        code, stdout, stderr, left = run_to_file(
+            [str(short_wav) if arg == "WAV" else arg for arg in argv]
+        )
         assert code in (0, 2, 3), stderr
-        assert stdout == ""
         if code == 0:
-            assert left
+            assert stdout == "" and left
         else:
-            assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr, stderr
-            assert not left
+            assert_clean_failure(stdout, stderr, left)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.one_of(
+            st.integers(max_value=0), st.integers(1, 3), st.integers(10**3, 10**12)
+        ),
+        data=st.data(),
+    )
+    def test_toy_fit_any_step_count(self, short_wav, steps, data):
+        # A long run only gets a rate at which it diverges within a few
+        # dozen steps, so every example ends in well under a second.
+        rates = [1e6, 1e30, 1e300] if steps > 3 else [0.1, 1e300, 0.0, -1.0, math.nan, math.inf]
+        lr = data.draw(st.sampled_from(rates))
+        argv = ["toy-fit", str(short_wav), "--steps", str(steps), "--lr", str(lr)]
+        code, stdout, stderr, left = run_to_file(argv)
+        if steps < 1 or not 0.0 < lr < math.inf:
+            assert code == 3, stderr
+            assert stderr.startswith("config error: ")
+        else:
+            assert code in (0, 1), stderr
+        if code == 0:
+            assert left and stderr == ""
+            assert stdout.startswith("final mean PE: ")
+        else:
+            assert_clean_failure(stdout, stderr, left)
+        if code == 1:
+            assert stderr.startswith("error: loss became non-finite at step ")
+
+
+def float_wav_bytes(samples, rate=22050, channels=1) -> bytes:
+    """A 32-bit IEEE float WAV file of the samples, interleaved if stereo."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@st.composite
+def non_finite_wavs(draw):
+    """A float WAV of a quiet tone with NaN or an infinity at random positions."""
+    channels = draw(st.sampled_from([1, 2]))
+    n = channels * draw(st.integers(min_value=1, max_value=8192))
+    samples = 0.1 * np.sin(0.05 * np.arange(n))
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    for at in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
+        samples[at] = draw(bad)
+    return float_wav_bytes(samples, draw(st.sampled_from([16000, 22050])), channels)
 
 
 class TestInputErrors:
@@ -565,16 +677,36 @@ class TestInputErrors:
     def test_non_finite_float_wav_is_io_error(self, tmp_path, capsys, bad):
         samples = [0.1 * np.sin(0.05 * i) for i in range(4096)]
         samples[100] = bad
-        payload = struct.pack(f"<{len(samples)}f", *samples)
-        fmt = struct.pack("<HHIIHH", 3, 1, 22050, 22050 * 4, 4, 32)
-        body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
-        body += b"data" + struct.pack("<I", len(payload)) + payload
         wav = tmp_path / "bad.wav"
-        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        wav.write_bytes(float_wav_bytes(samples))
         assert run(["analyze", str(wav)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "NaN or infinite" in err[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        wav=non_finite_wavs(),
+        command=st.sampled_from(["analyze", "thresholds", "compare ref", "compare pred"]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    # +inf beside -inf in one stereo frame once added numpy's "invalid
+    # value" warning to stderr before the error line.
+    @example(wav=float_wav_bytes([math.inf, -math.inf], channels=2), command="analyze", fmt="csv")
+    def test_non_finite_samples_anywhere(self, short_wav, wav, command, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "bad.wav")
+            with open(bad, "wb") as fh:
+                fh.write(wav)
+            paths = {
+                "analyze": [bad], "thresholds": [bad],
+                "compare ref": [bad, str(short_wav)], "compare pred": [str(short_wav), bad],
+            }[command]
+            argv = [command.split()[0], *paths, "--format", fmt]
+            code, stdout, stderr, left = run_to_file(argv)
+        assert code == 2, stderr
+        assert_clean_failure(stdout, stderr, left)
+        assert stderr.startswith("error: ") and "NaN or infinite" in stderr
 
 
 class TestOutOfMemory:

@@ -19,7 +19,7 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
-from conftest import harmonic_signal
+from conftest import band_of_bin, harmonic_signal, scaled
 
 SR = 22050
 
@@ -72,7 +72,7 @@ def reference_gradient(spec, analysis):
     layout = analysis.layout
     re, im = spec.frames.real, spec.frames.imag
     k = layout.k
-    bin_band = layout.band_of_bin()
+    bin_band = band_of_bin(layout)
     steps = np.sqrt(6.0 * analysis.masking_threshold / k)
     steps_bin = steps[:, bin_band]
     u_re = 2.0 * np.abs(re) / steps_bin + 1.0
@@ -134,7 +134,7 @@ def gapped_spec():
     silent = ~spec.frames.any(axis=1)
     clamped = analysis.spread_threshold / spreading_gain(layout) < absolute_threshold(layout, cfg)
     unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
-    live = (~clamped & unpinned)[12, layout.band_of_bin()]
+    live = (~clamped & unpinned)[12, band_of_bin(layout)]
     assert silent.sum() == 3
     assert clamped[~silent].any() and not clamped[~silent].all()
     assert np.any(live & (spec.power()[12] < SFM_POWER_FLOOR))
@@ -256,9 +256,8 @@ class TestPeGradient:
         assert abs(directional) < 1e-9 * scale
 
         h = 1e-4
-        fd = (loss_pe_of(spec.scaled(1 + h), layout) - loss_pe_of(spec.scaled(1 - h), layout)) / (
-            2 * h
-        )
+        up, down = scaled(spec, 1 + h), scaled(spec, 1 - h)
+        fd = (loss_pe_of(up, layout) - loss_pe_of(down, layout)) / (2 * h)
         assert abs(fd) < 1e-12
 
     def test_reports_the_pe_it_was_taken_at(self, voiced_spec):

@@ -25,7 +25,7 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
-from conftest import harmonic_signal
+from conftest import harmonic_signal, scaled
 
 
 def toy_layout(bin_ranges):
@@ -147,10 +147,10 @@ class TestPerceptualEntropy:
         gain = spreading_gain(layout)
         base = perceptual_entropy(spec, analyze(spec, layout))
         for c in (0.5, 2.0):
-            scaled = spec.scaled(c)
-            res = analyze(scaled, layout)
+            spec_c = scaled(spec, c)
+            res = analyze(spec_c, layout)
             assert np.all(res.spread_threshold / gain > quiet), "clamp must stay inactive"
-            result = perceptual_entropy(scaled, res)
+            result = perceptual_entropy(spec_c, res)
             assert result.mean_pe == pytest.approx(base.mean_pe, rel=1e-6)
 
 

@@ -20,7 +20,8 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
-from conftest import bark_spectrum, bin_ranges, harmonic_signal, sfm_db, spread
+from conftest import band_of_bin, bark_spectrum, bin_ranges, harmonic_signal, scaled, sfm_db
+from conftest import spread
 
 
 class TestBarkLayout:
@@ -51,13 +52,13 @@ class TestBarkLayout:
     def test_dc_bin_in_first_band(self):
         lay = bark_layout(StftConfig(sample_rate=22050))
         assert lay.lower_bins[0] == 0
-        assert lay.band_of_bin()[0] == 0
+        assert band_of_bin(lay)[0] == 0
 
     def test_bin_assignment_by_center_frequency(self):
         cfg = StftConfig(sample_rate=22050)
         lay = bark_layout(cfg)
         freqs = cfg.bin_frequencies()
-        bands = lay.band_of_bin()
+        bands = band_of_bin(lay)
         for b, f in zip(bands, freqs):
             assert lay.band_edges[b] <= f or b == 0
             assert f < lay.band_edges[b + 1] or b == lay.n - 1
@@ -305,19 +306,19 @@ class TestAnalyze:
         quiet = absolute_threshold(lay, cfg)
         gain = spreading_gain(lay)
         for c in (0.5, 2.0):
-            scaled = analyze(spec.scaled(c), lay)
-            np.testing.assert_allclose(scaled.band_power, c**2 * base.band_power, rtol=1e-9)
-            np.testing.assert_allclose(scaled.spread_power, c**2 * base.spread_power, rtol=1e-9)
+            res = analyze(scaled(spec, c), lay)
+            np.testing.assert_allclose(res.band_power, c**2 * base.band_power, rtol=1e-9)
+            np.testing.assert_allclose(res.spread_power, c**2 * base.spread_power, rtol=1e-9)
             np.testing.assert_allclose(
-                scaled.spread_threshold, c**2 * base.spread_threshold, rtol=1e-9
+                res.spread_threshold, c**2 * base.spread_threshold, rtol=1e-9
             )
-            np.testing.assert_allclose(scaled.sfm_db, base.sfm_db, atol=1e-9)
-            np.testing.assert_allclose(scaled.tonality, base.tonality, atol=1e-12)
+            np.testing.assert_allclose(res.sfm_db, base.sfm_db, atol=1e-9)
+            np.testing.assert_allclose(res.tonality, base.tonality, atol=1e-12)
             inactive = (base.spread_threshold / gain > quiet) & (
-                scaled.spread_threshold / gain > quiet
+                res.spread_threshold / gain > quiet
             )
             np.testing.assert_allclose(
-                scaled.masking_threshold[inactive],
+                res.masking_threshold[inactive],
                 c**2 * base.masking_threshold[inactive],
                 rtol=1e-9,
             )
