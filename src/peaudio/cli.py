@@ -23,8 +23,8 @@ from .pe import DEFAULT_SEED, GRAD_CHECK_TOLERANCE, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
 from .signal_io import load_wav, resample
-from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_N_MELS, DEFAULT_SAMPLE_RATE
-from .spectral import StftConfig, stft
+from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_N_CEPSTRA, DEFAULT_N_MELS
+from .spectral import DEFAULT_SAMPLE_RATE, StftConfig, stft
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -297,8 +297,14 @@ def _usable_cpus() -> int:
 
 
 def cmd_compare(args, cfg: CliConfig) -> int:
+    if cfg.n_mels < DEFAULT_N_CEPSTRA:
+        raise ConfigError(
+            f"compare needs n_mels >= {DEFAULT_N_CEPSTRA} for its {DEFAULT_N_CEPSTRA} "
+            f"mel-cepstral coefficients, got {cfg.n_mels}"
+        )
     if args.manifest:
         pairs = []
+        labels = []
         try:
             with open(args.manifest) as fh:
                 lines = fh.readlines()
@@ -312,21 +318,32 @@ def cmd_compare(args, cfg: CliConfig) -> int:
             if len(parts) != 2:
                 raise ConfigError(f"{args.manifest}:{lineno}: expected 'ref,pred'")
             pairs.append(tuple(parts))
+            labels.append(f"{args.manifest}:{lineno}: ")
         if not pairs:
             raise ConfigError(f"{args.manifest}: no ref,pred pairs")
     elif args.ref and args.pred:
         pairs = [(args.ref, args.pred)]
+        labels = [""]
     else:
         raise ConfigError("compare needs REF PRED arguments or --manifest")
 
     stft_cfg = cfg.stft()
+
+    def score(pair, label):
+        # Either error exits 2; the label names the manifest row it came from.
+        try:
+            return compare_files(pair[0], pair[1], stft_cfg, cfg.n_mels)
+        except OSError as exc:
+            raise OSError(f"{label}{exc}") from exc
+        except PeAudioError as exc:
+            raise PeAudioError(f"{label}{exc}") from exc
+
     # The rows' FFTs release the GIL, so one thread per usable CPU keeps
     # every core busy; more threads only add contention and memory.
+    # map yields in manifest order, so the first failing row is reported.
     workers = min(8, _usable_cpus(), len(pairs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(
-            pool.map(lambda pair: compare_files(pair[0], pair[1], stft_cfg, cfg.n_mels), pairs)
-        )
+        reports = list(pool.map(score, pairs, labels))
     rows = [report.to_json_dict() for report in reports]
 
     if cfg.format == "json":

@@ -9,7 +9,6 @@ with no centering pad.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import BufferTooShortError
 from .signal_io import AudioBuffer, row_blocks, rows_per_block
@@ -18,6 +17,7 @@ DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
 DEFAULT_HOP = 661  # ~29.98 ms at 22050 Hz
 DEFAULT_N_MELS = 80
+DEFAULT_N_CEPSTRA = 25
 LOG_FLOOR = 1e-10
 
 # Generalized-cosine coefficients a_k of w = sum_k a_k cos(k * fac) for
@@ -149,7 +149,7 @@ def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     window = cfg.window_samples()
     out = np.empty((frames.shape[0], cfg.bins), np.complex128)
     for block in row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)):
-        out[block] = scipy.fft.rfft(frames[block] * window, axis=1)
+        out[block] = np.fft.rfft(frames[block] * window, axis=1)
     return out
 
 
@@ -193,9 +193,12 @@ def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> MelSpect
     return MelSpectrogram(mel_from_power(spec.power(), weights), n_mels)
 
 
-def mel_cepstrum(mel: MelSpectrogram, n_coeffs: int = 25) -> np.ndarray:
+def mel_cepstrum(mel: MelSpectrogram, n_coeffs: int = DEFAULT_N_CEPSTRA) -> np.ndarray:
     """Orthonormal DCT-II of log(mel + 1e-10), first n_coeffs columns (c0 included)."""
     if not 1 <= n_coeffs <= mel.n_mels:
         raise ValueError(f"n_coeffs must be in [1, {mel.n_mels}], got {n_coeffs}")
+    # numpy has no DCT; importing scipy.fft here keeps it off every other command's start-up.
+    import scipy.fft
+
     log_mel = np.log(mel.frames + LOG_FLOOR)
     return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_coeffs]

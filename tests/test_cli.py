@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -224,6 +225,52 @@ class TestCompare:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("config error:")
             assert not out.exists()
+
+    @pytest.mark.parametrize("n_mels", [1, 10, 24])
+    def test_fewer_mels_than_cepstra_is_config_error(
+        self, voiced_wav, tmp_path, capsys, monkeypatch, n_mels
+    ):
+        def decode(path):
+            raise AssertionError(f"{path} decoded before the config was checked")
+
+        monkeypatch.setattr("peaudio.metrics.load_wav", decode)
+        out = tmp_path / "c.csv"
+        argv = ["compare", str(voiced_wav), str(voiced_wav), "--n-mels", str(n_mels)]
+        assert run([*argv, "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"config error: compare needs n_mels >= 25 for its 25 mel-cepstral "
+            f"coefficients, got {n_mels}"
+        ]
+        assert not out.exists()
+
+    def test_manifest_reports_first_failing_row(self, sine_wav_factory, tmp_path, capsys):
+        good = sine_wav_factory(220.0, name="good.wav")
+        not_riff = tmp_path / "not-riff.wav"
+        not_riff.write_bytes(b"OggS" + bytes(60))
+        short = tmp_path / "short.wav"
+        save_wav(AudioBuffer(np.zeros(100), 22050), short)
+        rows = {
+            "missing": (f"{good},{tmp_path / 'missing.wav'}", "i/o error: ", "missing.wav"),
+            "not-riff": (f"{not_riff},{good}", "error: ", "not a RIFF/WAVE file"),
+            "short": (f"{good},{short}", "error: ", "need at least fft_size=512"),
+        }
+        manifest = tmp_path / "m.csv"
+        out = tmp_path / "c.csv"
+        for order in itertools.permutations(rows):
+            for valid_at in range(len(order) + 1):
+                lines = [rows[name][0] for name in order]
+                lines.insert(valid_at, f"{good},{good}")
+                manifest.write_text("\n".join(lines) + "\n")
+                argv = ["compare", "--manifest", str(manifest), "--output", str(out)]
+                assert run([*argv, "--fft-size", "512", "--hop", "256"]) == 2
+                lineno = 1 + (valid_at == 0)
+                _, prefix, detail = rows[order[0]]
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1, err
+                assert err[0].startswith(f"{prefix}{manifest}:{lineno}: "), err
+                assert detail in err[0], err
+                assert not out.exists()
 
 
 class TestToyFit:
@@ -574,9 +621,15 @@ def short_wav(tmp_path_factory):
     return path
 
 
+# Mel band counts either side of 1 and of compare's 25 cepstral coefficients.
+mel_counts = st.sampled_from([-1, 0, 1, 10, 24, 25, 80, 128])
+
+
 @st.composite
 def boundary_argv(draw):
     """A masking command or compare with any STFT setup, valid or not, within bounded sizes.
+
+    compare also draws its mel band count.
 
     "WAV" stands for each input. Rates stop at 48 kHz: resampling to far
     higher rates allocates in proportion to the rate, which is not what
@@ -587,11 +640,15 @@ def boundary_argv(draw):
     in_range = st.integers(min_value=max(1, fft // 8), max_value=fft)
     hop = draw(st.one_of(in_range, st.sampled_from([0, -1, fft + 1])))
     rate = draw(st.sampled_from([1, 50, 100, 8000, 16000, 22050, 44100, 48000, 0, -5]))
-    argv = [command, "WAV", "--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
+    # compare's two inputs come first: argparse rejects its second
+    # (optional) positional when the options stand between the two.
+    argv = [command, "WAV", *(["WAV"] if command == "compare" else [])]
+    argv += ["--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
     if command == "grad-check":
         argv += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
     if command == "compare":
-        argv += ["WAV", "--format", draw(st.sampled_from(["csv", "json"]))]
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+        argv += ["--n-mels", str(draw(mel_counts))]
     return argv
 
 
@@ -635,9 +692,10 @@ class TestCliBoundary:
         # dozen steps, so every example ends in well under a second.
         rates = [1e6, 1e30, 1e300] if steps > 3 else [0.1, 1e300, 0.0, -1.0, math.nan, math.inf]
         lr = data.draw(st.sampled_from(rates))
+        n_mels = data.draw(mel_counts)
         argv = ["toy-fit", str(short_wav), "--steps", str(steps), "--lr", str(lr)]
-        code, stdout, stderr, left = run_to_file(argv)
-        if steps < 1 or not 0.0 < lr < math.inf:
+        code, stdout, stderr, left = run_to_file([*argv, "--n-mels", str(n_mels)])
+        if steps < 1 or not 0.0 < lr < math.inf or n_mels < 1:
             assert code == 3, stderr
             assert stderr.startswith("config error: ")
         else:
@@ -765,8 +823,10 @@ class TestColdStart:
             "    main(['thresholds', wav, '--output', out]),\n"
             "    main(['grad-check', wav, '--n-coords', '5', '--output', out]),\n"
             "    main(['toy-fit', wav, '--steps', '1', '--output', out]),\n"
-            "    main(['compare', wav, wav, '--output', out]),\n"
             "]\n"
+            "print('scipy before compare:', 'scipy' in sys.modules)\n"
+            "codes.append(main(['compare', wav, wav, '--output', out]))\n"
+            "print('scipy.fft after compare:', 'scipy.fft' in sys.modules)\n"
             "print(codes, 'scipy.signal' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
@@ -775,4 +835,31 @@ class TestColdStart:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        # Only compare's mel cepstrum (a DCT, which numpy lacks) needs scipy.fft.
+        assert "scipy before compare: False" in proc.stdout.splitlines()
+        assert "scipy.fft after compare: True" in proc.stdout.splitlines()
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+
+    def test_rows_import_scipy_fft_concurrently(self, voiced_wav, sine_wav_factory, tmp_path):
+        # In a fresh interpreter every pool thread's first row reaches the
+        # deferred scipy.fft import at about the same time.
+        other = sine_wav_factory(247.0, name="other.wav")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{voiced_wav},{other}\n{other},{voiced_wav}\n" * 4)
+        script = (
+            "import sys\n"
+            "from peaudio import cli\n"
+            "cli._usable_cpus = lambda: 8\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        fresh = tmp_path / "fresh.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "compare", "--manifest", str(manifest),
+             "--output", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warm = tmp_path / "warm.csv"
+        assert run(["compare", "--manifest", str(manifest), "--output", str(warm)]) == 0
+        assert fresh.read_bytes() == warm.read_bytes()

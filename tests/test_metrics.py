@@ -175,6 +175,41 @@ class TestBlockedTrackerMatchesPerFrame:
         np.testing.assert_array_equal(blocked.f0, default.f0)
 
 
+def scipy_normalized_autocorr(frames, lo, hi):
+    """metrics._normalized_autocorr's formula on scipy.fft, at the same FFT size."""
+    n = frames.shape[1]
+    size = scipy.fft.next_fast_len(n + hi, real=True)
+    spectrum = scipy.fft.rfft(frames, size, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    raw = scipy.fft.irfft(power, size, axis=1)[:, lo:hi]
+    squares = np.zeros((frames.shape[0], n + 1))
+    np.cumsum(frames * frames, axis=1, out=squares[:, 1:])
+    energy_head = squares[:, n - hi + 1 : n - lo + 1][:, ::-1]
+    energy_tail = squares[:, n:] - squares[:, lo:hi]
+    denom = np.sqrt(energy_head * energy_tail)
+    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+
+
+@pytest.mark.parametrize("rate, window, lo, hi", [
+    # The F0 window and the lags extract_f0 reads at three rates.
+    (16000, 640, 14, 322),
+    (22050, 882, 20, 443),
+    (44100, 1764, 40, 884),
+    (22050, 2, 0, 2),
+])
+def test_autocorr_bit_identical_to_scipy_fft(rate, window, lo, hi):
+    # The tracker's rfft/irfft are numpy's; with numpy >= 2 they run the
+    # same pocketfft core as scipy.fft and must give the same bits.
+    x = pitched_signal(rate, 1.0, seed=window)
+    hop = round(0.01 * rate)
+    frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop][: metrics.F0_BLOCK_FRAMES]
+    frames = np.vstack([frames, np.zeros(window)])  # a zero-energy row
+    got = metrics._normalized_autocorr(frames, lo, hi)
+    want = scipy_normalized_autocorr(frames, lo, hi)
+    assert got.shape == (metrics.F0_BLOCK_FRAMES + 1, hi - lo)
+    assert got.tobytes() == want.tobytes()
+
+
 def traced_peak_bytes(buf):
     tracemalloc.start()
     try:
