@@ -44,7 +44,6 @@ from .psychoacoustic import (
 )
 from .signal_io import AudioBuffer, load_wav, resample, save_wav
 from .spectral import (
-    MelSpectrogram,
     Spectrogram,
     StftConfig,
     mel_cepstrum,

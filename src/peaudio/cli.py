@@ -13,11 +13,12 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from .errors import ConfigError, DivergenceError, PeAudioError
+from .errors import ConfigError, DivergenceError, MismatchWarning, PeAudioError
 from .metrics import compare as compare_files
 from .pe import DEFAULT_SEED, GRAD_CHECK_TOLERANCE, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
@@ -109,9 +110,20 @@ def resolve_config(args) -> CliConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    intermixed = False  # compare's: options may stand between its two optional inputs
+
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self.intermixed:
+            return super().parse_known_args(args, namespace)
+        self.intermixed = False  # parse_known_intermixed_args calls back here, once per pass
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self.intermixed = True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", nargs="?")
     p.add_argument("--manifest", default=None, help="CSV of ref,pred paths, one pair per line")
     p.set_defaults(func=cmd_compare)
+    p.intermixed = True
 
     p = sub.add_parser("toy-fit", parents=[common], help="gradient-descent regularization demo")
     p.add_argument("target")
@@ -342,8 +355,13 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     # every core busy; more threads only add contention and memory.
     # map yields in manifest order, so the first failing row is reported.
     workers = min(8, _usable_cpus(), len(pairs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # Mismatches print below with their rows' labels; the filter is restored after the join.
+    with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=workers) as pool:
+        warnings.simplefilter("ignore", MismatchWarning)
         reports = list(pool.map(score, pairs, labels))
+    for label, report in zip(labels, reports):
+        if report.mismatch:
+            print(f"warning: {label}{report.mismatch}", file=sys.stderr)
     rows = [report.to_json_dict() for report in reports]
 
     if cfg.format == "json":

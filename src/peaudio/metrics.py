@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
+from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
 from .signal_io import AudioBuffer, load_wav, resample, row_blocks
-from .spectral import DEFAULT_N_CEPSTRA, DEFAULT_N_MELS, StftConfig
+from .spectral import DEFAULT_N_MELS, StftConfig
 from .spectral import mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
@@ -33,7 +33,6 @@ class F0Track:
 
     f0: np.ndarray
     voiced: np.ndarray
-    hop_seconds: float
 
     def __post_init__(self):
         f0 = np.asarray(self.f0, dtype=np.float64)
@@ -62,6 +61,7 @@ class MetricReport:
     vuv_error_pct: float
     f0_corr: float
     frames_compared: int
+    mismatch: str | None = None  # the MismatchWarning's message, if one was issued
 
     def to_json_dict(self) -> dict:
         def clean(value):
@@ -109,21 +109,14 @@ def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
 
 
-def extract_f0(
-    buf: AudioBuffer,
-    hop_seconds: float = 0.03,
-    window_seconds: float = F0_WINDOW_SECONDS,
-    fmin: float = F0_MIN_HZ,
-    fmax: float = F0_MAX_HZ,
-    voicing_threshold: float = VOICING_AUTOCORR_THRESHOLD,
-    rms_gate: float = VOICING_RMS_GATE,
-) -> F0Track:
+def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
     """Autocorrelation pitch tracker.
 
-    A frame is voiced when its best normalized autocorrelation peak in
-    the candidate range reaches voicing_threshold and its RMS clears
-    rms_gate times the utterance's peak frame RMS. Among lags within 2%
-    of the best peak the smallest wins, which suppresses subharmonic
+    A frame is voiced when its best normalized autocorrelation peak
+    between F0_MIN_HZ and F0_MAX_HZ reaches VOICING_AUTOCORR_THRESHOLD
+    and its RMS over the F0_WINDOW_SECONDS window clears VOICING_RMS_GATE
+    times the utterance's peak frame RMS. Among lags within 2% of the
+    best peak the smallest wins, which suppresses subharmonic
     (octave-down) picks when an integer multiple of the period happens
     to align better with the lag grid. The chosen lag is refined by
     parabolic interpolation before converting to Hz.
@@ -132,16 +125,16 @@ def extract_f0(
     the per-frame outputs does not grow with the signal's length.
     """
     rate = buf.sample_rate
-    window = max(2, round(window_seconds * rate))
+    window = max(2, round(F0_WINDOW_SECONDS * rate))
     hop = max(1, round(hop_seconds * rate))
     x = buf.samples
     n_frames = 1 + (x.size - window) // hop if x.size >= window else 0
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    lag_min = max(1, math.ceil(rate / fmax))
-    lag_max = min(window - 1, math.floor(rate / fmin))
+    lag_min = max(1, math.ceil(rate / F0_MAX_HZ))
+    lag_max = math.floor(rate / F0_MIN_HZ)
     if n_frames == 0 or lag_max <= lag_min:
-        return F0Track(f0, voiced, hop_seconds)
+        return F0Track(f0, voiced)
 
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     rms = np.empty(n_frames)
@@ -149,33 +142,33 @@ def extract_f0(
         rms[block] = np.sqrt(np.mean(windows[block] ** 2, axis=1))
     peak_rms = rms.max()
     if peak_rms == 0:
-        return F0Track(f0, voiced, hop_seconds)
-    gated_in = np.flatnonzero(~(rms < rms_gate * peak_rms))
+        return F0Track(f0, voiced)
+    gated_in = np.flatnonzero(~(rms < VOICING_RMS_GATE * peak_rms))
 
-    # Lags lag_min-1 .. lag_max+1 are read; lag_max+1 only below window-1.
+    # Lags lag_min-1 .. lag_max+1 are read; the window holds lag_max + 2
+    # samples at every rate where the tracker runs (test_window_holds_every_lag_read).
     lo = lag_min - 1
-    hi = min(window, lag_max + 2)
+    hi = lag_max + 2
     for block in row_blocks(gated_in.size, F0_BLOCK_FRAMES):
         rows = gated_in[block]
         corr = _normalized_autocorr(windows[rows], lo, hi)
         candidates = corr[:, 1 : lag_max - lo + 1]
         best = candidates.max(axis=1)
-        is_voiced = ~(best < voicing_threshold)
-        at = np.flatnonzero(is_voiced)
+        at = np.flatnonzero(~(best < VOICING_AUTOCORR_THRESHOLD))
         # Column of the chosen lag in corr; its neighbours are at +-1.
         col = 1 + np.argmax(candidates[at] >= 0.98 * best[at, None], axis=1)
         lag = lo + col
         left = corr[at, col - 1]
         mid = corr[at, col]
-        right = corr[at, np.minimum(col + 1, hi - lo - 1)]
+        right = corr[at, col + 1]
         denom = left - 2.0 * mid + right
         refined = lag.astype(np.float64)
-        bend = (lag < window - 1) & (denom < 0)
+        bend = denom < 0
         refined[bend] += 0.5 * (left - right)[bend] / denom[bend]
         voiced[rows[at]] = True
-        f0[rows[at]] = np.minimum(np.maximum(rate / refined, fmin), fmax)
+        f0[rows[at]] = np.minimum(np.maximum(rate / refined, F0_MIN_HZ), F0_MAX_HZ)
 
-    return F0Track(f0, voiced, hop_seconds)
+    return F0Track(f0, voiced)
 
 
 def mcd(ref: np.ndarray, pred: np.ndarray) -> float:
@@ -228,41 +221,48 @@ def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
     return rmse, vuv_error, max(-1.0, min(1.0, corr))
 
 
+def _features(path, buf: AudioBuffer, cfg: StftConfig, n_mels: int):
+    """The file's mel cepstrum and F0 track; a clip too short for either is named in the error."""
+    try:
+        cepstrum = mel_cepstrum(mel_spectrogram(stft(buf, cfg), n_mels))
+    except BufferTooShortError as exc:
+        raise BufferTooShortError(f"{path}: {exc}") from exc
+    track = extract_f0(buf, cfg.hop / cfg.sample_rate)
+    if len(track) == 0:
+        detail = f"need at least {F0_WINDOW_SECONDS:g} s for one F0 frame, got {len(buf)} samples"
+        raise BufferTooShortError(f"{path}: {detail}")
+    return cepstrum, track
+
+
 def compare(
-    ref_path,
-    pred_path,
-    cfg: StftConfig | None = None,
-    n_mels: int = DEFAULT_N_MELS,
-    n_coeffs: int = DEFAULT_N_CEPSTRA,
+    ref_path, pred_path, cfg: StftConfig | None = None, n_mels: int = DEFAULT_N_MELS
 ) -> MetricReport:
     """Load two WAVs and score prediction against reference.
 
     Both files are resampled to the config rate; features are compared
-    over the shorter one's frames. A MismatchWarning is issued when the
-    frame counts differ by more than 5%.
+    over the shorter one's frames. When the frame counts differ by more
+    than 5%, a MismatchWarning is issued and the report's mismatch holds
+    its message, which names both files.
     """
     cfg = cfg or StftConfig()
     ref_buf = resample(load_wav(ref_path), cfg.sample_rate)
     pred_buf = resample(load_wav(pred_path), cfg.sample_rate)
+    ref_cep, ref_track = _features(ref_path, ref_buf, cfg, n_mels)
+    pred_cep, pred_track = _features(pred_path, pred_buf, cfg, n_mels)
 
-    ref_cep = mel_cepstrum(mel_spectrogram(stft(ref_buf, cfg), n_mels), n_coeffs)
-    pred_cep = mel_cepstrum(mel_spectrogram(stft(pred_buf, cfg), n_mels), n_coeffs)
     frames = min(ref_cep.shape[0], pred_cep.shape[0])
     longest = max(ref_cep.shape[0], pred_cep.shape[0])
-    if longest and (longest - frames) / longest > 0.05:
-        warnings.warn(
-            f"frame counts differ by more than 5% ({ref_cep.shape[0]} vs {pred_cep.shape[0]})",
-            MismatchWarning,
-            stacklevel=2,
-        )
+    mismatch = None
+    if (longest - frames) / longest > 0.05:
+        counts = f"{ref_cep.shape[0]} vs {pred_cep.shape[0]}"
+        mismatch = f"{ref_path} and {pred_path}: frame counts differ by more than 5% ({counts})"
+        warnings.warn(mismatch, MismatchWarning, stacklevel=2)
     mcd_db = mcd(ref_cep[:frames], pred_cep[:frames])
 
-    ref_track = extract_f0(ref_buf, hop_seconds=cfg.hop_seconds)
-    pred_track = extract_f0(pred_buf, hop_seconds=cfg.hop_seconds)
     n_f0 = min(len(ref_track), len(pred_track))
     rmse, vuv, corr = f0_metrics(
-        F0Track(ref_track.f0[:n_f0], ref_track.voiced[:n_f0], ref_track.hop_seconds),
-        F0Track(pred_track.f0[:n_f0], pred_track.voiced[:n_f0], pred_track.hop_seconds),
+        F0Track(ref_track.f0[:n_f0], ref_track.voiced[:n_f0]),
+        F0Track(pred_track.f0[:n_f0], pred_track.voiced[:n_f0]),
     )
     return MetricReport(
         mcd_db=mcd_db,
@@ -270,4 +270,5 @@ def compare(
         vuv_error_pct=vuv,
         f0_corr=corr,
         frames_compared=frames,
+        mismatch=mismatch,
     )

@@ -62,10 +62,6 @@ class StftConfig:
     def bins(self) -> int:
         return self.fft_size // 2 + 1
 
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop / self.sample_rate
-
     def window_samples(self) -> np.ndarray:
         """The periodic (DFT-even) window: fft_size + 1 symmetric points, last one dropped.
 
@@ -107,26 +103,6 @@ class Spectrogram:
 
     def power(self) -> np.ndarray:
         return self.frames.real**2 + self.frames.imag**2
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """Nonnegative mel-band energies, (n_frames, n_mels)."""
-
-    frames: np.ndarray
-    n_mels: int
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        object.__setattr__(self, "frames", frames)
-        if frames.ndim != 2 or frames.shape[1] != self.n_mels:
-            raise ValueError(f"frames must be (T, {self.n_mels}), got {frames.shape}")
-        if frames.size and (not np.isfinite(frames).all() or frames.min() < 0):
-            raise ValueError("mel energies must be finite and nonnegative")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
@@ -187,18 +163,17 @@ def mel_from_power(power: np.ndarray, weights: np.ndarray, out=None) -> np.ndarr
     return np.matmul(power, weights.T, out=out)
 
 
-def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> MelSpectrogram:
-    """Mel-band energies of the power spectrum |X|^2."""
-    weights = mel_filterbank(spec.config, n_mels)
-    return MelSpectrogram(mel_from_power(spec.power(), weights), n_mels)
+def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> np.ndarray:
+    """Mel-band energies of the power spectrum |X|^2, shape (n_frames, n_mels)."""
+    return mel_from_power(spec.power(), mel_filterbank(spec.config, n_mels))
 
 
-def mel_cepstrum(mel: MelSpectrogram, n_coeffs: int = DEFAULT_N_CEPSTRA) -> np.ndarray:
-    """Orthonormal DCT-II of log(mel + 1e-10), first n_coeffs columns (c0 included)."""
-    if not 1 <= n_coeffs <= mel.n_mels:
-        raise ValueError(f"n_coeffs must be in [1, {mel.n_mels}], got {n_coeffs}")
+def mel_cepstrum(mel: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of log(mel + 1e-10) along each row, first DEFAULT_N_CEPSTRA columns."""
+    if mel.shape[1] < DEFAULT_N_CEPSTRA:
+        raise ValueError(f"need at least {DEFAULT_N_CEPSTRA} mel bands, got {mel.shape[1]}")
     # numpy has no DCT; importing scipy.fft here keeps it off every other command's start-up.
     import scipy.fft
 
-    log_mel = np.log(mel.frames + LOG_FLOOR)
-    return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+    log_mel = np.log(mel + LOG_FLOOR)
+    return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :DEFAULT_N_CEPSTRA]

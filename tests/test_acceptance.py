@@ -141,10 +141,10 @@ def test_criterion_6_metric_oracles():
     assert mcd(a, b) == pytest.approx(6.1421, abs=1e-3)
     assert mcd(a, b) == pytest.approx(MCD_CONSTANT, rel=1e-12)
 
-    ref = F0Track(np.array([220.0, 240.0, 0.0]), np.array([True, True, False]), 0.03)
+    ref = F0Track(np.array([220.0, 240.0, 0.0]), np.array([True, True, False]))
     assert f0_metrics(ref, ref) == (0.0, 0.0, 1.0)
 
-    shifted = F0Track(np.array([221.0, 241.0, 0.0]), np.array([True, True, False]), 0.03)
+    shifted = F0Track(np.array([221.0, 241.0, 0.0]), np.array([True, True, False]))
     rmse, vuv, corr = f0_metrics(ref, shifted)
     assert rmse == pytest.approx(1.0, rel=1e-12)
     assert vuv == 0.0

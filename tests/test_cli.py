@@ -244,6 +244,76 @@ class TestCompare:
         ]
         assert not out.exists()
 
+    def test_options_between_the_inputs(self, sine_wav_factory, capsys):
+        a = sine_wav_factory(220.0, name="a.wav")
+        b = sine_wav_factory(247.0, name="b.wav")
+        assert run(["compare", str(a), str(b), "--format", "json", "--hop", "512"]) == 0
+        expected = capsys.readouterr()
+        for argv in (
+            [str(a), "--format", "json", str(b), "--hop", "512"],
+            ["--format", "json", str(a), "--hop", "512", str(b)],
+            ["--hop", "512", "--format", "json", str(a), str(b)],
+        ):
+            assert run(["compare", *argv]) == 0
+            assert capsys.readouterr() == expected
+
+    def test_third_input_is_one_line_config_error(self, sine_wav_factory, capsys):
+        a, b, c = (str(sine_wav_factory(220.0, name=f"{n}.wav")) for n in "abc")
+        for argv in ([a, b, c], [a, "--format", "json", b, c], [a, b, "--hop", "512", c]):
+            assert run(["compare", *argv]) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                f"peaudio: error: unrecognized arguments: {c}"
+            ]
+
+    @pytest.mark.parametrize("samples, flags, detail", [
+        (100, [], "need at least fft_size=1024 samples, got 100"),
+        (600, ["--fft-size", "512", "--hop", "256"],
+         "need at least 0.04 s for one F0 frame, got 600 samples"),
+    ], ids=["stft-frame", "f0-frame"])
+    def test_short_input_is_named(
+        self, sine_wav_factory, tmp_path, capsys, samples, flags, detail
+    ):
+        good = sine_wav_factory(220.0, name="good.wav")
+        short = tmp_path / "short.wav"
+        save_wav(AudioBuffer(np.full(samples, 0.5), 22050), short)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{good},{good}\n{good},{short}\n")
+        for argv, label in (
+            ([str(short), str(good)], ""),
+            ([str(good), str(short)], ""),
+            (["--manifest", str(manifest)], f"{manifest}:2: "),
+        ):
+            assert run(["compare", *argv, *flags]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {label}{short}: {detail}"]
+
+    def test_length_mismatch_warns_once_per_pair(self, sine_wav_factory, tmp_path):
+        # In a fresh interpreter, under Python's default warning filters,
+        # which show a repeated warning message only once.
+        a = sine_wav_factory(220.0, duration=1.0, name="a.wav")
+        b = sine_wav_factory(220.0, duration=0.5, name="b.wav")
+        c = sine_wav_factory(247.0, duration=0.5, name="c.wav")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{a},{b}\n{a},{a}\n{a},{c}\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        mismatch = "frame counts differ by more than 5% (32 vs 16)"
+        for argv, warned in (
+            ([str(a), str(b)], [f"warning: {a} and {b}: {mismatch}"]),
+            (["--manifest", str(manifest)], [
+                f"warning: {manifest}:1: {a} and {b}: {mismatch}",
+                f"warning: {manifest}:3: {a} and {c}: {mismatch}",
+            ]),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "peaudio.cli", "compare", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr.splitlines()) == (0, warned)
+            expected = io.StringIO()
+            with contextlib.redirect_stdout(expected):
+                assert run(["compare", *argv]) == 0
+            assert proc.stdout == expected.getvalue()
+
     def test_manifest_reports_first_failing_row(self, sine_wav_factory, tmp_path, capsys):
         good = sine_wav_factory(220.0, name="good.wav")
         not_riff = tmp_path / "not-riff.wav"
@@ -640,16 +710,15 @@ def boundary_argv(draw):
     in_range = st.integers(min_value=max(1, fft // 8), max_value=fft)
     hop = draw(st.one_of(in_range, st.sampled_from([0, -1, fft + 1])))
     rate = draw(st.sampled_from([1, 50, 100, 8000, 16000, 22050, 44100, 48000, 0, -5]))
-    # compare's two inputs come first: argparse rejects its second
-    # (optional) positional when the options stand between the two.
-    argv = [command, "WAV", *(["WAV"] if command == "compare" else [])]
-    argv += ["--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
+    options = ["--fft-size", str(fft), "--hop", str(hop), "--sample-rate", str(rate)]
     if command == "grad-check":
-        argv += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
+        options += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
     if command == "compare":
-        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
-        argv += ["--n-mels", str(draw(mel_counts))]
-    return argv
+        options += ["--format", draw(st.sampled_from(["csv", "json"]))]
+        options += ["--n-mels", str(draw(mel_counts))]
+        # compare's second input goes before, between or after the options.
+        options.insert(2 * draw(st.integers(0, len(options) // 2)), "WAV")
+    return [command, "WAV", *options]
 
 
 def run_to_file(argv):

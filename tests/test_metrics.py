@@ -14,11 +14,11 @@ from peaudio.spectral import StftConfig
 from conftest import SR, sine_signal
 
 
-def track(f0_values, voiced=None, hop=0.03):
+def track(f0_values, voiced=None):
     f0_values = np.asarray(f0_values, float)
     if voiced is None:
         voiced = f0_values > 0
-    return F0Track(f0_values, np.asarray(voiced, bool), hop)
+    return F0Track(f0_values, np.asarray(voiced, bool))
 
 
 def frame_autocorr(frame):
@@ -103,20 +103,18 @@ class TestBlockedTrackerMatchesPerFrame:
     F0 equal up to FFT roundoff."""
 
     @staticmethod
-    def assert_matches(buf, **kwargs):
-        f0, voiced = per_frame_f0(buf, **kwargs)
-        track = extract_f0(buf, **kwargs)
+    def assert_matches(buf, hop_seconds=0.03, **oracle_kwargs):
+        f0, voiced = per_frame_f0(buf, hop_seconds, **oracle_kwargs)
+        track = extract_f0(buf, hop_seconds)
         np.testing.assert_array_equal(track.voiced, voiced)
         np.testing.assert_allclose(track.f0, f0, rtol=1e-9, atol=0)
         return track
 
     @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
-    @pytest.mark.parametrize("window_seconds", [0.04, 0.02, 0.006])
+    @pytest.mark.parametrize("window_seconds", [metrics.F0_WINDOW_SECONDS])
     def test_pitched_signal(self, rate, window_seconds):
-        # At 20 ms and 6 ms the longest candidate lag is window - 1,
-        # where no parabolic refinement is possible.
         buf = AudioBuffer(pitched_signal(rate, 0.8, seed=rate), rate)
-        track = self.assert_matches(buf, hop_seconds=0.01, window_seconds=window_seconds)
+        track = self.assert_matches(buf, hop_seconds=0.01)
         assert track.voiced.any()
         hop = round(0.01 * rate)
         window = round(window_seconds * rate)
@@ -125,17 +123,21 @@ class TestBlockedTrackerMatchesPerFrame:
         assert not track.voiced[gated].any()
 
     def test_best_lag_at_longest_candidate(self):
-        # A pulse-like 60.05 Hz tone (period 367.2) peaks at lag_max = 367
-        # < window - 1, so refinement reads lag 368. rate / 367 is not a
-        # whole multiple of fmin, so the clamp does not hide the refinement.
-        t = np.arange(SR) / SR
-        x = sum(np.sin(2 * np.pi * 60.05 * k * t) for k in range(1, 60)) / 60.0
-        track = self.assert_matches(AudioBuffer(x, SR), fmin=60.0)
+        # At 22075 Hz a pulse-like tone of period 441.25 peaks at lag_max
+        # = floor(22075 / 50) = 441, so refinement reads lag 442.
+        # rate / 441 is not a whole multiple of F0_MIN_HZ, so the clamp
+        # does not hide the refinement.
+        rate = 22075
+        t = np.arange(rate) / rate
+        x = sum(np.sin(2 * np.pi * (rate / 441.25) * k * t) for k in range(1, 60)) / 60.0
+        track = self.assert_matches(AudioBuffer(x, rate))
         assert track.voiced.any()
-        assert np.any((track.f0[track.voiced] > 60.0) & (track.f0[track.voiced] < SR / 367))
+        voiced_f0 = track.f0[track.voiced]
+        assert np.any((voiced_f0 > metrics.F0_MIN_HZ) & (voiced_f0 < rate / 441))
 
-    def test_gate_keeps_frames_at_exactly_the_gate(self):
-        # rms_gate = 1 lets through only the frames whose RMS equals the peak.
+    def test_gate_keeps_frames_at_exactly_the_gate(self, monkeypatch):
+        # A gate of 1 lets through only the frames whose RMS equals the peak.
+        monkeypatch.setattr(metrics, "VOICING_RMS_GATE", 1.0)
         track = self.assert_matches(AudioBuffer(sine_signal(220.0), SR), rms_gate=1.0)
         assert track.voiced.any()
 
@@ -160,11 +162,6 @@ class TestBlockedTrackerMatchesPerFrame:
         buf = AudioBuffer(sine_signal(220.0, duration=(window - 1) / SR), SR)
         assert len(self.assert_matches(buf)) == 0
 
-    def test_window_shorter_than_shortest_lag(self):
-        buf = AudioBuffer(sine_signal(220.0), SR)
-        track = self.assert_matches(buf, window_seconds=0.0005)
-        assert len(track) > 0 and not track.voiced.any()
-
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block):
         buf = AudioBuffer(pitched_signal(SR, 1.5, seed=3), SR)
@@ -173,6 +170,21 @@ class TestBlockedTrackerMatchesPerFrame:
         blocked = extract_f0(buf, hop_seconds=0.01)
         np.testing.assert_array_equal(blocked.voiced, default.voiced)
         np.testing.assert_array_equal(blocked.f0, default.f0)
+
+
+def test_window_holds_every_lag_read():
+    # extract_f0 reads lags up to lag_max + 1 and refines the chosen lag
+    # from both neighbours without checking either against the window.
+    # That holds only while the window is at least lag_max + 2 samples
+    # long at every rate where the tracker runs; a change to the
+    # constants that breaks this would need those checks back.
+    rates = np.arange(1, 2_000_001)
+    window = np.maximum(2, np.round(metrics.F0_WINDOW_SECONDS * rates))
+    lag_min = np.maximum(1, np.ceil(rates / metrics.F0_MAX_HZ))
+    lag_max = np.floor(rates / metrics.F0_MIN_HZ)
+    runs = lag_max > lag_min
+    assert runs.sum() > 1_900_000
+    assert np.all(lag_max[runs] + 2 <= window[runs])
 
 
 def scipy_normalized_autocorr(frames, lo, hi):
@@ -269,11 +281,11 @@ class TestExtractF0:
 class TestF0Track:
     def test_rejects_f0_voicing_mismatch(self):
         with pytest.raises(ValueError):
-            F0Track(np.array([100.0, 0.0]), np.array([True, True]), 0.03)
+            F0Track(np.array([100.0, 0.0]), np.array([True, True]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            F0Track(np.array([3000.0]), np.array([True]), 0.03)
+            F0Track(np.array([3000.0]), np.array([True]))
 
 
 class TestMcd:
