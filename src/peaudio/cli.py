@@ -404,8 +404,9 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
             seed=cfg.seed, stft_cfg=stft_cfg, n_mels=cfg.n_mels,
         )
 
-    # The arms share nothing, and their FFTs and matrix products release
-    # the GIL, so each gets a thread while there is a CPU for it.
+    # The arms share nothing (each allocates its step and gradient
+    # buffers once), and their FFTs and matrix products release the GIL,
+    # so each gets a thread while there is a CPU for it.
     with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
         arms = dict(zip(lams, pool.map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}

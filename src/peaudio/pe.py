@@ -148,18 +148,37 @@ def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
     return l_sing + cfg.lam * pe_result.loss_pe
 
 
-def pe_gradient(spec: Spectrogram, layout: BarkBandLayout) -> GradientReport:
+def pe_gradient(
+    spec: Spectrogram, layout: BarkBandLayout, *, out: np.ndarray | None = None
+) -> GradientReport:
     """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
 
     Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
     tonality min(u, 1) keeps the u-branch derivative at u = 1, and the
     max() clamps (threshold floor, flatness power floor) follow whichever
     branch is active, ties going to the variable branch.
+
+    out, if given, must be a C-contiguous complex128 array of
+    spec.frames.shape; every element is overwritten with the partials and
+    it is returned as the report's grad. It picks where the result goes
+    and changes no value, so a caller that takes many gradients of one
+    shape can reuse one buffer.
     """
-    return _gradient(spec, analyze(spec, layout))
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.complex128
+        and out.shape == spec.frames.shape
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
+        )
+    return _gradient(spec, analyze(spec, layout), out)
 
 
-def _gradient(spec: Spectrogram, analysis: BarkAnalysis) -> GradientReport:
+def _gradient(
+    spec: Spectrogram, analysis: BarkAnalysis, out: np.ndarray | None = None
+) -> GradientReport:
     """Loss partials packed re+1j*im, with the PE they were taken at.
 
     One pass over blocks of frames: each block's forward quantization
@@ -175,12 +194,13 @@ def _gradient(spec: Spectrogram, analysis: BarkAnalysis) -> GradientReport:
     over its bins, which the masking pipeline passes back to the band
     powers (spreading) and the bin powers (flatness), and so, by
     d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
+    The result goes into out when it is given (pe_gradient checks it).
     """
     layout = analysis.layout
     k = layout.k
     per_frame = np.empty(spec.n_frames)
     blocks = _quantize(spec, analysis, per_frame)
-    grad = np.empty(spec.frames.shape, np.complex128)
+    grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
     # What the threshold path makes of a band's sum(|x|*r), per band
     # and frame. The threshold is the spread threshold over the
     # spreading gain unless the absolute-threshold clamp replaced it.
@@ -499,6 +519,9 @@ def toy_fit(
     scratch = np.empty_like(mag)
     mel_err = np.empty_like(ref_mel)
     pred_frames = np.empty_like(phase)
+    # The PE gradient too: a fresh one per step made the allocator hand
+    # its pages back and fault them in again at every step.
+    pe_grad = np.empty_like(phase)
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
@@ -516,8 +539,7 @@ def toy_fit(
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
         if cfg.lam > 0 and step < steps:
-            report = pe_gradient(pred, layout)
-            pe_result = report.pe
+            pe_result = pe_gradient(pred, layout, out=pe_grad).pe
         else:
             pe_result = perceptual_entropy(pred, analyze(pred, layout))
         record.l_sing_curve.append(l_sing)
@@ -539,11 +561,10 @@ def toy_fit(
         grad += scratch
         if cfg.lam > 0:
             # lam * (Re(g) cos(phi) + Im(g) sin(phi)), the PE partial along mag.
-            np.multiply(report.grad.real, cos_phi, out=scratch)
-            scratch += np.multiply(report.grad.imag, sin_phi, out=mag_err)
+            np.multiply(pe_grad.real, cos_phi, out=scratch)
+            scratch += np.multiply(pe_grad.imag, sin_phi, out=mag_err)
             scratch *= cfg.lam
             grad += scratch
-            del report  # so the next iterate's gradient does not coexist with it
         with np.errstate(over="ignore", invalid="ignore"):
             grad *= learning_rate
             mag -= grad

@@ -268,6 +268,27 @@ class TestPeGradient:
         assert got.mean_pe == want.mean_pe
         assert got.loss_pe == want.loss_pe
 
+    def test_out_receives_the_partials(self, voiced_spec):
+        spec, layout = voiced_spec
+        buf = np.full(spec.frames.shape, np.nan, np.complex128)
+        report = pe_gradient(spec, layout, out=buf)
+        assert report.grad is buf
+        assert buf.tobytes() == pe_gradient(spec, layout).grad.tobytes()
+        # Reused for another spectrum, nothing of the first result is left.
+        other = Spectrogram(0.5 * spec.frames[::-1], spec.config)
+        assert pe_gradient(other, layout, out=buf).grad is buf
+        assert buf.tobytes() == pe_gradient(other, layout).grad.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda shape: np.empty((shape[0] + 1, shape[1]), np.complex128),
+        lambda shape: np.empty(shape, np.complex64),
+        lambda shape: np.empty((shape[0], 2 * shape[1]), np.complex128)[:, ::2],
+    ], ids=["shape", "dtype", "non-contiguous"])
+    def test_rejects_an_unfit_out(self, voiced_spec, make):
+        spec, layout = voiced_spec
+        with pytest.raises(ValueError, match="C-contiguous complex128 array of shape"):
+            pe_gradient(spec, layout, out=make(spec.frames.shape))
+
     def test_all_kink_vacuous_pass(self):
         cfg = StftConfig(sample_rate=SR)
         layout = bark_layout(cfg)

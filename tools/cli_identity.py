@@ -9,12 +9,14 @@ OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
 inputs into a temporary directory, and every operation of every plan
 runs under both trees twice: once with its ``--output`` file and once
 writing to stdout. Output files, stdout, stderr and exit codes are
-compared byte for byte. The script prints each difference, then the
-Python line count of each tree (counted as the benchmark counts
-``src/``) and the change between them, and last a summary line; it
-exits 1 if there is any difference, 0 otherwise. ``--tiny`` uses the
-benchmark's tiny inputs, which make a run take seconds instead of
-minutes.
+compared byte for byte. The script prints each difference, then what
+each tree's runs cost per command (the summed CPU seconds and minor page
+faults of its children, as ``os.wait4`` reports them; printed, not
+compared), then the Python line count of each tree (counted as the
+benchmark counts ``src/``) and the change between them, and last a
+summary line; it exits 1 if there is any difference, 0 otherwise.
+``--tiny`` uses the benchmark's tiny inputs, which make a run take
+seconds instead of minutes.
 
 Each tree runs in one process that imports ``peaudio.cli`` once and
 forks a child per operation, so every operation starts from a fresh
@@ -81,7 +83,7 @@ def run_jobs(jobs_path: str, src: str) -> None:
     if not Path(peaudio.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"peaudio imported from {peaudio.__file__}, not from {src}")
     jobs = json.loads(Path(jobs_path).read_text())
-    codes = []
+    runs = []
     for i, job in enumerate(jobs):
         sys.stdout.flush()
         sys.stderr.flush()
@@ -101,19 +103,34 @@ def run_jobs(jobs_path: str, src: str) -> None:
                 sys.stdout.flush()
                 sys.stderr.flush()
                 os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        codes.append(os.waitstatus_to_exitcode(status))
-    Path("exit_codes.json").write_text(json.dumps(codes))
+        _, status, usage = os.wait4(pid, 0)
+        runs.append({
+            "code": os.waitstatus_to_exitcode(status),
+            "cpu_s": usage.ru_utime + usage.ru_stime,
+            "minflt": usage.ru_minflt,
+        })
+    Path("runs.json").write_text(json.dumps(runs))
 
 
 def src_lines(src: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in sorted(src.rglob("*.py")))
 
 
+def costs(jobs: list[dict], out_dir: Path) -> dict[str, list]:
+    """Runs, CPU seconds and minor faults of one tree, summed per CLI command."""
+    per_command = {}
+    for job, run in zip(jobs, json.loads((out_dir / "runs.json").read_text())):
+        total = per_command.setdefault(job["argv"][0], [0, 0.0, 0])
+        total[0] += 1
+        total[1] += run["cpu_s"]
+        total[2] += run["minflt"]
+    return per_command
+
+
 def compare(jobs: list[dict], old: Path, new: Path) -> list[str]:
     diffs = []
-    old_codes = json.loads((old / "exit_codes.json").read_text())
-    new_codes = json.loads((new / "exit_codes.json").read_text())
+    old_codes = [run["code"] for run in json.loads((old / "runs.json").read_text())]
+    new_codes = [run["code"] for run in json.loads((new / "runs.json").read_text())]
     for i, job in enumerate(jobs):
         command = "peaudio " + " ".join(job["argv"])
         if old_codes[i] != new_codes[i]:
@@ -142,8 +159,12 @@ def main(argv=None) -> int:
         run_tree(args.old_src.resolve(), jobs, work / "old")
         run_tree(args.new_src.resolve(), jobs, work / "new")
         diffs = compare(jobs, work / "old", work / "new")
+        cost = {tree: costs(jobs, work / tree) for tree in ("old", "new")}
     for line in diffs:
         print(line)
+    for tree, per_command in cost.items():
+        for command, (n, cpu_s, minflt) in per_command.items():
+            print(f"{tree} {command}: {n} runs, {cpu_s:.2f} s CPU, {minflt} minor faults")
     old_lines, new_lines = src_lines(args.old_src), src_lines(args.new_src)
     print(f"old src: {old_lines} lines")
     print(f"new src: {new_lines} lines ({new_lines - old_lines:+d})")
