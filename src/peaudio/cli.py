@@ -8,18 +8,18 @@ its default path can come from the PE_AUDIO_CONFIG environment variable.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from .errors import ConfigError, DivergenceError, MismatchWarning, PeAudioError
-from .metrics import compare as compare_files
+from .errors import ConfigError, DivergenceError, PeAudioError
+from .metrics import file_features, score
 from .pe import DEFAULT_SEED, GRAD_CHECK_TOLERANCE, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
@@ -309,6 +309,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _thread_map(fn, items, limit: int):
+    """Map fn over items on one thread per usable CPU, at most limit.
+
+    Every item is submitted at once. Yields the iterator of results, in
+    the items' order; each result is released as it is read.
+    """
+    items = list(items)
+    with ThreadPoolExecutor(max_workers=min(limit, _usable_cpus(), len(items))) as pool:
+        yield pool.map(fn, items)
+
+
 def cmd_compare(args, cfg: CliConfig) -> int:
     if cfg.n_mels < DEFAULT_N_CEPSTRA:
         raise ConfigError(
@@ -316,6 +328,8 @@ def cmd_compare(args, cfg: CliConfig) -> int:
             f"mel-cepstral coefficients, got {cfg.n_mels}"
         )
     if args.manifest:
+        if args.ref is not None:
+            raise ConfigError("compare takes REF PRED arguments or --manifest, not both")
         pairs = []
         labels = []
         try:
@@ -341,24 +355,36 @@ def cmd_compare(args, cfg: CliConfig) -> int:
         raise ConfigError("compare needs REF PRED arguments or --manifest")
 
     stft_cfg = cfg.stft()
+    # One task per distinct path, as written, in order of first appearance.
+    paths = list(dict.fromkeys(path for pair in pairs for path in pair))
+    last_row = {path: i for i, pair in enumerate(pairs) for path in pair}
 
-    def score(pair, label):
-        # Either error exits 2; the label names the manifest row it came from.
-        try:
-            return compare_files(pair[0], pair[1], stft_cfg, cfg.n_mels)
-        except OSError as exc:
-            raise OSError(f"{label}{exc}") from exc
-        except PeAudioError as exc:
-            raise PeAudioError(f"{label}{exc}") from exc
+    def features(path):
+        return file_features(path, stft_cfg, cfg.n_mels)
 
-    # The rows' FFTs release the GIL, so one thread per usable CPU keeps
+    # A file's FFTs release the GIL, so one thread per usable CPU keeps
     # every core busy; more threads only add contention and memory.
-    # map yields in manifest order, so the first failing row is reported.
-    workers = min(8, _usable_cpus(), len(pairs))
-    # Mismatches print below with their rows' labels; the filter is restored after the join.
-    with warnings.catch_warnings(), ThreadPoolExecutor(max_workers=workers) as pool:
-        warnings.simplefilter("ignore", MismatchWarning)
-        reports = list(pool.map(score, pairs, labels))
+    # Rows are scored here in manifest order as their files arrive, so
+    # the first failing row is the one reported, and a file's features
+    # are dropped after its last row.
+    reports = []
+    with _thread_map(features, paths, 8) as results:
+        arrivals = zip(paths, results)
+        held = {}
+        for i, ((ref, pred), label) in enumerate(zip(pairs, labels)):
+            while ref not in held or pred not in held:
+                path, result = next(arrivals)
+                held[path] = result
+            # Either error exits 2; the label names the manifest row it came from.
+            try:
+                reports.append(score(ref, pred, held[ref], held[pred]))
+            except OSError as exc:
+                raise OSError(f"{label}{exc}") from exc
+            except PeAudioError as exc:
+                raise PeAudioError(f"{label}{exc}") from exc
+            for path in (ref, pred):
+                if last_row[path] == i:
+                    held.pop(path, None)
     for label, report in zip(labels, reports):
         if report.mismatch:
             print(f"warning: {label}{report.mismatch}", file=sys.stderr)
@@ -407,8 +433,8 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     # The arms share nothing (each allocates its step and gradient
     # buffers once), and their FFTs and matrix products release the GIL,
     # so each gets a thread while there is a CPU for it.
-    with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
-        arms = dict(zip(lams, pool.map(fit, lams.values())))
+    with _thread_map(fit, lams.values(), 2) as results:
+        arms = dict(zip(lams, results))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     text = _json_text(payload)
     _emit(text, args.output)

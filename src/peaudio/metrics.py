@@ -4,6 +4,8 @@ Covers mel-cepstral distortion and the F0-track metrics (RMSE on
 co-voiced frames, voiced/unvoiced disagreement rate, Pearson
 correlation), plus an autocorrelation pitch extractor so raw WAV pairs
 can be compared directly. Frames are compared index-aligned, no DTW.
+compare scores one pair as score(file_features(ref), file_features(pred));
+a caller scoring many pairs can compute each file's features once.
 """
 
 import math
@@ -61,7 +63,7 @@ class MetricReport:
     vuv_error_pct: float
     f0_corr: float
     frames_compared: int
-    mismatch: str | None = None  # the MismatchWarning's message, if one was issued
+    mismatch: str | None = None  # why the frame counts are a mismatch, if they are
 
     def to_json_dict(self) -> dict:
         def clean(value):
@@ -76,6 +78,20 @@ class MetricReport:
         }
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True) gives."""
+    best = 1 << (n - 1).bit_length()  # the power of two
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The smallest power-of-two multiple of odd that reaches n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Autocorrelation of each row at lags lo..hi-1, each lag normalized
     by the energies of the two overlapping segments; zero-energy overlaps
@@ -85,11 +101,8 @@ def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
     around: the values are the linear autocorrelation, not an
     approximation of it.
     """
-    # numpy has no next_fast_len; importing scipy.fft here keeps it off the masking commands.
-    from scipy.fft import next_fast_len
-
     n = frames.shape[1]
-    size = next_fast_len(n + hi, real=True)
+    size = next_fast_len(n + hi)
     # Padded here, not through rfft's n: numpy's own padding took 1.4x
     # as long on the tracker's blocks, for the same bits.
     padded = np.zeros((frames.shape[0], size))
@@ -221,17 +234,79 @@ def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
     return rmse, vuv_error, max(-1.0, min(1.0, corr))
 
 
-def _features(path, buf: AudioBuffer, cfg: StftConfig, n_mels: int):
-    """The file's mel cepstrum and F0 track; a clip too short for either is named in the error."""
+@dataclass(frozen=True)
+class FileFeatures:
+    """One file's per-frame features, or the error that stopped them.
+
+    load_error is what decoding or resampling raised, feature_error what
+    the analysis of the decoded clip raised; cepstrum and track are set
+    exactly when neither is.
+    """
+
+    cepstrum: np.ndarray | None = None
+    track: F0Track | None = None
+    load_error: Exception | None = None
+    feature_error: Exception | None = None
+
+
+def file_features(path, cfg: StftConfig, n_mels: int = DEFAULT_N_MELS) -> FileFeatures:
+    """Decode one WAV, resample it to the config rate and keep only its
+    mel cepstrum and F0 track.
+
+    An error is returned, not raised, so that score can report a pair's
+    errors in a fixed order; a clip too short for either feature is
+    named in its error.
+    """
+    try:
+        buf = resample(load_wav(path), cfg.sample_rate)
+    except Exception as exc:
+        return FileFeatures(load_error=exc)
     try:
         cepstrum = mel_cepstrum(mel_spectrogram(stft(buf, cfg), n_mels))
+        track = extract_f0(buf, cfg.hop / cfg.sample_rate)
     except BufferTooShortError as exc:
-        raise BufferTooShortError(f"{path}: {exc}") from exc
-    track = extract_f0(buf, cfg.hop / cfg.sample_rate)
+        return FileFeatures(feature_error=BufferTooShortError(f"{path}: {exc}"))
+    except Exception as exc:
+        return FileFeatures(feature_error=exc)
     if len(track) == 0:
         detail = f"need at least {F0_WINDOW_SECONDS:g} s for one F0 frame, got {len(buf)} samples"
-        raise BufferTooShortError(f"{path}: {detail}")
-    return cepstrum, track
+        return FileFeatures(feature_error=BufferTooShortError(f"{path}: {detail}"))
+    return FileFeatures(cepstrum, track)
+
+
+def score(ref_path, pred_path, ref: FileFeatures, pred: FileFeatures) -> MetricReport:
+    """Score a prediction's features against its reference's.
+
+    A failed file raises its error here: a load error before a feature
+    error, and the reference's before the prediction's. Features are
+    compared over the shorter file's frames; when the frame counts
+    differ by more than 5%, the report's mismatch says so, naming both
+    files.
+    """
+    for error in (ref.load_error, pred.load_error, ref.feature_error, pred.feature_error):
+        if error is not None:
+            raise error
+    frames = min(ref.cepstrum.shape[0], pred.cepstrum.shape[0])
+    longest = max(ref.cepstrum.shape[0], pred.cepstrum.shape[0])
+    mismatch = None
+    if (longest - frames) / longest > 0.05:
+        counts = f"{ref.cepstrum.shape[0]} vs {pred.cepstrum.shape[0]}"
+        mismatch = f"{ref_path} and {pred_path}: frame counts differ by more than 5% ({counts})"
+    mcd_db = mcd(ref.cepstrum[:frames], pred.cepstrum[:frames])
+
+    n_f0 = min(len(ref.track), len(pred.track))
+    rmse, vuv, corr = f0_metrics(
+        F0Track(ref.track.f0[:n_f0], ref.track.voiced[:n_f0]),
+        F0Track(pred.track.f0[:n_f0], pred.track.voiced[:n_f0]),
+    )
+    return MetricReport(
+        mcd_db=mcd_db,
+        f0_rmse_hz=rmse,
+        vuv_error_pct=vuv,
+        f0_corr=corr,
+        frames_compared=frames,
+        mismatch=mismatch,
+    )
 
 
 def compare(
@@ -245,30 +320,8 @@ def compare(
     its message, which names both files.
     """
     cfg = cfg or StftConfig()
-    ref_buf = resample(load_wav(ref_path), cfg.sample_rate)
-    pred_buf = resample(load_wav(pred_path), cfg.sample_rate)
-    ref_cep, ref_track = _features(ref_path, ref_buf, cfg, n_mels)
-    pred_cep, pred_track = _features(pred_path, pred_buf, cfg, n_mels)
-
-    frames = min(ref_cep.shape[0], pred_cep.shape[0])
-    longest = max(ref_cep.shape[0], pred_cep.shape[0])
-    mismatch = None
-    if (longest - frames) / longest > 0.05:
-        counts = f"{ref_cep.shape[0]} vs {pred_cep.shape[0]}"
-        mismatch = f"{ref_path} and {pred_path}: frame counts differ by more than 5% ({counts})"
-        warnings.warn(mismatch, MismatchWarning, stacklevel=2)
-    mcd_db = mcd(ref_cep[:frames], pred_cep[:frames])
-
-    n_f0 = min(len(ref_track), len(pred_track))
-    rmse, vuv, corr = f0_metrics(
-        F0Track(ref_track.f0[:n_f0], ref_track.voiced[:n_f0]),
-        F0Track(pred_track.f0[:n_f0], pred_track.voiced[:n_f0]),
-    )
-    return MetricReport(
-        mcd_db=mcd_db,
-        f0_rmse_hz=rmse,
-        vuv_error_pct=vuv,
-        f0_corr=corr,
-        frames_compared=frames,
-        mismatch=mismatch,
-    )
+    ref = file_features(ref_path, cfg, n_mels)
+    report = score(ref_path, pred_path, ref, file_features(pred_path, cfg, n_mels))
+    if report.mismatch:
+        warnings.warn(report.mismatch, MismatchWarning, stacklevel=2)
+    return report

@@ -1,9 +1,10 @@
 """WAV loading, normalization and resampling.
 
 All audio is reduced to mono float64 in [-1, 1] on load. The resampler
-is a plain linear interpolator: adequate here because nothing downstream
-depends on resampler quality, but it does not band-limit, so
-downsampling aliases content above the new Nyquist.
+is a plain linear interpolator. It does not band-limit, so downsampling
+aliases content above the new Nyquist frequency into the bands the
+masking model and the metrics read; ROADMAP Direction 7 plans a
+windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of BLOCK_ELEMENTS values: it allocates what it

@@ -7,6 +7,7 @@ with no centering pad.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,8 +138,9 @@ def mel_to_hz(mel) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=None)
 def mel_filterbank(cfg: StftConfig, n_mels: int) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, bins).
+    """Triangular mel filterbank, shape (n_mels, bins), built once per (cfg, n_mels) and read-only.
 
     Center frequencies are mel-spaced from 0 Hz to Nyquist. Filters are
     normalized to unit peak, not unit area.
@@ -155,7 +157,9 @@ def mel_filterbank(cfg: StftConfig, n_mels: int) -> np.ndarray:
     right = hz_points[2:, None]
     rising = (freqs[None, :] - left) / np.maximum(center - left, 1e-30)
     falling = (right - freqs[None, :]) / np.maximum(right - center, 1e-30)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    weights = np.maximum(0.0, np.minimum(rising, falling))
+    weights.setflags(write=False)
+    return weights
 
 
 def mel_from_power(power: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
@@ -169,11 +173,27 @@ def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> np.ndarr
 
 
 def mel_cepstrum(mel: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of log(mel + 1e-10) along each row, first DEFAULT_N_CEPSTRA columns."""
-    if mel.shape[1] < DEFAULT_N_CEPSTRA:
-        raise ValueError(f"need at least {DEFAULT_N_CEPSTRA} mel bands, got {mel.shape[1]}")
-    # numpy has no DCT; importing scipy.fft here keeps it off every other command's start-up.
-    import scipy.fft
+    """Orthonormal DCT-II of log(mel + 1e-10) along each row, first DEFAULT_N_CEPSTRA columns.
 
+    The DCT is the FFT of each reordered row (even samples, then odd
+    ones reversed), turned by a quarter-sample phase (Makhoul, IEEE
+    TASSP 28(1), 1980). It agrees with scipy.fft.dct(x, type=2,
+    norm="ortho") to within a few ULPs of each row's largest
+    coefficient, and no bit of a row depends on the other rows.
+    """
+    n = mel.shape[1]
+    if n < DEFAULT_N_CEPSTRA:
+        raise ValueError(f"need at least {DEFAULT_N_CEPSTRA} mel bands, got {n}")
     log_mel = np.log(mel + LOG_FLOOR)
-    return scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :DEFAULT_N_CEPSTRA]
+    reordered = np.concatenate((log_mel[:, 0::2], log_mel[:, 1::2][:, ::-1]), axis=1)
+    k = np.arange(DEFAULT_N_CEPSTRA)
+    # The rfft holds bins 0..n//2; bin k above that is the conjugate of bin n - k.
+    spectrum = np.fft.rfft(reordered, axis=1)[:, np.minimum(k, n - k)]
+    conjugate = np.where(k > n // 2, -1.0, 1.0)
+    scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    phase = np.pi * k / (2 * n)
+    # Re(exp(-i phase) X) as two real products: numpy's complex product
+    # may round differently in its vector and scalar paths.
+    return spectrum.real * (np.cos(phase) * scale) + spectrum.imag * (
+        np.sin(phase) * scale * conjugate
+    )

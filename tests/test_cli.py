@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import peaudio
 from peaudio import spectral
-from peaudio.cli import _json_text, build_parser, main, resolve_config
+from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
+from peaudio.cli import resolve_config
+from peaudio.metrics import compare
 from peaudio.pe import DEFAULT_SEED, LossConfig, toy_fit
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
@@ -341,6 +343,145 @@ class TestCompare:
                 assert err[0].startswith(f"{prefix}{manifest}:{lineno}: "), err
                 assert detail in err[0], err
                 assert not out.exists()
+
+
+    @pytest.mark.parametrize("extra", [["a.wav"], ["a.wav", "b.wav"]], ids=["ref", "ref-pred"])
+    def test_manifest_with_inputs_is_config_error(
+        self, sine_wav_factory, tmp_path, capsys, extra
+    ):
+        a = sine_wav_factory(220.0, name="a.wav")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{a},{a}\n")
+        out = tmp_path / "c.csv"
+        argv = ["compare", "--manifest", str(manifest), *extra, "--output", str(out)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert not out.exists()
+
+
+def pcm24_stereo_wav_bytes(samples, rate) -> bytes:
+    """A 24-bit PCM stereo WAV file with the samples in both channels."""
+    ints = np.round(np.asarray(samples) * (2**23 - 1)).astype("<i4")
+    payload = np.repeat(ints, 2).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 2, rate, rate * 6, 6, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def compare_rows_alone(pairs, fmt) -> str:
+    """The bytes compare --manifest writes, each row scored alone by metrics.compare."""
+    rows = [compare(ref, pred, StftConfig(), 80).to_json_dict() for ref, pred in pairs]
+    mean = _mean_report_row(rows)
+    if fmt == "json":
+        return _json_text({
+            "rows": [{"ref": ref, "pred": pred, **row} for (ref, pred), row in zip(pairs, rows)],
+            "mean": mean,
+        })
+
+    def cells(row):
+        return ",".join("" if row[c] is None else repr(row[c]) for c in _REPORT_COLUMNS)
+
+    lines = ["ref,pred," + ",".join(_REPORT_COLUMNS)]
+    lines += [f"{ref},{pred},{cells(row)}" for (ref, pred), row in zip(pairs, rows)]
+    lines.append(f"mean,,{cells(mean)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCompareByFile:
+    """compare --manifest: one task per distinct file, rows scored from their features."""
+
+    @pytest.fixture
+    def systems(self, tmp_path):
+        # Two references; three systems' predictions of the first one at
+        # other rates and formats; and a self-pair.
+        ref = tmp_path / "ref.wav"
+        save_wav(AudioBuffer(harmonic_signal(f0=220.0), 22050), ref)
+        other = tmp_path / "other.wav"
+        save_wav(AudioBuffer(harmonic_signal(f0=180.0, seed=3), 22050), other)
+        pred = tmp_path / "pred.wav"
+        save_wav(AudioBuffer(harmonic_signal(f0=224.0, seed=5), 22050), pred)
+        pred_44k = tmp_path / "pred-44k.wav"
+        pred_44k.write_bytes(
+            pcm24_stereo_wav_bytes(harmonic_signal(f0=216.0, sr=44100, seed=6), 44100)
+        )
+        pred_16k = tmp_path / "pred-16k.wav"
+        pred_16k.write_bytes(float_wav_bytes(harmonic_signal(f0=230.0, sr=16000, seed=7), 16000))
+        pairs = [
+            (str(ref), str(pred)),
+            (str(other), str(pred_16k)),
+            (str(ref), str(pred_44k)),
+            (str(other), str(other)),
+            (str(ref), str(pred_16k)),
+        ]
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("".join(f"{a},{b}\n" for a, b in pairs))
+        return manifest, pairs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_bytes_of_each_row_scored_alone(self, systems, tmp_path, capsys, monkeypatch, cpus):
+        manifest, pairs = systems
+        monkeypatch.setattr("peaudio.cli._usable_cpus", lambda: cpus)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"c.{fmt}"
+            argv = ["compare", "--manifest", str(manifest), "--format", fmt, "--output", str(out)]
+            assert run(argv) == 0
+            assert capsys.readouterr().err == ""
+            assert out.read_text() == compare_rows_alone(pairs, fmt)
+
+    def test_each_file_decoded_once(self, systems, tmp_path, monkeypatch):
+        manifest, pairs = systems
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr("peaudio.metrics.load_wav", counting_load_wav)
+        assert run(["compare", "--manifest", str(manifest), "--output", str(tmp_path / "c")]) == 0
+        distinct = list(dict.fromkeys(path for pair in pairs for path in pair))
+        assert sorted(decoded) == sorted(distinct)
+
+    def expect_error(self, tmp_path, capsys, rows, line):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("".join(f"{a},{b}\n" for a, b in rows))
+        out = tmp_path / "c.csv"
+        assert run(["compare", "--manifest", str(manifest), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line.format(manifest=manifest)]
+        assert not out.exists()
+
+    def test_missing_pred_before_a_later_short_ref(self, sine_wav_factory, tmp_path, capsys):
+        good = sine_wav_factory(220.0, name="good.wav")
+        short = tmp_path / "short.wav"
+        save_wav(AudioBuffer(np.full(100, 0.5), 22050), short)
+        missing = tmp_path / "missing.wav"
+        self.expect_error(
+            tmp_path, capsys, [(good, good), (good, missing), (short, good)],
+            f"i/o error: {{manifest}}:2: [Errno 2] No such file or directory: '{missing}'",
+        )
+
+    def test_a_file_failing_in_two_rows_is_reported_at_the_first(
+        self, sine_wav_factory, tmp_path, capsys
+    ):
+        good = sine_wav_factory(220.0, name="good.wav")
+        other = sine_wav_factory(247.0, name="other.wav")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"OggS" + bytes(60))
+        self.expect_error(
+            tmp_path, capsys, [(good, other), (good, bad), (other, good), (bad, other)],
+            f"error: {{manifest}}:2: {bad}: not a RIFF/WAVE file",
+        )
+
+    def test_a_missing_pred_before_its_short_ref(self, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        save_wav(AudioBuffer(np.full(100, 0.5), 22050), short)
+        missing = tmp_path / "missing.wav"
+        detail = f"[Errno 2] No such file or directory: '{missing}'"
+        line = f"i/o error: {{manifest}}:1: {detail}"
+        self.expect_error(tmp_path, capsys, [(short, missing)], line)
+        assert run(["compare", str(short), str(missing)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"i/o error: {detail}"]
 
 
 class TestToyFit:
@@ -862,7 +1003,7 @@ class TestOutOfMemory:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, worker", [
-        ("toy-fit", "toy_fit"), ("compare", "compare_files"),
+        ("toy-fit", "toy_fit"), ("compare", "file_features"),
     ])
     def test_memory_error_in_a_pool_thread(
         self, voiced_wav, tmp_path, capsys, monkeypatch, command, worker
@@ -918,7 +1059,8 @@ class TestToyFitFaults:
 class TestColdStart:
     def test_no_command_imports_scipy_signal(self, voiced_wav, tmp_path):
         # In a fresh interpreter, as a shell runs it: scipy.signal alone
-        # roughly doubles the import time and the import-time RSS.
+        # roughly doubles the import time and the import-time RSS, and
+        # scipy.fft cost compare 0.24-0.34 s and 25 MB.
         script = (
             "import sys\n"
             "from peaudio.cli import main\n"
@@ -928,11 +1070,9 @@ class TestColdStart:
             "    main(['thresholds', wav, '--output', out]),\n"
             "    main(['grad-check', wav, '--n-coords', '5', '--output', out]),\n"
             "    main(['toy-fit', wav, '--steps', '1', '--output', out]),\n"
+            "    main(['compare', wav, wav, '--output', out]),\n"
             "]\n"
-            "print('scipy before compare:', 'scipy' in sys.modules)\n"
-            "codes.append(main(['compare', wav, wav, '--output', out]))\n"
-            "print('scipy.fft after compare:', 'scipy.fft' in sys.modules)\n"
-            "print(codes, 'scipy.signal' in sys.modules)\n"
+            "print(codes, 'scipy' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
         proc = subprocess.run(
@@ -940,9 +1080,6 @@ class TestColdStart:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        # Only compare's mel cepstrum (a DCT, which numpy lacks) needs scipy.fft.
-        assert "scipy before compare: False" in proc.stdout.splitlines()
-        assert "scipy.fft after compare: True" in proc.stdout.splitlines()
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
     def test_rows_import_scipy_fft_concurrently(self, voiced_wav, sine_wav_factory, tmp_path):

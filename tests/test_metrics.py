@@ -222,6 +222,12 @@ def test_autocorr_bit_identical_to_scipy_fft(rate, window, lo, hi):
     assert got.tobytes() == want.tobytes()
 
 
+def test_next_fast_len_is_scipys_real_length():
+    got = [metrics.next_fast_len(n) for n in range(1, 100_001)]
+    want = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100_001)]
+    assert got == want
+
+
 def traced_peak_bytes(buf):
     tracemalloc.start()
     try:

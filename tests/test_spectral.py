@@ -154,6 +154,14 @@ class TestMel:
         assert weights.max() <= 1.0 + 1e-12
         assert weights.min() >= 0.0
 
+    def test_built_once_and_read_only(self):
+        weights = mel_filterbank(self.cfg, 40)
+        assert mel_filterbank(StftConfig(fft_size=256, hop=128, sample_rate=22050), 40) is weights
+        assert not weights.flags.writeable
+        fresh = mel_filterbank.__wrapped__(self.cfg, 40)
+        assert fresh is not weights
+        assert fresh.tobytes() == weights.tobytes()
+
 
 class TestMelCepstrum:
     def test_all_ones_frame_gives_zero_coeffs(self):
@@ -180,6 +188,25 @@ class TestMelCepstrum:
     def test_rejects_too_many_coeffs(self):
         with pytest.raises(ValueError):
             mel_cepstrum(np.ones((1, 24)))
+
+    def test_row_blocks_give_the_whole_bits(self):
+        # No bit of a row may depend on the other rows of the call.
+        rng = np.random.default_rng(11)
+        mel = rng.uniform(1e-6, 50.0, (333, 80))
+        whole = mel_cepstrum(mel)
+        for rows in (1, 2, 7, 64, 100, 332):
+            blocks = [mel_cepstrum(mel[a : a + rows]) for a in range(0, mel.shape[0], rows)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), rows
+
+    @pytest.mark.parametrize("n_mels", [25, 32, 80, 128])
+    def test_agrees_with_scipy_dct(self, n_mels):
+        rng = np.random.default_rng(n_mels)
+        mel = rng.uniform(1e-6, 50.0, (200, n_mels))
+        mel[0] = 0.0  # a silent frame: every band at the log floor
+        want = scipy.fft.dct(np.log(mel + 1e-10), type=2, norm="ortho", axis=1)[:, :25]
+        got = mel_cepstrum(mel)
+        # Within 1e-13 of each row's largest coefficient.
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
 
 
 class TestWindows:

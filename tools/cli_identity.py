@@ -6,9 +6,11 @@
 OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
 (a checkout's ``src/``). The benchmark's workload plans
 (``perfbench/workloads.py``, imported read-only) generate their seeded
-inputs into a temporary directory, and every operation of every plan
-runs under both trees twice: once with its ``--output`` file and once
-writing to stdout. Output files, stdout, stderr and exit codes are
+inputs into a temporary directory. Every operation of every plan, plus
+two more runs of compare's manifest on the same inputs (as JSON, and
+as an "N systems" manifest in which every reference is scored in three
+rows), runs under both trees twice: once with its ``--output`` file and
+once writing to stdout. Output files, stdout, stderr and exit codes are
 compared byte for byte. The script prints each difference, then what
 each tree's runs cost per command (the summed CPU seconds and minor page
 faults of its children, as ``os.wait4`` reports them; printed, not
@@ -38,6 +40,20 @@ BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
+def manifest_variants(op: dict, inputs: Path) -> list[list[str]]:
+    """compare's manifest run as JSON, and over three systems' predictions of every reference."""
+    argv = op["argv"]
+    pairs = op["check"]["pairs"]
+    refs = list(dict.fromkeys(ref for ref, _ in pairs))
+    preds = [pred for ref, pred in pairs if pred != ref]
+    systems = inputs / "systems.csv"
+    systems.write_text("".join(
+        f"{ref},{preds[(i + s) % len(preds)]}\n" for s in range(3) for i, ref in enumerate(refs)
+    ))
+    at = argv.index("--manifest")
+    return [argv + ["--format", "json"], argv[:at + 1] + [str(systems)] + argv[at + 2:]]
+
+
 def build_jobs(work: Path, tiny: bool) -> list[dict]:
     """Every distinct operation of every workload, with and without --output."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -51,6 +67,8 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
         for op in [plan["warmup"], *plan["cycle"]]:
             if op["argv"] not in argvs:
                 argvs.append(op["argv"])
+            if "--manifest" in op["argv"]:
+                argvs += manifest_variants(op, inputs)
     jobs = []
     for i, argv in enumerate(argvs):
         at = argv.index("--output")
