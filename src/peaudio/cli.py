@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
-from .pe import DEFAULT_SEED, GRAD_CHECK_TOLERANCE, LossConfig
+from .pe import DEFAULT_SEED, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
 from .signal_io import load_wav, resample
@@ -278,15 +278,9 @@ def cmd_grad_check(args, cfg: CliConfig) -> int:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
     spec, layout = _load_spectrum(args.input, cfg)
     check = check_gradient(spec, layout, n_coords=args.n_coords, seed=cfg.seed)
-    passed = check.passed()
-    payload = check.to_json_dict()
-    payload["tolerance"] = GRAD_CHECK_TOLERANCE
-    payload["pass"] = passed
-    if check.all_kink:
-        payload["note"] = "all-kink: every component sits at a subgradient kink"
-    _emit(_json_text(payload), args.output)
-    if not passed:
-        worst = check.worst or {}
+    _emit(_json_text(check.to_json_dict()), args.output)
+    if not check.passed():
+        worst = check.worst or {}  # unset when the worst relative error is NaN
         print(f"gradient check failed: worst coordinate {worst}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -310,14 +304,14 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _thread_map(fn, items, limit: int):
-    """Map fn over items on one thread per usable CPU, at most limit.
+def _thread_map(fn, items):
+    """Map fn over items on one thread per usable CPU, at most 8 and one per item.
 
     Every item is submitted at once. Yields the iterator of results, in
     the items' order; each result is released as it is read.
     """
     items = list(items)
-    with ThreadPoolExecutor(max_workers=min(limit, _usable_cpus(), len(items))) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, _usable_cpus(), len(items))) as pool:
         yield pool.map(fn, items)
 
 
@@ -342,7 +336,7 @@ def cmd_compare(args, cfg: CliConfig) -> int:
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(parts):
                 raise ConfigError(f"{args.manifest}:{lineno}: expected 'ref,pred'")
             pairs.append(tuple(parts))
             labels.append(f"{args.manifest}:{lineno}: ")
@@ -368,13 +362,14 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     # the first failing row is the one reported, and a file's features
     # are dropped after its last row.
     reports = []
-    with _thread_map(features, paths, 8) as results:
-        arrivals = zip(paths, results)
+    with _thread_map(features, paths) as results:
         held = {}
         for i, ((ref, pred), label) in enumerate(zip(pairs, labels)):
-            while ref not in held or pred not in held:
-                path, result = next(arrivals)
-                held[path] = result
+            # Results arrive in first-appearance order, so the ones this
+            # row has not seen yet are the next ones, ref's before pred's.
+            for path in (ref, pred):
+                if path not in held:
+                    held[path] = next(results)
             # Either error exits 2; the label names the manifest row it came from.
             try:
                 reports.append(score(ref, pred, held[ref], held[pred]))
@@ -433,7 +428,7 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     # The arms share nothing (each allocates its step and gradient
     # buffers once), and their FFTs and matrix products release the GIL,
     # so each gets a thread while there is a CPU for it.
-    with _thread_map(fit, lams.values(), 2) as results:
+    with _thread_map(fit, lams.values()) as results:
         arms = dict(zip(lams, results))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     text = _json_text(payload)

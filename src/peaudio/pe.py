@@ -173,30 +173,20 @@ def pe_gradient(
         raise ValueError(
             f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
         )
-    return _gradient(spec, analyze(spec, layout), out)
-
-
-def _gradient(
-    spec: Spectrogram, analysis: BarkAnalysis, out: np.ndarray | None = None
-) -> GradientReport:
-    """Loss partials packed re+1j*im, with the PE they were taken at.
-
-    One pass over blocks of frames: each block's forward quantization
-    turns into its partials while it is still in cache, and each block's
-    Re and Im partials are written once into the real and imaginary views
-    of the result. All partials are formed divided by 2/ln2 * dL/dPE, the
-    one factor that needs the whole-clip mean PE; it is applied once, after
-    the last block.
-
-    Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
-    sign(x)*r, and d bits / d step is -|x|*r/step. With step =
-    sqrt(6*T/k), a band's threshold T therefore receives -sum(|x|*r)/(2*T)
-    over its bins, which the masking pipeline passes back to the band
-    powers (spreading) and the bin powers (flatness), and so, by
-    d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
-    The result goes into out when it is given (pe_gradient checks it).
-    """
-    layout = analysis.layout
+    analysis = analyze(spec, layout)
+    # One pass over blocks of frames: each block's forward quantization
+    # turns into its partials while it is still in cache, and each block's
+    # Re and Im partials are written once into the real and imaginary views
+    # of the result. All partials are formed divided by 2/ln2 * dL/dPE, the
+    # one factor that needs the whole-clip mean PE; it is applied once, after
+    # the last block.
+    #
+    # Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
+    # sign(x)*r, and d bits / d step is -|x|*r/step. With step =
+    # sqrt(6*T/k), a band's threshold T therefore receives -sum(|x|*r)/(2*T)
+    # over its bins, which the masking pipeline passes back to the band
+    # powers (spreading) and the bin powers (flatness), and so, by
+    # d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
     k = layout.k
     per_frame = np.empty(spec.n_frames)
     blocks = _quantize(spec, analysis, per_frame)
@@ -243,11 +233,11 @@ def _gradient(
         dpower += np.repeat(d_band, k, axis=1)
 
         # sign(x)*r, plus x times the power partial (its 2 is folded in).
-        for part, r, out in ((x.real, r_re, grad[rows].real), (x.imag, r_im, grad[rows].imag)):
+        for part, r, dest in ((x.real, r_re, grad[rows].real), (x.imag, r_im, grad[rows].imag)):
             partial = np.sign(part, out=inv_steps)
             partial *= r
             partial += np.multiply(dpower, part, out=abs_re)
-            out[...] = partial
+            dest[...] = partial
 
     pe_result = _pe_result(per_frame)
     # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
@@ -272,6 +262,8 @@ class GradientCheckResult:
     Re and 1 for Im; finite_differences and rel_errs are aligned with it.
     n_eligible counts the components the kink and resolvability guards
     let through, of which the checked ones are a seeded sample.
+    to_json_dict() writes the verdict too: the tolerance, whether
+    passed(), and, when all_kink, a note that says why it passed.
     """
 
     n_checked: int
@@ -290,7 +282,7 @@ class GradientCheckResult:
         p50 = p95 = None
         if self.rel_errs.size:
             p50, p95 = (float(q) for q in np.percentile(self.rel_errs, [50, 95]))
-        return {
+        payload = {
             "max_rel_err_vs_fd": None if self.all_kink else float(self.max_rel_err),
             "n_coords": self.n_checked,
             "all_kink": self.all_kink,
@@ -298,7 +290,12 @@ class GradientCheckResult:
             "n_eligible": self.n_eligible,
             "rel_err_p50": p50,
             "rel_err_p95": p95,
+            "tolerance": GRAD_CHECK_TOLERANCE,
+            "pass": self.passed(),
         }
+        if self.all_kink:
+            payload["note"] = "all-kink: every component sits at a subgradient kink"
+        return payload
 
 
 def _components(spec: Spectrogram) -> np.ndarray:
@@ -327,7 +324,7 @@ def check_gradient(
     """
     if n_coords < 1:
         raise ValueError(f"n_coords must be >= 1, got {n_coords}")
-    report = _gradient(spec, analyze(spec, layout))
+    report = pe_gradient(spec, layout)
     grad = report.grad
 
     components = _components(spec)

@@ -112,12 +112,7 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     Frame t covers samples [t*hop, t*hop + fft_size); trailing samples
     that do not fill a frame are dropped.
     """
-    frames = _stft_array(buf.samples, cfg)
-    return Spectrogram(frames, cfg)
-
-
-def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = buf.samples
     if x.size < cfg.fft_size:
         raise BufferTooShortError(
             f"need at least fft_size={cfg.fft_size} samples, got {x.size}"
@@ -127,7 +122,7 @@ def _stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     out = np.empty((frames.shape[0], cfg.bins), np.complex128)
     for block in row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)):
         out[block] = np.fft.rfft(frames[block] * window, axis=1)
-    return out
+    return Spectrogram(out, cfg)
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:

@@ -171,6 +171,24 @@ class TestGradCheck:
     def test_zero_coords_is_config_error(self, voiced_wav):
         assert run(["grad-check", str(voiced_wav), "--n-coords", "0"]) == 3
 
+    def test_over_tolerance_is_exit_1_with_the_verdict_written(
+        self, voiced_wav, tmp_path, capsys, monkeypatch
+    ):
+        # At a tolerance of 0 any roundoff in the differences fails the
+        # check; the JSON carries the tolerance the verdict was taken at.
+        monkeypatch.setattr("peaudio.pe.GRAD_CHECK_TOLERANCE", 0.0)
+        out = tmp_path / "g.json"
+        argv = ["grad-check", str(voiced_wav), "--n-coords", "20", "--output", str(out)]
+        assert run(argv) == 1
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is False and payload["tolerance"] == 0.0
+        assert "note" not in payload
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gradient check failed: worst coordinate {'frame':")
+
 
 class TestCompare:
     def test_self_comparison(self, sine_wav_factory, tmp_path):
@@ -227,6 +245,19 @@ class TestCompare:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("config error:")
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row", ["{a},", " ,{a}", "{a}", "{a},{a},{a}"],
+        ids=["empty-pred", "empty-ref", "one-field", "three-fields"],
+    )
+    def test_malformed_manifest_row_is_config_error(self, sine_wav_factory, tmp_path, capsys, row):
+        a = sine_wav_factory(220.0)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(row.format(a=a) + "\n")
+        out = tmp_path / "c.csv"
+        assert run(["compare", "--manifest", str(manifest), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {manifest}:1: expected 'ref,pred'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_mels", [1, 10, 24])
     def test_fewer_mels_than_cepstra_is_config_error(
@@ -610,6 +641,17 @@ class TestConfigHandling:
         ]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["per_frame_pe"]) == 1 + (22050 - 1024) // 512
+
+    def test_comments_and_blank_lines_are_skipped(self, voiced_wav, tmp_path):
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_text("# frames every 512 samples\n\nhop = 512  # x\n")
+        via_file, via_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run([
+            "analyze", str(voiced_wav), "--config", str(cfg), "--output", str(via_file)
+        ]) == 0
+        assert run(["analyze", str(voiced_wav), "--hop", "512", "--output", str(via_flag)]) == 0
+        assert via_file.read_bytes() == via_flag.read_bytes()
+        assert len(via_file.read_text().splitlines()) == 3 + 1 + (22050 - 1024) // 512
 
     def test_env_var_supplies_config(self, voiced_wav, tmp_path, monkeypatch):
         cfg = tmp_path / "pe.cfg"
@@ -1082,9 +1124,11 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
-    def test_rows_import_scipy_fft_concurrently(self, voiced_wav, sine_wav_factory, tmp_path):
-        # In a fresh interpreter every pool thread's first row reaches the
-        # deferred scipy.fft import at about the same time.
+    def test_fresh_interpreter_manifest_at_8_cpus_equals_warm_run(
+        self, voiced_wav, sine_wav_factory, tmp_path
+    ):
+        # A fresh interpreter's pool threads do their first work, and any
+        # first-use setup, at about the same time; the bytes must not change.
         other = sine_wav_factory(247.0, name="other.wav")
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"{voiced_wav},{other}\n{other},{voiced_wav}\n" * 4)

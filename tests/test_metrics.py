@@ -293,6 +293,10 @@ class TestF0Track:
         with pytest.raises(ValueError):
             F0Track(np.array([3000.0]), np.array([True]))
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="f0 and voiced must be matching 1-D arrays"):
+            F0Track(np.array([100.0, 0.0]), np.array([True]))
+
 
 class TestMcd:
     def test_identical_is_zero(self):
@@ -324,6 +328,8 @@ class TestMcd:
             mcd(np.zeros((2, 13)), np.zeros((3, 13)))
         with pytest.raises(ShapeMismatchError):
             mcd(np.zeros((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ShapeMismatchError, match="no frames to compare"):
+            mcd(np.zeros((0, 13)), np.zeros((0, 13)))
 
 
 class TestF0Metrics:
@@ -396,6 +402,8 @@ class TestF0Metrics:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             f0_metrics(track([220.0]), track([220.0, 220.0]))
+        with pytest.raises(LengthMismatchError, match="empty tracks"):
+            f0_metrics(track([]), track([]))
 
 
 class TestCompare:

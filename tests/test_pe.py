@@ -138,6 +138,16 @@ class TestPerceptualEntropy:
         with pytest.raises(DegenerateThresholdError):
             perceptual_entropy(spec, toy_analysis(layout, [0.0], 1))
 
+    def test_rejects_analysis_of_another_bin_count(self):
+        spec = Spectrogram(np.ones((3, 5), complex), toy_config(5))
+        with pytest.raises(ValueError, match="analysis layout does not match the spectrogram bins"):
+            perceptual_entropy(spec, toy_analysis(toy_layout([(0, 3), (4, 8)]), [0.7, 0.7], 3))
+
+    def test_rejects_analysis_of_another_frame_count(self):
+        spec = Spectrogram(np.ones((3, 5), complex), toy_config(5))
+        with pytest.raises(ValueError, match="analysis frame count does not match the spectrogram"):
+            perceptual_entropy(spec, toy_analysis(toy_layout([(0, 4)]), [0.7], 2))
+
     def test_scale_invariance_when_clamp_inactive(self):
         sr = 22050
         cfg = StftConfig(sample_rate=sr)

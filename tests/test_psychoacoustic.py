@@ -76,6 +76,19 @@ class TestBarkLayout:
                 n=2,
             )
 
+    @pytest.mark.parametrize("change, message", [
+        ({"band_edges": [0.0, 100.0]}, "band_edges must have n\\+1 entries"),
+        ({"band_edges": [0.0, 200.0, 100.0]}, "band_edges must be strictly ascending"),
+        ({"lower_bins": [0]}, "bin ranges must have one entry per band"),
+        ({"lower_bins": [1, 3]}, "first band must start at bin 0"),
+        ({"upper_bins": [2, 2]}, "every band needs at least one bin"),
+    ])
+    def test_partition_checks(self, change, message):
+        valid = {"band_edges": [0.0, 100.0, 200.0], "lower_bins": [0, 3], "upper_bins": [2, 4]}
+        BarkBandLayout(**valid, n=2)
+        with pytest.raises(ValueError, match=message):
+            BarkBandLayout(**{**valid, **change}, n=2)
+
 
 class TestBarkSpectrum:
     def _toy_layout(self):

@@ -122,6 +122,32 @@ class TestLoadWav:
         with pytest.raises(UnsupportedFormatError):
             load_wav(path)
 
+    @pytest.mark.parametrize("chunks, error, message", [
+        ([(b"fmt ", fmt_body(1, 16)[:14]), (b"data", b"\0\0")],
+         CorruptHeaderError, "fmt chunk too small"),
+        ([(b"fmt ", fmt_body(1, 16))], CorruptHeaderError, "missing fmt or data chunk"),
+        ([(b"fmt ", fmt_body(1, 16, sample_rate=0)), (b"data", b"\0\0")],
+         CorruptHeaderError, "non-positive sample rate in header"),
+        ([(b"fmt ", fmt_body(1, 64, format_tag=3)), (b"data", b"\0" * 8)],
+         UnsupportedFormatError, "64-bit float is not supported"),
+        ([(b"fmt ", fmt_body(1, 12)), (b"data", b"\0\0")],
+         CorruptHeaderError, "invalid bit depth 12"),
+        # Three bytes of 16-bit PCM; riff() writes the pad byte, so the
+        # chunk walk finds a whole chunk and the sample size is what fails.
+        ([(b"fmt ", fmt_body(1, 16)), (b"data", b"\0\0\0")],
+         CorruptHeaderError, "PCM payload not sample-aligned"),
+    ], ids=["short-fmt", "no-data", "rate-0", "float64", "pcm12", "partial-sample"])
+    def test_header_rejections(self, tmp_path, capsys, chunks, error, message):
+        path = tmp_path / "h.wav"
+        path.write_bytes(riff(chunks))
+        with pytest.raises(error) as info:
+            load_wav(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         buf = AudioBuffer(rng.uniform(-0.99, 0.99, 4096), 16000)

@@ -52,6 +52,18 @@ class TestStftConfig:
             StftConfig(window="nope")
 
 
+class TestSpectrogram:
+    def test_rejects_wrong_bin_count(self):
+        with pytest.raises(ValueError, match=r"must be \(T, 33\) for fft_size 64, got \(2, 32\)"):
+            Spectrogram(np.zeros((2, 32)), StftConfig(fft_size=64, hop=32))
+
+    def test_rejects_nan(self):
+        frames = np.zeros((2, 33), complex)
+        frames[1, 3] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="spectrogram contains non-finite values"):
+            Spectrogram(frames, StftConfig(fft_size=64, hop=32))
+
+
 class TestStft:
     def test_dc_only(self):
         cfg = StftConfig(fft_size=8, hop=8, window="boxcar", sample_rate=8000)
@@ -153,6 +165,10 @@ class TestMel:
         weights = mel_filterbank(self.cfg, 40)
         assert weights.max() <= 1.0 + 1e-12
         assert weights.min() >= 0.0
+
+    def test_rejects_zero_bands(self):
+        with pytest.raises(ValueError, match="n_mels must be >= 1, got 0"):
+            mel_filterbank(self.cfg, 0)
 
     def test_built_once_and_read_only(self):
         weights = mel_filterbank(self.cfg, 40)

@@ -9,14 +9,17 @@ OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
 inputs into a temporary directory. Every operation of every plan, plus
 two more runs of compare's manifest on the same inputs (as JSON, and
 as an "N systems" manifest in which every reference is scored in three
-rows), runs under both trees twice: once with its ``--output`` file and
-once writing to stdout. Output files, stdout, stderr and exit codes are
-compared byte for byte. The script prints each difference, then what
-each tree's runs cost per command (the summed CPU seconds and minor page
-faults of its children, as ``os.wait4`` reports them; printed, not
-compared), then the Python line count of each tree (counted as the
-benchmark counts ``src/``) and the change between them, and last a
-summary line; it exits 1 if there is any difference, 0 otherwise.
+rows) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz clip
+(the all-kink path, which no plan takes; the script writes the clip into
+its own inputs directory), runs under both trees twice: once with its
+``--output`` file and once writing to stdout. Output files, stdout,
+stderr and exit codes are compared byte for byte. The script prints
+each difference, then what each tree's runs cost per command (the
+summed CPU seconds and minor page faults of its children, as
+``os.wait4`` reports them; printed, not compared), then the Python line
+count of each tree (counted as the benchmark counts ``src/``) and the
+change between them, and last a summary line; it exits 1 if there is
+any difference, 0 otherwise.
 ``--tiny`` uses the benchmark's tiny inputs, which make a run take
 seconds instead of minutes.
 
@@ -69,6 +72,11 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
                 argvs.append(op["argv"])
             if "--manifest" in op["argv"]:
                 argvs += manifest_variants(op, inputs)
+    # The all-kink path, which no plan takes: grad-check of a silent 1 s clip.
+    silence = work / "inputs" / "silence.wav"
+    fmt = workloads.gen.PCM16_MONO_22K
+    workloads.gen.write_wav(str(silence), [0.0] * fmt[2], fmt)
+    argvs.append(["grad-check", str(silence), "--output", str(work / "grad-silence.json")])
     jobs = []
     for i, argv in enumerate(argvs):
         at = argv.index("--output")
