@@ -8,13 +8,11 @@ its default path can come from the PE_AUDIO_CONFIG environment variable.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
@@ -23,7 +21,7 @@ from .metrics import file_features, score
 from .pe import DEFAULT_SEED, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
-from .signal_io import load_wav, resample
+from .signal_io import load_wav, resample, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_N_CEPSTRA, DEFAULT_N_MELS
 from .spectral import DEFAULT_SAMPLE_RATE, StftConfig, stft
 
@@ -297,24 +295,6 @@ def _mean_report_row(rows: list[dict]) -> dict:
     return mean
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _thread_map(fn, items):
-    """Map fn over items on one thread per usable CPU, at most 8 and one per item.
-
-    Every item is submitted at once. Yields the iterator of results, in
-    the items' order; each result is released as it is read.
-    """
-    items = list(items)
-    with ThreadPoolExecutor(max_workers=min(8, _usable_cpus(), len(items))) as pool:
-        yield pool.map(fn, items)
-
-
 def cmd_compare(args, cfg: CliConfig) -> int:
     if cfg.n_mels < DEFAULT_N_CEPSTRA:
         raise ConfigError(
@@ -351,35 +331,24 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     stft_cfg = cfg.stft()
     # One task per distinct path, as written, in order of first appearance.
     paths = list(dict.fromkeys(path for pair in pairs for path in pair))
-    last_row = {path: i for i, pair in enumerate(pairs) for path in pair}
 
     def features(path):
         return file_features(path, stft_cfg, cfg.n_mels)
 
-    # A file's FFTs release the GIL, so one thread per usable CPU keeps
-    # every core busy; more threads only add contention and memory.
-    # Rows are scored here in manifest order as their files arrive, so
-    # the first failing row is the one reported, and a file's features
-    # are dropped after its last row.
+    # A file's FFTs release the GIL, so the files are split over one
+    # thread per usable CPU, and each file's stages run serially on its
+    # thread. file_features returns a file's error, and rows are scored
+    # in manifest order, so the first failing row is the one reported.
+    by_path = dict(zip(paths, thread_map(features, paths)))
     reports = []
-    with _thread_map(features, paths) as results:
-        held = {}
-        for i, ((ref, pred), label) in enumerate(zip(pairs, labels)):
-            # Results arrive in first-appearance order, so the ones this
-            # row has not seen yet are the next ones, ref's before pred's.
-            for path in (ref, pred):
-                if path not in held:
-                    held[path] = next(results)
-            # Either error exits 2; the label names the manifest row it came from.
-            try:
-                reports.append(score(ref, pred, held[ref], held[pred]))
-            except OSError as exc:
-                raise OSError(f"{label}{exc}") from exc
-            except PeAudioError as exc:
-                raise PeAudioError(f"{label}{exc}") from exc
-            for path in (ref, pred):
-                if last_row[path] == i:
-                    held.pop(path, None)
+    for (ref, pred), label in zip(pairs, labels):
+        # Either error exits 2; the label names the manifest row it came from.
+        try:
+            reports.append(score(ref, pred, by_path[ref], by_path[pred]))
+        except OSError as exc:
+            raise OSError(f"{label}{exc}") from exc
+        except PeAudioError as exc:
+            raise PeAudioError(f"{label}{exc}") from exc
     for label, report in zip(labels, reports):
         if report.mismatch:
             print(f"warning: {label}{report.mismatch}", file=sys.stderr)
@@ -427,9 +396,9 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
 
     # The arms share nothing (each allocates its step and gradient
     # buffers once), and their FFTs and matrix products release the GIL,
-    # so each gets a thread while there is a CPU for it.
-    with _thread_map(fit, lams.values()) as results:
-        arms = dict(zip(lams, results))
+    # so each gets a thread while there is a CPU for it; the stages
+    # inside an arm then run serially.
+    arms = dict(zip(lams, thread_map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     text = _json_text(payload)
     _emit(text, args.output)

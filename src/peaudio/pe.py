@@ -26,7 +26,7 @@ from .psychoacoustic import (
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import AudioBuffer, row_blocks, rows_per_block
+from .signal_io import AudioBuffer, map_blocks, row_blocks, rows_per_block
 from .spectral import DEFAULT_N_MELS, Spectrogram, StftConfig, mel_filterbank, mel_from_power, stft
 
 _LN2 = float(np.log(2.0))
@@ -76,15 +76,17 @@ def pe_loss(mean_pe: float) -> float:
     return 1.0 / (1.0 + mean_pe)
 
 
-def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray):
+def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray, then=None):
     """The PE forward pass of spec under analysis, one block of frames at a time.
 
-    Writes each frame's bits into per_frame (T,) and yields, per block,
+    Writes each frame's bits into per_frame (T,). With then, calls
+    then(rows, steps, buffers) on each block as soon as it is quantized:
     its row slice, the per-band quantizer steps sqrt(6*threshold/k)
     (rows, n) and six (rows, bins) work buffers: u = 2|x|/step + 1 for
     the real and for the imaginary parts (a bin carries
-    log2(u_re) + log2(u_im) bits), |re|, |im| and two spares. The next
-    block overwrites all six, so the caller may use them freely in between.
+    log2(u_re) + log2(u_im) bits), |re|, |im| and two spares. The buffers
+    belong to the thread that runs the block, and the next block it runs
+    overwrites all six, so then may use them freely.
     """
     if analysis.layout.n_bins != spec.config.bins:
         raise ValueError("analysis layout does not match the spectrogram bins")
@@ -95,25 +97,31 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray):
 
     k = analysis.layout.k
     block_rows = rows_per_block(spec.config.bins)
-    work = np.empty((6, min(block_rows, spec.n_frames), spec.config.bins))
+    # Every frame's steps at once: the (T, n) arrays are small, and a
+    # block's small array operations are where its threads wait on each
+    # other's Python.
+    all_steps = np.sqrt(6.0 * analysis.masking_threshold / k)
 
-    def quantized_blocks():  # a generator of its own, so the checks above run at once
-        for rows in row_blocks(spec.n_frames, block_rows):
-            buffers = work[:, : rows.stop - rows.start]
-            u_re, u_im, abs_re, abs_im, bits, spare = buffers
-            steps = np.sqrt(6.0 * analysis.masking_threshold[rows] / k)
-            steps_bin = np.repeat(steps, k, axis=1)
-            x = spec.frames[rows]
-            for part, magnitude, u in ((x.real, abs_re, u_re), (x.imag, abs_im, u_im)):
-                np.multiply(np.abs(part, out=magnitude), 2.0, out=u)
-                u /= steps_bin
-                u += 1.0
-            np.log2(u_re, out=bits)
-            bits += np.log2(u_im, out=spare)
-            bits.sum(axis=1, out=per_frame[rows])
-            yield rows, steps, buffers
+    def quantize(rows, work):
+        buffers = work[:, : rows.stop - rows.start]
+        u_re, u_im, abs_re, abs_im, bits, spare = buffers
+        steps = all_steps[rows]
+        steps_bin = np.repeat(steps, k, axis=1)
+        x = spec.frames[rows]
+        for part, magnitude, u in ((x.real, abs_re, u_re), (x.imag, abs_im, u_im)):
+            np.multiply(np.abs(part, out=magnitude), 2.0, out=u)
+            u /= steps_bin
+            u += 1.0
+        np.log2(u_re, out=bits)
+        bits += np.log2(u_im, out=spare)
+        bits.sum(axis=1, out=per_frame[rows])
+        if then is not None:
+            then(rows, steps, buffers)
 
-    return quantized_blocks()
+    map_blocks(
+        quantize, row_blocks(spec.n_frames, block_rows),
+        lambda: np.empty((6, min(block_rows, spec.n_frames), spec.config.bins)),
+    )
 
 
 def _pe_result(per_frame: np.ndarray) -> PEResult:
@@ -124,8 +132,7 @@ def _pe_result(per_frame: np.ndarray) -> PEResult:
 def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     """Bits of perceptible information per frame under the masking thresholds."""
     per_frame = np.empty(spec.n_frames)
-    for _ in _quantize(spec, analysis, per_frame):
-        pass
+    _quantize(spec, analysis, per_frame)
     return _pe_result(per_frame)
 
 
@@ -179,7 +186,7 @@ def pe_gradient(
     # Re and Im partials are written once into the real and imaginary views
     # of the result. All partials are formed divided by 2/ln2 * dL/dPE, the
     # one factor that needs the whole-clip mean PE; it is applied once, after
-    # the last block.
+    # every block.
     #
     # Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
     # sign(x)*r, and d bits / d step is -|x|*r/step. With step =
@@ -188,8 +195,6 @@ def pe_gradient(
     # powers (spreading) and the bin powers (flatness), and so, by
     # d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
     k = layout.k
-    per_frame = np.empty(spec.n_frames)
-    blocks = _quantize(spec, analysis, per_frame)
     grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
     # What the threshold path makes of a band's sum(|x|*r), per band
     # and frame. The threshold is the spread threshold over the
@@ -211,7 +216,8 @@ def pe_gradient(
     to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
     kernel = spreading_kernel(layout)
 
-    for rows, steps, (r_re, r_im, abs_re, abs_im, a, b) in blocks:
+    def partials(rows, steps, buffers):
+        r_re, r_im, abs_re, abs_im, a, b = buffers
         x = spec.frames[rows]
         inv_steps = np.repeat(1.0 / steps, k, axis=1)
         np.divide(inv_steps, r_re, out=r_re)
@@ -239,6 +245,8 @@ def pe_gradient(
             partial += np.multiply(dpower, part, out=abs_re)
             dest[...] = partial
 
+    per_frame = np.empty(spec.n_frames)
+    _quantize(spec, analysis, per_frame, then=partials)
     pe_result = _pe_result(per_frame)
     # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
     dl_dpe = -1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(spec.n_frames, 1))
@@ -328,27 +336,43 @@ def check_gradient(
     grad = report.grad
 
     components = _components(spec)
-    magnitudes = np.abs(components).ravel()
+    # Each component and its partial, judged one block of frames at a
+    # time, which keeps whole-clip temporaries out and maps the blocks
+    # over the thread pool. A component's flat index is the same in
+    # components and in both (T, 2 * bins) views.
+    values = components.reshape(spec.n_frames, 2 * spec.config.bins)
+    slopes = grad.view(np.float64)
+    blocks = row_blocks(spec.n_frames, rows_per_block(values.shape[1]))
     # 1e-2 of full scale keeps the relative step large enough that the
     # central difference is not dominated by float roundoff.
-    guard = max(1e-8, 1e-2 * magnitudes.max()) if magnitudes.size else 1e-8
-    off_kink = magnitudes > guard
-    partials = np.abs(grad.view(np.float64)).ravel()
-    if np.any(off_kink):
-        rms_partial = float(np.sqrt(np.mean(partials[off_kink] ** 2)))
-        resolvable = partials > 1e-2 * rms_partial
-    else:
-        resolvable = np.zeros_like(off_kink)
-    eligible = np.flatnonzero(off_kink & resolvable)
-    # The partials above are judged against each other only. Where all of
+    peak = max(map_blocks(lambda rows: np.abs(values[rows]).max(), blocks), default=0.0)
+    guard = max(1e-8, 1e-2 * peak)
+
+    def partials_off_kink(rows):
+        return np.abs(slopes[rows])[np.abs(values[rows]) > guard]
+
+    off_kink = np.concatenate([np.empty(0), *map_blocks(partials_off_kink, blocks)])
+    if off_kink.size == 0:
+        return GradientCheckResult(n_checked=0, all_kink=True, max_rel_err=0.0)
+    rms_partial = float(np.sqrt(np.mean(off_kink**2)))
+    # The partials are judged against each other only. Where all of
     # them are roundoff (an exactly zero gradient), a step must also move
     # PE(t) by more than roundoff: by about h*|dPE(t)/dx|, which is
     # h*|dL/dx| over |dL/dPE(t)| = 1/((1 + mean PE)^2 T).
     per_frame = report.pe.per_frame
-    pe_moved = FD_REL_STEP * magnitudes[eligible] * partials[eligible]
-    pe_moved *= (1.0 + report.pe.mean_pe) ** 2 * spec.n_frames
-    pe_at = per_frame[eligible // (2 * spec.config.bins)]
-    eligible = eligible[pe_moved >= 1e3 * np.finfo(np.float64).eps * np.maximum(pe_at, 1.0)]
+    moved_scale = (1.0 + report.pe.mean_pe) ** 2 * spec.n_frames
+
+    def eligible_in(rows):
+        magnitudes = np.abs(values[rows]).ravel()
+        partials = np.abs(slopes[rows]).ravel()
+        at = np.flatnonzero((magnitudes > guard) & (partials > 1e-2 * rms_partial))
+        pe_moved = FD_REL_STEP * magnitudes[at] * partials[at]
+        pe_moved *= moved_scale
+        pe_at = per_frame[rows][at // values.shape[1]]
+        at = at[pe_moved >= 1e3 * np.finfo(np.float64).eps * np.maximum(pe_at, 1.0)]
+        return at + rows.start * values.shape[1]
+
+    eligible = np.concatenate(map_blocks(eligible_in, blocks))
     if eligible.size == 0:
         return GradientCheckResult(n_checked=0, all_kink=True, max_rel_err=0.0)
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_io import row_blocks, rows_per_block
+from .signal_io import map_blocks, row_blocks, rows_per_block
 from .spectral import Spectrogram, StftConfig
 
 # Upper edges of the Zwicker critical bands, Hz.
@@ -232,19 +232,22 @@ def analyze(spec: Spectrogram, layout: BarkBandLayout) -> BarkAnalysis:
             f"layout covers {layout.n_bins} bins but spectrogram has {spec.config.bins}"
         )
     # The per-bin steps run one block of frames at a time and keep only
-    # their band sums; the band-level steps after the loop see whole (T, n)
+    # their band sums; the band-level steps after the map see whole (T, n)
     # arrays, so the spreading product is one matrix product, rounded
-    # the same way whatever the block size.
+    # the same way whatever the block size or thread count.
     lower = layout.lower_bins
     band_power = np.empty((spec.n_frames, layout.n))
     floored_sum, log_sum = np.empty_like(band_power), np.empty_like(band_power)
-    for block in row_blocks(spec.n_frames, rows_per_block(layout.n_bins)):
+
+    def band_sums(block):
         x = spec.frames[block]
         power = x.real**2 + x.imag**2
         band_power[block] = np.add.reduceat(power, lower, axis=1)
         floored = np.maximum(power, SFM_POWER_FLOOR, out=power)
         floored_sum[block] = np.add.reduceat(floored, lower, axis=1)
         log_sum[block] = np.add.reduceat(np.log(floored, out=floored), lower, axis=1)
+
+    map_blocks(band_sums, row_blocks(spec.n_frames, rows_per_block(layout.n_bins)))
 
     k = layout.k
     spread_power = band_power @ spreading_kernel(layout).T

@@ -8,10 +8,17 @@ windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of BLOCK_ELEMENTS values: it allocates what it
-returns plus a fixed number of block buffers, whatever the clip length.
+returns plus a fixed number of block buffers per thread, whatever the
+clip length. From PARALLEL_MIN_BLOCKS blocks up a stage maps its blocks
+over the process's one thread pool (map_blocks, thread_map); each block
+writes only its own rows, so no bit depends on the thread count.
 """
 
+import concurrent.futures
+import contextvars
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,12 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 
 # Values in each work buffer of one block (2^15 float64 is 256 KiB).
 BLOCK_ELEMENTS = 1 << 15
+# Blocks from which a stage maps them over the thread pool. Below it the
+# second thread costs about what it saves; measured per stage in the
+# README's "Threads" section, it keeps every stage of a 10 s clip serial.
+PARALLEL_MIN_BLOCKS = 12
+# Threads of the pool, at most, and so of one map, the caller's among them.
+MAX_THREADS = 8
 
 
 def rows_per_block(row_len: int) -> int:
@@ -39,6 +52,91 @@ def rows_per_block(row_len: int) -> int:
 def row_blocks(n_rows: int, rows: int) -> list[slice]:
     """Consecutive slices of at most `rows` rows that cover range(n_rows)."""
     return [slice(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The process's one pool, started on first use: a pool per map cost more
+# than a 60 s clip's stages gained from it. It is process state, not an
+# object callers pass, because every stage and command shares it.
+_pool = None
+_pool_lock = threading.Lock()
+# True while a map's shares run, on every thread that runs one (each
+# share runs in a copy of the caller's context): a map called inside a
+# share runs serially, so the pool never waits on itself and the threads
+# never outnumber the CPUs.
+_in_map = contextvars.ContextVar("peaudio_in_map", default=False)
+
+
+def _shared_pool() -> concurrent.futures.Executor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            threads = min(MAX_THREADS, usable_cpus())
+            _pool = concurrent.futures.ThreadPoolExecutor(threads, "peaudio")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def thread_map(fn, items, scratch=None, min_items=2) -> list:
+    """[fn(item) for item in items], the items split over the shared thread pool.
+
+    The items are cut into min(MAX_THREADS, usable CPUs, len(items))
+    contiguous shares. The calling thread runs the first share and pool
+    threads the others, each in a copy of the caller's contextvars
+    context (numpy's errstate lives there), each share's items in order.
+    With scratch, a share calls scratch() once and runs fn(item, buffers)
+    on what it returned, so each thread allocates its work buffers once
+    per map. Fewer than min_items items, or a map called inside a
+    share, run serially on the calling thread. Every share
+    finishes before the map returns or raises, and the error raised is
+    the first in item order, the one a serial loop would raise.
+    """
+    items = list(items)
+
+    def run(share):
+        if scratch is None:
+            return [fn(item) for item in share]
+        buffers = scratch()
+        return [fn(item, buffers) for item in share]
+
+    serial = _in_map.get() or len(items) < min_items
+    threads = 1 if serial else min(MAX_THREADS, usable_cpus(), len(items))
+    if threads < 2:
+        return run(items)
+    bounds = [len(items) * i // threads for i in range(threads + 1)]
+    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    token = _in_map.set(True)
+    try:
+        pool = _shared_pool()
+        futures = [pool.submit(contextvars.copy_context().run, run, s) for s in shares[1:]]
+        try:
+            results = run(shares[0])
+        finally:
+            concurrent.futures.wait(futures)
+    finally:
+        _in_map.reset(token)
+    for future in futures:
+        results += future.result()
+    return results
+
+
+def map_blocks(fn, blocks: list[slice], scratch=None) -> list:
+    """thread_map for a stage's blocks of rows, serial below PARALLEL_MIN_BLOCKS blocks."""
+    return thread_map(fn, blocks, scratch, min_items=PARALLEL_MIN_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -151,7 +249,8 @@ def load_wav(path) -> AudioBuffer:
     # power-of-two scale divides without rounding.
     samples = np.empty(count // channels)
     scale = 1.0 / (channels * (1 if is_float else 1 << (bits - 1)))
-    for rows in row_blocks(samples.size, rows_per_block(channels)):
+
+    def decode(rows):
         values = read(rows.start * channels, rows.stop * channels)
         out = samples[rows]
         if channels == 2:
@@ -166,6 +265,8 @@ def load_wav(path) -> AudioBuffer:
             if not np.isfinite(out).all():
                 raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
             np.clip(out, -1.0, 1.0, out=out)
+
+    map_blocks(decode, row_blocks(samples.size, rows_per_block(channels)))
     return AudioBuffer(samples, sample_rate)
 
 
@@ -214,9 +315,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     step = buf.sample_rate / target_rate
     out = np.empty(n_out)
     last = buf.samples.size - 1
-    for rows in row_blocks(n_out, rows_per_block(1)):
+
+    def interpolate(rows):
         positions = np.arange(rows.start, rows.stop) * step
         lo = min(int(positions[0]), last)
         hi = min(int(positions[-1]) + 2, last + 1)
         out[rows] = np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi])
+
+    map_blocks(interpolate, row_blocks(n_out, rows_per_block(1)))
     return AudioBuffer(out, target_rate)

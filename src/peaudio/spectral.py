@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BufferTooShortError
-from .signal_io import AudioBuffer, row_blocks, rows_per_block
+from .signal_io import AudioBuffer, map_blocks, row_blocks, rows_per_block
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
@@ -120,8 +120,11 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
     window = cfg.window_samples()
     out = np.empty((frames.shape[0], cfg.bins), np.complex128)
-    for block in row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)):
-        out[block] = np.fft.rfft(frames[block] * window, axis=1)
+
+    def transform(block):
+        np.fft.rfft(frames[block] * window, axis=1, out=out[block])
+
+    map_blocks(transform, row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)))
     return Spectrogram(out, cfg)
 
 

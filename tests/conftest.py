@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from peaudio import signal_io
 from peaudio.psychoacoustic import SFM_POWER_FLOOR, spreading_kernel
 from peaudio.signal_io import AudioBuffer, save_wav
 from peaudio.spectral import Spectrogram
@@ -102,3 +105,25 @@ def sine_wav_factory(tmp_path):
         return path
 
     return make
+
+
+class PoolSpy:
+    """Stands in for the shared thread pool: records who submits and what, then delegates."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submitters = []
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.submitters.append(threading.current_thread())
+        future = self.pool().submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    spy = PoolSpy(signal_io._shared_pool)
+    monkeypatch.setattr(signal_io, "_shared_pool", lambda: spy)
+    return spy

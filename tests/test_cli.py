@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib import resources
 from unittest import mock
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peaudio
-from peaudio import spectral
+from peaudio import cli, signal_io, spectral
 from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
 from peaudio.cli import resolve_config
 from peaudio.metrics import compare
@@ -453,7 +454,7 @@ class TestCompareByFile:
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_bytes_of_each_row_scored_alone(self, systems, tmp_path, capsys, monkeypatch, cpus):
         manifest, pairs = systems
-        monkeypatch.setattr("peaudio.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: cpus)
         for fmt in ("csv", "json"):
             out = tmp_path / f"c.{fmt}"
             argv = ["compare", "--manifest", str(manifest), "--format", fmt, "--output", str(out)]
@@ -537,7 +538,7 @@ class TestToyFit:
         # The arms run on min(2, usable CPUs) threads, with numpy's BLAS
         # threads as the test process has them; the bytes must be those
         # of the two fits run one after the other.
-        monkeypatch.setattr("peaudio.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: cpus)
         out = tmp_path / "t.json"
         assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
         buf = resample(load_wav(voiced_wav), spectral.DEFAULT_SAMPLE_RATE)
@@ -1048,18 +1049,92 @@ class TestOutOfMemory:
         ("toy-fit", "toy_fit"), ("compare", "file_features"),
     ])
     def test_memory_error_in_a_pool_thread(
-        self, voiced_wav, tmp_path, capsys, monkeypatch, command, worker
+        self, voiced_wav, sine_wav_factory, tmp_path, capsys, monkeypatch, command, worker
     ):
+        # The calling thread runs the first arm or file itself; the error
+        # is raised on the pool thread that runs the other.
+        real = getattr(cli, worker)
+
         def exhausted(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                return real(*args, **kwargs)
             raise MemoryError("Unable to allocate 1.00 TiB")
 
         monkeypatch.setattr(f"peaudio.cli.{worker}", exhausted)
+        monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: 2)
         out = tmp_path / "out"
-        paths = [str(voiced_wav)] * (2 if command == "compare" else 1)
-        assert run([command, *paths, "--output", str(out)]) == 2
+        if command == "compare":
+            args = [str(voiced_wav), str(sine_wav_factory(247.0))]
+        else:
+            args = [str(voiced_wav), "--steps", "2"]
+        assert run([command, *args, "--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: out of memory: Unable to allocate 1.00 TiB"]
         assert not out.exists()
+
+    def test_memory_error_in_a_block_on_a_pool_thread(
+        self, sine_wav_factory, tmp_path, capsys, monkeypatch, pool_spy
+    ):
+        # A 3 s clip's STFT is four blocks; at a threshold of 2 the pool
+        # thread transforms the last two, and its FFTs fail.
+        rfft = np.fft.rfft
+
+        def exhausted(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                return rfft(*args, **kwargs)
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(np.fft, "rfft", exhausted)
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+        out = tmp_path / "pe.csv"
+        assert run(["analyze", str(sine_wav_factory(220.0, 3.0)), "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: out of memory: Unable to allocate 1.00 TiB"]
+        assert not out.exists()
+        assert pool_spy.futures and all(future.done() for future in pool_spy.futures)
+
+
+class TestSharedPool:
+    """Every map of every command runs on the one pool, and none nests in another."""
+
+    @pytest.fixture(autouse=True)
+    def every_stage_maps(self, monkeypatch):
+        # Two CPUs, and every stage of two blocks or more maps them.
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+
+    def argv(self, command, voiced_wav, sine_wav_factory, tmp_path):
+        if command == "compare":
+            other = sine_wav_factory(247.0, duration=3.0, name="other.wav")
+            manifest = tmp_path / "m.csv"
+            manifest.write_text(f"{voiced_wav},{other}\n{other},{voiced_wav}\n")
+            return ["compare", "--manifest", str(manifest)]
+        clip = sine_wav_factory(220.0, duration=3.0)
+        if command == "toy-fit":
+            return ["toy-fit", str(clip), "--steps", "2"]
+        return ["analyze", str(clip)]
+
+    @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 2)])
+    def test_no_map_submits_from_a_pool_thread(
+        self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command, maps
+    ):
+        # The files, or the arms, are one map of two shares; toy-fit
+        # decodes its target before it, in a map of its own. The stages
+        # inside a share run serially on its thread, though each has two
+        # blocks or more.
+        argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
+        assert run([*argv, "--output", str(tmp_path / "out")]) == 0
+        assert pool_spy.submitters == [threading.main_thread()] * maps
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "toy-fit"])
+    def test_no_pool_work_runs_after_main_returns(
+        self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command
+    ):
+        argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
+        assert run([*argv, "--output", str(tmp_path / "out")]) == 0
+        assert pool_spy.futures
+        assert all(future.done() for future in pool_spy.futures)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's ru_minflt")
@@ -1134,8 +1209,8 @@ class TestColdStart:
         manifest.write_text(f"{voiced_wav},{other}\n{other},{voiced_wav}\n" * 4)
         script = (
             "import sys\n"
-            "from peaudio import cli\n"
-            "cli._usable_cpus = lambda: 8\n"
+            "from peaudio import cli, signal_io\n"
+            "signal_io.usable_cpus = lambda: 8\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))

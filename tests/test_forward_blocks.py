@@ -4,10 +4,14 @@ Every stage walks its input in blocks of signal_io.BLOCK_ELEMENTS values.
 The block size must not change a bit of any result, so each stage is
 compared, at blocks of 1, 2 and 7 rows, with its default block size and
 with a whole-array oracle: the same computation as one call over the
-whole clip.
+whole clip. Nor may the thread pool the blocks are mapped over: each
+stage, the gradient and its checker are compared with their serial runs.
 """
 
+import json
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peaudio import signal_io
-from peaudio.pe import perceptual_entropy
+from peaudio.errors import NonFiniteAudioError
+from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy
 from peaudio.psychoacoustic import (
     SFM_POWER_FLOOR,
     BarkAnalysis,
@@ -214,6 +219,104 @@ class TestBlockInvariance:
             blocked = analyze(spec, layout)
             assert_analyses_equal(blocked, default)
             np.testing.assert_array_equal(perceptual_entropy(spec, blocked).per_frame, default_pe)
+
+
+def threaded_clips(directory):
+    """A 24-bit stereo 44.1 kHz clip, a float 16 kHz clip and a 16-bit clip with exact-zero gaps.
+
+    Each is long enough for two blocks or more in every stage it reaches.
+    """
+    clips = []
+    for name, seconds, bits, channels, rate, is_float in [
+        ("pcm24-stereo-44k.wav", 3.0, 24, 2, 44100, False),
+        ("float-16k.wav", 4.0, 32, 1, 16000, True),
+        ("gapped-22k.wav", 3.0, 16, 1, SR, False),
+    ]:
+        mono = harmonic_signal(duration=seconds, sr=rate, amplitude=0.8)
+        if name.startswith("gapped"):
+            mono[20000:40000] = 0.0
+            mono[50000:52000] = 0.0
+        payload = encode(mono, bits, channels, is_float)
+        path = directory / name
+        path.write_bytes(wav_header(len(payload), bits, channels, rate, is_float) + payload)
+        clips.append(path)
+    return clips
+
+
+def stage_outputs(path) -> dict:
+    """Every stage's result on one clip, from decode to the gradient check."""
+    cfg = StftConfig(sample_rate=SR)
+    layout = bark_layout(cfg)
+    raw = load_wav(path)
+    buf = resample(raw, SR)
+    spec = stft(buf, cfg)
+    analysis = analyze(spec, layout)
+    out = np.empty_like(spec.frames)
+    pe_gradient(spec, layout, out=out)
+    check = check_gradient(spec, layout, n_coords=20)
+    assert check.n_checked == 20
+    outputs = {
+        "load_wav": raw.samples,
+        "resample": buf.samples,
+        "stft": spec.frames,
+        "perceptual_entropy": perceptual_entropy(spec, analysis).per_frame,
+        "pe_gradient": pe_gradient(spec, layout).grad,
+        "pe_gradient(out=)": out,
+        "check_gradient.coordinates": check.coordinates,
+        "check_gradient.finite_differences": check.finite_differences,
+        "check_gradient.json": np.array(json.dumps(check.to_json_dict())),
+    }
+    for name in ("band_power", "spread_power", "sfm_db", "tonality", "offset_db",
+                 "spread_threshold", "masking_threshold"):
+        outputs[f"analyze.{name}"] = getattr(analysis, name)
+    return outputs
+
+
+class TestThreadedBlocks:
+    """From PARALLEL_MIN_BLOCKS blocks up, a stage maps its blocks over the thread pool."""
+
+    @pytest.fixture(scope="class")
+    def clips(self, tmp_path_factory):
+        return threaded_clips(tmp_path_factory.mktemp("threaded"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_threaded_stages_match_serial(self, clips, monkeypatch, pool_spy, cpus):
+        # Every stage of these clips maps its blocks at a threshold of 2,
+        # over as many threads as there are usable CPUs; the bits must be
+        # those of the serial loops.
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", sys.maxsize)
+        serial = [stage_outputs(path) for path in clips]
+        assert pool_spy.submitters == []
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+        for path, want in zip(clips, serial):
+            got = stage_outputs(path)
+            for name, value in want.items():
+                assert got[name].shape == value.shape, (path.name, name)
+                assert got[name].tobytes() == value.tobytes(), (path.name, name)
+        if cpus == 1:
+            assert pool_spy.submitters == []
+        else:
+            assert pool_spy.submitters
+            assert set(pool_spy.submitters) == {threading.main_thread()}
+
+    @pytest.mark.parametrize("nan_at", [(100, 100_000), (100_000,)])
+    def test_first_non_finite_block_is_reported(self, tmp_path, monkeypatch, nan_at):
+        # 110,250 float samples are four blocks; the pool thread's share
+        # holds the last one.
+        mono = harmonic_signal(duration=5.0, amplitude=0.8)
+        mono[list(nan_at)] = np.nan
+        payload = encode(mono, 32, 1, True)
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav_header(len(payload), 32, 1, SR, True) + payload)
+        messages = []
+        for cpus, min_blocks in [(1, sys.maxsize), (2, 2)]:
+            monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", min_blocks)
+            with pytest.raises(NonFiniteAudioError) as info:
+                load_wav(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"{path}: float payload holds NaN or infinite samples"
 
 
 class TestResampleProperties:

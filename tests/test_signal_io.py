@@ -1,4 +1,7 @@
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from peaudio.errors import (
     NonFiniteAudioError,
     UnsupportedFormatError,
 )
-from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
+from peaudio import signal_io
+from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav, thread_map
 
 
 def riff(chunks):
@@ -315,3 +319,75 @@ class TestAudioBuffer:
     def test_rejects_bad_rate(self):
         with pytest.raises(InvalidRateError):
             AudioBuffer(np.zeros(4), 0)
+
+
+class TestThreadMap:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+
+    def test_results_in_order_with_scratch_once_per_share(self, pool_spy):
+        made = []
+
+        def scratch():
+            made.append(threading.current_thread())
+            return []
+
+        def fn(item, seen):
+            seen.append(item)
+            return item, list(seen)
+
+        results = thread_map(fn, range(7), scratch)
+        # Items 0-2 run on the calling thread, 3-6 on a pool thread.
+        assert results == [(i, list(range(3 if i >= 3 else 0, i + 1))) for i in range(7)]
+        assert len(set(made)) == 2 and threading.main_thread() in made
+        assert pool_spy.submitters == [threading.main_thread()]
+
+    @pytest.mark.parametrize("failing, raised", [((1, 6), 1), ((6,), 6), ((6, 8), 6)])
+    def test_first_error_in_item_order_after_every_share(self, pool_spy, failing, raised):
+        # Items 0-4 are the calling thread's share, 5-9 the pool thread's,
+        # which is still sleeping when the calling thread's share fails.
+        def fn(item):
+            if item >= 5:
+                time.sleep(0.01)
+            if item in failing:
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError) as info:
+            thread_map(fn, range(10))
+        assert info.value.args == (raised,)
+        assert len(pool_spy.futures) == 1 and pool_spy.futures[0].done()
+
+    def test_a_map_inside_a_share_runs_serially(self, pool_spy):
+        def inner(item):
+            return thread_map(lambda x: (x, threading.current_thread()), range(4))
+
+        outer = thread_map(inner, range(2))
+        assert pool_spy.submitters == [threading.main_thread()]
+        for inner_results in outer:
+            assert len({thread for _, thread in inner_results}) == 1
+
+    def test_more_threads_than_cores_with_short_switch_interval(self, monkeypatch):
+        # Eight shares on a shortened switch interval: each block adds into
+        # its own rows only, so no update may be lost or land twice.
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 8)
+        out = np.zeros((400, 64))
+        blocks = signal_io.row_blocks(400, 3)
+
+        def add(rows, ones):
+            for _ in range(20):
+                out[rows] += ones[: rows.stop - rows.start]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread_map(add, blocks, lambda: np.ones((3, 64)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (out == 20.0).all()
+
+    def test_below_min_items_runs_on_the_calling_thread(self, pool_spy):
+        assert thread_map(lambda x: x * 2, range(5), min_items=6) == [0, 2, 4, 6, 8]
+        assert thread_map(lambda x: x, [1]) == [1]
+        assert pool_spy.submitters == []

@@ -13,7 +13,13 @@ rows) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz clip
 (the all-kink path, which no plan takes; the script writes the clip into
 its own inputs directory), runs under both trees twice: once with its
 ``--output`` file and once writing to stdout. Output files, stdout,
-stderr and exit codes are compared byte for byte. The script prints
+stderr and exit codes are compared byte for byte. Each tree also runs
+every job a second time with the stages' parallel threshold,
+``peaudio.signal_io.PARALLEL_MIN_BLOCKS``, set to 2 blocks in the forked
+child, so every stage of every clip long enough for two blocks maps its
+blocks over the thread pool; those runs are compared with the other
+tree's default runs (a tree without the constant runs them as its
+default runs). The script prints
 each difference, then what each tree's runs cost per command (the
 summed CPU seconds and minor page faults of its children, as
 ``os.wait4`` reports them; printed, not compared), then the Python line
@@ -88,7 +94,12 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
     return jobs
 
 
-def run_tree(src: Path, jobs: list[dict], out_dir: Path) -> None:
+# The stages' parallel threshold in the forced runs: every stage of two
+# blocks or more maps them over the pool.
+FORCED_MIN_BLOCKS = 2
+
+
+def run_tree(src: Path, jobs: list[dict], out_dir: Path, forced: bool) -> None:
     out_dir.mkdir(parents=True)
     jobs_path = out_dir / "jobs.json"
     jobs_path.write_text(json.dumps(jobs))
@@ -96,14 +107,15 @@ def run_tree(src: Path, jobs: list[dict], out_dir: Path) -> None:
     env.pop("PEAUDIO_TRACE", None)
     env.pop("PE_AUDIO_CONFIG", None)
     subprocess.run(
-        [sys.executable, __file__, "--run-jobs", str(jobs_path), str(src)],
+        [sys.executable, __file__, "--run-jobs", str(jobs_path), str(src), str(int(forced))],
         env=env, cwd=out_dir, check=True,
     )
 
 
-def run_jobs(jobs_path: str, src: str) -> None:
+def run_jobs(jobs_path: str, src: str, forced: bool) -> None:
     """Run each job in a forked child of this process; cwd is the tree's output directory."""
     import peaudio
+    from peaudio import signal_io
     from peaudio.cli import main as cli_main
 
     if not Path(peaudio.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -117,6 +129,8 @@ def run_jobs(jobs_path: str, src: str) -> None:
         if pid == 0:
             code = 1
             try:
+                if forced:
+                    signal_io.PARALLEL_MIN_BLOCKS = FORCED_MIN_BLOCKS
                 with open(f"{i:02d}.stdout", "wb") as out, open(f"{i:02d}.stderr", "wb") as err:
                     os.dup2(out.fileno(), 1)
                     os.dup2(err.fileno(), 2)
@@ -153,12 +167,12 @@ def costs(jobs: list[dict], out_dir: Path) -> dict[str, list]:
     return per_command
 
 
-def compare(jobs: list[dict], old: Path, new: Path) -> list[str]:
+def compare(jobs: list[dict], old: Path, new: Path, tag: str = "") -> list[str]:
     diffs = []
     old_codes = [run["code"] for run in json.loads((old / "runs.json").read_text())]
     new_codes = [run["code"] for run in json.loads((new / "runs.json").read_text())]
     for i, job in enumerate(jobs):
-        command = "peaudio " + " ".join(job["argv"])
+        command = tag + "peaudio " + " ".join(job["argv"])
         if old_codes[i] != new_codes[i]:
             diffs.append(f"{command}: exit code {old_codes[i]} != {new_codes[i]}")
         names = [f"{i:02d}.stdout", f"{i:02d}.stderr"] + ([job["output"]] if job["output"] else [])
@@ -182,10 +196,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         work = Path(tmp)
         jobs = build_jobs(work, args.tiny)
-        run_tree(args.old_src.resolve(), jobs, work / "old")
-        run_tree(args.new_src.resolve(), jobs, work / "new")
+        trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
+        for tree, src in trees.items():
+            run_tree(src, jobs, work / tree, forced=False)
+            run_tree(src, jobs, work / f"{tree}-forced", forced=True)
         diffs = compare(jobs, work / "old", work / "new")
-        cost = {tree: costs(jobs, work / tree) for tree in ("old", "new")}
+        diffs += compare(jobs, work / "old-forced", work / "new", "[old forced] ")
+        diffs += compare(jobs, work / "old", work / "new-forced", "[new forced] ")
+        cost = {tree: costs(jobs, work / tree) for tree in trees}
     for line in diffs:
         print(line)
     for tree, per_command in cost.items():
@@ -194,12 +212,12 @@ def main(argv=None) -> int:
     old_lines, new_lines = src_lines(args.old_src), src_lines(args.new_src)
     print(f"old src: {old_lines} lines")
     print(f"new src: {new_lines} lines ({new_lines - old_lines:+d})")
-    print(f"{len(jobs)} runs compared, {len(diffs)} differences")
+    print(f"{3 * len(jobs)} runs compared, {len(diffs)} differences")
     return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--run-jobs":
-        run_jobs(sys.argv[2], sys.argv[3])
+    if len(sys.argv) == 5 and sys.argv[1] == "--run-jobs":
+        run_jobs(sys.argv[2], sys.argv[3], sys.argv[4] == "1")
     else:
         sys.exit(main())
