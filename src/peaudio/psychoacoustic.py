@@ -191,7 +191,7 @@ def hearing_threshold_db_spl(freq_hz) -> np.ndarray:
 
 
 def full_scale_band_power(cfg: StftConfig) -> float:
-    """Band power a full-scale bin-centered sinusoid produces under cfg's window."""
+    """Band power a full-scale bin-centered sinusoid produces under the Hann window."""
     window = cfg.window_samples()
     return float((window.sum() / 2.0) ** 2)
 

@@ -1,9 +1,9 @@
 """Short-time spectral analysis: STFT, mel filterbank, cepstrum.
 
 Conventions: one-sided spectra (fft_size/2 + 1 bins), unnormalized
-forward DFT (a constant frame of ones with a rectangular window puts
-fft_size into bin 0), frame t covering samples [t*hop, t*hop + fft_size)
-with no centering pad.
+forward DFT (a constant frame of ones puts sum(window) into bin 0),
+frame t covering samples [t*hop, t*hop + fft_size) with no centering
+pad, every frame weighted by the periodic Hann window.
 """
 
 from dataclasses import dataclass
@@ -21,30 +21,17 @@ DEFAULT_N_MELS = 80
 DEFAULT_N_CEPSTRA = 25
 LOG_FLOOR = 1e-10
 
-# Generalized-cosine coefficients a_k of w = sum_k a_k cos(k * fac) for
-# each supported window, as SciPy's get_window builds them. Hamming's
-# second term is written 1 - 0.54, as SciPy derives it: the literal 0.46
-# differs in the last bit.
-WINDOW_COEFFICIENTS = {
-    "hann": (0.5, 0.5),
-    "hamming": (0.54, 1.0 - 0.54),
-    "blackman": (0.42, 0.50, 0.08),
-    "boxcar": (1.0,),
-}
-
 
 @dataclass(frozen=True)
 class StftConfig:
     """Framing parameters for short-time analysis.
 
-    fft_size must be a power of two and at least hop; window is one of
-    the names in WINDOW_COEFFICIENTS ("hann", "hamming", "blackman",
-    "boxcar"), always in its periodic (DFT-even) form.
+    fft_size must be a power of two and at least hop. Every frame is
+    weighted by the periodic (DFT-even) Hann window, window_samples().
     """
 
     fft_size: int = DEFAULT_FFT_SIZE
     hop: int = DEFAULT_HOP
-    window: str = "hann"
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
@@ -54,26 +41,18 @@ class StftConfig:
             raise ValueError(f"hop must satisfy 1 <= hop <= fft_size, got {self.hop}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.window not in WINDOW_COEFFICIENTS:
-            raise ValueError(
-                f"window must be one of {', '.join(WINDOW_COEFFICIENTS)}, got {self.window!r}"
-            )
 
     @property
     def bins(self) -> int:
         return self.fft_size // 2 + 1
 
     def window_samples(self) -> np.ndarray:
-        """The periodic (DFT-even) window: fft_size + 1 symmetric points, last one dropped.
+        """The periodic (DFT-even) Hann window: fft_size + 1 symmetric points, last one dropped.
 
         The same recipe, and so the same bits, as SciPy's
-        get_window(window, fft_size, fftbins=True).
+        get_window("hann", fft_size, fftbins=True).
         """
-        fac = np.linspace(-np.pi, np.pi, self.fft_size + 1)
-        w = np.zeros(self.fft_size + 1)
-        for k, a_k in enumerate(WINDOW_COEFFICIENTS[self.window]):
-            w += a_k * np.cos(k * fac)
-        return w[:-1]
+        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, self.fft_size + 1)))[:-1]
 
     def bin_frequencies(self) -> np.ndarray:
         """Center frequency of each one-sided bin in Hz."""

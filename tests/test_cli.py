@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -1046,21 +1047,24 @@ class TestOutOfMemory:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, worker", [
-        ("toy-fit", "toy_fit"), ("compare", "file_features"),
+        ("toy-fit", "toy_fit"), ("compare", "file_features"), ("compare", "metrics.extract_f0"),
     ])
     def test_memory_error_in_a_pool_thread(
         self, voiced_wav, sine_wav_factory, tmp_path, capsys, monkeypatch, command, worker
     ):
         # The calling thread runs the first arm or file itself; the error
-        # is raised on the pool thread that runs the other.
-        real = getattr(cli, worker)
+        # is raised on the pool thread that runs the other. A bare worker
+        # name is the CLI's; metrics.extract_f0 fails inside file_features,
+        # whose catch-all returns the error for the row to raise.
+        target = worker if "." in worker else f"cli.{worker}"
+        real = pkgutil.resolve_name(f"peaudio.{target}")
 
         def exhausted(*args, **kwargs):
             if threading.current_thread() is threading.main_thread():
                 return real(*args, **kwargs)
             raise MemoryError("Unable to allocate 1.00 TiB")
 
-        monkeypatch.setattr(f"peaudio.cli.{worker}", exhausted)
+        monkeypatch.setattr(f"peaudio.{target}", exhausted)
         monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: 2)
         out = tmp_path / "out"
         if command == "compare":

@@ -55,7 +55,7 @@ def toy_analysis(layout, thresholds, n_frames):
 
 def toy_config(bins):
     fft_size = 2 * (bins - 1)
-    return StftConfig(fft_size=fft_size, hop=fft_size, window="boxcar", sample_rate=8000)
+    return StftConfig(fft_size=fft_size, hop=fft_size, sample_rate=8000)
 
 
 def naive_pe(frames, bin_ranges, thresholds):
@@ -201,8 +201,10 @@ class TestSingLoss:
         assert sing_loss(pl, rl, pm, rm) == pytest.approx(manual, rel=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match="linear"):
             sing_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ShapeMismatchError, match="mel"):
+            sing_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestTotalLoss:

@@ -1,4 +1,6 @@
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import peaudio
 from peaudio.cli import main
 from peaudio.errors import (
     CorruptHeaderError,
@@ -320,6 +323,10 @@ class TestAudioBuffer:
         with pytest.raises(InvalidRateError):
             AudioBuffer(np.zeros(4), 0)
 
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="mono"):
+            AudioBuffer(np.zeros((2, 4)), 8000)
+
 
 class TestThreadMap:
     @pytest.fixture(autouse=True)
@@ -391,3 +398,32 @@ class TestThreadMap:
         assert thread_map(lambda x: x * 2, range(5), min_items=6) == [0, 2, 4, 6, 8]
         assert thread_map(lambda x: x, [1]) == [1]
         assert pool_spy.submitters == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_maps_on_a_pool_of_its_own(self):
+        # A child forked after the pool started has none of its threads: a
+        # map there that submitted to the parent's pool would wait forever.
+        # The parent kills a child that is still running after 10 s.
+        script = (
+            "import os, signal, sys, time\n"
+            "from peaudio import signal_io\n"
+            "signal_io.usable_cpus = lambda: 2\n"
+            "assert signal_io.thread_map(abs, [-1, -2]) == [1, 2]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if signal_io.thread_map(abs, [-3, -4]) == [3, 4] else 1)\n"
+            "deadline = time.monotonic() + 10\n"
+            "while time.monotonic() < deadline:\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.01)\n"
+            "os.kill(pid, signal.SIGKILL)\n"
+            "os.waitpid(pid, 0)\n"
+            "sys.exit('the forked child hung in thread_map')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,6 @@ import scipy.fft
 from peaudio.errors import BufferTooShortError
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import (
-    WINDOW_COEFFICIENTS,
     Spectrogram,
     StftConfig,
     mel_cepstrum,
@@ -47,10 +46,6 @@ class TestStftConfig:
         with pytest.raises(ValueError):
             StftConfig(fft_size=64, hop=65)
 
-    def test_rejects_unknown_window(self):
-        with pytest.raises(ValueError, match="hann, hamming, blackman, boxcar, got 'nope'"):
-            StftConfig(window="nope")
-
 
 class TestSpectrogram:
     def test_rejects_wrong_bin_count(self):
@@ -66,31 +61,30 @@ class TestSpectrogram:
 
 class TestStft:
     def test_dc_only(self):
-        cfg = StftConfig(fft_size=8, hop=8, window="boxcar", sample_rate=8000)
+        # The periodic Hann window of 8 points is 0.5 - 0.5 cos(2 pi n / 8):
+        # a frame of ones puts sum(window) = 4 into bin 0 and -2 into bin 1.
+        cfg = StftConfig(fft_size=8, hop=8, sample_rate=8000)
         spec = stft(AudioBuffer(np.ones(8), 8000), cfg)
         assert spec.n_frames == 1
-        np.testing.assert_allclose(spec.frames[0, 0], 8.0 + 0.0j, atol=1e-12)
-        np.testing.assert_allclose(spec.frames[0, 1:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(spec.frames[0], [4, -2, 0, 0, 0], atol=1e-12)
 
     def test_pure_cosine_bin3(self):
-        cfg = StftConfig(fft_size=8, hop=8, window="boxcar", sample_rate=8000)
+        # The window's bins shifted by +-3: the Nyquist bin 4 takes both images.
+        cfg = StftConfig(fft_size=8, hop=8, sample_rate=8000)
         x = np.cos(2 * np.pi * 3 * np.arange(8) / 8)
         spec = stft(AudioBuffer(x, 8000), cfg)
-        np.testing.assert_allclose(spec.frames[0, 3], 4.0 + 0.0j, atol=1e-12)
-        others = np.delete(spec.frames[0], 3)
-        np.testing.assert_allclose(others, 0.0, atol=1e-12)
+        np.testing.assert_allclose(spec.frames[0], [0, 0, -1, 2, -2], atol=1e-12)
 
     def test_buffer_too_short(self):
         cfg = StftConfig(fft_size=64, hop=16, sample_rate=8000)
         with pytest.raises(BufferTooShortError):
             stft(AudioBuffer(np.zeros(63), 8000), cfg)
 
-    @pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
-    def test_parseval_every_frame(self, window):
+    def test_parseval_every_frame(self):
         # Windowed-frame energy equals the one-sided spectral sum / N.
         rng = np.random.default_rng(11)
         x = rng.uniform(-0.9, 0.9, 4000)
-        cfg = StftConfig(fft_size=256, hop=100, window=window, sample_rate=8000)
+        cfg = StftConfig(fft_size=256, hop=100, sample_rate=8000)
         spec = stft(AudioBuffer(x, 8000), cfg)
         w = cfg.window_samples()
         for t in range(spec.n_frames):
@@ -226,14 +220,13 @@ class TestMelCepstrum:
 
 
 class TestWindows:
-    @pytest.mark.parametrize("name", sorted(WINDOW_COEFFICIENTS))
-    def test_bit_identical_to_scipy_signal(self, name):
-        # The library builds its windows without scipy.signal; the tests
+    def test_bit_identical_to_scipy_signal(self):
+        # The library builds its window without scipy.signal; the tests
         # may import it as the reference.
         import scipy.signal
 
         for n in (2**e for e in range(1, 17)):
-            ours = StftConfig(fft_size=n, hop=1, window=name).window_samples()
-            reference = scipy.signal.get_window(name, n, fftbins=True)
+            ours = StftConfig(fft_size=n, hop=1).window_samples()
+            reference = scipy.signal.get_window("hann", n, fftbins=True)
             assert ours.dtype == np.float64
-            assert np.array_equal(ours, reference), (name, n)
+            assert np.array_equal(ours, reference), n
