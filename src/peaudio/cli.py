@@ -226,14 +226,12 @@ def _emit(text: str, output) -> None:
 
 
 def _load_spectrum(path, cfg: CliConfig):
-    stft_cfg = cfg.stft()
-    spec = stft(resample(load_wav(path), cfg.sample_rate), stft_cfg)
-    return spec, bark_layout(stft_cfg)
+    return stft(resample(load_wav(path), cfg.sample_rate), cfg.stft())
 
 
 def cmd_analyze(args, cfg: CliConfig) -> int:
-    spec, layout = _load_spectrum(args.input, cfg)
-    result = perceptual_entropy(spec, analyze(spec, layout))
+    spec = _load_spectrum(args.input, cfg)
+    result = perceptual_entropy(spec, analyze(spec))
     if cfg.format == "json":
         text = _json_text(result.to_json_dict())
     else:
@@ -247,21 +245,17 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
 
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
-    spec, layout = _load_spectrum(args.input, cfg)
-    result = analyze(spec, layout)
+    result = analyze(_load_spectrum(args.input, cfg))
+    centers = result.layout.band_centers()
     quantities = (
         ("band_power", result.band_power.tolist()),
         ("tonality", result.tonality.tolist()),
         ("threshold", result.masking_threshold.tolist()),
     )
     if cfg.format == "json":
-        payload = {
-            "band_center_hz": [float(c) for c in layout.band_centers()],
-            **dict(quantities),
-        }
-        text = _json_text(payload)
+        text = _json_text({"band_center_hz": centers.tolist(), **dict(quantities)})
     else:
-        header = "frame,quantity," + ",".join(f"{c:.1f}" for c in layout.band_centers())
+        header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers)
         lines = [header]
         for t in range(result.n_frames):
             for name, values in quantities:
@@ -274,8 +268,8 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
 def cmd_grad_check(args, cfg: CliConfig) -> int:
     if args.n_coords < 1:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
-    spec, layout = _load_spectrum(args.input, cfg)
-    check = check_gradient(spec, layout, n_coords=args.n_coords, seed=cfg.seed)
+    spec = _load_spectrum(args.input, cfg)
+    check = check_gradient(spec, n_coords=args.n_coords, seed=cfg.seed)
     _emit(_json_text(check.to_json_dict()), args.output)
     if not check.passed():
         worst = check.worst or {}  # unset when the worst relative error is NaN

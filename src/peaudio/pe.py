@@ -20,9 +20,7 @@ from .psychoacoustic import (
     SFM_POWER_FLOOR,
     TONE_OFFSET_BASE_DB,
     BarkAnalysis,
-    BarkBandLayout,
     analyze,
-    bark_layout,
     spreading_gain,
     spreading_kernel,
 )
@@ -155,9 +153,7 @@ def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
     return l_sing + cfg.lam * pe_result.loss_pe
 
 
-def pe_gradient(
-    spec: Spectrogram, layout: BarkBandLayout, *, out: np.ndarray | None = None
-) -> GradientReport:
+def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> GradientReport:
     """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
 
     Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
@@ -180,7 +176,8 @@ def pe_gradient(
         raise ValueError(
             f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
         )
-    analysis = analyze(spec, layout)
+    analysis = analyze(spec)
+    layout = analysis.layout
     # One pass over blocks of frames: each block's forward quantization
     # turns into its partials while it is still in cache, and each block's
     # Re and Im partials are written once into the real and imaginary views
@@ -313,10 +310,7 @@ def _components(spec: Spectrogram) -> np.ndarray:
 
 
 def check_gradient(
-    spec: Spectrogram,
-    layout: BarkBandLayout,
-    n_coords: int = 100,
-    seed: int = DEFAULT_SEED,
+    spec: Spectrogram, n_coords: int = 100, seed: int = DEFAULT_SEED
 ) -> GradientCheckResult:
     """Compare the analytic PE-loss gradient to central finite differences.
 
@@ -332,7 +326,7 @@ def check_gradient(
     """
     if n_coords < 1:
         raise ValueError(f"n_coords must be >= 1, got {n_coords}")
-    report = pe_gradient(spec, layout)
+    report = pe_gradient(spec)
     grad = report.grad
 
     components = _components(spec)
@@ -379,7 +373,7 @@ def check_gradient(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=min(n_coords, eligible.size), replace=False)
     coordinates = np.stack(np.unravel_index(chosen, components.shape), axis=-1)
-    fd = _frame_local_fd(spec, layout, per_frame, coordinates)
+    fd = _frame_local_fd(spec, per_frame, coordinates)
 
     frame, bin_idx, part = coordinates.T
     analytic = np.where(part == 0, grad.real[frame, bin_idx], grad.imag[frame, bin_idx])
@@ -408,12 +402,7 @@ def check_gradient(
     )
 
 
-def _frame_local_fd(
-    spec: Spectrogram,
-    layout: BarkBandLayout,
-    per_frame: np.ndarray,
-    coordinates: np.ndarray,
-) -> np.ndarray:
+def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
     """Central differences of the PE loss at (frame, bin, part) coordinates.
 
     per_frame is the per-frame PE of spec itself. Every pipeline stage
@@ -441,7 +430,7 @@ def _frame_local_fd(
         rows = components[np.concatenate([frame, frame])]  # +h rows, then -h rows
         rows[np.arange(2 * n), np.tile(bin_idx, 2), np.tile(part, 2)] += np.concatenate([h, -h])
         batch = Spectrogram(rows.view(np.complex128)[..., 0], spec.config)
-        pe_rows = perceptual_entropy(batch, analyze(batch, layout)).per_frame
+        pe_rows = perceptual_entropy(batch, analyze(batch)).per_frame
         pe_plus, pe_minus = pe_rows[:n], pe_rows[n:]
         d_plus = (pe_plus - per_frame[frame]) / n_frames
         d_minus = (pe_minus - per_frame[frame]) / n_frames
@@ -526,7 +515,6 @@ def toy_fit(
     sin_phi = phase.imag
     weights = mel_filterbank(stft_cfg, n_mels)
     ref_mel = mel_from_power(ref_mag**2, weights)
-    layout = bark_layout(stft_cfg)
 
     rng = np.random.default_rng(seed)
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
@@ -560,9 +548,9 @@ def toy_fit(
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
         if cfg.lam > 0 and step < steps:
-            pe_result = pe_gradient(pred, layout, out=pe_grad).pe
+            pe_result = pe_gradient(pred, out=pe_grad).pe
         else:
-            pe_result = perceptual_entropy(pred, analyze(pred, layout))
+            pe_result = perceptual_entropy(pred, analyze(pred))
         record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)

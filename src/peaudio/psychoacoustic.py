@@ -103,8 +103,9 @@ class BarkAnalysis:
         return self.band_power.shape[0]
 
 
+@lru_cache(maxsize=None)
 def bark_layout(cfg: StftConfig) -> BarkBandLayout:
-    """Assign FFT bins to critical bands for the config's rate and size.
+    """Assign FFT bins to critical bands for the config's rate and size; cached and read-only.
 
     Band boundaries follow the Zwicker table truncated at Nyquist; a bin
     belongs to the band whose [lower, upper) range contains its center
@@ -130,7 +131,10 @@ def bark_layout(cfg: StftConfig) -> BarkBandLayout:
         )
     upper_bins = np.cumsum(counts) - 1
     lower_bins = np.concatenate(([0], upper_bins[:-1] + 1))
-    return BarkBandLayout(edges, lower_bins, upper_bins, n)
+    layout = BarkBandLayout(edges, lower_bins, upper_bins, n)
+    for array in (layout.band_edges, layout.lower_bins, layout.upper_bins):
+        array.setflags(write=False)
+    return layout
 
 
 def spreading_function_db(dz) -> np.ndarray:
@@ -196,45 +200,40 @@ def full_scale_band_power(cfg: StftConfig) -> float:
     return float((window.sum() / 2.0) ** 2)
 
 
-def absolute_threshold(layout: BarkBandLayout, cfg: StftConfig) -> np.ndarray:
-    """Absolute-hearing-threshold power per band, shape (n,).
+def absolute_threshold(cfg: StftConfig) -> np.ndarray:
+    """Absolute-hearing-threshold power per band of bark_layout(cfg), shape (n,).
 
     Each band is represented by its most sensitive bin (minimum Terhardt
     level); dB SPL converts to spectrum power with a full-scale sinusoid
     pinned to 96 dB SPL.
     """
     quiet_db = hearing_threshold_db_spl(cfg.bin_frequencies())
-    per_band_min = np.minimum.reduceat(quiet_db, layout.lower_bins)
+    per_band_min = np.minimum.reduceat(quiet_db, bark_layout(cfg).lower_bins)
     return full_scale_band_power(cfg) * 10.0 ** ((per_band_min - FULL_SCALE_SPL_DB) / 10.0)
 
 
-def renormalize_and_clamp(
-    thresholds: np.ndarray, layout: BarkBandLayout, cfg: StftConfig
-) -> np.ndarray:
+def renormalize_and_clamp(thresholds: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Divide by the spreading row gain, then clamp to the absolute threshold.
 
     The division undoes the gain the spreading convolution gives a flat
     spectrum, which is the testable meaning of moving the threshold back
     into the unspread band domain.
     """
-    renormalized = np.asarray(thresholds, dtype=np.float64) / spreading_gain(layout)
-    return np.maximum(renormalized, absolute_threshold(layout, cfg))
+    renormalized = np.asarray(thresholds, dtype=np.float64) / spreading_gain(bark_layout(cfg))
+    return np.maximum(renormalized, absolute_threshold(cfg))
 
 
-def analyze(spec: Spectrogram, layout: BarkBandLayout) -> BarkAnalysis:
+def analyze(spec: Spectrogram) -> BarkAnalysis:
     """Run the full masking pipeline on every frame of a spectrogram.
 
-    Spectral flatness is computed from the per-bin power components of
-    each band, not from the band sums.
+    The bands are bark_layout(spec.config). Spectral flatness is computed
+    from the per-bin power components of each band, not from the band sums.
     """
-    if spec.config.bins != layout.n_bins:
-        raise ValueError(
-            f"layout covers {layout.n_bins} bins but spectrogram has {spec.config.bins}"
-        )
     # The per-bin steps run one block of frames at a time and keep only
     # their band sums; the band-level steps after the map see whole (T, n)
     # arrays, so the spreading product is one matrix product, rounded
     # the same way whatever the block size or thread count.
+    layout = bark_layout(spec.config)
     lower = layout.lower_bins
     band_power = np.empty((spec.n_frames, layout.n))
     floored_sum, log_sum = np.empty_like(band_power), np.empty_like(band_power)
@@ -260,7 +259,7 @@ def analyze(spec: Spectrogram, layout: BarkBandLayout) -> BarkAnalysis:
     alpha = tonality(flatness)
     offsets = masking_offset_db(alpha, np.arange(1, layout.n + 1))
     raw_threshold = spread_threshold(spread_power, offsets)
-    final_threshold = renormalize_and_clamp(raw_threshold, layout, spec.config)
+    final_threshold = renormalize_and_clamp(raw_threshold, spec.config)
 
     return BarkAnalysis(
         band_power=band_power,

@@ -139,6 +139,16 @@ def map_blocks(fn, blocks: list[slice], scratch=None) -> list:
     return thread_map(fn, blocks, scratch, min_items=PARALLEL_MIN_BLOCKS)
 
 
+def _whole_rate(rate, name: str) -> int:
+    """rate as an int if it is a positive whole number, else InvalidRateError (NaN and inf too)."""
+    try:
+        if int(rate) == rate > 0:
+            return int(rate)
+    except (TypeError, ValueError, OverflowError):  # int() of NaN, an infinity or a non-number
+        pass
+    raise InvalidRateError(f"{name} must be a positive integer, got {rate}")
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono audio: float64 samples in [-1, 1] plus their sample rate."""
@@ -149,9 +159,7 @@ class AudioBuffer:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
-            raise InvalidRateError(f"sample_rate must be a positive integer, got {self.sample_rate}")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _whole_rate(self.sample_rate, "sample_rate"))
         if samples.ndim != 1:
             raise ValueError("AudioBuffer is mono: samples must be one-dimensional")
         if samples.size:
@@ -301,9 +309,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     to the buffer's own rate returns an identical copy, which makes the
     operation idempotent at a fixed rate.
     """
-    if target_rate <= 0 or int(target_rate) != target_rate:
-        raise InvalidRateError(f"target_rate must be a positive integer, got {target_rate}")
-    target_rate = int(target_rate)
+    target_rate = _whole_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
         return AudioBuffer(buf.samples.copy(), target_rate)
     n_out = buf.samples.size * target_rate // buf.sample_rate

@@ -67,8 +67,7 @@ def test_criterion_2_gradient_correctness(voiced_wav):
     start = time.monotonic()
     cfg = StftConfig(sample_rate=SR)
     spec = stft(load_wav(voiced_wav), cfg)
-    layout = bark_layout(cfg)
-    check = check_gradient(spec, layout, n_coords=100, seed=11)
+    check = check_gradient(spec, n_coords=100, seed=11)
     elapsed = time.monotonic() - start
     assert not check.all_kink
     assert check.n_checked == 100
@@ -84,12 +83,12 @@ def test_criterion_3_scale_invariance(voiced_wav):
     cfg = StftConfig(sample_rate=SR)
     layout = bark_layout(cfg)
     spec = stft(load_wav(voiced_wav), cfg)
-    quiet = absolute_threshold(layout, cfg)
+    quiet = absolute_threshold(cfg)
     gain = spreading_gain(layout)
     values = {}
     for c in (0.5, 1.0, 2.0):
         spec_c = scaled(spec, c)
-        res = analyze(spec_c, layout)
+        res = analyze(spec_c)
         assert np.all(res.spread_threshold / gain > quiet), f"clamp active at gain {c}"
         values[c] = perceptual_entropy(spec_c, res).mean_pe
     for c in (0.5, 2.0):
@@ -114,9 +113,8 @@ def test_criterion_5_closed_form_cases(silence_wav):
     from peaudio.signal_io import load_wav
 
     cfg = StftConfig(sample_rate=SR)
-    layout = bark_layout(cfg)
     spec = stft(load_wav(silence_wav), cfg)
-    result = perceptual_entropy(spec, analyze(spec, layout))
+    result = perceptual_entropy(spec, analyze(spec))
     assert result.mean_pe == 0.0
     assert result.loss_pe == 1.0
 
@@ -186,14 +184,14 @@ def test_criterion_8_tonality_sanity():
     cfg = StftConfig(fft_size=8192, hop=4096, sample_rate=SR)
     layout = bark_layout(cfg)
     spec = stft(AudioBuffer(sine_signal(1000.0, amplitude=0.99), SR), cfg)
-    res = analyze(spec, layout)
+    res = analyze(spec)
     band = int(np.searchsorted(layout.band_edges[1:], 1000.0, side="right"))
     alpha_tone = res.tonality[:, band].mean()
     assert alpha_tone > 0.9
 
     rng = np.random.default_rng(99)
     noise = np.clip(rng.standard_normal(SR) / 3.5, -1.0, 1.0)
-    noise_res = analyze(stft(AudioBuffer(noise, SR), cfg), layout)
+    noise_res = analyze(stft(AudioBuffer(noise, SR), cfg))
     alpha_noise = noise_res.tonality.mean()
     assert alpha_noise < 0.3
     report(8, f"tone band alpha {alpha_tone:.3f} > 0.9, noise mean alpha {alpha_noise:.3f} < 0.3")

@@ -97,7 +97,7 @@ class TestThresholds:
         out = tmp_path / "t.csv"
         run(["thresholds", str(silence_wav), "--output", str(out)])
         cfg = StftConfig()
-        quiet = absolute_threshold(bark_layout(cfg), cfg)
+        quiet = absolute_threshold(cfg)
         lines = [l for l in out.read_text().splitlines()[1:] if ",threshold," in l]
         values = np.array([float(v) for v in lines[0].split(",")[2:]])
         np.testing.assert_allclose(values, quiet, rtol=1e-12)

@@ -82,8 +82,9 @@ def whole_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return scipy.fft.rfft(frames * cfg.window_samples(), axis=1)
 
 
-def whole_analyze(spec: Spectrogram, layout) -> BarkAnalysis:
+def whole_analyze(spec: Spectrogram) -> BarkAnalysis:
     """The masking pipeline with whole-clip (T, bins) power arrays."""
+    layout = bark_layout(spec.config)
     power = spec.power()
     k = layout.k
     band_power = np.add.reduceat(power, layout.lower_bins, axis=1)
@@ -102,7 +103,7 @@ def whole_analyze(spec: Spectrogram, layout) -> BarkAnalysis:
         tonality=alpha,
         offset_db=offsets,
         spread_threshold=raw_threshold,
-        masking_threshold=renormalize_and_clamp(raw_threshold, layout, spec.config),
+        masking_threshold=renormalize_and_clamp(raw_threshold, spec.config),
         layout=layout,
     )
 
@@ -165,7 +166,7 @@ def analysis_spec():
     assert spec.n_frames == 19
     assert (~spec.frames.any(axis=1)).sum() == 3
     assert np.any(power[spec.frames.any(axis=1)] < SFM_POWER_FLOOR)
-    return spec, bark_layout(cfg)
+    return spec
 
 
 # ---------------------------------------------------------------- block invariance
@@ -209,14 +210,14 @@ class TestBlockInvariance:
             np.testing.assert_array_equal(stft(AudioBuffer(x, SR), cfg).frames, default)
 
     def test_analyze_and_perceptual_entropy(self, analysis_spec, monkeypatch):
-        spec, layout = analysis_spec
-        default = analyze(spec, layout)
-        assert_analyses_equal(default, whole_analyze(spec, layout))
+        spec = analysis_spec
+        default = analyze(spec)
+        assert_analyses_equal(default, whole_analyze(spec))
         default_pe = perceptual_entropy(spec, default).per_frame
         np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
         for rows in BLOCK_ROWS:
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * spec.config.bins)
-            blocked = analyze(spec, layout)
+            blocked = analyze(spec)
             assert_analyses_equal(blocked, default)
             np.testing.assert_array_equal(perceptual_entropy(spec, blocked).per_frame, default_pe)
 
@@ -246,21 +247,20 @@ def threaded_clips(directory):
 def stage_outputs(path) -> dict:
     """Every stage's result on one clip, from decode to the gradient check."""
     cfg = StftConfig(sample_rate=SR)
-    layout = bark_layout(cfg)
     raw = load_wav(path)
     buf = resample(raw, SR)
     spec = stft(buf, cfg)
-    analysis = analyze(spec, layout)
+    analysis = analyze(spec)
     out = np.empty_like(spec.frames)
-    pe_gradient(spec, layout, out=out)
-    check = check_gradient(spec, layout, n_coords=20)
+    pe_gradient(spec, out=out)
+    check = check_gradient(spec, n_coords=20)
     assert check.n_checked == 20
     outputs = {
         "load_wav": raw.samples,
         "resample": buf.samples,
         "stft": spec.frames,
         "perceptual_entropy": perceptual_entropy(spec, analysis).per_frame,
-        "pe_gradient": pe_gradient(spec, layout).grad,
+        "pe_gradient": pe_gradient(spec).grad,
         "pe_gradient(out=)": out,
         "check_gradient.coordinates": check.coordinates,
         "check_gradient.finite_differences": check.finite_differences,
@@ -360,12 +360,11 @@ def write_stereo_24bit(path, seconds: int, rate: int = 44100):
 
 def forward_peak_bytes(path) -> int:
     cfg = StftConfig(sample_rate=SR)
-    layout = bark_layout(cfg)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         spec = stft(resample(load_wav(path), SR), cfg)
-        perceptual_entropy(spec, analyze(spec, layout))
+        perceptual_entropy(spec, analyze(spec))
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

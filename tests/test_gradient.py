@@ -28,15 +28,15 @@ SR = 22050
 def voiced_spec():
     cfg = StftConfig(sample_rate=SR)
     buf = AudioBuffer(harmonic_signal(duration=0.6), SR)
-    return stft(buf, cfg), bark_layout(cfg)
+    return stft(buf, cfg)
 
 
-def loss_pe_of(spec, layout):
+def loss_pe_of(spec):
     """Forward pass only: the PE loss of a complex spectrogram."""
-    return perceptual_entropy(spec, analyze(spec, layout)).loss_pe
+    return perceptual_entropy(spec, analyze(spec)).loss_pe
 
 
-def full_pipeline_fd(spec, layout, coordinates):
+def full_pipeline_fd(spec, coordinates):
     """Central differences of the whole-clip PE loss, one coordinate at a time.
 
     The reference the frame-local checker is held to: each quotient
@@ -48,7 +48,7 @@ def full_pipeline_fd(spec, layout, coordinates):
     components = np.stack([spec.frames.real, spec.frames.imag], axis=-1)
 
     def loss_at(values):
-        return loss_pe_of(Spectrogram(values[..., 0] + 1j * values[..., 1], spec.config), layout)
+        return loss_pe_of(Spectrogram(values[..., 0] + 1j * values[..., 1], spec.config))
 
     fd = []
     for frame, bin_idx, part in coordinates:
@@ -88,7 +88,7 @@ def reference_gradient(spec, analysis):
     dpe_dthresh = dpe_dstep * 3.0 / (k * steps)
 
     gain = spreading_gain(layout)
-    quiet = absolute_threshold(layout, spec.config)
+    quiet = absolute_threshold(spec.config)
     clamp_inactive = (analysis.spread_threshold / gain) >= quiet
     dpe_draw = np.where(clamp_inactive, dpe_dthresh / gain, 0.0)
     dpe_dspread = dpe_draw * 10.0 ** (-analysis.offset_db / 10.0)
@@ -130,38 +130,38 @@ def gapped_spec():
     frames[14, lo : hi + 1] = 1e-3
     frames[14, lo] = 1e3
     spec = Spectrogram(frames, cfg)
-    analysis = analyze(spec, layout)
+    analysis = analyze(spec)
     silent = ~spec.frames.any(axis=1)
-    clamped = analysis.spread_threshold / spreading_gain(layout) < absolute_threshold(layout, cfg)
+    clamped = analysis.spread_threshold / spreading_gain(layout) < absolute_threshold(cfg)
     unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
     live = (~clamped & unpinned)[12, band_of_bin(layout)]
     assert silent.sum() == 3
     assert clamped[~silent].any() and not clamped[~silent].all()
     assert np.any(live & (spec.power()[12] < SFM_POWER_FLOOR))
     assert not clamped[14, 8] and analysis.sfm_db[14, 8] < SFM_DB_MAX
-    return spec, layout
+    return spec
 
 
 class TestFusedGradient:
     def test_matches_whole_clip_reference(self, gapped_spec):
-        spec, layout = gapped_spec
-        got = pe_gradient(spec, layout).grad
-        want = reference_gradient(spec, analyze(spec, layout))
+        spec = gapped_spec
+        got = pe_gradient(spec).grad
+        want = reference_gradient(spec, analyze(spec))
         # Reordered roundoff only: the fused pass factors constants out and
         # forms 1/(step*u) once, which moves the last bits.
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_block_size_does_not_change_the_result(self, gapped_spec, monkeypatch):
-        spec, layout = gapped_spec
+        spec = gapped_spec
         bins = spec.config.bins
         monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", spec.n_frames * bins)
-        whole = pe_gradient(spec, layout)
+        whole = pe_gradient(spec)
         scale = np.abs(whole.grad).max()
         # 19 frames leave a lone last row for blocks of 2 and 3 rows.
         for rows in (1, 2, 3, 5, 8):
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * bins)
-            blocked = pe_gradient(spec, layout)
-            forward = perceptual_entropy(spec, analyze(spec, layout))
+            blocked = pe_gradient(spec)
+            forward = perceptual_entropy(spec, analyze(spec))
             np.testing.assert_array_equal(blocked.pe.per_frame, whole.pe.per_frame)
             np.testing.assert_array_equal(forward.per_frame, whole.pe.per_frame)
             # The band spreading product is a matrix product per block, and
@@ -173,7 +173,6 @@ class TestFusedGradient:
         # fixed number of frame blocks; the masking analysis it runs first
         # holds about 1.5 spectra of whole-clip temporaries.
         cfg = StftConfig(sample_rate=SR)
-        layout = bark_layout(cfg)
         rng = np.random.default_rng(0)
         sizes = {}
         for seconds in (30, 120):
@@ -184,7 +183,7 @@ class TestFusedGradient:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                pe_gradient(spec, layout)
+                pe_gradient(spec)
                 sizes[seconds] = (tracemalloc.get_traced_memory()[1] - base, spec.n_frames)
             finally:
                 tracemalloc.stop()
@@ -201,10 +200,9 @@ class TestFrameLocalFd:
 
     def test_matches_full_pipeline_oracle(self):
         spec = self._spec()
-        layout = bark_layout(self.cfg)
-        check = check_gradient(spec, layout, n_coords=10, seed=1)
+        check = check_gradient(spec, n_coords=10, seed=1)
         assert check.n_checked == 10
-        reference = full_pipeline_fd(spec, layout, check.coordinates)
+        reference = full_pipeline_fd(spec, check.coordinates)
         # The oracle's quotient of two whole-clip losses carries ~1e-7
         # relative roundoff on these 9 frames; a coordinate credited to the
         # wrong frame or component would be off by order 1.
@@ -212,10 +210,9 @@ class TestFrameLocalFd:
 
     def test_row_blocks_do_not_change_the_result(self, monkeypatch):
         spec = self._spec()
-        layout = bark_layout(self.cfg)
-        whole = check_gradient(spec, layout, n_coords=60, seed=2)
+        whole = check_gradient(spec, n_coords=60, seed=2)
         monkeypatch.setattr(pe, "FD_BLOCK_ROWS", 6)
-        blocked = check_gradient(spec, layout, n_coords=60, seed=2)
+        blocked = check_gradient(spec, n_coords=60, seed=2)
         np.testing.assert_array_equal(blocked.coordinates, whole.coordinates)
         np.testing.assert_allclose(blocked.finite_differences, whole.finite_differences, rtol=1e-12)
 
@@ -223,30 +220,29 @@ class TestFrameLocalFd:
 class TestPeGradient:
     def test_zero_spectrum_gives_zero_gradient(self):
         cfg = StftConfig(sample_rate=SR)
-        layout = bark_layout(cfg)
         spec = Spectrogram(np.zeros((3, cfg.bins), complex), cfg)
-        report = pe_gradient(spec, layout)
+        report = pe_gradient(spec)
         np.testing.assert_array_equal(report.grad, 0.0)
 
     def test_matches_finite_differences(self, voiced_spec):
-        spec, layout = voiced_spec
-        check = check_gradient(spec, layout, n_coords=100, seed=1)
+        spec = voiced_spec
+        check = check_gradient(spec, n_coords=100, seed=1)
         assert not check.all_kink
         assert check.n_checked == 100
         assert check.max_rel_err < 1e-4
 
     def test_check_deterministic_in_seed(self, voiced_spec):
-        spec, layout = voiced_spec
-        a = check_gradient(spec, layout, n_coords=20, seed=5)
-        b = check_gradient(spec, layout, n_coords=20, seed=5)
+        spec = voiced_spec
+        a = check_gradient(spec, n_coords=20, seed=5)
+        b = check_gradient(spec, n_coords=20, seed=5)
         assert a.max_rel_err == b.max_rel_err
         assert a.worst == b.worst
 
     def test_radial_direction_is_flat(self, voiced_spec):
         # PE is scale invariant away from the clamps, so the derivative
         # along c*spec at c=1 vanishes.
-        spec, layout = voiced_spec
-        report = pe_gradient(spec, layout)
+        spec = voiced_spec
+        report = pe_gradient(spec)
         directional = float(
             np.sum(report.grad.real * spec.frames.real + report.grad.imag * spec.frames.imag)
         )
@@ -257,27 +253,27 @@ class TestPeGradient:
 
         h = 1e-4
         up, down = scaled(spec, 1 + h), scaled(spec, 1 - h)
-        fd = (loss_pe_of(up, layout) - loss_pe_of(down, layout)) / (2 * h)
+        fd = (loss_pe_of(up) - loss_pe_of(down)) / (2 * h)
         assert abs(fd) < 1e-12
 
     def test_reports_the_pe_it_was_taken_at(self, voiced_spec):
-        spec, layout = voiced_spec
-        got = pe_gradient(spec, layout).pe
-        want = perceptual_entropy(spec, analyze(spec, layout))
+        spec = voiced_spec
+        got = pe_gradient(spec).pe
+        want = perceptual_entropy(spec, analyze(spec))
         np.testing.assert_array_equal(got.per_frame, want.per_frame)
         assert got.mean_pe == want.mean_pe
         assert got.loss_pe == want.loss_pe
 
     def test_out_receives_the_partials(self, voiced_spec):
-        spec, layout = voiced_spec
+        spec = voiced_spec
         buf = np.full(spec.frames.shape, np.nan, np.complex128)
-        report = pe_gradient(spec, layout, out=buf)
+        report = pe_gradient(spec, out=buf)
         assert report.grad is buf
-        assert buf.tobytes() == pe_gradient(spec, layout).grad.tobytes()
+        assert buf.tobytes() == pe_gradient(spec).grad.tobytes()
         # Reused for another spectrum, nothing of the first result is left.
         other = Spectrogram(0.5 * spec.frames[::-1], spec.config)
-        assert pe_gradient(other, layout, out=buf).grad is buf
-        assert buf.tobytes() == pe_gradient(other, layout).grad.tobytes()
+        assert pe_gradient(other, out=buf).grad is buf
+        assert buf.tobytes() == pe_gradient(other).grad.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda shape: np.empty((shape[0] + 1, shape[1]), np.complex128),
@@ -285,15 +281,14 @@ class TestPeGradient:
         lambda shape: np.empty((shape[0], 2 * shape[1]), np.complex128)[:, ::2],
     ], ids=["shape", "dtype", "non-contiguous"])
     def test_rejects_an_unfit_out(self, voiced_spec, make):
-        spec, layout = voiced_spec
+        spec = voiced_spec
         with pytest.raises(ValueError, match="C-contiguous complex128 array of shape"):
-            pe_gradient(spec, layout, out=make(spec.frames.shape))
+            pe_gradient(spec, out=make(spec.frames.shape))
 
     def test_all_kink_vacuous_pass(self):
         cfg = StftConfig(sample_rate=SR)
-        layout = bark_layout(cfg)
         spec = Spectrogram(np.zeros((2, cfg.bins), complex), cfg)
-        check = check_gradient(spec, layout, n_coords=10)
+        check = check_gradient(spec, n_coords=10)
         assert check.all_kink
         assert check.passed()
         assert check.max_rel_err == 0.0
@@ -305,12 +300,11 @@ class TestPeGradient:
         # the relative resolvability guard and failed against ~1e-12
         # difference quotients with rel_err 1.
         cfg = StftConfig(fft_size=2, hop=2, sample_rate=100)
-        layout = bark_layout(cfg)
         sig = np.random.default_rng(0).uniform(-0.5, 0.5, 25)
         spec = stft(AudioBuffer(sig, 100), cfg)
-        assert np.all(analyze(spec, layout).sfm_db == 0.0)
-        assert np.abs(pe_gradient(spec, layout).grad).max() < 1e-15
-        check = check_gradient(spec, layout, n_coords=5)
+        assert np.all(analyze(spec).sfm_db == 0.0)
+        assert np.abs(pe_gradient(spec).grad).max() < 1e-15
+        check = check_gradient(spec, n_coords=5)
         assert check.all_kink and check.passed()
         assert check.n_checked == check.n_eligible == 0
 
@@ -318,9 +312,9 @@ class TestPeGradient:
     def test_rejects_fewer_than_one_coordinate(self, voiced_spec, n_coords):
         # Unchecked, 0 died in numpy's argmax of an empty sequence and a
         # negative count in an array constructor.
-        spec, layout = voiced_spec
+        spec = voiced_spec
         with pytest.raises(ValueError, match=f"n_coords must be >= 1, got {n_coords}"):
-            check_gradient(spec, layout, n_coords=n_coords)
+            check_gradient(spec, n_coords=n_coords)
 
 
 class TestToyFit:
@@ -372,9 +366,9 @@ class TestToyFit:
     def test_one_masking_analysis_per_iterate(self, monkeypatch, lam):
         calls = []
 
-        def counting_analyze(spec, layout):
+        def counting_analyze(spec):
             calls.append(spec.n_frames)
-            return analyze(spec, layout)
+            return analyze(spec)
 
         monkeypatch.setattr(pe, "analyze", counting_analyze)
         steps = 4

@@ -153,12 +153,12 @@ class TestPerceptualEntropy:
         cfg = StftConfig(sample_rate=sr)
         layout = bark_layout(cfg)
         spec = stft(AudioBuffer(harmonic_signal(duration=0.5), sr), cfg)
-        quiet = absolute_threshold(layout, cfg)
+        quiet = absolute_threshold(cfg)
         gain = spreading_gain(layout)
-        base = perceptual_entropy(spec, analyze(spec, layout))
+        base = perceptual_entropy(spec, analyze(spec))
         for c in (0.5, 2.0):
             spec_c = scaled(spec, c)
-            res = analyze(spec_c, layout)
+            res = analyze(spec_c)
             assert np.all(res.spread_threshold / gain > quiet), "clamp must stay inactive"
             result = perceptual_entropy(spec_c, res)
             assert result.mean_pe == pytest.approx(base.mean_pe, rel=1e-6)

@@ -21,6 +21,9 @@ from peaudio.errors import (
 from peaudio import signal_io
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav, thread_map
 
+# Zero, negative, fractional, NaN and infinite rates all read as InvalidRateError.
+BAD_RATES = [0, -8000, 1.5, float("nan"), float("inf"), float("-inf")]
+
 
 def riff(chunks):
     """RIFF/WAVE bytes from (id, body) chunks, each odd body followed by its pad byte."""
@@ -302,12 +305,11 @@ class TestResample:
         out = resample(load_wav(path), 16000)
         assert np.abs(out.samples - dc).max() < 1e-6
 
-    def test_invalid_rate(self):
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_invalid_rate(self, rate):
         buf = AudioBuffer(np.zeros(10), 22050)
         with pytest.raises(InvalidRateError):
-            resample(buf, 0)
-        with pytest.raises(InvalidRateError):
-            resample(buf, -8000)
+            resample(buf, rate)
 
 
 class TestAudioBuffer:
@@ -319,9 +321,10 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer(np.array([1.5]), 8000)
 
-    def test_rejects_bad_rate(self):
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_rejects_bad_rate(self, rate):
         with pytest.raises(InvalidRateError):
-            AudioBuffer(np.zeros(4), 0)
+            AudioBuffer(np.zeros(4), rate)
 
     def test_rejects_two_dimensional_samples(self):
         with pytest.raises(ValueError, match="mono"):

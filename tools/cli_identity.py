@@ -13,7 +13,11 @@ rows) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz clip
 (the all-kink path, which no plan takes; the script writes the clip into
 its own inputs directory), runs under both trees twice: once with its
 ``--output`` file and once writing to stdout. Output files, stdout,
-stderr and exit codes are compared byte for byte. Each tree also runs
+stderr and exit codes are compared byte for byte; for each output that
+differs, the script splits both texts into their numbers and the text
+between them and reports how many numbers differ and by how much at
+most, relative to the larger, or that the structure (the text between
+the numbers) differs. Each tree also runs
 every job a second time with the stages' parallel threshold,
 ``peaudio.signal_io.PARALLEL_MIN_BLOCKS``, set to 2 blocks in the forked
 child, so every stage of every clip long enough for two blocks maps its
@@ -37,7 +41,9 @@ get one thread each, as in the benchmark.
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -167,6 +173,43 @@ def costs(jobs: list[dict], out_dir: Path) -> dict[str, list]:
     return per_command
 
 
+# A decimal, or a non-finite value as Python's repr or JSON writes it, that
+# is not part of a word: the digits of a name such as "pcm16-44k.wav" are text.
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+    r"|(?<![\w.])[-+]?(?:Infinity|inf|NaN|nan)(?![\w.])"
+)
+
+
+def _relative(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def numeric_diff(old: str, new: str) -> tuple[int, int, float] | None:
+    """(numbers that differ, numbers, largest relative difference) of two texts.
+
+    None if the text between the numbers differs.
+    """
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    pairs = list(zip(NUMBER.findall(old), NUMBER.findall(new)))
+    differ = [(a, b) for a, b in pairs if a != b]
+    return len(differ), len(pairs), max((_relative(a, b) for a, b in differ), default=0.0)
+
+
+def describe(old: bytes, new: bytes) -> str:
+    diff = numeric_diff(old.decode("utf-8", "replace"), new.decode("utf-8", "replace"))
+    if diff is None:
+        return "structure differs"
+    n_differ, n_numbers, largest = diff
+    return f"{n_differ} of {n_numbers} numbers differ, at most {largest:.2g} relative"
+
+
 def compare(jobs: list[dict], old: Path, new: Path, tag: str = "") -> list[str]:
     diffs = []
     old_codes = [run["code"] for run in json.loads((old / "runs.json").read_text())]
@@ -182,8 +225,9 @@ def compare(jobs: list[dict], old: Path, new: Path, tag: str = "") -> list[str]:
                 if a.is_file() != b.is_file():
                     diffs.append(f"{command}: {name} written by one tree only")
                 continue
-            if a.read_bytes() != b.read_bytes():
-                diffs.append(f"{command}: {name} differs")
+            old_bytes, new_bytes = a.read_bytes(), b.read_bytes()
+            if old_bytes != new_bytes:
+                diffs.append(f"{command}: {name} differs: {describe(old_bytes, new_bytes)}")
     return diffs
 
 
