@@ -378,20 +378,19 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.lr < math.inf:
         raise ConfigError(f"--lr must be finite and positive, got {args.lr}")
-    buf = resample(load_wav(args.target), cfg.sample_rate)
-    stft_cfg = cfg.stft()
+    target = _load_spectrum(args.target, cfg)
     lams = {"regularized": cfg.lam, "baseline": 0.0}
 
     def fit(lam):
         return toy_fit(
-            buf, LossConfig(lam=lam), steps=args.steps, learning_rate=args.lr,
-            seed=cfg.seed, stft_cfg=stft_cfg, n_mels=cfg.n_mels,
+            target, LossConfig(lam=lam), steps=args.steps, learning_rate=args.lr,
+            seed=cfg.seed, n_mels=cfg.n_mels,
         )
 
-    # The arms share nothing (each allocates its step and gradient
-    # buffers once), and their FFTs and matrix products release the GIL,
-    # so each gets a thread while there is a CPU for it; the stages
-    # inside an arm then run serially.
+    # The arms only read the target spectrum and share nothing else (each
+    # allocates its step and gradient buffers once), and their FFTs and
+    # matrix products release the GIL, so each gets a thread while there
+    # is a CPU for it; the stages inside an arm then run serially.
     arms = dict(zip(lams, thread_map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     text = _json_text(payload)

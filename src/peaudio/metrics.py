@@ -31,24 +31,27 @@ F0_BLOCK_FRAMES = 64  # frames per autocorrelation block; bounds the tracker's m
 
 @dataclass(frozen=True)
 class F0Track:
-    """Fundamental frequency per frame, 0 where unvoiced."""
+    """Fundamental frequency per frame in Hz, 0 where unvoiced.
+
+    voiced is f0 > 0; every nonzero f0 must lie in [F0_MIN_HZ, F0_MAX_HZ].
+    """
 
     f0: np.ndarray
-    voiced: np.ndarray
 
     def __post_init__(self):
         f0 = np.asarray(self.f0, dtype=np.float64)
-        voiced = np.asarray(self.voiced, dtype=bool)
         object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "voiced", voiced)
-        if f0.shape != voiced.shape or f0.ndim != 1:
-            raise ValueError("f0 and voiced must be matching 1-D arrays")
-        if np.any((f0 > 0) != voiced):
-            raise ValueError("f0 must be positive exactly on voiced frames")
-        if np.any(voiced) and (
-            f0[voiced].min() < F0_MIN_HZ - 1e-9 or f0[voiced].max() > F0_MAX_HZ + 1e-9
+        if f0.ndim != 1:
+            raise ValueError(f"f0 must be a 1-D array, got shape {f0.shape}")
+        nonzero = f0[f0 != 0]
+        if nonzero.size and not (
+            F0_MIN_HZ - 1e-9 <= nonzero.min() <= nonzero.max() <= F0_MAX_HZ + 1e-9
         ):
-            raise ValueError(f"voiced f0 must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz")
+            raise ValueError(f"nonzero f0 must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz")
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return self.f0 > 0
 
     def __len__(self) -> int:
         return self.f0.size
@@ -143,11 +146,10 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
     x = buf.samples
     n_frames = 1 + (x.size - window) // hop if x.size >= window else 0
     f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
     lag_min = max(1, math.ceil(rate / F0_MAX_HZ))
     lag_max = math.floor(rate / F0_MIN_HZ)
     if n_frames == 0 or lag_max <= lag_min:
-        return F0Track(f0, voiced)
+        return F0Track(f0)
 
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     rms = np.empty(n_frames)
@@ -155,7 +157,7 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
         rms[block] = np.sqrt(np.mean(windows[block] ** 2, axis=1))
     peak_rms = rms.max()
     if peak_rms == 0:
-        return F0Track(f0, voiced)
+        return F0Track(f0)
     gated_in = np.flatnonzero(~(rms < VOICING_RMS_GATE * peak_rms))
 
     # Lags lag_min-1 .. lag_max+1 are read; the window holds lag_max + 2
@@ -178,10 +180,9 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
         refined = lag.astype(np.float64)
         bend = denom < 0
         refined[bend] += 0.5 * (left - right)[bend] / denom[bend]
-        voiced[rows[at]] = True
         f0[rows[at]] = np.minimum(np.maximum(rate / refined, F0_MIN_HZ), F0_MAX_HZ)
 
-    return F0Track(f0, voiced)
+    return F0Track(f0)
 
 
 def mcd(ref: np.ndarray, pred: np.ndarray) -> float:
@@ -213,8 +214,9 @@ def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
         raise LengthMismatchError(f"track lengths differ: {len(ref)} vs {len(pred)}")
     if len(ref) == 0:
         raise LengthMismatchError("empty tracks")
-    vuv_error = 100.0 * float(np.mean(ref.voiced != pred.voiced))
-    both = ref.voiced & pred.voiced
+    ref_voiced, pred_voiced = ref.voiced, pred.voiced
+    vuv_error = 100.0 * float(np.mean(ref_voiced != pred_voiced))
+    both = ref_voiced & pred_voiced
     if not both.any():
         return float("nan"), vuv_error, float("nan")
     diff = ref.f0[both] - pred.f0[both]
@@ -295,10 +297,7 @@ def score(ref_path, pred_path, ref: FileFeatures, pred: FileFeatures) -> MetricR
     mcd_db = mcd(ref.cepstrum[:frames], pred.cepstrum[:frames])
 
     n_f0 = min(len(ref.track), len(pred.track))
-    rmse, vuv, corr = f0_metrics(
-        F0Track(ref.track.f0[:n_f0], ref.track.voiced[:n_f0]),
-        F0Track(pred.track.f0[:n_f0], pred.track.voiced[:n_f0]),
-    )
+    rmse, vuv, corr = f0_metrics(F0Track(ref.track.f0[:n_f0]), F0Track(pred.track.f0[:n_f0]))
     return MetricReport(
         mcd_db=mcd_db,
         f0_rmse_hz=rmse,

@@ -24,8 +24,8 @@ from .psychoacoustic import (
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import AudioBuffer, map_blocks, row_blocks, rows_per_block
-from .spectral import DEFAULT_N_MELS, Spectrogram, StftConfig, mel_filterbank, mel_from_power, stft
+from .signal_io import map_blocks, row_blocks, rows_per_block
+from .spectral import DEFAULT_N_MELS, Spectrogram, mel_filterbank, mel_from_power
 
 _LN2 = float(np.log(2.0))
 _LN10 = float(np.log(10.0))
@@ -303,12 +303,6 @@ class GradientCheckResult:
         return payload
 
 
-def _components(spec: Spectrogram) -> np.ndarray:
-    """Re and Im of every bin as a (T, bins, 2) view of the frames, no copy."""
-    frames = np.ascontiguousarray(spec.frames)
-    return frames.view(np.float64).reshape(frames.shape + (2,))
-
-
 def check_gradient(
     spec: Spectrogram, n_coords: int = 100, seed: int = DEFAULT_SEED
 ) -> GradientCheckResult:
@@ -327,19 +321,17 @@ def check_gradient(
     if n_coords < 1:
         raise ValueError(f"n_coords must be >= 1, got {n_coords}")
     report = pe_gradient(spec)
-    grad = report.grad
-
-    components = _components(spec)
-    # Each component and its partial, judged one block of frames at a
-    # time, which keeps whole-clip temporaries out and maps the blocks
-    # over the thread pool. A component's flat index is the same in
-    # components and in both (T, 2 * bins) views.
-    values = components.reshape(spec.n_frames, 2 * spec.config.bins)
-    slopes = grad.view(np.float64)
+    # Each component and its partial, addressed by one flat index into
+    # the (T, 2 * bins) float views, in which column 2 * bin + part holds
+    # part 0 (Re) or 1 (Im) of a bin. They are judged one block of frames
+    # at a time, which keeps whole-clip temporaries out and maps the
+    # blocks over the thread pool.
+    values = np.ascontiguousarray(spec.frames).view(np.float64)
+    slopes = report.grad.view(np.float64)
     blocks = row_blocks(spec.n_frames, rows_per_block(values.shape[1]))
     # 1e-2 of full scale keeps the relative step large enough that the
     # central difference is not dominated by float roundoff.
-    peak = max(map_blocks(lambda rows: np.abs(values[rows]).max(), blocks), default=0.0)
+    peak = max(values.max(initial=0.0), -values.min(initial=0.0))
     guard = max(1e-8, 1e-2 * peak)
 
     def partials_off_kink(rows):
@@ -372,11 +364,10 @@ def check_gradient(
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=min(n_coords, eligible.size), replace=False)
-    coordinates = np.stack(np.unravel_index(chosen, components.shape), axis=-1)
-    fd = _frame_local_fd(spec, per_frame, coordinates)
-
+    fd = _frame_local_fd(spec, per_frame, chosen)
+    analytic = slopes.ravel()[chosen]
+    coordinates = np.stack(np.unravel_index(chosen, (spec.n_frames, spec.config.bins, 2)), axis=-1)
     frame, bin_idx, part = coordinates.T
-    analytic = np.where(part == 0, grad.real[frame, bin_idx], grad.imag[frame, bin_idx])
     rel = np.abs(fd - analytic) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-30)
     i = int(np.argmax(rel))
     worst = None
@@ -402,12 +393,12 @@ def check_gradient(
     )
 
 
-def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
-    """Central differences of the PE loss at (frame, bin, part) coordinates.
+def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Central differences of the PE loss at flat indices into spec's (T, 2 * bins) float view.
 
     per_frame is the per-frame PE of spec itself. Every pipeline stage
     works on one frame, and frames meet only in the mean PE, so moving a
-    component of frame t moves PE(t) alone. Each coordinate's two
+    component of frame t moves PE(t) alone. Each component's two
     perturbed copies of its frame (+-h, h = FD_REL_STEP * |component|)
     become rows of one batch that analyze and perceptual_entropy see once
     per FD_BLOCK_ROWS rows. The loss difference is then formed in closed
@@ -421,15 +412,15 @@ def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, coordinates: np.nd
     """
     n_frames = spec.n_frames
     one_plus_mean = 1.0 + float(per_frame.mean())
-    components = _components(spec)
-    fd = np.empty(len(coordinates))
-    for block in row_blocks(len(coordinates), FD_BLOCK_ROWS // 2):
-        frame, bin_idx, part = coordinates[block].T
-        h = FD_REL_STEP * np.abs(components[frame, bin_idx, part])
+    values = np.ascontiguousarray(spec.frames).view(np.float64)
+    fd = np.empty(len(flat))
+    for block in row_blocks(len(flat), FD_BLOCK_ROWS // 2):
+        frame, column = np.divmod(flat[block], values.shape[1])
+        h = FD_REL_STEP * np.abs(values[frame, column])
         n = frame.size
-        rows = components[np.concatenate([frame, frame])]  # +h rows, then -h rows
-        rows[np.arange(2 * n), np.tile(bin_idx, 2), np.tile(part, 2)] += np.concatenate([h, -h])
-        batch = Spectrogram(rows.view(np.complex128)[..., 0], spec.config)
+        rows = values[np.concatenate([frame, frame])]  # +h rows, then -h rows
+        rows[np.arange(2 * n), np.tile(column, 2)] += np.concatenate([h, -h])
+        batch = Spectrogram(rows.view(np.complex128), spec.config)
         pe_rows = perceptual_entropy(batch, analyze(batch)).per_frame
         pe_plus, pe_minus = pe_rows[:n], pe_rows[n:]
         d_plus = (pe_plus - per_frame[frame]) / n_frames
@@ -487,33 +478,32 @@ class FitRecord:
 
 
 def toy_fit(
-    target: AudioBuffer,
+    target: Spectrogram,
     cfg: LossConfig,
     steps: int,
     learning_rate: float,
     seed: int = DEFAULT_SEED,
-    stft_cfg: StftConfig | None = None,
     n_mels: int = DEFAULT_N_MELS,
 ) -> FitRecord:
-    """Fit a free magnitude spectrogram to a target by plain gradient descent.
+    """Fit a free magnitude spectrogram to a target spectrum by plain gradient descent.
 
     The variable starts as seeded small positive noise and descends the
     interpolated objective (L1 on linear magnitudes and mel energies,
     plus lam times the PE loss) against the target's features, using the
-    target's phases to rebuild complex spectra for the PE term. The PE
-    curve is recorded even when lam is 0, where it never moves the
-    optimizer. Deterministic for a fixed seed.
+    target's phases to rebuild complex spectra, under the target's STFT
+    config, for the PE term. The PE curve is recorded even when lam is 0,
+    where it never moves the optimizer. The target is only read, so
+    several fits may share it. Deterministic for a fixed seed.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    stft_cfg = stft_cfg or StftConfig()
-    ref_frames = stft(target, stft_cfg).frames
-    ref_mag = np.abs(ref_frames)
-    phase = np.exp(1j * np.angle(ref_frames))
-    del ref_frames
+    if not 0.0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
+    ref_mag = np.abs(target.frames)
+    phase = np.exp(1j * np.angle(target.frames))
     cos_phi = phase.real
     sin_phi = phase.imag
-    weights = mel_filterbank(stft_cfg, n_mels)
+    weights = mel_filterbank(target.config, n_mels)
     ref_mel = mel_from_power(ref_mag**2, weights)
 
     rng = np.random.default_rng(seed)
@@ -544,7 +534,7 @@ def toy_fit(
             l_sing = _l1_loss(mag_err, mel_err, scratch)
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
-        pred = Spectrogram(np.multiply(phase, mag, out=pred_frames), stft_cfg)
+        pred = Spectrogram(np.multiply(phase, mag, out=pred_frames), target.config)
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
         if cfg.lam > 0 and step < steps:

@@ -140,9 +140,9 @@ def map_blocks(fn, blocks: list[slice], scratch=None) -> list:
 
 
 def _whole_rate(rate, name: str) -> int:
-    """rate as an int if it is a positive whole number, else InvalidRateError (NaN and inf too)."""
+    """rate as an int if it is a positive whole number and not a bool, else InvalidRateError."""
     try:
-        if int(rate) == rate > 0:
+        if not isinstance(rate, (bool, np.bool_)) and int(rate) == rate > 0:
             return int(rate)
     except (TypeError, ValueError, OverflowError):  # int() of NaN, an infinity or a non-number
         pass

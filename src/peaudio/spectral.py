@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BufferTooShortError
-from .signal_io import AudioBuffer, map_blocks, row_blocks, rows_per_block
+from .signal_io import AudioBuffer, _whole_rate, map_blocks, row_blocks, rows_per_block
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
@@ -39,8 +39,7 @@ class StftConfig:
             raise ValueError(f"fft_size must be a power of two >= 2, got {self.fft_size}")
         if not 1 <= self.hop <= self.fft_size:
             raise ValueError(f"hop must satisfy 1 <= hop <= fft_size, got {self.hop}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", _whole_rate(self.sample_rate, "sample_rate"))
 
     @property
     def bins(self) -> int:

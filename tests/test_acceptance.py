@@ -139,10 +139,10 @@ def test_criterion_6_metric_oracles():
     assert mcd(a, b) == pytest.approx(6.1421, abs=1e-3)
     assert mcd(a, b) == pytest.approx(MCD_CONSTANT, rel=1e-12)
 
-    ref = F0Track(np.array([220.0, 240.0, 0.0]), np.array([True, True, False]))
+    ref = F0Track(np.array([220.0, 240.0, 0.0]))
     assert f0_metrics(ref, ref) == (0.0, 0.0, 1.0)
 
-    shifted = F0Track(np.array([221.0, 241.0, 0.0]), np.array([True, True, False]))
+    shifted = F0Track(np.array([221.0, 241.0, 0.0]))
     rmse, vuv, corr = f0_metrics(ref, shifted)
     assert rmse == pytest.approx(1.0, rel=1e-12)
     assert vuv == 0.0
@@ -162,10 +162,10 @@ def test_criterion_7_regularization_direction(voiced_wav):
     buf = load_wav(voiced_wav)
     half = AudioBuffer(buf.samples[: SR // 2], SR)  # desk-scale clip
     cfg = StftConfig(sample_rate=SR)
-    regularized = toy_fit(half, LossConfig(lam=0.01), steps=200, learning_rate=0.1,
-                          seed=7, stft_cfg=cfg)
-    baseline = toy_fit(half, LossConfig(lam=0.0), steps=200, learning_rate=0.1,
-                       seed=7, stft_cfg=cfg)
+    regularized = toy_fit(stft(half, cfg), LossConfig(lam=0.01), steps=200, learning_rate=0.1,
+                          seed=7)
+    baseline = toy_fit(stft(half, cfg), LossConfig(lam=0.0), steps=200, learning_rate=0.1,
+                       seed=7)
     elapsed = time.monotonic() - start
     assert regularized.final_mean_pe >= baseline.final_mean_pe
     assert abs(regularized.final_l_sing - baseline.final_l_sing) <= 0.10 * baseline.final_l_sing

@@ -543,8 +543,9 @@ class TestToyFit:
         out = tmp_path / "t.json"
         assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
         buf = resample(load_wav(voiced_wav), spectral.DEFAULT_SAMPLE_RATE)
+        target = spectral.stft(buf, StftConfig())
         serial = {
-            name: toy_fit(buf, LossConfig(lam=lam), steps=3, learning_rate=0.1).to_json_dict()
+            name: toy_fit(target, LossConfig(lam=lam), steps=3, learning_rate=0.1).to_json_dict()
             for name, lam in (("regularized", LossConfig.lam), ("baseline", 0.0))
         }
         assert out.read_text() == json.dumps(serial, indent=2) + "\n"
@@ -1119,14 +1120,14 @@ class TestSharedPool:
             return ["toy-fit", str(clip), "--steps", "2"]
         return ["analyze", str(clip)]
 
-    @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 2)])
+    @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 3)])
     def test_no_map_submits_from_a_pool_thread(
         self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command, maps
     ):
         # The files, or the arms, are one map of two shares; toy-fit
-        # decodes its target before it, in a map of its own. The stages
-        # inside a share run serially on its thread, though each has two
-        # blocks or more.
+        # decodes its target and takes its STFT before it, in a map each.
+        # The stages inside a share run serially on its thread, though
+        # each has two blocks or more.
         argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
         assert run([*argv, "--output", str(tmp_path / "out")]) == 0
         assert pool_spy.submitters == [threading.main_thread()] * maps

@@ -321,45 +321,35 @@ class TestToyFit:
     cfg = StftConfig(sample_rate=SR)
 
     def _target(self, duration=0.4):
-        return AudioBuffer(harmonic_signal(duration=duration), SR)
+        return stft(AudioBuffer(harmonic_signal(duration=duration), SR), self.cfg)
 
     def test_single_step_applies_one_gradient(self):
         target = self._target()
-        record = toy_fit(
-            target, LossConfig(lam=0.0), steps=1, learning_rate=0.1, seed=0, stft_cfg=self.cfg
-        )
+        record = toy_fit(target, LossConfig(lam=0.0), steps=1, learning_rate=0.1, seed=0)
         assert len(record.l_sing_curve) == 2
         assert record.l_sing_curve[1] != record.l_sing_curve[0]
 
     def test_lambda_zero_still_records_pe_curve(self):
-        record = toy_fit(
-            self._target(), LossConfig(lam=0.0), steps=3, learning_rate=0.1, seed=0,
-            stft_cfg=self.cfg,
-        )
+        record = toy_fit(self._target(), LossConfig(lam=0.0), steps=3, learning_rate=0.1, seed=0)
         assert len(record.mean_pe_curve) == 4
         assert all(np.isfinite(record.mean_pe_curve))
 
     def test_deterministic_for_fixed_seed(self):
-        a = toy_fit(self._target(), LossConfig(lam=0.01), steps=5, learning_rate=0.1,
-                    seed=9, stft_cfg=self.cfg)
-        b = toy_fit(self._target(), LossConfig(lam=0.01), steps=5, learning_rate=0.1,
-                    seed=9, stft_cfg=self.cfg)
+        a = toy_fit(self._target(), LossConfig(lam=0.01), steps=5, learning_rate=0.1, seed=9)
+        b = toy_fit(self._target(), LossConfig(lam=0.01), steps=5, learning_rate=0.1, seed=9)
         assert a.l_sing_curve == b.l_sing_curve
         assert a.mean_pe_curve == b.mean_pe_curve
 
     def test_regularized_arm_raises_final_pe(self):
         target = self._target(duration=0.5)
-        reg = toy_fit(target, LossConfig(lam=0.01), steps=200, learning_rate=0.1,
-                      seed=7, stft_cfg=self.cfg)
-        base = toy_fit(target, LossConfig(lam=0.0), steps=200, learning_rate=0.1,
-                       seed=7, stft_cfg=self.cfg)
+        reg = toy_fit(target, LossConfig(lam=0.01), steps=200, learning_rate=0.1, seed=7)
+        base = toy_fit(target, LossConfig(lam=0.0), steps=200, learning_rate=0.1, seed=7)
         assert reg.final_mean_pe >= base.final_mean_pe
         assert abs(reg.final_l_sing - base.final_l_sing) <= 0.10 * base.final_l_sing
 
     def test_divergence_raises(self):
         with pytest.raises(DivergenceError) as excinfo:
-            toy_fit(self._target(), LossConfig(lam=0.0), steps=300, learning_rate=1e6,
-                    stft_cfg=self.cfg)
+            toy_fit(self._target(), LossConfig(lam=0.0), steps=300, learning_rate=1e6)
         assert excinfo.value.step >= 0
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -372,13 +362,19 @@ class TestToyFit:
 
         monkeypatch.setattr(pe, "analyze", counting_analyze)
         steps = 4
-        toy_fit(self._target(), LossConfig(lam=lam), steps=steps, learning_rate=0.1,
-                seed=0, stft_cfg=self.cfg)
+        toy_fit(self._target(), LossConfig(lam=lam), steps=steps, learning_rate=0.1, seed=0)
         assert len(calls) == steps + 1
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             toy_fit(self._target(), LossConfig(), steps=0, learning_rate=0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_learning_rate_outside_zero_to_inf(self, rate):
+        # Unchecked, a negative rate ascended, 0 never moved and NaN
+        # surfaced as a DivergenceError at step 1.
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            toy_fit(self._target(), LossConfig(), steps=1, learning_rate=rate)
 
     def test_memory_grows_at_most_six_and_a_half_spectra(self):
         # A regularized arm holds the target's magnitude and phase, the
@@ -390,13 +386,12 @@ class TestToyFit:
         for seconds in (5, 20):
             t = np.arange(seconds * SR) / SR
             sig = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(t.size)
-            target = AudioBuffer(sig, SR)
+            target = stft(AudioBuffer(sig, SR), self.cfg)
             del t, sig
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                toy_fit(target, LossConfig(lam=0.01), steps=2, learning_rate=0.1,
-                        stft_cfg=self.cfg)
+                toy_fit(target, LossConfig(lam=0.01), steps=2, learning_rate=0.1)
                 sizes[seconds] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()

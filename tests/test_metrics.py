@@ -14,11 +14,8 @@ from peaudio.spectral import StftConfig
 from conftest import SR, sine_signal
 
 
-def track(f0_values, voiced=None):
-    f0_values = np.asarray(f0_values, float)
-    if voiced is None:
-        voiced = f0_values > 0
-    return F0Track(f0_values, np.asarray(voiced, bool))
+def track(f0_values):
+    return F0Track(np.asarray(f0_values, float))
 
 
 def frame_autocorr(frame):
@@ -285,17 +282,16 @@ class TestExtractF0:
 
 
 class TestF0Track:
-    def test_rejects_f0_voicing_mismatch(self):
-        with pytest.raises(ValueError):
-            F0Track(np.array([100.0, 0.0]), np.array([True, True]))
+    @pytest.mark.parametrize("value", [3000.0, 10.0, -5.0, float("nan"), float("inf")])
+    def test_rejects_out_of_range(self, value):
+        # Beside an unvoiced frame: a voicing array once let -5 and NaN
+        # through on frames it marked unvoiced.
+        with pytest.raises(ValueError, match="nonzero f0 must lie in"):
+            F0Track(np.array([value, 0.0]))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            F0Track(np.array([3000.0]), np.array([True]))
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="f0 and voiced must be matching 1-D arrays"):
-            F0Track(np.array([100.0, 0.0]), np.array([True]))
+    def test_rejects_two_dimensional_f0(self):
+        with pytest.raises(ValueError, match=r"f0 must be a 1-D array, got shape \(1, 2\)"):
+            F0Track(np.array([[100.0, 0.0]]))
 
 
 class TestMcd:

@@ -21,8 +21,8 @@ from peaudio.errors import (
 from peaudio import signal_io
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav, thread_map
 
-# Zero, negative, fractional, NaN and infinite rates all read as InvalidRateError.
-BAD_RATES = [0, -8000, 1.5, float("nan"), float("inf"), float("-inf")]
+# Zero, negative, fractional, NaN, infinite and boolean rates all read as InvalidRateError.
+BAD_RATES = [0, -8000, 1.5, float("nan"), float("inf"), float("-inf"), True, np.True_]
 
 
 def riff(chunks):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from peaudio.errors import BufferTooShortError
+from peaudio.errors import BufferTooShortError, InvalidRateError
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import (
     Spectrogram,
@@ -45,6 +45,15 @@ class TestStftConfig:
             StftConfig(fft_size=64, hop=0)
         with pytest.raises(ValueError):
             StftConfig(fft_size=64, hop=65)
+
+    @pytest.mark.parametrize("rate", [0, -1, 1.5, float("nan"), float("inf"), True])
+    def test_rejects_bad_sample_rate(self, rate):
+        with pytest.raises(InvalidRateError, match="sample_rate must be a positive integer"):
+            StftConfig(sample_rate=rate)
+
+    def test_stores_a_whole_float_rate_as_int(self):
+        cfg = StftConfig(sample_rate=16000.0)
+        assert type(cfg.sample_rate) is int and cfg == StftConfig(sample_rate=16000)
 
 
 class TestSpectrogram:
