@@ -18,12 +18,11 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
-from .pe import DEFAULT_SEED, LossConfig
+from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import check_gradient, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
 from .signal_io import load_wav, resample, thread_map
-from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_N_CEPSTRA, DEFAULT_N_MELS
-from .spectral import DEFAULT_SAMPLE_RATE, StftConfig, stft
+from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig, stft
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,14 +41,11 @@ class CliConfig:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     fft_size: int = DEFAULT_FFT_SIZE
     hop: int = DEFAULT_HOP
-    n_mels: int = DEFAULT_N_MELS
     lam: float = LossConfig.lam
     seed: int = DEFAULT_SEED
     format: str = "csv"
 
     def __post_init__(self):
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.format not in ("csv", "json"):
@@ -145,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", parents=[common], help="finite-difference gradient check")
     p.add_argument("input")
-    p.add_argument("--n-coords", type=int, default=100)
+    p.add_argument("--n-coords", type=int, default=DEFAULT_N_COORDS)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("compare", parents=[common], help="objective metrics for a WAV pair")
@@ -290,11 +286,6 @@ def _mean_report_row(rows: list[dict]) -> dict:
 
 
 def cmd_compare(args, cfg: CliConfig) -> int:
-    if cfg.n_mels < DEFAULT_N_CEPSTRA:
-        raise ConfigError(
-            f"compare needs n_mels >= {DEFAULT_N_CEPSTRA} for its {DEFAULT_N_CEPSTRA} "
-            f"mel-cepstral coefficients, got {cfg.n_mels}"
-        )
     if args.manifest:
         if args.ref is not None:
             raise ConfigError("compare takes REF PRED arguments or --manifest, not both")
@@ -322,12 +313,9 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     else:
         raise ConfigError("compare needs REF PRED arguments or --manifest")
 
-    stft_cfg = cfg.stft()
+    features = functools.partial(file_features, cfg=cfg.stft())
     # One task per distinct path, as written, in order of first appearance.
     paths = list(dict.fromkeys(path for pair in pairs for path in pair))
-
-    def features(path):
-        return file_features(path, stft_cfg, cfg.n_mels)
 
     # A file's FFTs release the GIL, so the files are split over one
     # thread per usable CPU, and each file's stages run serially on its
@@ -382,10 +370,7 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     lams = {"regularized": cfg.lam, "baseline": 0.0}
 
     def fit(lam):
-        return toy_fit(
-            target, LossConfig(lam=lam), steps=args.steps, learning_rate=args.lr,
-            seed=cfg.seed, n_mels=cfg.n_mels,
-        )
+        return toy_fit(target, LossConfig(lam), args.steps, args.lr, cfg.seed)
 
     # The arms only read the target spectrum and share nothing else (each
     # allocates its step and gradient buffers once), and their FFTs and

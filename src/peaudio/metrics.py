@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
 from .signal_io import AudioBuffer, load_wav, resample, row_blocks
-from .spectral import DEFAULT_N_MELS, StftConfig
-from .spectral import mel_cepstrum, mel_spectrogram, stft
+from .spectral import StftConfig, mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
@@ -251,7 +250,7 @@ class FileFeatures:
     feature_error: Exception | None = None
 
 
-def file_features(path, cfg: StftConfig, n_mels: int = DEFAULT_N_MELS) -> FileFeatures:
+def file_features(path, cfg: StftConfig) -> FileFeatures:
     """Decode one WAV, resample it to the config rate and keep only its
     mel cepstrum and F0 track.
 
@@ -264,7 +263,7 @@ def file_features(path, cfg: StftConfig, n_mels: int = DEFAULT_N_MELS) -> FileFe
     except Exception as exc:
         return FileFeatures(load_error=exc)
     try:
-        cepstrum = mel_cepstrum(mel_spectrogram(stft(buf, cfg), n_mels))
+        cepstrum = mel_cepstrum(mel_spectrogram(stft(buf, cfg)))
         track = extract_f0(buf, cfg.hop / cfg.sample_rate)
     except BufferTooShortError as exc:
         return FileFeatures(feature_error=BufferTooShortError(f"{path}: {exc}"))
@@ -308,9 +307,7 @@ def score(ref_path, pred_path, ref: FileFeatures, pred: FileFeatures) -> MetricR
     )
 
 
-def compare(
-    ref_path, pred_path, cfg: StftConfig | None = None, n_mels: int = DEFAULT_N_MELS
-) -> MetricReport:
+def compare(ref_path, pred_path, cfg: StftConfig | None = None) -> MetricReport:
     """Load two WAVs and score prediction against reference.
 
     Both files are resampled to the config rate; features are compared
@@ -319,8 +316,8 @@ def compare(
     its message, which names both files.
     """
     cfg = cfg or StftConfig()
-    ref = file_features(ref_path, cfg, n_mels)
-    report = score(ref_path, pred_path, ref, file_features(pred_path, cfg, n_mels))
+    ref = file_features(ref_path, cfg)
+    report = score(ref_path, pred_path, ref, file_features(pred_path, cfg))
     if report.mismatch:
         warnings.warn(report.mismatch, MismatchWarning, stacklevel=2)
     return report

@@ -24,13 +24,14 @@ from .psychoacoustic import (
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import map_blocks, row_blocks, rows_per_block
-from .spectral import DEFAULT_N_MELS, Spectrogram, mel_filterbank, mel_from_power
+from .signal_io import map_rows, row_blocks
+from .spectral import Spectrogram, mel_filterbank
 
 _LN2 = float(np.log(2.0))
 _LN10 = float(np.log(10.0))
 
 DEFAULT_SEED = 42  # toy-fit's initial noise and grad-check's coordinate draw
+DEFAULT_N_COORDS = 100  # components grad-check compares
 GRAD_CHECK_TOLERANCE = 1e-4  # largest relative error vs finite differences that passes
 
 
@@ -94,7 +95,7 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray, 
         raise DegenerateThresholdError("masking threshold must be strictly positive")
 
     k = analysis.layout.k
-    block_rows = rows_per_block(spec.config.bins)
+    bins = spec.config.bins
     # Every frame's steps at once: the (T, n) arrays are small, and a
     # block's small array operations are where its threads wait on each
     # other's Python.
@@ -116,10 +117,7 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray, 
         if then is not None:
             then(rows, steps, buffers)
 
-    map_blocks(
-        quantize, row_blocks(spec.n_frames, block_rows),
-        lambda: np.empty((6, min(block_rows, spec.n_frames), spec.config.bins)),
-    )
+    map_rows(quantize, spec.n_frames, bins, lambda rows: np.empty((6, rows, bins)))
 
 
 def _pe_result(per_frame: np.ndarray) -> PEResult:
@@ -304,7 +302,7 @@ class GradientCheckResult:
 
 
 def check_gradient(
-    spec: Spectrogram, n_coords: int = 100, seed: int = DEFAULT_SEED
+    spec: Spectrogram, n_coords: int = DEFAULT_N_COORDS, seed: int = DEFAULT_SEED
 ) -> GradientCheckResult:
     """Compare the analytic PE-loss gradient to central finite differences.
 
@@ -328,7 +326,7 @@ def check_gradient(
     # blocks over the thread pool.
     values = np.ascontiguousarray(spec.frames).view(np.float64)
     slopes = report.grad.view(np.float64)
-    blocks = row_blocks(spec.n_frames, rows_per_block(values.shape[1]))
+    width = values.shape[1]
     # 1e-2 of full scale keeps the relative step large enough that the
     # central difference is not dominated by float roundoff.
     peak = max(values.max(initial=0.0), -values.min(initial=0.0))
@@ -337,7 +335,7 @@ def check_gradient(
     def partials_off_kink(rows):
         return np.abs(slopes[rows])[np.abs(values[rows]) > guard]
 
-    off_kink = np.concatenate([np.empty(0), *map_blocks(partials_off_kink, blocks)])
+    off_kink = np.concatenate([np.empty(0), *map_rows(partials_off_kink, spec.n_frames, width)])
     if off_kink.size == 0:
         return GradientCheckResult(n_checked=0, all_kink=True, max_rel_err=0.0)
     rms_partial = float(np.sqrt(np.mean(off_kink**2)))
@@ -354,11 +352,11 @@ def check_gradient(
         at = np.flatnonzero((magnitudes > guard) & (partials > 1e-2 * rms_partial))
         pe_moved = FD_REL_STEP * magnitudes[at] * partials[at]
         pe_moved *= moved_scale
-        pe_at = per_frame[rows][at // values.shape[1]]
+        pe_at = per_frame[rows][at // width]
         at = at[pe_moved >= 1e3 * np.finfo(np.float64).eps * np.maximum(pe_at, 1.0)]
-        return at + rows.start * values.shape[1]
+        return at + rows.start * width
 
-    eligible = np.concatenate(map_blocks(eligible_in, blocks))
+    eligible = np.concatenate(map_rows(eligible_in, spec.n_frames, width))
     if eligible.size == 0:
         return GradientCheckResult(n_checked=0, all_kink=True, max_rel_err=0.0)
 
@@ -483,7 +481,6 @@ def toy_fit(
     steps: int,
     learning_rate: float,
     seed: int = DEFAULT_SEED,
-    n_mels: int = DEFAULT_N_MELS,
 ) -> FitRecord:
     """Fit a free magnitude spectrogram to a target spectrum by plain gradient descent.
 
@@ -503,8 +500,8 @@ def toy_fit(
     phase = np.exp(1j * np.angle(target.frames))
     cos_phi = phase.real
     sin_phi = phase.imag
-    weights = mel_filterbank(target.config, n_mels)
-    ref_mel = mel_from_power(ref_mag**2, weights)
+    weights = mel_filterbank(target.config)
+    ref_mel = ref_mag**2 @ weights.T
 
     rng = np.random.default_rng(seed)
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
@@ -528,7 +525,7 @@ def toy_fit(
         # reports as a DivergenceError before the PE runs; numpy's warnings
         # on the way there would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            mel_from_power(np.square(mag, out=scratch), weights, out=mel_err)
+            np.matmul(np.square(mag, out=scratch), weights.T, out=mel_err)
             mel_err -= ref_mel
             np.subtract(mag, ref_mag, out=mag_err)
             l_sing = _l1_loss(mag_err, mel_err, scratch)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_io import map_blocks, row_blocks, rows_per_block
+from .signal_io import map_rows
 from .spectral import Spectrogram, StftConfig
 
 # Upper edges of the Zwicker critical bands, Hz.
@@ -246,7 +246,7 @@ def analyze(spec: Spectrogram) -> BarkAnalysis:
         floored_sum[block] = np.add.reduceat(floored, lower, axis=1)
         log_sum[block] = np.add.reduceat(np.log(floored, out=floored), lower, axis=1)
 
-    map_blocks(band_sums, row_blocks(spec.n_frames, rows_per_block(layout.n_bins)))
+    map_rows(band_sums, spec.n_frames, layout.n_bins)
 
     k = layout.k
     spread_power = band_power @ spreading_kernel(layout).T

@@ -7,11 +7,12 @@ masking model and the metrics read; ROADMAP Direction 7 plans a
 windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
-its input in blocks of BLOCK_ELEMENTS values: it allocates what it
+its input in blocks of rows through map_rows, the one place that sizes
+them: a block holds BLOCK_ELEMENTS values, so a stage allocates what it
 returns plus a fixed number of block buffers per thread, whatever the
-clip length. From PARALLEL_MIN_BLOCKS blocks up a stage maps its blocks
-over the process's one thread pool (map_blocks, thread_map); each block
-writes only its own rows, so no bit depends on the thread count.
+clip length. From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over
+the process's one thread pool (thread_map); each block writes only its
+own rows, so no bit depends on the thread count.
 """
 
 import concurrent.futures
@@ -42,11 +43,6 @@ BLOCK_ELEMENTS = 1 << 15
 PARALLEL_MIN_BLOCKS = 12
 # Threads of the pool, at most, and so of one map, the caller's among them.
 MAX_THREADS = 8
-
-
-def rows_per_block(row_len: int) -> int:
-    """Rows of row_len values that fill one block of BLOCK_ELEMENTS, and at least one."""
-    return max(1, BLOCK_ELEMENTS // max(row_len, 1))
 
 
 def row_blocks(n_rows: int, rows: int) -> list[slice]:
@@ -134,9 +130,18 @@ def thread_map(fn, items, scratch=None, min_items=2) -> list:
     return results
 
 
-def map_blocks(fn, blocks: list[slice], scratch=None) -> list:
-    """thread_map for a stage's blocks of rows, serial below PARALLEL_MIN_BLOCKS blocks."""
-    return thread_map(fn, blocks, scratch, min_items=PARALLEL_MIN_BLOCKS)
+def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:
+    """[fn(rows) for rows in a stage's blocks], the blocks split over the shared thread pool.
+
+    The blocks are the row_blocks of range(n_rows) that hold as many rows
+    of row_len values as fill BLOCK_ELEMENTS, and at least one. Below
+    PARALLEL_MIN_BLOCKS blocks the map runs serially. With scratch, each
+    share calls scratch(rows) once, rows the block's row count capped at
+    n_rows, and runs fn(rows, buffers) on what it returned.
+    """
+    rows = max(1, BLOCK_ELEMENTS // max(row_len, 1))
+    buffers = None if scratch is None else lambda: scratch(min(rows, n_rows))
+    return thread_map(fn, row_blocks(n_rows, rows), buffers, min_items=PARALLEL_MIN_BLOCKS)
 
 
 def _whole_rate(rate, name: str) -> int:
@@ -274,7 +279,7 @@ def load_wav(path) -> AudioBuffer:
                 raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
             np.clip(out, -1.0, 1.0, out=out)
 
-    map_blocks(decode, row_blocks(samples.size, rows_per_block(channels)))
+    map_rows(decode, samples.size, channels)
     return AudioBuffer(samples, sample_rate)
 
 
@@ -328,5 +333,5 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         hi = min(int(positions[-1]) + 2, last + 1)
         out[rows] = np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi])
 
-    map_blocks(interpolate, row_blocks(n_out, rows_per_block(1)))
+    map_rows(interpolate, n_out, 1)
     return AudioBuffer(out, target_rate)

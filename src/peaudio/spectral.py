@@ -12,12 +12,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BufferTooShortError
-from .signal_io import AudioBuffer, _whole_rate, map_blocks, row_blocks, rows_per_block
+from .signal_io import AudioBuffer, _whole_rate, map_rows
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
 DEFAULT_HOP = 661  # ~29.98 ms at 22050 Hz
-DEFAULT_N_MELS = 80
+N_MELS = 80  # mel bands of every mel spectrum: the synthesis loss's and the MCD's
 DEFAULT_N_CEPSTRA = 25
 LOG_FLOOR = 1e-10
 
@@ -102,7 +102,7 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     def transform(block):
         np.fft.rfft(frames[block] * window, axis=1, out=out[block])
 
-    map_blocks(transform, row_blocks(frames.shape[0], rows_per_block(cfg.fft_size)))
+    map_rows(transform, frames.shape[0], cfg.fft_size)
     return Spectrogram(out, cfg)
 
 
@@ -115,16 +115,14 @@ def mel_to_hz(mel) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(cfg: StftConfig, n_mels: int) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, bins), built once per (cfg, n_mels) and read-only.
+def mel_filterbank(cfg: StftConfig) -> np.ndarray:
+    """Triangular mel filterbank, shape (N_MELS, bins), built once per config and read-only.
 
     Center frequencies are mel-spaced from 0 Hz to Nyquist. Filters are
     normalized to unit peak, not unit area.
     """
-    if n_mels < 1:
-        raise ValueError(f"n_mels must be >= 1, got {n_mels}")
     nyquist = cfg.sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
     freqs = cfg.bin_frequencies()
 
@@ -138,14 +136,9 @@ def mel_filterbank(cfg: StftConfig, n_mels: int) -> np.ndarray:
     return weights
 
 
-def mel_from_power(power: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
-    """Apply a filterbank to power-spectrum rows; linear in the power."""
-    return np.matmul(power, weights.T, out=out)
-
-
-def mel_spectrogram(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> np.ndarray:
-    """Mel-band energies of the power spectrum |X|^2, shape (n_frames, n_mels)."""
-    return mel_from_power(spec.power(), mel_filterbank(spec.config, n_mels))
+def mel_spectrogram(spec: Spectrogram) -> np.ndarray:
+    """Mel-band energies of the power spectrum |X|^2, shape (n_frames, N_MELS)."""
+    return spec.power() @ mel_filterbank(spec.config).T
 
 
 def mel_cepstrum(mel: np.ndarray) -> np.ndarray:

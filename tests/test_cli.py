@@ -1,10 +1,12 @@
 import contextlib
+import inspect
 import io
 import itertools
 import json
 import math
 import os
 import pkgutil
+import re
 import struct
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from peaudio import cli, signal_io, spectral
 from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
 from peaudio.cli import resolve_config
 from peaudio.metrics import compare
-from peaudio.pe import DEFAULT_SEED, LossConfig, toy_fit
+from peaudio.pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig, check_gradient, toy_fit
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 from peaudio.spectral import StftConfig
@@ -123,6 +125,11 @@ class TestThresholds:
 
 
 class TestGradCheck:
+    def test_default_coordinate_count_is_the_library_default(self):
+        args = build_parser().parse_args(["grad-check", "in.wav"])
+        default = inspect.signature(check_gradient).parameters["n_coords"].default
+        assert args.n_coords == default == DEFAULT_N_COORDS
+
     def test_voiced_passes(self, voiced_wav, tmp_path):
         out = tmp_path / "g.json"
         assert run([
@@ -261,23 +268,21 @@ class TestCompare:
         assert capsys.readouterr().err == f"config error: {manifest}:1: expected 'ref,pred'\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_mels", [1, 10, 24])
-    def test_fewer_mels_than_cepstra_is_config_error(
-        self, voiced_wav, tmp_path, capsys, monkeypatch, n_mels
-    ):
-        def decode(path):
-            raise AssertionError(f"{path} decoded before the config was checked")
-
-        monkeypatch.setattr("peaudio.metrics.load_wav", decode)
-        out = tmp_path / "c.csv"
-        argv = ["compare", str(voiced_wav), str(voiced_wav), "--n-mels", str(n_mels)]
-        assert run([*argv, "--output", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err == [
-            f"config error: compare needs n_mels >= 25 for its 25 mel-cepstral "
-            f"coefficients, got {n_mels}"
-        ]
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "argv", [["compare", "WAV", "WAV"], ["toy-fit", "WAV", "--steps", "1"]],
+        ids=["compare", "toy-fit"],
+    )
+    def test_mel_band_count_is_not_a_setting(self, voiced_wav, tmp_path, argv):
+        # The band count is spectral.N_MELS: neither a flag nor a config key sets it.
+        argv = [str(voiced_wav) if arg == "WAV" else arg for arg in argv]
+        code, stdout, stderr, left = run_to_file([*argv, "--n-mels", "40"])
+        assert (code, stderr) == (3, "peaudio: error: unrecognized arguments: --n-mels 40\n")
+        assert_clean_failure(stdout, stderr, left)
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_text("n_mels = 40\n")
+        code, stdout, stderr, left = run_to_file([*argv, "--config", str(cfg)])
+        assert (code, stderr) == (3, f"config error: {cfg}:1: unknown key 'n_mels'\n")
+        assert_clean_failure(stdout, stderr, left)
 
     def test_options_between_the_inputs(self, sine_wav_factory, capsys):
         a = sine_wav_factory(220.0, name="a.wav")
@@ -405,7 +410,7 @@ def pcm24_stereo_wav_bytes(samples, rate) -> bytes:
 
 def compare_rows_alone(pairs, fmt) -> str:
     """The bytes compare --manifest writes, each row scored alone by metrics.compare."""
-    rows = [compare(ref, pred, StftConfig(), 80).to_json_dict() for ref, pred in pairs]
+    rows = [compare(ref, pred, StftConfig()).to_json_dict() for ref, pred in pairs]
     mean = _mean_report_row(rows)
     if fmt == "json":
         return _json_text({
@@ -734,7 +739,6 @@ SETTINGS = {
     "sample_rate": ("sample_rate", "--sample-rate", spectral.DEFAULT_SAMPLE_RATE, [16000, 44100]),
     "fft_size": ("fft_size", "--fft-size", spectral.DEFAULT_FFT_SIZE, [2048, 4096]),
     "hop": ("hop", "--hop", spectral.DEFAULT_HOP, [256, 400]),
-    "n_mels": ("n_mels", "--n-mels", spectral.DEFAULT_N_MELS, [40, 64]),
     "lambda": ("lam", "--lambda", LossConfig().lam, [0.0, 0.5]),
     "seed": ("seed", "--seed", DEFAULT_SEED, [0, 7]),
     "format": ("format", "--format", "csv", ["json"]),
@@ -818,6 +822,17 @@ class TestConfigMerge:
             want = flag_values.get(key, file_values.get(key, default))
             assert getattr(cfg, name) == want, key
 
+    def test_readme_lists_every_flag_and_key(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        flags = re.search(r"Shared flags: `([^`]*)`", section)[1].split()
+        keys = re.search(r"\(keys:([^;]*);", section)[1].split(",")
+        assert flags == [
+            "--" + key.replace("_", "-") for key in cli._FIELDS_BY_KEY
+        ] + ["--output", "--config"]
+        assert [key.strip() for key in keys] == list(cli._FIELDS_BY_KEY)
+
     @settings(max_examples=150, deadline=None)
     @given(
         good=some_settings(),
@@ -877,15 +892,9 @@ def short_wav(tmp_path_factory):
     return path
 
 
-# Mel band counts either side of 1 and of compare's 25 cepstral coefficients.
-mel_counts = st.sampled_from([-1, 0, 1, 10, 24, 25, 80, 128])
-
-
 @st.composite
 def boundary_argv(draw):
     """A masking command or compare with any STFT setup, valid or not, within bounded sizes.
-
-    compare also draws its mel band count.
 
     "WAV" stands for each input. Rates stop at 48 kHz: resampling to far
     higher rates allocates in proportion to the rate, which is not what
@@ -901,7 +910,6 @@ def boundary_argv(draw):
         options += ["--n-coords", str(draw(st.sampled_from([-3, 0, 1, 10**6])))]
     if command == "compare":
         options += ["--format", draw(st.sampled_from(["csv", "json"]))]
-        options += ["--n-mels", str(draw(mel_counts))]
         # compare's second input goes before, between or after the options.
         options.insert(2 * draw(st.integers(0, len(options) // 2)), "WAV")
     return [command, "WAV", *options]
@@ -947,10 +955,9 @@ class TestCliBoundary:
         # dozen steps, so every example ends in well under a second.
         rates = [1e6, 1e30, 1e300] if steps > 3 else [0.1, 1e300, 0.0, -1.0, math.nan, math.inf]
         lr = data.draw(st.sampled_from(rates))
-        n_mels = data.draw(mel_counts)
         argv = ["toy-fit", str(short_wav), "--steps", str(steps), "--lr", str(lr)]
-        code, stdout, stderr, left = run_to_file([*argv, "--n-mels", str(n_mels)])
-        if steps < 1 or not 0.0 < lr < math.inf or n_mels < 1:
+        code, stdout, stderr, left = run_to_file(argv)
+        if steps < 1 or not 0.0 < lr < math.inf:
             assert code == 3, stderr
             assert stderr.startswith("config error: ")
         else:

@@ -331,6 +331,39 @@ class TestAudioBuffer:
             AudioBuffer(np.zeros((2, 4)), 8000)
 
 
+class TestMapRows:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("min_blocks", [2, sys.maxsize], ids=["pool", "serial"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_and_one_scratch_per_share(self, monkeypatch, block, min_blocks):
+        monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", min_blocks)
+        for row_len in (0, 1, 3, block + 1, 100):
+            rows = max(1, block // max(row_len, 1))
+            for n_rows in (0, 1, 50):
+                expected = signal_io.row_blocks(n_rows, rows)
+                shares = []
+
+                def scratch(n):
+                    shares.append((n, []))
+                    return shares[-1][1]
+
+                def fn(block_rows, seen):
+                    seen.append(block_rows)
+                    return block_rows
+
+                assert signal_io.map_rows(fn, n_rows, row_len, scratch) == expected
+                parallel = len(expected) >= min_blocks
+                assert len(shares) == (min(2, len(expected)) if parallel else 1)
+                assert all(n == min(rows, n_rows) for n, _ in shares)
+                ran = [block_rows for _, seen in shares for block_rows in seen]
+                assert sorted(ran, key=lambda block_rows: block_rows.start) == expected
+                assert signal_io.map_rows(lambda r: r, n_rows, row_len) == expected
+
+
 class TestThreadMap:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
