@@ -242,7 +242,7 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
     result = analyze(_load_spectrum(args.input, cfg))
-    centers = result.layout.band_centers()
+    centers = bark_layout(cfg.stft()).band_centers()
     quantities = (
         ("band_power", result.band_power.tolist()),
         ("tonality", result.tonality.tolist()),

@@ -21,6 +21,7 @@ from .psychoacoustic import (
     TONE_OFFSET_BASE_DB,
     BarkAnalysis,
     analyze,
+    bark_layout,
     spreading_gain,
     spreading_kernel,
 )
@@ -87,19 +88,19 @@ def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray, 
     belong to the thread that runs the block, and the next block it runs
     overwrites all six, so then may use them freely.
     """
-    if analysis.layout.n_bins != spec.config.bins:
-        raise ValueError("analysis layout does not match the spectrogram bins")
-    if analysis.n_frames != spec.n_frames:
-        raise ValueError("analysis frame count does not match the spectrogram")
-    if np.any(analysis.masking_threshold <= 0):
+    layout = bark_layout(spec.config)
+    thresholds, shape = analysis.masking_threshold, (spec.n_frames, layout.n)
+    if thresholds.shape != shape:
+        raise ValueError(f"analysis thresholds are {thresholds.shape}, not {shape}")
+    if not np.all(thresholds > 0):  # not any(<= 0), which a NaN would pass
         raise DegenerateThresholdError("masking threshold must be strictly positive")
 
-    k = analysis.layout.k
+    k = layout.k
     bins = spec.config.bins
     # Every frame's steps at once: the (T, n) arrays are small, and a
     # block's small array operations are where its threads wait on each
     # other's Python.
-    all_steps = np.sqrt(6.0 * analysis.masking_threshold / k)
+    all_steps = np.sqrt(6.0 * thresholds / k)
 
     def quantize(rows, work):
         buffers = work[:, : rows.stop - rows.start]
@@ -126,7 +127,10 @@ def _pe_result(per_frame: np.ndarray) -> PEResult:
 
 
 def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
-    """Bits of perceptible information per frame under the masking thresholds."""
+    """Bits of perceptible information per frame under the masking thresholds.
+
+    The bands are bark_layout(spec.config); of analysis only the (T, n) masking_threshold is read.
+    """
     per_frame = np.empty(spec.n_frames)
     _quantize(spec, analysis, per_frame)
     return _pe_result(per_frame)
@@ -175,7 +179,7 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
             f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
         )
     analysis = analyze(spec)
-    layout = analysis.layout
+    layout = bark_layout(spec.config)
     # One pass over blocks of frames: each block's forward quantization
     # turns into its partials while it is still in cache, and each block's
     # Re and Im partials are written once into the real and imaginary views
@@ -194,7 +198,7 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
     # What the threshold path makes of a band's sum(|x|*r), per band
     # and frame. The threshold is the spread threshold over the
     # spreading gain unless the absolute-threshold clamp replaced it.
-    gain = spreading_gain(layout)
+    gain = spreading_gain(spec.config)
     clamp_inactive = analysis.masking_threshold == analysis.spread_threshold / gain
     to_raw = np.where(clamp_inactive, -1.0 / (gain * analysis.masking_threshold), 0.0)
     # The raw threshold is the spread power lowered by the offset ...
@@ -209,7 +213,7 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
     tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 above
     offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
     to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
-    kernel = spreading_kernel(layout)
+    kernel = spreading_kernel(spec.config)
 
     def partials(rows, steps, buffers):
         r_re, r_im, abs_re, abs_im, a, b = buffers

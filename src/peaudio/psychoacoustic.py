@@ -14,6 +14,9 @@ Per spectrogram frame the pipeline is:
   6. divide by the spreading row gain (so a flat spectrum round-trips to
      its unspread threshold) and clamp to the absolute hearing threshold
      (Terhardt curve, full-scale sinusoid pinned to 96 dB SPL).
+
+The bands follow from the STFT config alone: bark_layout(cfg) is their
+one source, and what needs them takes the config or the spectrum.
 """
 
 from dataclasses import dataclass
@@ -42,34 +45,18 @@ _LN10 = float(np.log(10.0))
 
 @dataclass(frozen=True)
 class BarkBandLayout:
-    """Partition of the one-sided FFT bins into critical bands.
+    """Partition of the one-sided FFT bins into critical bands; built only by bark_layout(cfg).
 
     band_edges has n+1 ascending entries with edge 0 at 0 Hz and edge n
     at Nyquist; lower_bins/upper_bins are inclusive bin indices per band
-    and together cover [0, fft_size/2] without gaps or overlap.
+    and together cover [0, fft_size/2] without gaps or overlap. All
+    three arrays are read-only.
     """
 
     band_edges: np.ndarray
     lower_bins: np.ndarray
     upper_bins: np.ndarray
     n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "band_edges", np.asarray(self.band_edges, dtype=np.float64))
-        object.__setattr__(self, "lower_bins", np.asarray(self.lower_bins, dtype=np.int64))
-        object.__setattr__(self, "upper_bins", np.asarray(self.upper_bins, dtype=np.int64))
-        if self.band_edges.shape != (self.n + 1,):
-            raise ValueError("band_edges must have n+1 entries")
-        if np.any(np.diff(self.band_edges) <= 0):
-            raise ValueError("band_edges must be strictly ascending")
-        if self.lower_bins.shape != (self.n,) or self.upper_bins.shape != (self.n,):
-            raise ValueError("bin ranges must have one entry per band")
-        if self.lower_bins[0] != 0:
-            raise ValueError("first band must start at bin 0")
-        if np.any(self.upper_bins < self.lower_bins):
-            raise ValueError("every band needs at least one bin")
-        if np.any(self.lower_bins[1:] != self.upper_bins[:-1] + 1):
-            raise ValueError("bin ranges must partition the spectrum without gaps")
 
     @property
     def k(self) -> np.ndarray:
@@ -87,7 +74,7 @@ class BarkBandLayout:
 
 @dataclass(frozen=True)
 class BarkAnalysis:
-    """Per-frame, per-band results of the masking pipeline, all (T, n)."""
+    """Per-frame, per-band results of the masking pipeline, all (T, n) over bark_layout's bands."""
 
     band_power: np.ndarray  # bin powers summed per band
     spread_power: np.ndarray  # band power convolved with the spreading kernel
@@ -96,7 +83,6 @@ class BarkAnalysis:
     offset_db: np.ndarray  # masking offset per band
     spread_threshold: np.ndarray  # spread power lowered by the offset
     masking_threshold: np.ndarray  # renormalized and clamped final threshold
-    layout: BarkBandLayout
 
     @property
     def n_frames(self) -> int:
@@ -131,10 +117,9 @@ def bark_layout(cfg: StftConfig) -> BarkBandLayout:
         )
     upper_bins = np.cumsum(counts) - 1
     lower_bins = np.concatenate(([0], upper_bins[:-1] + 1))
-    layout = BarkBandLayout(edges, lower_bins, upper_bins, n)
-    for array in (layout.band_edges, layout.lower_bins, layout.upper_bins):
+    for array in (edges, lower_bins, upper_bins):
         array.setflags(write=False)
-    return layout
+    return BarkBandLayout(edges, lower_bins, upper_bins, n)
 
 
 def spreading_function_db(dz) -> np.ndarray:
@@ -153,14 +138,14 @@ def _kernel_and_gain(n: int) -> tuple[np.ndarray, np.ndarray]:
     return kernel, gain
 
 
-def spreading_kernel(layout: BarkBandLayout) -> np.ndarray:
-    """Linear-power spreading matrix K with K[i, j] = sf(i - j), shape (n, n)."""
-    return _kernel_and_gain(layout.n)[0]
+def spreading_kernel(cfg: StftConfig) -> np.ndarray:
+    """Linear-power spreading matrix K[i, j] = sf(i - j) over the n bands of bark_layout(cfg)."""
+    return _kernel_and_gain(bark_layout(cfg).n)[0]
 
 
-def spreading_gain(layout: BarkBandLayout) -> np.ndarray:
-    """Row sums of the spreading kernel: the gain a flat spectrum receives."""
-    return _kernel_and_gain(layout.n)[1]
+def spreading_gain(cfg: StftConfig) -> np.ndarray:
+    """Row sums of spreading_kernel(cfg): the gain a flat spectrum receives, shape (n,)."""
+    return _kernel_and_gain(bark_layout(cfg).n)[1]
 
 
 def tonality(sfm) -> np.ndarray:
@@ -194,22 +179,18 @@ def hearing_threshold_db_spl(freq_hz) -> np.ndarray:
     )
 
 
-def full_scale_band_power(cfg: StftConfig) -> float:
-    """Band power a full-scale bin-centered sinusoid produces under the Hann window."""
-    window = cfg.window_samples()
-    return float((window.sum() / 2.0) ** 2)
-
-
 def absolute_threshold(cfg: StftConfig) -> np.ndarray:
     """Absolute-hearing-threshold power per band of bark_layout(cfg), shape (n,).
 
     Each band is represented by its most sensitive bin (minimum Terhardt
     level); dB SPL converts to spectrum power with a full-scale sinusoid
-    pinned to 96 dB SPL.
+    pinned to 96 dB SPL, whose bin-centered band power under the Hann
+    window is (sum(window) / 2)^2.
     """
+    full_scale_power = float((cfg.window_samples().sum() / 2.0) ** 2)
     quiet_db = hearing_threshold_db_spl(cfg.bin_frequencies())
     per_band_min = np.minimum.reduceat(quiet_db, bark_layout(cfg).lower_bins)
-    return full_scale_band_power(cfg) * 10.0 ** ((per_band_min - FULL_SCALE_SPL_DB) / 10.0)
+    return full_scale_power * 10.0 ** ((per_band_min - FULL_SCALE_SPL_DB) / 10.0)
 
 
 def renormalize_and_clamp(thresholds: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -219,7 +200,7 @@ def renormalize_and_clamp(thresholds: np.ndarray, cfg: StftConfig) -> np.ndarray
     spectrum, which is the testable meaning of moving the threshold back
     into the unspread band domain.
     """
-    renormalized = np.asarray(thresholds, dtype=np.float64) / spreading_gain(bark_layout(cfg))
+    renormalized = np.asarray(thresholds, dtype=np.float64) / spreading_gain(cfg)
     return np.maximum(renormalized, absolute_threshold(cfg))
 
 
@@ -249,7 +230,7 @@ def analyze(spec: Spectrogram) -> BarkAnalysis:
     map_rows(band_sums, spec.n_frames, layout.n_bins)
 
     k = layout.k
-    spread_power = band_power @ spreading_kernel(layout).T
+    spread_power = band_power @ spreading_kernel(spec.config).T
     log_geo = log_sum / k
     arith = floored_sum / k
     # Clamped to the AM-GM bound; float noise on flat bands can stray
@@ -269,5 +250,4 @@ def analyze(spec: Spectrogram) -> BarkAnalysis:
         offset_db=offsets,
         spread_threshold=raw_threshold,
         masking_threshold=final_threshold,
-        layout=layout,
     )

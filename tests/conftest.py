@@ -61,9 +61,9 @@ def bark_spectrum(frame, layout):
     ])
 
 
-def spread(band_power, layout):
+def spread(band_power, cfg):
     """Oracle: band powers convolved with the spreading kernel across band index."""
-    return np.asarray(band_power, dtype=np.float64) @ spreading_kernel(layout).T
+    return np.asarray(band_power, dtype=np.float64) @ spreading_kernel(cfg).T
 
 
 def sfm_db(components):

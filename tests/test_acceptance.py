@@ -26,8 +26,8 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import StftConfig, Spectrogram, stft
 
-from conftest import SR, scaled, sfm_db, sine_signal, spread
-from test_pe import naive_pe, toy_analysis, toy_config, toy_layout
+from conftest import SR, bin_ranges, scaled, sfm_db, sine_signal, spread
+from test_pe import naive_pe, random_toy_config, toy_analysis
 
 
 def report(criterion, text):
@@ -40,17 +40,12 @@ def test_criterion_1_bruteforce_pe_oracle():
     rng = np.random.default_rng(2024)
     trials = 0
     for _ in range(60):
-        fft_size = int(rng.choice([4, 8, 16]))
-        bins = fft_size // 2 + 1  # 3, 5 or 9 bins, all <= 16
-        n_bands = int(rng.integers(1, min(3, bins - 1) + 1))
-        cuts = np.sort(rng.choice(np.arange(1, bins), size=n_bands - 1, replace=False))
-        edges = np.concatenate(([0], cuts, [bins]))
-        ranges = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(n_bands)]
-        layout = toy_layout(ranges)
-        thresholds = rng.uniform(0.05, 8.0, n_bands)
-        frames = rng.standard_normal((4, bins)) + 1j * rng.standard_normal((4, bins))
-        spec = Spectrogram(frames, toy_config(bins))
-        result = perceptual_entropy(spec, toy_analysis(layout, thresholds, 4))
+        cfg = random_toy_config(rng)  # 3, 5 or 9 bins, all <= 16
+        ranges = bin_ranges(bark_layout(cfg))
+        thresholds = rng.uniform(0.05, 8.0, len(ranges))
+        frames = rng.standard_normal((4, cfg.bins)) + 1j * rng.standard_normal((4, cfg.bins))
+        spec = Spectrogram(frames, cfg)
+        result = perceptual_entropy(spec, toy_analysis(cfg, thresholds, 4))
         expected = naive_pe(frames, ranges, thresholds)
         np.testing.assert_allclose(result.per_frame, expected, atol=1e-12, rtol=0)
         trials += 1
@@ -81,10 +76,9 @@ def test_criterion_3_scale_invariance(voiced_wav):
     from peaudio.signal_io import load_wav
 
     cfg = StftConfig(sample_rate=SR)
-    layout = bark_layout(cfg)
     spec = stft(load_wav(voiced_wav), cfg)
     quiet = absolute_threshold(cfg)
-    gain = spreading_gain(layout)
+    gain = spreading_gain(cfg)
     values = {}
     for c in (0.5, 1.0, 2.0):
         spec_c = scaled(spec, c)
@@ -102,8 +96,8 @@ def test_criterion_4_renormalization_roundtrip():
         cfg = StftConfig(fft_size=1024, hop=512, sample_rate=sr)
         layout = bark_layout(cfg)
         offsets = masking_offset_db(np.full(layout.n, 0.5), np.arange(1, layout.n + 1))
-        raw = spread_threshold(spread(np.ones(layout.n), layout), offsets)
-        roundtrip = raw / spreading_gain(layout)
+        raw = spread_threshold(spread(np.ones(layout.n), cfg), offsets)
+        roundtrip = raw / spreading_gain(cfg)
         np.testing.assert_allclose(roundtrip, 10.0 ** (-offsets / 10.0), rtol=1e-9)
     report(4, "flat-spectrum threshold round trip holds at 8000/22050/44100 Hz")
 

@@ -88,7 +88,7 @@ def whole_analyze(spec: Spectrogram) -> BarkAnalysis:
     power = spec.power()
     k = layout.k
     band_power = np.add.reduceat(power, layout.lower_bins, axis=1)
-    spread_power = band_power @ spreading_kernel(layout).T
+    spread_power = band_power @ spreading_kernel(spec.config).T
     floored = np.maximum(power, SFM_POWER_FLOOR)
     log_geo = np.add.reduceat(np.log(floored), layout.lower_bins, axis=1) / k
     arith = np.add.reduceat(floored, layout.lower_bins, axis=1) / k
@@ -104,13 +104,12 @@ def whole_analyze(spec: Spectrogram) -> BarkAnalysis:
         offset_db=offsets,
         spread_threshold=raw_threshold,
         masking_threshold=renormalize_and_clamp(raw_threshold, spec.config),
-        layout=layout,
     )
 
 
 def whole_pe(spec: Spectrogram, analysis: BarkAnalysis) -> np.ndarray:
     """Per-frame bits log2(2|x|/step + 1), summed over Re and Im of every bin."""
-    k = analysis.layout.k
+    k = bark_layout(spec.config).k
     steps = np.repeat(np.sqrt(6.0 * analysis.masking_threshold / k), k, axis=1)
     bits = np.log2(np.abs(spec.frames.real) * 2.0 / steps + 1.0)
     bits += np.log2(np.abs(spec.frames.imag) * 2.0 / steps + 1.0)

@@ -69,7 +69,7 @@ def reference_gradient(spec, analysis):
     The oracle for the fused, frame-blocked pe_gradient: the same
     derivation without reordering, factoring or blocking.
     """
-    layout = analysis.layout
+    layout = bark_layout(spec.config)
     re, im = spec.frames.real, spec.frames.imag
     k = layout.k
     bin_band = band_of_bin(layout)
@@ -87,7 +87,7 @@ def reference_gradient(spec, analysis):
     dpe_dstep = np.add.reduceat(dpe_dstep_bin, layout.lower_bins, axis=1)
     dpe_dthresh = dpe_dstep * 3.0 / (k * steps)
 
-    gain = spreading_gain(layout)
+    gain = spreading_gain(spec.config)
     quiet = absolute_threshold(spec.config)
     clamp_inactive = (analysis.spread_threshold / gain) >= quiet
     dpe_draw = np.where(clamp_inactive, dpe_dthresh / gain, 0.0)
@@ -103,7 +103,7 @@ def reference_gradient(spec, analysis):
     coeff = dpe_dflatness * (10.0 / ln10) / k
     dpe_dfloored = coeff[:, bin_band] * (1.0 / floored - 1.0 / arith[:, bin_band])
     dpe_dpower = np.where(power >= SFM_POWER_FLOOR, dpe_dfloored, 0.0)
-    dpe_dpower += (dpe_dspread @ spreading_kernel(layout))[:, bin_band]
+    dpe_dpower += (dpe_dspread @ spreading_kernel(spec.config))[:, bin_band]
 
     dpe_dre += dpe_dpower * 2.0 * re
     dpe_dim += dpe_dpower * 2.0 * im
@@ -132,7 +132,7 @@ def gapped_spec():
     spec = Spectrogram(frames, cfg)
     analysis = analyze(spec)
     silent = ~spec.frames.any(axis=1)
-    clamped = analysis.spread_threshold / spreading_gain(layout) < absolute_threshold(cfg)
+    clamped = analysis.spread_threshold / spreading_gain(cfg) < absolute_threshold(cfg)
     unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
     live = (~clamped & unpinned)[12, band_of_bin(layout)]
     assert silent.sum() == 3

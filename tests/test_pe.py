@@ -16,7 +16,6 @@ from peaudio.pe import (
 )
 from peaudio.psychoacoustic import (
     BarkAnalysis,
-    BarkBandLayout,
     absolute_threshold,
     analyze,
     bark_layout,
@@ -25,21 +24,29 @@ from peaudio.psychoacoustic import (
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
-from conftest import harmonic_signal, scaled
+from conftest import bin_ranges, harmonic_signal, scaled
 
 
-def toy_layout(bin_ranges):
-    """Hand-built layout over a small spectrum; edges are placeholders."""
-    n = len(bin_ranges)
-    lower = np.array([lo for lo, _ in bin_ranges])
-    upper = np.array([hi for _, hi in bin_ranges])
-    edges = np.linspace(0.0, 1000.0, n + 1)
-    return BarkBandLayout(band_edges=edges, lower_bins=lower, upper_bins=upper, n=n)
+def toy_config(fft_size, sample_rate):
+    """A small real config; bark_layout gives it a few bands of a few bins."""
+    return StftConfig(fft_size=fft_size, hop=fft_size, sample_rate=sample_rate)
 
 
-def toy_analysis(layout, thresholds, n_frames):
-    """BarkAnalysis carrying only what perceptual_entropy consumes."""
-    thresholds = np.broadcast_to(np.asarray(thresholds, float), (n_frames, layout.n)).copy()
+# Highest sample rate at which every band of bark_layout still gets a
+# bin, per toy fft size; from there down to 1 Hz every rate works.
+TOY_TOP_RATE = {4: 600, 8: 1020, 16: 2015}
+
+
+def random_toy_config(rng):
+    """A toy config of 3, 5 or 9 bins at a rate that gives it 1 to 9 bands."""
+    fft_size = int(rng.choice(list(TOY_TOP_RATE)))
+    return toy_config(fft_size, int(rng.integers(100, TOY_TOP_RATE[fft_size] + 1)))
+
+
+def toy_analysis(cfg, thresholds, n_frames):
+    """BarkAnalysis for cfg's bands carrying only what perceptual_entropy consumes."""
+    n = bark_layout(cfg).n
+    thresholds = np.broadcast_to(np.asarray(thresholds, float), (n_frames, n)).copy()
     zeros = np.zeros_like(thresholds)
     return BarkAnalysis(
         band_power=zeros,
@@ -49,13 +56,7 @@ def toy_analysis(layout, thresholds, n_frames):
         offset_db=zeros,
         spread_threshold=thresholds,
         masking_threshold=thresholds,
-        layout=layout,
     )
-
-
-def toy_config(bins):
-    fft_size = 2 * (bins - 1)
-    return StftConfig(fft_size=fft_size, hop=fft_size, sample_rate=8000)
 
 
 def naive_pe(frames, bin_ranges, thresholds):
@@ -75,47 +76,43 @@ def naive_pe(frames, bin_ranges, thresholds):
 
 class TestPerceptualEntropy:
     def test_silence_gives_zero_pe_and_unit_loss(self):
-        layout = toy_layout([(0, 2), (3, 4)])
-        cfg = toy_config(5)
+        cfg = toy_config(8, 320)
+        assert bin_ranges(bark_layout(cfg)) == [(0, 2), (3, 4)]
         spec = Spectrogram(np.zeros((3, 5), complex), cfg)
-        result = perceptual_entropy(spec, toy_analysis(layout, [1.0, 2.0], 3))
+        result = perceptual_entropy(spec, toy_analysis(cfg, [1.0, 2.0], 3))
         np.testing.assert_array_equal(result.per_frame, 0.0)
         assert result.mean_pe == 0.0
         assert result.loss_pe == 1.0
 
     def test_unit_quantizer_step_is_one_bit(self):
         # Re at half the quantizer step of a one-bin band: log2(2*0.5+1) = 1.
-        layout = toy_layout([(0, 0), (1, 1), (2, 2)])
-        cfg = toy_config(3)
+        cfg = toy_config(4, 600)
+        assert bin_ranges(bark_layout(cfg)) == [(0, 0), (1, 1), (2, 2)]
         threshold = np.array([0.5, 1.0, 2.0])
         step0 = math.sqrt(6.0 * threshold[0] / 1)
         frames = np.zeros((1, 3), complex)
         frames[0, 0] = step0 / 2.0
-        result = perceptual_entropy(Spectrogram(frames, cfg), toy_analysis(layout, threshold, 1))
+        result = perceptual_entropy(Spectrogram(frames, cfg), toy_analysis(cfg, threshold, 1))
         assert result.per_frame[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(123)
         for trial in range(60):
-            bins = int(rng.choice([4, 8, 16])) // 2 + 1  # 3, 5 or 9 one-sided bins
-            n_bands = int(rng.integers(1, min(3, bins - 1) + 1))
-            cuts = np.sort(rng.choice(np.arange(1, bins), size=n_bands - 1, replace=False))
-            edges = np.concatenate(([0], cuts, [bins]))
-            ranges = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(n_bands)]
-            layout = toy_layout(ranges)
-            thresholds = rng.uniform(0.1, 5.0, n_bands)
-            frames = rng.standard_normal((3, bins)) + 1j * rng.standard_normal((3, bins))
-            spec = Spectrogram(frames, toy_config(bins))
-            result = perceptual_entropy(spec, toy_analysis(layout, thresholds, 3))
+            cfg = random_toy_config(rng)
+            ranges = bin_ranges(bark_layout(cfg))
+            thresholds = rng.uniform(0.1, 5.0, len(ranges))
+            frames = rng.standard_normal((3, cfg.bins)) + 1j * rng.standard_normal((3, cfg.bins))
+            spec = Spectrogram(frames, cfg)
+            result = perceptual_entropy(spec, toy_analysis(cfg, thresholds, 3))
             expected = naive_pe(frames, ranges, thresholds)
             np.testing.assert_allclose(result.per_frame, expected, atol=1e-12)
 
     def test_monotone_in_component_magnitude(self):
-        layout = toy_layout([(0, 1), (2, 4)])
-        cfg = toy_config(5)
+        cfg = toy_config(8, 400)
+        assert bin_ranges(bark_layout(cfg)) == [(0, 1), (2, 4)]
         rng = np.random.default_rng(2)
         frames = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
-        analysis = toy_analysis(layout, [1.0, 3.0], 1)
+        analysis = toy_analysis(cfg, [1.0, 3.0], 1)
         base = perceptual_entropy(Spectrogram(frames, cfg), analysis).per_frame[0]
         for idx in range(5):
             grown = frames.copy()
@@ -124,37 +121,39 @@ class TestPerceptualEntropy:
             assert bigger >= base - 1e-12
 
     def test_nonnegative_per_frame(self):
-        layout = toy_layout([(0, 4)])
+        cfg = toy_config(8, 200)  # one band of all five bins
         rng = np.random.default_rng(6)
         frames = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
-        result = perceptual_entropy(
-            Spectrogram(frames, toy_config(5)), toy_analysis(layout, [0.7], 10)
-        )
+        result = perceptual_entropy(Spectrogram(frames, cfg), toy_analysis(cfg, [0.7], 10))
         assert np.all(result.per_frame >= 0)
 
     def test_degenerate_threshold_raises(self):
-        layout = toy_layout([(0, 4)])
-        spec = Spectrogram(np.zeros((1, 5), complex), toy_config(5))
-        with pytest.raises(DegenerateThresholdError):
-            perceptual_entropy(spec, toy_analysis(layout, [0.0], 1))
+        # One zero, negative or NaN cell is enough; NaN fails every comparison.
+        cfg = toy_config(16, 400)
+        spec = Spectrogram(np.ones((3, 9), complex), cfg)
+        for bad in (0.0, -1.0, np.nan):
+            analysis = toy_analysis(cfg, [0.7, 0.7], 3)
+            analysis.masking_threshold[1, 1] = bad
+            with pytest.raises(DegenerateThresholdError):
+                perceptual_entropy(spec, analysis)
 
     def test_rejects_analysis_of_another_bin_count(self):
-        spec = Spectrogram(np.ones((3, 5), complex), toy_config(5))
-        with pytest.raises(ValueError, match="analysis layout does not match the spectrogram bins"):
-            perceptual_entropy(spec, toy_analysis(toy_layout([(0, 3), (4, 8)]), [0.7, 0.7], 3))
+        spec = Spectrogram(np.ones((3, 5), complex), toy_config(8, 200))
+        with pytest.raises(ValueError, match=r"analysis thresholds are \(3, 2\), not \(3, 1\)"):
+            perceptual_entropy(spec, toy_analysis(toy_config(16, 400), [0.7, 0.7], 3))
 
     def test_rejects_analysis_of_another_frame_count(self):
-        spec = Spectrogram(np.ones((3, 5), complex), toy_config(5))
-        with pytest.raises(ValueError, match="analysis frame count does not match the spectrogram"):
-            perceptual_entropy(spec, toy_analysis(toy_layout([(0, 4)]), [0.7], 2))
+        cfg = toy_config(8, 200)
+        spec = Spectrogram(np.ones((3, 5), complex), cfg)
+        with pytest.raises(ValueError, match=r"analysis thresholds are \(2, 1\), not \(3, 1\)"):
+            perceptual_entropy(spec, toy_analysis(cfg, [0.7], 2))
 
     def test_scale_invariance_when_clamp_inactive(self):
         sr = 22050
         cfg = StftConfig(sample_rate=sr)
-        layout = bark_layout(cfg)
         spec = stft(AudioBuffer(harmonic_signal(duration=0.5), sr), cfg)
         quiet = absolute_threshold(cfg)
-        gain = spreading_gain(layout)
+        gain = spreading_gain(cfg)
         base = perceptual_entropy(spec, analyze(spec))
         for c in (0.5, 2.0):
             spec_c = scaled(spec, c)

@@ -1,11 +1,15 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peaudio
 from peaudio.psychoacoustic import (
     ZWICKER_UPPER_EDGES_HZ,
-    BarkBandLayout,
     absolute_threshold,
     analyze,
     bark_layout,
@@ -15,6 +19,7 @@ from peaudio.psychoacoustic import (
     spread_threshold,
     spreading_function_db,
     spreading_gain,
+    spreading_kernel,
     tonality,
 )
 from peaudio.signal_io import AudioBuffer
@@ -69,46 +74,46 @@ class TestBarkLayout:
         for array in (lay.band_edges, lay.lower_bins, lay.upper_bins):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        # A layout built from the caller's own arrays leaves them writable.
-        edges, lower, upper = np.array([0.0, 100.0, 200.0]), np.array([0, 3]), np.array([2, 4])
-        BarkBandLayout(edges, lower, upper, n=2)
-        assert all(array.flags.writeable for array in (edges, lower, upper))
 
     def test_too_small_fft_raises(self):
         with pytest.raises(ValueError):
             bark_layout(StftConfig(fft_size=128, hop=64, sample_rate=22050))
 
-    def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            BarkBandLayout(
-                band_edges=np.array([0.0, 100.0, 200.0]),
-                lower_bins=np.array([0, 3]),
-                upper_bins=np.array([1, 4]),  # gap: bin 2 unassigned
-                n=2,
-            )
-
-    @pytest.mark.parametrize("change, message", [
-        ({"band_edges": [0.0, 100.0]}, "band_edges must have n\\+1 entries"),
-        ({"band_edges": [0.0, 200.0, 100.0]}, "band_edges must be strictly ascending"),
-        ({"lower_bins": [0]}, "bin ranges must have one entry per band"),
-        ({"lower_bins": [1, 3]}, "first band must start at bin 0"),
-        ({"upper_bins": [2, 2]}, "every band needs at least one bin"),
-    ])
-    def test_partition_checks(self, change, message):
-        valid = {"band_edges": [0.0, 100.0, 200.0], "lower_bins": [0, 3], "upper_bins": [2, 4]}
-        BarkBandLayout(**valid, n=2)
-        with pytest.raises(ValueError, match=message):
-            BarkBandLayout(**{**valid, **change}, n=2)
+    def test_partition_invariants_over_a_config_grid(self):
+        # What a BarkBandLayout promises, held on its one producer: each
+        # config either gets a gapless partition of its bins whose edges
+        # run from 0 Hz to Nyquist, or is refused in one line.
+        rates = (200, 300, 400, 600, 1000, 2000, 4000, 8000, 11025, 16000, 22050,
+                 32000, 44100, 48000, 88200, 96000, 176400, 192000)
+        fft_sizes = [2**p for p in range(2, 14)]  # 4 ... 8192
+        refused = 0
+        for sr in rates:
+            for fft_size in fft_sizes:
+                cfg = StftConfig(fft_size=fft_size, hop=1, sample_rate=sr)
+                try:
+                    lay = bark_layout(cfg)
+                except ValueError as exc:
+                    assert "has no FFT bin" in str(exc) and "\n" not in str(exc)
+                    refused += 1
+                    continue
+                assert lay.band_edges.shape == (lay.n + 1,)
+                assert lay.band_edges[0] == 0.0 and lay.band_edges[-1] == sr / 2
+                assert np.all(np.diff(lay.band_edges) > 0)
+                assert lay.lower_bins.shape == lay.upper_bins.shape == (lay.n,)
+                assert lay.lower_bins[0] == 0
+                assert np.all(lay.upper_bins >= lay.lower_bins)
+                np.testing.assert_array_equal(lay.lower_bins[1:], lay.upper_bins[:-1] + 1)
+                assert lay.upper_bins[-1] == cfg.bins - 1
+                for array in (lay.band_edges, lay.lower_bins, lay.upper_bins):
+                    assert not array.flags.writeable
+        assert 0 < refused < len(rates) * len(fft_sizes)
 
 
 class TestBarkSpectrum:
     def _toy_layout(self):
-        return BarkBandLayout(
-            band_edges=np.array([0.0, 100.0, 250.0, 500.0]),
-            lower_bins=np.array([0, 3, 6]),
-            upper_bins=np.array([2, 5, 8]),
-            n=3,
-        )
+        lay = bark_layout(StftConfig(fft_size=16, hop=16, sample_rate=600))
+        assert bin_ranges(lay) == [(0, 2), (3, 5), (6, 8)]
+        return lay
 
     def test_zero_frame(self):
         lay = self._toy_layout()
@@ -134,16 +139,17 @@ class TestBarkSpectrum:
 
 
 class TestSpread:
-    lay = bark_layout(StftConfig(sample_rate=22050))
+    cfg = StftConfig(sample_rate=22050)
+    lay = bark_layout(cfg)
 
     def test_zero_in_zero_out(self):
-        np.testing.assert_array_equal(spread(np.zeros(self.lay.n), self.lay), 0.0)
+        np.testing.assert_array_equal(spread(np.zeros(self.lay.n), self.cfg), 0.0)
 
     def test_impulse_reads_kernel_row(self):
         j = 7
         b = np.zeros(self.lay.n)
         b[j] = 1.0
-        c = spread(b, self.lay)
+        c = spread(b, self.cfg)
         offsets = np.arange(self.lay.n) - j
         expected = 10.0 ** (spreading_function_db(offsets) / 10.0)
         np.testing.assert_allclose(c, expected, rtol=1e-12)
@@ -159,20 +165,20 @@ class TestSpread:
                 kernel[i, j] = 10.0 ** (db / 10.0)
         rng = np.random.default_rng(8)
         b = rng.uniform(0, 10, n)
-        np.testing.assert_allclose(spread(b, self.lay), kernel @ b, rtol=1e-12)
+        np.testing.assert_allclose(spread(b, self.cfg), kernel @ b, rtol=1e-12)
 
     def test_linear_and_monotone(self):
         rng = np.random.default_rng(1)
         b1 = rng.uniform(0, 5, self.lay.n)
         b2 = rng.uniform(0, 5, self.lay.n)
         np.testing.assert_allclose(
-            spread(2.0 * b1 + 3.0 * b2, self.lay),
-            2.0 * spread(b1, self.lay) + 3.0 * spread(b2, self.lay),
+            spread(2.0 * b1 + 3.0 * b2, self.cfg),
+            2.0 * spread(b1, self.cfg) + 3.0 * spread(b2, self.cfg),
             rtol=1e-12,
         )
         bumped = b1.copy()
         bumped[4] += 1.0
-        assert np.all(spread(bumped, self.lay) >= spread(b1, self.lay))
+        assert np.all(spread(bumped, self.cfg) >= spread(b1, self.cfg))
 
     def test_upward_spread_stronger(self):
         # Masking leaks more toward higher bands than lower ones.
@@ -257,8 +263,8 @@ class TestRenormalizeAndClamp:
         cfg = StftConfig(fft_size=1024, hop=512, sample_rate=sr)
         lay = bark_layout(cfg)
         offsets = masking_offset_db(np.full(lay.n, 0.3), np.arange(1, lay.n + 1))
-        raw = spread_threshold(spread(np.ones(lay.n), lay), offsets)
-        renormalized = raw / spreading_gain(lay)
+        raw = spread_threshold(spread(np.ones(lay.n), cfg), offsets)
+        renormalized = raw / spreading_gain(cfg)
         np.testing.assert_allclose(renormalized, 10.0 ** (-offsets / 10.0), rtol=1e-9)
 
     def test_zero_thresholds_clamp_to_absolute(self):
@@ -322,11 +328,10 @@ class TestAnalyze:
 
     def test_scale_equivariance(self):
         cfg = StftConfig(sample_rate=self.sr)
-        lay = bark_layout(cfg)
         spec = stft(AudioBuffer(harmonic_signal(duration=0.4), self.sr), cfg)
         base = analyze(spec)
         quiet = absolute_threshold(cfg)
-        gain = spreading_gain(lay)
+        gain = spreading_gain(cfg)
         for c in (0.5, 2.0):
             res = analyze(scaled(spec, c))
             np.testing.assert_allclose(res.band_power, c**2 * base.band_power, rtol=1e-9)
@@ -366,7 +371,7 @@ class TestAnalyze:
         for t, frame in enumerate(spec.frames):
             bands = bark_spectrum(frame, lay)
             np.testing.assert_allclose(res.band_power[t], bands, rtol=1e-12)
-            np.testing.assert_allclose(res.spread_power[t], spread(bands, lay), rtol=1e-12)
+            np.testing.assert_allclose(res.spread_power[t], spread(bands, cfg), rtol=1e-12)
             power = frame.real**2 + frame.imag**2
             flatness = [sfm_db(power[lo : hi + 1]) for lo, hi in bin_ranges(lay)]
             np.testing.assert_allclose(res.sfm_db[t], flatness, rtol=1e-9, atol=1e-12)
@@ -385,3 +390,41 @@ class TestAnalyze:
         frames[0, lo : hi + 1] = 2.0
         res = analyze(Spectrogram(frames, cfg))
         assert res.sfm_db[0, 10] == pytest.approx(0.0, abs=1e-9)
+
+
+def _public_callables():
+    """Every public function, method and constructor defined in a peaudio module."""
+    for info in pkgutil.iter_modules(peaudio.__path__):
+        module = importlib.import_module(f"peaudio.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and (attr == "__init__" or attr[0] != "_"):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+class TestOneBandSource:
+    """The critical bands are decided in one place: bark_layout(cfg)."""
+
+    @pytest.mark.parametrize("fn", [
+        bark_layout, absolute_threshold, renormalize_and_clamp, spreading_kernel, spreading_gain,
+    ])
+    def test_band_functions_take_the_stft_config(self, fn):
+        param = inspect.signature(fn, eval_str=True).parameters.get("cfg")
+        assert param is not None and param.annotation is StftConfig
+
+    def test_no_public_function_takes_a_layout(self):
+        callables = dict(_public_callables())
+        assert "peaudio.pe.perceptual_entropy" in callables
+        assert "peaudio.psychoacoustic.BarkAnalysis.__init__" in callables
+        takers = [
+            f"{where}({param.name})"
+            for where, fn in callables.items()
+            for param in inspect.signature(fn, eval_str=True).parameters.values()
+            if "BarkBandLayout" in str(param.annotation)
+        ]
+        assert takers == []
