@@ -49,14 +49,29 @@ class BarkBandLayout:
 
     band_edges has n+1 ascending entries with edge 0 at 0 Hz and edge n
     at Nyquist; lower_bins/upper_bins are inclusive bin indices per band
-    and together cover [0, fft_size/2] without gaps or overlap. All
-    three arrays are read-only.
+    and together cover [0, fft_size/2] without gaps or overlap; the
+    constructor checks this of the arrays it is given. All three arrays
+    are read-only.
     """
 
     band_edges: np.ndarray
     lower_bins: np.ndarray
     upper_bins: np.ndarray
     n: int
+
+    def __post_init__(self):
+        if self.band_edges.shape != (self.n + 1,):
+            raise ValueError("band_edges must have n+1 entries")
+        if np.any(np.diff(self.band_edges) <= 0):
+            raise ValueError("band_edges must be strictly ascending")
+        if self.lower_bins.shape != (self.n,) or self.upper_bins.shape != (self.n,):
+            raise ValueError("bin ranges must have one entry per band")
+        if self.lower_bins[0] != 0:
+            raise ValueError("first band must start at bin 0")
+        if np.any(self.upper_bins < self.lower_bins):
+            raise ValueError("every band needs at least one bin")
+        if np.any(self.lower_bins[1:] != self.upper_bins[:-1] + 1):
+            raise ValueError("bin ranges must partition the spectrum without gaps")
 
     @property
     def k(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import peaudio
 from peaudio.psychoacoustic import (
     ZWICKER_UPPER_EDGES_HZ,
+    BarkBandLayout,
     absolute_threshold,
     analyze,
     bark_layout,
@@ -78,6 +79,28 @@ class TestBarkLayout:
     def test_too_small_fft_raises(self):
         with pytest.raises(ValueError):
             bark_layout(StftConfig(fft_size=128, hop=64, sample_rate=22050))
+
+    def test_layout_validation(self):
+        with pytest.raises(ValueError):
+            BarkBandLayout(
+                band_edges=np.array([0.0, 100.0, 200.0]),
+                lower_bins=np.array([0, 3]),
+                upper_bins=np.array([1, 4]),  # gap: bin 2 unassigned
+                n=2,
+            )
+
+    @pytest.mark.parametrize("change, message", [
+        ({"band_edges": [0.0, 100.0]}, "band_edges must have n\\+1 entries"),
+        ({"band_edges": [0.0, 200.0, 100.0]}, "band_edges must be strictly ascending"),
+        ({"lower_bins": [0]}, "bin ranges must have one entry per band"),
+        ({"lower_bins": [1, 3]}, "first band must start at bin 0"),
+        ({"upper_bins": [2, 2]}, "every band needs at least one bin"),
+    ])
+    def test_partition_checks(self, change, message):
+        valid = {"band_edges": [0.0, 100.0, 200.0], "lower_bins": [0, 3], "upper_bins": [2, 4]}
+        BarkBandLayout(**{key: np.array(v) for key, v in valid.items()}, n=2)
+        with pytest.raises(ValueError, match=message):
+            BarkBandLayout(**{key: np.array(v) for key, v in {**valid, **change}.items()}, n=2)
 
     def test_partition_invariants_over_a_config_grid(self):
         # What a BarkBandLayout promises, held on its one producer: each
