@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
 from .signal_io import AudioBuffer, load_wav, resample, row_blocks
-from .spectral import StftConfig, mel_cepstrum, mel_spectrogram, stft
+from .spectral import StftConfig, _power, mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
@@ -110,10 +110,7 @@ def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
     padded = np.zeros((frames.shape[0], size))
     padded[:, :n] = frames
     spectrum = np.fft.rfft(padded, axis=1)
-    # |X|^2 as two squares: numpy's complex product X * conj(X) may round
-    # differently in its vector and scalar paths, which would make the
-    # result depend on how frames are split into blocks.
-    power = spectrum.real**2 + spectrum.imag**2
+    power = _power(spectrum)
     raw = np.fft.irfft(power, size, axis=1)[:, lo:hi]
     # squares[:, m] is the energy of the first m samples of each row.
     squares = np.zeros((frames.shape[0], n + 1))

@@ -20,6 +20,8 @@ from .psychoacoustic import (
     SFM_POWER_FLOOR,
     TONE_OFFSET_BASE_DB,
     BarkAnalysis,
+    _band_stage,
+    _bin_powers,
     analyze,
     bark_layout,
     spreading_gain,
@@ -76,49 +78,24 @@ def pe_loss(mean_pe: float) -> float:
     return 1.0 / (1.0 + mean_pe)
 
 
-def _quantize(spec: Spectrogram, analysis: BarkAnalysis, per_frame: np.ndarray, then=None):
-    """The PE forward pass of spec under analysis, one block of frames at a time.
+def _quantize_block(x: np.ndarray, thresholds: np.ndarray, k: np.ndarray, work: np.ndarray):
+    """Bits per frame of block x under its (rows, n) thresholds, and steps sqrt(6*threshold/k).
 
-    Writes each frame's bits into per_frame (T,). With then, calls
-    then(rows, steps, buffers) on each block as soon as it is quantized:
-    its row slice, the per-band quantizer steps sqrt(6*threshold/k)
-    (rows, n) and six (rows, bins) work buffers: u = 2|x|/step + 1 for
-    the real and for the imaginary parts (a bin carries
-    log2(u_re) + log2(u_im) bits), |re|, |im| and two spares. The buffers
-    belong to the thread that runs the block, and the next block it runs
-    overwrites all six, so then may use them freely.
+    work, six (rows, bins) buffers, comes back holding u = 2|x|/step + 1 for
+    Re and Im (a bin carries log2(u_re) + log2(u_im) bits), |re|, |im| and two spares.
     """
-    layout = bark_layout(spec.config)
-    thresholds, shape = analysis.masking_threshold, (spec.n_frames, layout.n)
-    if thresholds.shape != shape:
-        raise ValueError(f"analysis thresholds are {thresholds.shape}, not {shape}")
     if not np.all(thresholds > 0):  # not any(<= 0), which a NaN would pass
         raise DegenerateThresholdError("masking threshold must be strictly positive")
-
-    k = layout.k
-    bins = spec.config.bins
-    # Every frame's steps at once: the (T, n) arrays are small, and a
-    # block's small array operations are where its threads wait on each
-    # other's Python.
-    all_steps = np.sqrt(6.0 * thresholds / k)
-
-    def quantize(rows, work):
-        buffers = work[:, : rows.stop - rows.start]
-        u_re, u_im, abs_re, abs_im, bits, spare = buffers
-        steps = all_steps[rows]
-        steps_bin = np.repeat(steps, k, axis=1)
-        x = spec.frames[rows]
-        for part, magnitude, u in ((x.real, abs_re, u_re), (x.imag, abs_im, u_im)):
-            np.multiply(np.abs(part, out=magnitude), 2.0, out=u)
-            u /= steps_bin
-            u += 1.0
-        np.log2(u_re, out=bits)
-        bits += np.log2(u_im, out=spare)
-        bits.sum(axis=1, out=per_frame[rows])
-        if then is not None:
-            then(rows, steps, buffers)
-
-    map_rows(quantize, spec.n_frames, bins, lambda rows: np.empty((6, rows, bins)))
+    u_re, u_im, abs_re, abs_im, bits, spare = work
+    steps = np.sqrt(6.0 * thresholds / k)
+    steps_bin = np.repeat(steps, k, axis=1)
+    for part, magnitude, u in ((x.real, abs_re, u_re), (x.imag, abs_im, u_im)):
+        np.multiply(np.abs(part, out=magnitude), 2.0, out=u)
+        u /= steps_bin
+        u += 1.0
+    np.log2(u_re, out=bits)
+    bits += np.log2(u_im, out=spare)
+    return bits.sum(axis=1), steps
 
 
 def _pe_result(per_frame: np.ndarray) -> PEResult:
@@ -129,10 +106,22 @@ def _pe_result(per_frame: np.ndarray) -> PEResult:
 def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     """Bits of perceptible information per frame under the masking thresholds.
 
-    The bands are bark_layout(spec.config); of analysis only the (T, n) masking_threshold is read.
+    The bands are bark_layout(spec.config). Of analysis only the (T, n)
+    masking_threshold and the config, which must be spec.config, are read.
     """
+    layout, bins = bark_layout(spec.config), spec.config.bins
+    thresholds, shape = analysis.masking_threshold, (spec.n_frames, layout.n)
+    if thresholds.shape != shape:
+        raise ValueError(f"analysis thresholds are {thresholds.shape}, not {shape}")
+    if analysis.config != spec.config:
+        raise ValueError("analysis was made under another STFT config than the spectrum")
     per_frame = np.empty(spec.n_frames)
-    _quantize(spec, analysis, per_frame)
+
+    def quantize(rows, work):
+        x, work = spec.frames[rows], work[:, : rows.stop - rows.start]
+        per_frame[rows] = _quantize_block(x, thresholds[rows], layout.k, work)[0]
+
+    map_rows(quantize, spec.n_frames, bins, lambda rows: np.empty((6, rows, bins)))
     return _pe_result(per_frame)
 
 
@@ -178,14 +167,13 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
         raise ValueError(
             f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
         )
-    analysis = analyze(spec)
-    layout = bark_layout(spec.config)
-    # One pass over blocks of frames: each block's forward quantization
-    # turns into its partials while it is still in cache, and each block's
-    # Re and Im partials are written once into the real and imaginary views
-    # of the result. All partials are formed divided by 2/ln2 * dL/dPE, the
-    # one factor that needs the whole-clip mean PE; it is applied once, after
-    # every block.
+    cfg, layout = spec.config, bark_layout(spec.config)
+    # One walk over blocks of frames: each block forms its band sums, its
+    # thresholds and its PE as analyze and perceptual_entropy do, then its
+    # partials while it is still in cache, written once into the real and
+    # imaginary views of the result. All partials are formed divided by
+    # 2/ln2 * dL/dPE, the one factor that needs the whole-clip mean PE; it
+    # is applied once, after every block.
     #
     # Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
     # sign(x)*r, and d bits / d step is -|x|*r/step. With step =
@@ -193,47 +181,49 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
     # over its bins, which the masking pipeline passes back to the band
     # powers (spreading) and the bin powers (flatness), and so, by
     # d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
-    k = layout.k
+    k, lower = layout.k, layout.lower_bins
     grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
-    # What the threshold path makes of a band's sum(|x|*r), per band
-    # and frame. The threshold is the spread threshold over the
-    # spreading gain unless the absolute-threshold clamp replaced it.
-    gain = spreading_gain(spec.config)
-    clamp_inactive = analysis.masking_threshold == analysis.spread_threshold / gain
-    to_raw = np.where(clamp_inactive, -1.0 / (gain * analysis.masking_threshold), 0.0)
-    # The raw threshold is the spread power lowered by the offset ...
-    to_spread = to_raw * np.exp(analysis.offset_db * (-_LN10 / 10.0))
-    # ... and the offset is 5.5 + alpha*(9 + i), i 1-based, with alpha
-    # = sfm/SFM_DB_MAX except where it is pinned: at the fully-tonal
-    # bound (min with 1) and at the flat-band clamp (sfm exactly 0).
-    # The flatness (10/ln10)*(mean(log q) - log(mean q)) of the band's
-    # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
-    # which is 0 below the floor; to_flatness carries the band factor.
-    unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
-    tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 above
+    gain, kernel = spreading_gain(cfg), spreading_kernel(cfg)
+    tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 below
     offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
-    to_flatness = np.where(unpinned, -to_raw * analysis.spread_threshold * offset_slope, 0.0)
-    kernel = spreading_kernel(spec.config)
+    per_frame = np.empty(spec.n_frames)
 
-    def partials(rows, steps, buffers):
-        r_re, r_im, abs_re, abs_im, a, b = buffers
-        x = spec.frames[rows]
+    def partials(rows, work):
+        x, work = spec.frames[rows], work[:, : rows.stop - rows.start]
+        power, floored, quantizer = work[0], work[1], work[2:]
+        sums = _bin_powers(x, lower, power, floored, quantizer[0])
+        analysis = _band_stage(cfg, *sums)
+        per_frame[rows], steps = _quantize_block(x, analysis.masking_threshold, k, quantizer)
+        r_re, r_im, abs_re, abs_im = quantizer[:4]
+        # What the threshold path makes of a band's sum(|x|*r), per band
+        # and frame. The threshold is the spread threshold over the
+        # spreading gain unless the absolute-threshold clamp replaced it.
+        threshold, raw = analysis.masking_threshold, analysis.spread_threshold
+        to_raw = np.where(threshold == raw / gain, -1.0 / (gain * threshold), 0.0)
+        # The raw threshold is the spread power lowered by the offset ...
+        to_spread = to_raw * np.exp(analysis.offset_db * (-_LN10 / 10.0))
+        # ... and the offset is 5.5 + alpha*(9 + i), i 1-based, with alpha
+        # = sfm/SFM_DB_MAX except where it is pinned: at the fully-tonal
+        # bound (min with 1) and at the flat-band clamp (sfm exactly 0).
+        # The flatness (10/ln10)*(mean(log q) - log(mean q)) of the band's
+        # floored bin powers q has d/dq_j = (10/ln10)/k * (1/q_j - 1/mean q),
+        # which is 0 below the floor; to_flatness carries the band factor.
+        unpinned = (analysis.sfm_db >= SFM_DB_MAX) & (analysis.sfm_db < 0.0)
+        to_flatness = np.where(unpinned, -to_raw * raw * offset_slope, 0.0)
+
         inv_steps = np.repeat(1.0 / steps, k, axis=1)
         np.divide(inv_steps, r_re, out=r_re)
         np.divide(inv_steps, r_im, out=r_im)
-        power = np.square(abs_re, out=a)
-        power += np.square(abs_im, out=b)
         abs_re *= r_re
         abs_im *= r_im
         abs_re += abs_im
-        band_sum = np.add.reduceat(abs_re, layout.lower_bins, axis=1)
-        # Band powers feed the spreading convolution: C = K @ B per frame.
-        d_band = (band_sum * to_spread[rows]) @ kernel
-        coeff = band_sum * to_flatness[rows]
-        floored = np.maximum(power, SFM_POWER_FLOOR, out=b)
-        band_total = np.add.reduceat(floored, layout.lower_bins, axis=1)
-        dpower = np.divide(np.repeat(coeff, k, axis=1), floored, out=b)
-        dpower -= np.repeat(coeff * k / band_total, k, axis=1)
+        band_sum = np.add.reduceat(abs_re, lower, axis=1)
+        # Band powers feed the spreading C = K @ B per frame, whose
+        # transpose runs in the band stage's fixed order too.
+        d_band = np.einsum("tj,ji->ti", band_sum * to_spread, kernel)
+        coeff = band_sum * to_flatness
+        dpower = np.divide(np.repeat(coeff, k, axis=1), floored, out=floored)
+        dpower -= np.repeat(coeff * k / sums[1], k, axis=1)  # the floored band sums
         np.copyto(dpower, 0.0, where=power < SFM_POWER_FLOOR)
         dpower += np.repeat(d_band, k, axis=1)
 
@@ -244,8 +234,7 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
             partial += np.multiply(dpower, part, out=abs_re)
             dest[...] = partial
 
-    per_frame = np.empty(spec.n_frames)
-    _quantize(spec, analysis, per_frame, then=partials)
+    map_rows(partials, spec.n_frames, cfg.bins, lambda rows: np.empty((8, rows, cfg.bins)))
     pe_result = _pe_result(per_frame)
     # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
     dl_dpe = -1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(spec.n_frames, 1))

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .signal_io import map_rows
-from .spectral import Spectrogram, StftConfig
+from .spectral import Spectrogram, StftConfig, _power
 
 # Upper edges of the Zwicker critical bands, Hz.
 ZWICKER_UPPER_EDGES_HZ = (
@@ -98,6 +98,7 @@ class BarkAnalysis:
     offset_db: np.ndarray  # masking offset per band
     spread_threshold: np.ndarray  # spread power lowered by the offset
     masking_threshold: np.ndarray  # renormalized and clamped final threshold
+    config: StftConfig  # the STFT config of the spectrum analysed
 
     @property
     def n_frames(self) -> int:
@@ -194,8 +195,9 @@ def hearing_threshold_db_spl(freq_hz) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
 def absolute_threshold(cfg: StftConfig) -> np.ndarray:
-    """Absolute-hearing-threshold power per band of bark_layout(cfg), shape (n,).
+    """Absolute-hearing-threshold power per band of bark_layout(cfg), (n,); cached, read-only.
 
     Each band is represented by its most sensitive bin (minimum Terhardt
     level); dB SPL converts to spectrum power with a full-scale sinusoid
@@ -205,7 +207,9 @@ def absolute_threshold(cfg: StftConfig) -> np.ndarray:
     full_scale_power = float((cfg.window_samples().sum() / 2.0) ** 2)
     quiet_db = hearing_threshold_db_spl(cfg.bin_frequencies())
     per_band_min = np.minimum.reduceat(quiet_db, bark_layout(cfg).lower_bins)
-    return full_scale_power * 10.0 ** ((per_band_min - FULL_SCALE_SPL_DB) / 10.0)
+    quiet = full_scale_power * 10.0 ** ((per_band_min - FULL_SCALE_SPL_DB) / 10.0)
+    quiet.setflags(write=False)
+    return quiet
 
 
 def renormalize_and_clamp(thresholds: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -219,50 +223,53 @@ def renormalize_and_clamp(thresholds: np.ndarray, cfg: StftConfig) -> np.ndarray
     return np.maximum(renormalized, absolute_threshold(cfg))
 
 
+def _bin_powers(x: np.ndarray, lower_bins: np.ndarray, power, floored, logs) -> list:
+    """(rows, n) band sums of a block's bin powers, them floored, and their logs.
+
+    Each goes into its (rows, bins) buffer; logs may be power's, spent by then.
+    """
+    _power(x, out=power, scratch=floored)
+    sums = [np.add.reduceat(power, lower_bins, axis=1)]
+    np.maximum(power, SFM_POWER_FLOOR, out=floored)
+    sums.append(np.add.reduceat(floored, lower_bins, axis=1))
+    sums.append(np.add.reduceat(np.log(floored, out=logs), lower_bins, axis=1))
+    return sums
+
+
+def _band_stage(cfg: StftConfig, band_power, floored_sum, log_sum) -> BarkAnalysis:
+    """Steps 2-6 on the (rows, n) band sums of any rows of a spectrum made under cfg.
+
+    Each row's bits are the same whichever rows share the call: einsum
+    adds a row's bands in one fixed order, where a BLAS product rounds by
+    the row count and the CPU kernel.
+    """
+    k = bark_layout(cfg).k
+    spread_power = np.einsum("tj,ij->ti", band_power, spreading_kernel(cfg))
+    # Log geometric over arithmetic mean, clamped to the AM-GM bound: float
+    # noise on flat bands can stray a few ulp above 0, which would push
+    # the tonality negative.
+    flatness = np.minimum((10.0 / _LN10) * (log_sum / k - np.log(floored_sum / k)), 0.0)
+    alpha = tonality(flatness)
+    offsets = masking_offset_db(alpha, np.arange(1, k.size + 1))
+    raw_threshold = spread_threshold(spread_power, offsets)
+    return BarkAnalysis(band_power, spread_power, flatness, alpha, offsets, raw_threshold,
+                        renormalize_and_clamp(raw_threshold, cfg), cfg)
+
+
 def analyze(spec: Spectrogram) -> BarkAnalysis:
     """Run the full masking pipeline on every frame of a spectrogram.
 
     The bands are bark_layout(spec.config). Spectral flatness is computed
     from the per-bin power components of each band, not from the band sums.
     """
-    # The per-bin steps run one block of frames at a time and keep only
-    # their band sums; the band-level steps after the map see whole (T, n)
-    # arrays, so the spreading product is one matrix product, rounded
-    # the same way whatever the block size or thread count.
-    layout = bark_layout(spec.config)
-    lower = layout.lower_bins
-    band_power = np.empty((spec.n_frames, layout.n))
-    floored_sum, log_sum = np.empty_like(band_power), np.empty_like(band_power)
+    # The per-bin steps run per block of frames and keep only their band
+    # sums; the band stage runs once on the whole (T, n) sums, cheapest so.
+    layout, bins = bark_layout(spec.config), spec.config.bins
+    sums = np.empty((3, spec.n_frames, layout.n))
 
-    def band_sums(block):
-        x = spec.frames[block]
-        power = x.real**2 + x.imag**2
-        band_power[block] = np.add.reduceat(power, lower, axis=1)
-        floored = np.maximum(power, SFM_POWER_FLOOR, out=power)
-        floored_sum[block] = np.add.reduceat(floored, lower, axis=1)
-        log_sum[block] = np.add.reduceat(np.log(floored, out=floored), lower, axis=1)
+    def band_sums(block, work):
+        power, floored = work[:, : block.stop - block.start]
+        sums[:, block] = _bin_powers(spec.frames[block], layout.lower_bins, power, floored, power)
 
-    map_rows(band_sums, spec.n_frames, layout.n_bins)
-
-    k = layout.k
-    spread_power = band_power @ spreading_kernel(spec.config).T
-    log_geo = log_sum / k
-    arith = floored_sum / k
-    # Clamped to the AM-GM bound; float noise on flat bands can stray
-    # a few ulp above 0, which would push the tonality negative.
-    flatness = np.minimum((10.0 / _LN10) * (log_geo - np.log(arith)), 0.0)
-
-    alpha = tonality(flatness)
-    offsets = masking_offset_db(alpha, np.arange(1, layout.n + 1))
-    raw_threshold = spread_threshold(spread_power, offsets)
-    final_threshold = renormalize_and_clamp(raw_threshold, spec.config)
-
-    return BarkAnalysis(
-        band_power=band_power,
-        spread_power=spread_power,
-        sfm_db=flatness,
-        tonality=alpha,
-        offset_db=offsets,
-        spread_threshold=raw_threshold,
-        masking_threshold=final_threshold,
-    )
+    map_rows(band_sums, spec.n_frames, bins, lambda rows: np.empty((2, rows, bins)))
+    return _band_stage(spec.config, *sums)

@@ -81,7 +81,14 @@ class Spectrogram:
         return self.frames.shape[0]
 
     def power(self) -> np.ndarray:
-        return self.frames.real**2 + self.frames.imag**2
+        return _power(self.frames)
+
+
+def _power(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """|x|^2 as two squares (x * conj(x) rounds by how rows are blocked), into out if given."""
+    power = np.square(x.real, out=out)
+    power += np.square(x.imag, out=scratch)
+    return power
 
 
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:

@@ -26,6 +26,8 @@ from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy
 from peaudio.psychoacoustic import (
     SFM_POWER_FLOOR,
     BarkAnalysis,
+    _band_stage,
+    _bin_powers,
     analyze,
     bark_layout,
     masking_offset_db,
@@ -88,7 +90,7 @@ def whole_analyze(spec: Spectrogram) -> BarkAnalysis:
     power = spec.power()
     k = layout.k
     band_power = np.add.reduceat(power, layout.lower_bins, axis=1)
-    spread_power = band_power @ spreading_kernel(spec.config).T
+    spread_power = np.einsum("tj,ij->ti", band_power, spreading_kernel(spec.config))
     floored = np.maximum(power, SFM_POWER_FLOOR)
     log_geo = np.add.reduceat(np.log(floored), layout.lower_bins, axis=1) / k
     arith = np.add.reduceat(floored, layout.lower_bins, axis=1) / k
@@ -104,6 +106,7 @@ def whole_analyze(spec: Spectrogram) -> BarkAnalysis:
         offset_db=offsets,
         spread_threshold=raw_threshold,
         masking_threshold=renormalize_and_clamp(raw_threshold, spec.config),
+        config=spec.config,
     )
 
 
@@ -116,10 +119,14 @@ def whole_pe(spec: Spectrogram, analysis: BarkAnalysis) -> np.ndarray:
     return bits.sum(axis=1)
 
 
-def assert_analyses_equal(got: BarkAnalysis, want: BarkAnalysis):
-    for name in ("band_power", "spread_power", "sfm_db", "tonality", "offset_db",
-                 "spread_threshold", "masking_threshold"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+ANALYSIS_ARRAYS = ("band_power", "spread_power", "sfm_db", "tonality", "offset_db",
+                   "spread_threshold", "masking_threshold")
+
+
+def assert_analyses_equal(got: BarkAnalysis, want: BarkAnalysis, rows=slice(None)):
+    assert got.config == want.config
+    for name in ANALYSIS_ARRAYS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name)[rows], err_msg=name)
 
 
 # ---------------------------------------------------------------- inputs
@@ -214,11 +221,31 @@ class TestBlockInvariance:
         assert_analyses_equal(default, whole_analyze(spec))
         default_pe = perceptual_entropy(spec, default).per_frame
         np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
-        for rows in BLOCK_ROWS:
+        for rows in (1, 2, 3, 5, 7, 8):
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * spec.config.bins)
             blocked = analyze(spec)
             assert_analyses_equal(blocked, default)
             np.testing.assert_array_equal(perceptual_entropy(spec, blocked).per_frame, default_pe)
+
+
+class TestBandStage:
+    def test_rows_of_a_call_equal_those_rows_of_the_whole_clip(self):
+        # The band stage's rows do not see each other: any run of rows
+        # gives the bits the whole clip gives them, whatever its length.
+        cfg = StftConfig(sample_rate=SR)
+        sig = harmonic_signal(duration=3.0, n_harmonics=6)
+        sig[20000:30000] = 0.0
+        spec = stft(AudioBuffer(sig, SR), cfg)
+        power, floored = np.empty((2, *spec.frames.shape))
+        sums = _bin_powers(spec.frames, bark_layout(cfg).lower_bins, power, floored, power)
+        whole = _band_stage(cfg, *sums)
+        n_frames = spec.n_frames
+        assert n_frames > 63 + 5
+        for m in (1, 7, 63, n_frames):
+            for a in sorted({0, 5, n_frames - m}):
+                rows = slice(a, a + m)
+                part = _band_stage(cfg, *(s[rows].copy() for s in sums))
+                assert_analyses_equal(part, whole, rows)
 
 
 def threaded_clips(directory):
@@ -265,8 +292,7 @@ def stage_outputs(path) -> dict:
         "check_gradient.finite_differences": check.finite_differences,
         "check_gradient.json": np.array(json.dumps(check.to_json_dict())),
     }
-    for name in ("band_power", "spread_power", "sfm_db", "tonality", "offset_db",
-                 "spread_threshold", "masking_threshold"):
+    for name in ANALYSIS_ARRAYS:
         outputs[f"analyze.{name}"] = getattr(analysis, name)
     return outputs
 

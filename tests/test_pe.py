@@ -56,6 +56,7 @@ def toy_analysis(cfg, thresholds, n_frames):
         offset_db=zeros,
         spread_threshold=thresholds,
         masking_threshold=thresholds,
+        config=cfg,
     )
 
 
@@ -147,6 +148,19 @@ class TestPerceptualEntropy:
         spec = Spectrogram(np.ones((3, 5), complex), cfg)
         with pytest.raises(ValueError, match=r"analysis thresholds are \(2, 1\), not \(3, 1\)"):
             perceptual_entropy(spec, toy_analysis(cfg, [0.7], 2))
+
+    def test_rejects_analysis_of_another_config_of_the_same_shape(self):
+        # Both configs give 23 bands, and these clips 43 frames each.
+        sr = 22050
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 2 * sr)
+        cfg = StftConfig(fft_size=1024, hop=1024, sample_rate=sr)
+        other = StftConfig(fft_size=2048, hop=512, sample_rate=sr)
+        spec = stft(AudioBuffer(noise, sr), cfg)
+        other_spec = stft(AudioBuffer(noise[: 2048 + 42 * 512], sr), other)
+        analysis = analyze(other_spec)
+        assert analysis.masking_threshold.shape == (spec.n_frames, bark_layout(cfg).n) == (43, 23)
+        with pytest.raises(ValueError, match="another STFT config"):
+            perceptual_entropy(spec, analysis)
 
     def test_scale_invariance_when_clamp_inactive(self):
         sr = 22050
