@@ -18,11 +18,13 @@ from .errors import (
 from .metrics import F0Track, MetricReport, compare, extract_f0, f0_metrics, mcd
 from .pe import (
     FitRecord,
+    FitTarget,
     GradientCheckResult,
     GradientReport,
     LossConfig,
     PEResult,
     check_gradient,
+    fit_target,
     pe_gradient,
     pe_loss,
     perceptual_entropy,

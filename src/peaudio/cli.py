@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
-from .pe import check_gradient, perceptual_entropy, toy_fit
+from .pe import check_gradient, fit_target, perceptual_entropy, toy_fit
 from .psychoacoustic import analyze, bark_layout
 from .signal_io import load_wav, resample, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig, stft
@@ -366,14 +366,15 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.lr < math.inf:
         raise ConfigError(f"--lr must be finite and positive, got {args.lr}")
-    target = _load_spectrum(args.target, cfg)
+    # The target spectrum itself is not kept: the arms read only its fit reference.
+    target = fit_target(_load_spectrum(args.target, cfg))
     lams = {"regularized": cfg.lam, "baseline": 0.0}
 
     def fit(lam):
         return toy_fit(target, LossConfig(lam), args.steps, args.lr, cfg.seed)
 
-    # The arms only read the target spectrum and share nothing else (each
-    # allocates its step and gradient buffers once), and their FFTs and
+    # The arms only read the shared, read-only reference and share nothing
+    # else (each allocates its step buffers once), and their FFTs and
     # matrix products release the GIL, so each gets a thread while there
     # is a CPU for it; the stages inside an arm then run serially.
     arms = dict(zip(lams, thread_map(fit, lams.values())))

@@ -28,7 +28,7 @@ from .psychoacoustic import (
     spreading_kernel,
 )
 from .signal_io import map_rows, row_blocks
-from .spectral import Spectrogram, mel_filterbank
+from .spectral import Spectrogram, StftConfig, mel_filterbank
 
 _LN2 = float(np.log(2.0))
 _LN10 = float(np.log(10.0))
@@ -468,33 +468,54 @@ class FitRecord:
         }
 
 
+@dataclass(frozen=True)
+class FitTarget:
+    """What toy_fit reads of its target: |X|, exp(i angle X), the mel energies of |X|, the config.
+
+    Made by fit_target; its arrays are read-only, so fits running side by
+    side may share one.
+    """
+
+    magnitude: np.ndarray
+    phase: np.ndarray
+    mel: np.ndarray
+    config: StftConfig
+
+
+def fit_target(spec: Spectrogram) -> FitTarget:
+    """The fit reference of a target spectrum, built once for every fit against it."""
+    magnitude = np.abs(spec.frames)
+    phase = np.exp(1j * np.angle(spec.frames))
+    mel = magnitude**2 @ mel_filterbank(spec.config).T
+    for array in (magnitude, phase, mel):
+        array.flags.writeable = False
+    return FitTarget(magnitude, phase, mel, spec.config)
+
+
 def toy_fit(
-    target: Spectrogram,
+    target: FitTarget,
     cfg: LossConfig,
     steps: int,
     learning_rate: float,
     seed: int = DEFAULT_SEED,
 ) -> FitRecord:
-    """Fit a free magnitude spectrogram to a target spectrum by plain gradient descent.
+    """Fit a free magnitude spectrogram to a target by plain gradient descent.
 
     The variable starts as seeded small positive noise and descends the
     interpolated objective (L1 on linear magnitudes and mel energies,
     plus lam times the PE loss) against the target's features, using the
     target's phases to rebuild complex spectra, under the target's STFT
     config, for the PE term. The PE curve is recorded even when lam is 0,
-    where it never moves the optimizer. The target is only read, so
-    several fits may share it. Deterministic for a fixed seed.
+    where it never moves the optimizer. Deterministic for a fixed seed.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0.0 < learning_rate < np.inf:
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
-    ref_mag = np.abs(target.frames)
-    phase = np.exp(1j * np.angle(target.frames))
+    ref_mag, ref_mel, phase = target.magnitude, target.mel, target.phase
     cos_phi = phase.real
     sin_phi = phase.imag
     weights = mel_filterbank(target.config)
-    ref_mel = ref_mag**2 @ weights.T
 
     rng = np.random.default_rng(seed)
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
@@ -503,14 +524,16 @@ def toy_fit(
     # Every iterate reuses these, so a step allocates no spectrum-sized
     # array of its own; the ufuncs and their order are those of the
     # plain expressions, so no bit depends on the reuse.
-    mag_err = np.empty_like(mag)
     grad = np.empty_like(mag)
     scratch = np.empty_like(mag)
     mel_err = np.empty_like(ref_mel)
     pred_frames = np.empty_like(phase)
-    # The PE gradient too: a fresh one per step made the allocator hand
-    # its pages back and fault them in again at every step.
-    pe_grad = np.empty_like(phase)
+    # Once the PE is taken, the prediction is spent until the next
+    # iterate: its first T * bins values serve as a contiguous scratch.
+    spent = pred_frames.reshape(-1).view(np.float64)[:n_linear].reshape(mag.shape)
+    # The PE gradient too, when lam moves the step: a fresh one per step
+    # made the allocator hand its pages back and fault them in again.
+    pe_grad = np.empty_like(phase) if cfg.lam > 0 else None
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
@@ -520,14 +543,14 @@ def toy_fit(
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(np.square(mag, out=scratch), weights.T, out=mel_err)
             mel_err -= ref_mel
-            np.subtract(mag, ref_mag, out=mag_err)
-            l_sing = _l1_loss(mag_err, mel_err, scratch)
+            np.subtract(mag, ref_mag, out=grad)
+            l_sing = _l1_loss(grad, mel_err, scratch)
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
         pred = Spectrogram(np.multiply(phase, mag, out=pred_frames), target.config)
         # One masking analysis per iterate: the gradient's forward pass
         # supplies the PE whenever the PE term moves the next step.
-        if cfg.lam > 0 and step < steps:
+        if pe_grad is not None and step < steps:
             pe_result = pe_gradient(pred, out=pe_grad).pe
         else:
             pe_result = perceptual_entropy(pred, analyze(pred))
@@ -539,19 +562,19 @@ def toy_fit(
         if step == steps:
             return record
 
-        # sign(mag_err)/n_linear, plus ((sign(mel_err)/n_mel) @ weights) * (2*mag);
-        # mag_err and mel_err are spent once read, so they serve as scratch.
-        np.sign(mag_err, out=grad)
+        # sign(mag - ref_mag)/n_linear, plus ((sign(mel_err)/n_mel) @ weights) * (2*mag);
+        # grad holds mag - ref_mag, and mel_err is spent once read.
+        np.sign(grad, out=grad)
         grad /= n_linear
         np.sign(mel_err, out=mel_err)
         mel_err /= n_mel
         np.matmul(mel_err, weights, out=scratch)
-        scratch *= np.multiply(2.0, mag, out=mag_err)
+        scratch *= np.multiply(2.0, mag, out=spent)
         grad += scratch
-        if cfg.lam > 0:
+        if pe_grad is not None:
             # lam * (Re(g) cos(phi) + Im(g) sin(phi)), the PE partial along mag.
             np.multiply(pe_grad.real, cos_phi, out=scratch)
-            scratch += np.multiply(pe_grad.imag, sin_phi, out=mag_err)
+            scratch += np.multiply(pe_grad.imag, sin_phi, out=spent)
             scratch *= cfg.lam
             grad += scratch
         with np.errstate(over="ignore", invalid="ignore"):

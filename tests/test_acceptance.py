@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from peaudio.metrics import MCD_CONSTANT, F0Track, extract_f0, f0_metrics, mcd
-from peaudio.pe import LossConfig, check_gradient, perceptual_entropy, toy_fit
+from peaudio.pe import LossConfig, check_gradient, fit_target, perceptual_entropy, toy_fit
 from peaudio.psychoacoustic import (
     absolute_threshold,
     analyze,
@@ -156,10 +156,9 @@ def test_criterion_7_regularization_direction(voiced_wav):
     buf = load_wav(voiced_wav)
     half = AudioBuffer(buf.samples[: SR // 2], SR)  # desk-scale clip
     cfg = StftConfig(sample_rate=SR)
-    regularized = toy_fit(stft(half, cfg), LossConfig(lam=0.01), steps=200, learning_rate=0.1,
-                          seed=7)
-    baseline = toy_fit(stft(half, cfg), LossConfig(lam=0.0), steps=200, learning_rate=0.1,
-                       seed=7)
+    target = fit_target(stft(half, cfg))
+    regularized = toy_fit(target, LossConfig(lam=0.01), steps=200, learning_rate=0.1, seed=7)
+    baseline = toy_fit(target, LossConfig(lam=0.0), steps=200, learning_rate=0.1, seed=7)
     elapsed = time.monotonic() - start
     assert regularized.final_mean_pe >= baseline.final_mean_pe
     assert abs(regularized.final_l_sing - baseline.final_l_sing) <= 0.10 * baseline.final_l_sing

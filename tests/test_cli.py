@@ -26,7 +26,8 @@ from peaudio import cli, signal_io, spectral
 from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
 from peaudio.cli import resolve_config
 from peaudio.metrics import compare
-from peaudio.pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig, check_gradient, toy_fit
+from peaudio.pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig, check_gradient, fit_target
+from peaudio.pe import toy_fit
 from peaudio.psychoacoustic import absolute_threshold, bark_layout
 from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 from peaudio.spectral import StftConfig
@@ -541,19 +542,27 @@ class TestToyFit:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_concurrent_arms_match_serial_fits(self, voiced_wav, tmp_path, monkeypatch, cpus):
-        # The arms run on min(2, usable CPUs) threads, with numpy's BLAS
-        # threads as the test process has them; the bytes must be those
-        # of the two fits run one after the other.
+        # The arms run on min(2, usable CPUs) threads over one shared
+        # reference, with numpy's BLAS threads as the test process has
+        # them; the bytes must be those of two fits run one after the
+        # other, each against a reference of its own.
         monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: cpus)
         out = tmp_path / "t.json"
         assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
         buf = resample(load_wav(voiced_wav), spectral.DEFAULT_SAMPLE_RATE)
-        target = spectral.stft(buf, StftConfig())
+        spec = spectral.stft(buf, StftConfig())
         serial = {
-            name: toy_fit(target, LossConfig(lam=lam), steps=3, learning_rate=0.1).to_json_dict()
+            name: toy_fit(fit_target(spec), LossConfig(lam=lam), steps=3,
+                          learning_rate=0.1).to_json_dict()
             for name, lam in (("regularized", LossConfig.lam), ("baseline", 0.0))
         }
         assert out.read_text() == json.dumps(serial, indent=2) + "\n"
+        # No arm can write the reference the other reads.
+        target = fit_target(spec)
+        for array in (target.magnitude, target.phase, target.mel):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
 
     def test_zero_steps_is_config_error(self, voiced_wav):
         assert run(["toy-fit", str(voiced_wav), "--steps", "0"]) == 3

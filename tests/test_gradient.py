@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from peaudio import pe, signal_io
-from peaudio.pe import FD_REL_STEP, check_gradient, pe_gradient, perceptual_entropy, toy_fit
+from peaudio.pe import FD_REL_STEP, check_gradient, fit_target, pe_gradient, perceptual_entropy
+from peaudio.pe import toy_fit
 from peaudio.pe import LossConfig
 from peaudio.errors import DegenerateThresholdError, DivergenceError
 from peaudio.psychoacoustic import (
@@ -332,7 +333,7 @@ class TestToyFit:
     cfg = StftConfig(sample_rate=SR)
 
     def _target(self, duration=0.4):
-        return stft(AudioBuffer(harmonic_signal(duration=duration), SR), self.cfg)
+        return fit_target(stft(AudioBuffer(harmonic_signal(duration=duration), SR), self.cfg))
 
     def test_single_step_applies_one_gradient(self):
         target = self._target()
@@ -392,26 +393,53 @@ class TestToyFit:
         with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
             toy_fit(self._target(), LossConfig(), steps=1, learning_rate=rate)
 
-    def test_memory_grows_at_most_six_and_a_half_spectra(self):
-        # A regularized arm holds the target's magnitude and phase, the
-        # iterate, its prediction and three step buffers (4.5 spectra per
-        # frame), plus the gradient and analysis of the iterate under way.
-        # A step that built its temporaries afresh grew by 7.5.
+    @staticmethod
+    def _traced_growth(build, lams):
+        """Traced peak growth, in bytes, while build() makes a target and arms fit it.
+
+        The arms run over thread_map, as the CLI runs them.
+        """
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            target = build()
+            signal_io.thread_map(
+                lambda lam: toy_fit(target, LossConfig(lam=lam), steps=2, learning_rate=0.1), lams
+            )
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def _spectrum(self, seconds):
         rng = np.random.default_rng(0)
-        sizes = {}
+        t = np.arange(seconds * SR) / SR
+        sig = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(t.size)
+        return stft(AudioBuffer(sig, SR), self.cfg)
+
+    def test_two_arms_grow_at_most_eight_and_a_half_spectra(self, monkeypatch):
+        # One shared reference (|X|, its phase and mel energies: 1.6
+        # spectra per frame), then per arm the iterate, its prediction,
+        # two step buffers and the mel error (2.6), and the regularized
+        # arm's PE gradient (1), plus the analysis of the iterate under
+        # way. Each arm building its own reference, with a fourth step
+        # buffer and a gradient buffer in the baseline arm, grew by 11.4.
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)  # the arms run at once
+        sizes, frames = {}, {}
         for seconds in (5, 20):
-            t = np.arange(seconds * SR) / SR
-            sig = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(t.size)
-            target = stft(AudioBuffer(sig, SR), self.cfg)
-            del t, sig
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                toy_fit(target, LossConfig(lam=0.01), steps=2, learning_rate=0.1)
-                sizes[seconds] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-        n_frames = {s: stft(AudioBuffer(np.zeros(s * SR), SR), self.cfg).n_frames for s in sizes}
+            spec = self._spectrum(seconds)
+            frames[seconds] = spec.n_frames
+            sizes[seconds] = self._traced_growth(lambda: fit_target(spec), [0.01, 0.0])
         spectrum_frame_bytes = self.cfg.bins * np.dtype(np.complex128).itemsize
-        growth = (sizes[20] - sizes[5]) / (n_frames[20] - n_frames[5]) / spectrum_frame_bytes
-        assert growth <= 6.5
+        growth = (sizes[20] - sizes[5]) / (frames[20] - frames[5]) / spectrum_frame_bytes
+        assert growth <= 8.5
+
+    def test_baseline_arm_holds_no_gradient_buffer(self):
+        # Both arms end on the same analysis of their last iterate, which
+        # the regularized arm runs beside its spectrum-sized PE gradient.
+        spec = self._spectrum(20)
+        target = fit_target(spec)
+        growth = {
+            lam: self._traced_growth(lambda: target, [lam]) / spec.frames.nbytes
+            for lam in (0.01, 0.0)
+        }
+        assert growth[0.0] <= growth[0.01] - 0.9

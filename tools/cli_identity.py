@@ -25,8 +25,9 @@ blocks over the thread pool; those runs are compared with the other
 tree's default runs (a tree without the constant runs them as its
 default runs). The script prints
 each difference, then what each tree's runs cost per command (the
-summed CPU seconds and minor page faults of its children, as
-``os.wait4`` reports them; printed, not compared), then the Python line
+summed CPU seconds and minor page faults of its children and their
+largest peak RSS, as ``os.wait4`` reports them; printed, not compared),
+then the Python line
 count of each tree (counted as the benchmark counts ``src/``) and the
 change between them, and last a summary line; it exits 1 if there is
 any difference, 0 otherwise.
@@ -154,6 +155,7 @@ def run_jobs(jobs_path: str, src: str, forced: bool) -> None:
             "code": os.waitstatus_to_exitcode(status),
             "cpu_s": usage.ru_utime + usage.ru_stime,
             "minflt": usage.ru_minflt,
+            "maxrss_kb": usage.ru_maxrss,  # Linux reports KiB
         })
     Path("runs.json").write_text(json.dumps(runs))
 
@@ -163,13 +165,14 @@ def src_lines(src: Path) -> int:
 
 
 def costs(jobs: list[dict], out_dir: Path) -> dict[str, list]:
-    """Runs, CPU seconds and minor faults of one tree, summed per CLI command."""
+    """Runs, CPU seconds and minor faults of one tree, summed per CLI command, and its peak RSS."""
     per_command = {}
     for job, run in zip(jobs, json.loads((out_dir / "runs.json").read_text())):
-        total = per_command.setdefault(job["argv"][0], [0, 0.0, 0])
+        total = per_command.setdefault(job["argv"][0], [0, 0.0, 0, 0])
         total[0] += 1
         total[1] += run["cpu_s"]
         total[2] += run["minflt"]
+        total[3] = max(total[3], run["maxrss_kb"])
     return per_command
 
 
@@ -251,8 +254,9 @@ def main(argv=None) -> int:
     for line in diffs:
         print(line)
     for tree, per_command in cost.items():
-        for command, (n, cpu_s, minflt) in per_command.items():
-            print(f"{tree} {command}: {n} runs, {cpu_s:.2f} s CPU, {minflt} minor faults")
+        for command, (n, cpu_s, minflt, maxrss_kb) in per_command.items():
+            print(f"{tree} {command}: {n} runs, {cpu_s:.2f} s CPU, {minflt} minor faults, "
+                  f"peak RSS {maxrss_kb / 1024:.1f} MiB")
     old_lines, new_lines = src_lines(args.old_src), src_lines(args.new_src)
     print(f"old src: {old_lines} lines")
     print(f"new src: {new_lines} lines ({new_lines - old_lines:+d})")
