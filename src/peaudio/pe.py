@@ -144,37 +144,29 @@ def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
     return l_sing + cfg.lam * pe_result.loss_pe
 
 
-def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> GradientReport:
-    """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
+def _partials_scale(pe_result: PEResult, n_frames: int) -> float:
+    """2/ln2 * dL/dPE(t), which turns the walk's partials into those of the PE loss.
 
-    Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
-    tonality min(u, 1) keeps the u-branch derivative at u = 1, and the
-    max() clamps (threshold floor, flatness power floor) follow whichever
-    branch is active, ties going to the variable branch.
-
-    out, if given, must be a C-contiguous complex128 array of
-    spec.frames.shape; every element is overwritten with the partials and
-    it is returned as the report's grad. It picks where the result goes
-    and changes no value, so a caller that takes many gradients of one
-    shape can reuse one buffer.
+    d loss / d PE(t): the mean couples every frame through 1/(1+mean).
     """
-    if out is not None and not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.complex128
-        and out.shape == spec.frames.shape
-        and out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
-        )
-    cfg, layout = spec.config, bark_layout(spec.config)
-    # One walk over blocks of frames: each block forms its band sums, its
-    # thresholds and its PE as analyze and perceptual_entropy do, then its
-    # partials while it is still in cache, written once into the real and
-    # imaginary views of the result. All partials are formed divided by
-    # 2/ln2 * dL/dPE, the one factor that needs the whole-clip mean PE; it
-    # is applied once, after every block.
-    #
+    return (2.0 / _LN2) * (-1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(n_frames, 1)))
+
+
+def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
+    """The PE of n_frames frames under cfg, and with finish each block's partials.
+
+    One walk over blocks of frames. block_of(rows, buf) returns the
+    complex frames `rows`: a view, or values it writes into buf, a
+    (rows, bins) complex128 buffer of the thread running the block. Each
+    block forms its band sums, its thresholds and its PE as analyze and
+    perceptual_entropy do, so the PE is theirs bit for bit. With finish,
+    the block then forms its partials while it is still in cache and
+    calls finish(rows, d_re, d_im), the (rows, bins) partials of the
+    PE loss w.r.t. Re and Im divided by _partials_scale, the one factor
+    that needs the whole-clip mean PE; the caller applies it after the
+    walk. The buffers are the thread's, reused by its next block.
+    """
+    layout, bins = bark_layout(cfg), cfg.bins
     # Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
     # sign(x)*r, and d bits / d step is -|x|*r/step. With step =
     # sqrt(6*T/k), a band's threshold T therefore receives -sum(|x|*r)/(2*T)
@@ -182,18 +174,20 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
     # powers (spreading) and the bin powers (flatness), and so, by
     # d power / dx = 2x, to every component. The 2 cancels the 2 in 2*T.
     k, lower = layout.k, layout.lower_bins
-    grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
     gain, kernel = spreading_gain(cfg), spreading_kernel(cfg)
     tone_minus_noise = TONE_OFFSET_BASE_DB - NOISE_OFFSET_DB  # the 9 below
     offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
-    per_frame = np.empty(spec.n_frames)
+    per_frame = np.empty(n_frames)
 
-    def partials(rows, work):
-        x, work = spec.frames[rows], work[:, : rows.stop - rows.start]
+    def walk(rows, buffers):
+        n = rows.stop - rows.start
+        work, x = buffers[0][:, :n], block_of(rows, buffers[1][:n])
         power, floored, quantizer = work[0], work[1], work[2:]
         sums = _bin_powers(x, lower, power, floored, quantizer[0])
         analysis = _band_stage(cfg, *sums)
         per_frame[rows], steps = _quantize_block(x, analysis.masking_threshold, k, quantizer)
+        if finish is None:
+            return
         r_re, r_im, abs_re, abs_im = quantizer[:4]
         # What the threshold path makes of a band's sum(|x|*r), per band
         # and frame. The threshold is the spread threshold over the
@@ -226,20 +220,54 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
         dpower -= np.repeat(coeff * k / sums[1], k, axis=1)  # the floored band sums
         np.copyto(dpower, 0.0, where=power < SFM_POWER_FLOOR)
         dpower += np.repeat(d_band, k, axis=1)
-
         # sign(x)*r, plus x times the power partial (its 2 is folded in).
-        for part, r, dest in ((x.real, r_re, grad[rows].real), (x.imag, r_im, grad[rows].imag)):
-            partial = np.sign(part, out=inv_steps)
-            partial *= r
-            partial += np.multiply(dpower, part, out=abs_re)
-            dest[...] = partial
+        for part, r in ((x.real, r_re), (x.imag, r_im)):
+            r *= np.sign(part, out=inv_steps)
+            r += np.multiply(dpower, part, out=abs_re)
+        finish(rows, r_re, r_im)
 
-    map_rows(partials, spec.n_frames, cfg.bins, lambda rows: np.empty((8, rows, cfg.bins)))
-    pe_result = _pe_result(per_frame)
-    # d loss / d PE(t): the mean couples every frame through 1/(1+mean).
-    dl_dpe = -1.0 / ((1.0 + pe_result.mean_pe) ** 2 * max(spec.n_frames, 1))
+    def buffers(rows):
+        return np.empty((8, rows, bins)), np.empty((rows, bins), np.complex128)
+
+    map_rows(walk, n_frames, bins, buffers)
+    return _pe_result(per_frame)
+
+
+def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> GradientReport:
+    """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
+
+    Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
+    tonality min(u, 1) keeps the u-branch derivative at u = 1, and the
+    max() clamps (threshold floor, flatness power floor) follow whichever
+    branch is active, ties going to the variable branch.
+
+    out, if given, must be a C-contiguous complex128 array of
+    spec.frames.shape; every element is overwritten with the partials and
+    it is returned as the report's grad. It picks where the result goes
+    and changes no value, so a caller that takes many gradients of one
+    shape can reuse one buffer.
+    """
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.complex128
+        and out.shape == spec.frames.shape
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
+        )
+    grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
+
+    def frames(rows, _):
+        return spec.frames[rows]
+
+    def write(rows, d_re, d_im):
+        grad[rows].real = d_re
+        grad[rows].imag = d_im
+
+    pe_result = _pe_walk(spec.config, spec.n_frames, frames, write)
     parts = grad.view(np.float64)
-    parts *= (2.0 / _LN2) * dl_dpe
+    parts *= _partials_scale(pe_result, spec.n_frames)
     return GradientReport(grad=grad, pe=pe_result)
 
 
@@ -519,21 +547,23 @@ def toy_fit(
 
     rng = np.random.default_rng(seed)
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
+    n_frames = mag.shape[0]
     n_linear = mag.size
     n_mel = ref_mel.size
     # Every iterate reuses these, so a step allocates no spectrum-sized
-    # array of its own; the ufuncs and their order are those of the
-    # plain expressions, so no bit depends on the reuse.
+    # array of its own. The complex prediction phase * mag exists one
+    # block at a time, inside the PE walk.
     grad = np.empty_like(mag)
     scratch = np.empty_like(mag)
     mel_err = np.empty_like(ref_mel)
-    pred_frames = np.empty_like(phase)
-    # Once the PE is taken, the prediction is spent until the next
-    # iterate: its first T * bins values serve as a contiguous scratch.
-    spent = pred_frames.reshape(-1).view(np.float64)[:n_linear].reshape(mag.shape)
-    # The PE gradient too, when lam moves the step: a fresh one per step
-    # made the allocator hand its pages back and fault them in again.
-    pe_grad = np.empty_like(phase) if cfg.lam > 0 else None
+
+    def predicted(rows, buf):
+        return np.multiply(phase[rows], mag[rows], out=buf)
+
+    def project(rows, d_re, d_im):
+        # Re(g) cos(phi) + Im(g) sin(phi), the PE partial along mag, into scratch.
+        along = np.multiply(d_re, cos_phi[rows], out=scratch[rows])
+        along += np.multiply(d_im, sin_phi[rows], out=d_im)
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
@@ -545,15 +575,14 @@ def toy_fit(
             mel_err -= ref_mel
             np.subtract(mag, ref_mag, out=grad)
             l_sing = _l1_loss(grad, mel_err, scratch)
+        # A finite l_sing makes every mag finite, and |cos|, |sin| <= 1
+        # then make the prediction finite.
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
-        pred = Spectrogram(np.multiply(phase, mag, out=pred_frames), target.config)
-        # One masking analysis per iterate: the gradient's forward pass
-        # supplies the PE whenever the PE term moves the next step.
-        if pe_grad is not None and step < steps:
-            pe_result = pe_gradient(pred, out=pe_grad).pe
-        else:
-            pe_result = perceptual_entropy(pred, analyze(pred))
+        # One masking analysis per iterate; where the PE term moves the
+        # next step, the same walk projects its gradient into scratch.
+        moves = cfg.lam > 0 and step < steps
+        pe_result = _pe_walk(target.config, n_frames, predicted, project if moves else None)
         record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)
@@ -562,21 +591,20 @@ def toy_fit(
         if step == steps:
             return record
 
-        # sign(mag - ref_mag)/n_linear, plus ((sign(mel_err)/n_mel) @ weights) * (2*mag);
-        # grad holds mag - ref_mag, and mel_err is spent once read.
+        # sign(mag - ref_mag)/n_linear, plus lam times the PE term, plus
+        # ((sign(mel_err)/n_mel) @ weights) * (2*mag); grad holds
+        # mag - ref_mag, and mel_err is spent once read.
         np.sign(grad, out=grad)
         grad /= n_linear
+        if moves:
+            scratch *= _partials_scale(pe_result, n_frames) * cfg.lam
+            grad += scratch
         np.sign(mel_err, out=mel_err)
         mel_err /= n_mel
         np.matmul(mel_err, weights, out=scratch)
-        scratch *= np.multiply(2.0, mag, out=spent)
+        scratch *= mag
+        scratch *= 2.0  # doubling is exact: this rounds as scratch * (2*mag) does
         grad += scratch
-        if pe_grad is not None:
-            # lam * (Re(g) cos(phi) + Im(g) sin(phi)), the PE partial along mag.
-            np.multiply(pe_grad.real, cos_phi, out=scratch)
-            scratch += np.multiply(pe_grad.imag, sin_phi, out=spent)
-            scratch *= cfg.lam
-            grad += scratch
         with np.errstate(over="ignore", invalid="ignore"):
             grad *= learning_rate
             mag -= grad

@@ -9,9 +9,11 @@ OLD_SRC and NEW_SRC are directories that hold the ``peaudio`` package
 inputs into a temporary directory. Every operation of every plan, plus
 two more runs of compare's manifest on the same inputs (as JSON, and
 as an "N systems" manifest in which every reference is scored in three
-rows) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz clip
-(the all-kink path, which no plan takes; the script writes the clip into
-its own inputs directory), runs under both trees twice: once with its
+rows), a ``toy-fit`` of the fit plan's target at ``--lambda 100`` (where
+the PE term moves the fit most, so a change in how it rounds shows in
+the numbers) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
+clip (the all-kink path, which no plan takes; the script writes the clip
+into its own inputs directory), runs under both trees twice: once with its
 ``--output`` file and once writing to stdout. Output files, stdout,
 stderr and exit codes are compared byte for byte; for each output that
 differs, the script splits both texts into their numbers and the text
@@ -52,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7  # the benchmark's traced-run seed
+LAMBDA_100 = ["--lambda", "100"]  # the extra toy-fit job's weight of the PE term
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -85,6 +88,8 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
                 argvs.append(op["argv"])
             if "--manifest" in op["argv"]:
                 argvs += manifest_variants(op, inputs)
+            if op["argv"][0] == "toy-fit" and op["argv"] + LAMBDA_100 not in argvs:
+                argvs.append(op["argv"] + LAMBDA_100)
     # The all-kink path, which no plan takes: grad-check of a silent 1 s clip.
     silence = work / "inputs" / "silence.wav"
     fmt = workloads.gen.PCM16_MONO_22K
