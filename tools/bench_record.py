@@ -1,7 +1,7 @@
 """Record the benchmark of this checkout into BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr 29
-    python3 tools/bench_record.py --pr 29 --workload fit --tiny --output /tmp/bench.json
+    python3 tools/bench_record.py --pr N
+    python3 tools/bench_record.py --pr N --workload fit --tiny --output /tmp/bench.json
 
 Runs the benchmark's own ``perfbench/run.py``, unmodified, from the
 repository root: one child process per workload and seed, on the three
