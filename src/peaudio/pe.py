@@ -22,12 +22,11 @@ from .psychoacoustic import (
     BarkAnalysis,
     _band_stage,
     _bin_powers,
-    analyze,
     bark_layout,
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import map_rows, row_blocks
+from .signal_io import map_rows
 from .spectral import Spectrogram, StftConfig, mel_filterbank
 
 _LN2 = float(np.log(2.0))
@@ -233,30 +232,15 @@ def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
     return _pe_result(per_frame)
 
 
-def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> GradientReport:
+def pe_gradient(spec: Spectrogram) -> GradientReport:
     """Exact partials of the PE loss w.r.t. every Re and Im, and the PE they were taken at.
 
     Subgradient conventions at the kinks: d|x|/dx = 0 at x = 0, the
     tonality min(u, 1) keeps the u-branch derivative at u = 1, and the
     max() clamps (threshold floor, flatness power floor) follow whichever
     branch is active, ties going to the variable branch.
-
-    out, if given, must be a C-contiguous complex128 array of
-    spec.frames.shape; every element is overwritten with the partials and
-    it is returned as the report's grad. It picks where the result goes
-    and changes no value, so a caller that takes many gradients of one
-    shape can reuse one buffer.
     """
-    if out is not None and not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.complex128
-        and out.shape == spec.frames.shape
-        and out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous complex128 array of shape {spec.frames.shape}"
-        )
-    grad = np.empty(spec.frames.shape, np.complex128) if out is None else out
+    grad = np.empty(spec.frames.shape, np.complex128)
 
     def frames(rows, _):
         return spec.frames[rows]
@@ -271,9 +255,6 @@ def pe_gradient(spec: Spectrogram, *, out: np.ndarray | None = None) -> Gradient
     return GradientReport(grad=grad, pe=pe_result)
 
 
-# Perturbed frames analysed per batch in check_gradient, two per coordinate;
-# bounds its memory whatever the coordinate count.
-FD_BLOCK_ROWS = 256
 # Central-difference step of check_gradient, relative to the component's magnitude.
 FD_REL_STEP = 1e-5
 
@@ -383,7 +364,7 @@ def check_gradient(
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=min(n_coords, eligible.size), replace=False)
-    fd = _frame_local_fd(spec, per_frame, chosen)
+    fd = _frame_local_fd(spec.config, values, report.pe, chosen)
     analytic = slopes.ravel()[chosen]
     coordinates = np.stack(np.unravel_index(chosen, (spec.n_frames, spec.config.bins, 2)), axis=-1)
     frame, bin_idx, part = coordinates.T
@@ -412,16 +393,17 @@ def check_gradient(
     )
 
 
-def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Central differences of the PE loss at flat indices into spec's (T, 2 * bins) float view.
+def _frame_local_fd(cfg: StftConfig, values, pe_result: PEResult, flat) -> np.ndarray:
+    """Central differences of the PE loss at flat indices into values, a (T, 2 * bins) float view.
 
-    per_frame is the per-frame PE of spec itself. Every pipeline stage
-    works on one frame, and frames meet only in the mean PE, so moving a
+    pe_result is the PE of values itself. Every pipeline stage works on
+    one frame, and frames meet only in the mean PE, so moving a
     component of frame t moves PE(t) alone. Each component's two
     perturbed copies of its frame (+-h, h = FD_REL_STEP * |component|)
-    become rows of one batch that analyze and perceptual_entropy see once
-    per FD_BLOCK_ROWS rows. The loss difference is then formed in closed
-    form,
+    are rows of one forward-only PE walk: of n components, row i moves
+    component i mod n, by +h in the first n rows and by -h in the rest,
+    and each block of rows is formed in the walk's own buffer. The loss
+    difference is then formed in closed form,
 
         L+ - L- = ((PE-(t) - PE+(t)) / T) / ((1 + m + d+) (1 + m + d-)),
         d+- = (PE+-(t) - PE(t)) / T,
@@ -429,26 +411,27 @@ def _frame_local_fd(spec: Spectrogram, per_frame: np.ndarray, flat: np.ndarray) 
     which never subtracts two nearly equal whole-clip losses, so its
     roundoff does not grow with the frame count T.
     """
-    n_frames = spec.n_frames
-    one_plus_mean = 1.0 + float(per_frame.mean())
-    values = np.ascontiguousarray(spec.frames).view(np.float64)
-    fd = np.empty(len(flat))
-    for block in row_blocks(len(flat), FD_BLOCK_ROWS // 2):
-        frame, column = np.divmod(flat[block], values.shape[1])
-        h = FD_REL_STEP * np.abs(values[frame, column])
-        n = frame.size
-        rows = values[np.concatenate([frame, frame])]  # +h rows, then -h rows
-        rows[np.arange(2 * n), np.tile(column, 2)] += np.concatenate([h, -h])
-        batch = Spectrogram(rows.view(np.complex128), spec.config)
-        pe_rows = perceptual_entropy(batch, analyze(batch)).per_frame
-        pe_plus, pe_minus = pe_rows[:n], pe_rows[n:]
-        d_plus = (pe_plus - per_frame[frame]) / n_frames
-        d_minus = (pe_minus - per_frame[frame]) / n_frames
-        loss_diff = ((pe_minus - pe_plus) / n_frames) / (
-            (one_plus_mean + d_plus) * (one_plus_mean + d_minus)
-        )
-        fd[block] = loss_diff / (2.0 * h)
-    return fd
+    n_frames, width = values.shape
+    frame, column = np.divmod(flat, width)
+    h = FD_REL_STEP * np.abs(values[frame, column])
+    n, shifts = frame.size, np.concatenate([h, -h])
+
+    def perturbed(rows, buf):
+        at = np.arange(rows.start, rows.stop) % n
+        parts = buf.view(np.float64)
+        np.take(values, frame[at], axis=0, out=parts)
+        parts[np.arange(at.size), column[at]] += shifts[rows]
+        return buf
+
+    pe_rows = _pe_walk(cfg, 2 * n, perturbed).per_frame
+    pe_plus, pe_minus, pe_at = pe_rows[:n], pe_rows[n:], pe_result.per_frame[frame]
+    one_plus_mean = 1.0 + pe_result.mean_pe
+    d_plus = (pe_plus - pe_at) / n_frames
+    d_minus = (pe_minus - pe_at) / n_frames
+    loss_diff = ((pe_minus - pe_plus) / n_frames) / (
+        (one_plus_mean + d_plus) * (one_plus_mean + d_minus)
+    )
+    return loss_diff / (2.0 * h)
 
 
 @dataclass

@@ -277,8 +277,6 @@ def stage_outputs(path) -> dict:
     buf = resample(raw, SR)
     spec = stft(buf, cfg)
     analysis = analyze(spec)
-    out = np.empty_like(spec.frames)
-    pe_gradient(spec, out=out)
     check = check_gradient(spec, n_coords=20)
     assert check.n_checked == 20
     outputs = {
@@ -287,7 +285,6 @@ def stage_outputs(path) -> dict:
         "stft": spec.frames,
         "perceptual_entropy": perceptual_entropy(spec, analysis).per_frame,
         "pe_gradient": pe_gradient(spec).grad,
-        "pe_gradient(out=)": out,
         "check_gradient.coordinates": check.coordinates,
         "check_gradient.finite_differences": check.finite_differences,
         "check_gradient.json": np.array(json.dumps(check.to_json_dict())),

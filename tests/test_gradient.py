@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peaudio import pe, signal_io
+from peaudio import pe, psychoacoustic, signal_io
 from peaudio.pe import FD_REL_STEP, check_gradient, fit_target, pe_gradient, perceptual_entropy
 from peaudio.pe import FitRecord, LossConfig, toy_fit, total_loss
 from peaudio.errors import DegenerateThresholdError, DivergenceError
@@ -259,13 +259,50 @@ class TestFrameLocalFd:
         np.testing.assert_allclose(check.finite_differences, reference, rtol=1e-6)
 
     def test_row_blocks_do_not_change_the_result(self, monkeypatch):
+        # 120 perturbed rows, walked in blocks of 1, 2, 7 and 63 rows (a
+        # ragged last block at 7 and 63), at the default parallel
+        # threshold and at 2 blocks, which maps every walk of two blocks
+        # or more over the pool.
         spec = self._spec()
+        bins = spec.config.bins
         whole = check_gradient(spec, n_coords=60, seed=2)
-        for rows in (2, 6, 14, 16):
-            monkeypatch.setattr(pe, "FD_BLOCK_ROWS", rows)
-            blocked = check_gradient(spec, n_coords=60, seed=2)
-            np.testing.assert_array_equal(blocked.coordinates, whole.coordinates)
-            np.testing.assert_array_equal(blocked.finite_differences, whole.finite_differences)
+        assert whole.n_checked == 60
+        default = signal_io.PARALLEL_MIN_BLOCKS
+        for rows in (1, 2, 7, 63):
+            for min_blocks in (default, 2):
+                monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * bins)
+                monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", min_blocks)
+                blocked = check_gradient(spec, n_coords=60, seed=2)
+                np.testing.assert_array_equal(blocked.coordinates, whole.coordinates)
+                np.testing.assert_array_equal(
+                    blocked.finite_differences, whole.finite_differences
+                )
+
+    def test_checker_runs_two_walks(self, monkeypatch):
+        # The gradient's walk over the clip's T frames, then one
+        # forward-only walk over the two perturbed copies of each checked
+        # component's frame; no masking analysis of its own.
+        calls = []
+        walk = pe._pe_walk
+
+        def counting(cfg, n_frames, block_of, finish=None):
+            calls.append((n_frames, finish))
+            return walk(cfg, n_frames, block_of, finish)
+
+        def forbidden(*args):
+            raise AssertionError("the checker ran the two-map forward pass")
+
+        monkeypatch.setattr(pe, "_pe_walk", counting)
+        monkeypatch.setattr(pe, "perceptual_entropy", forbidden)
+        for module in (pe, psychoacoustic):
+            monkeypatch.setattr(module, "analyze", forbidden, raising=False)
+        spec = self._spec()
+        check = check_gradient(spec, n_coords=30, seed=4)
+        assert check.n_checked == 30
+        assert len(calls) == 2
+        (frames, finish), (rows, fd_finish) = calls
+        assert frames == spec.n_frames and finish is not None
+        assert rows == 2 * check.n_checked and fd_finish is None
 
 
 class TestPeGradient:
@@ -314,27 +351,6 @@ class TestPeGradient:
         np.testing.assert_array_equal(got.per_frame, want.per_frame)
         assert got.mean_pe == want.mean_pe
         assert got.loss_pe == want.loss_pe
-
-    def test_out_receives_the_partials(self, voiced_spec):
-        spec = voiced_spec
-        buf = np.full(spec.frames.shape, np.nan, np.complex128)
-        report = pe_gradient(spec, out=buf)
-        assert report.grad is buf
-        assert buf.tobytes() == pe_gradient(spec).grad.tobytes()
-        # Reused for another spectrum, nothing of the first result is left.
-        other = Spectrogram(0.5 * spec.frames[::-1], spec.config)
-        assert pe_gradient(other, out=buf).grad is buf
-        assert buf.tobytes() == pe_gradient(other).grad.tobytes()
-
-    @pytest.mark.parametrize("make", [
-        lambda shape: np.empty((shape[0] + 1, shape[1]), np.complex128),
-        lambda shape: np.empty(shape, np.complex64),
-        lambda shape: np.empty((shape[0], 2 * shape[1]), np.complex128)[:, ::2],
-    ], ids=["shape", "dtype", "non-contiguous"])
-    def test_rejects_an_unfit_out(self, voiced_spec, make):
-        spec = voiced_spec
-        with pytest.raises(ValueError, match="C-contiguous complex128 array of shape"):
-            pe_gradient(spec, out=make(spec.frames.shape))
 
     def test_all_kink_vacuous_pass(self):
         cfg = StftConfig(sample_rate=SR)

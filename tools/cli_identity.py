@@ -11,7 +11,10 @@ two more runs of compare's manifest on the same inputs (as JSON, and
 as an "N systems" manifest in which every reference is scored in three
 rows), a ``toy-fit`` of the fit plan's target at ``--lambda 100`` (where
 the PE term moves the fit most, so a change in how it rounds shows in
-the numbers) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
+the numbers), a ``grad-check`` of the gradcheck plan's longest clip at
+``--n-coords 1000`` (enough perturbed rows that the checker's
+finite-difference blocks map onto the thread pool at the default
+threshold) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
 clip (the all-kink path, which no plan takes; the script writes the clip
 into its own inputs directory), runs under both trees twice: once with its
 ``--output`` file and once writing to stdout. Output files, stdout,
@@ -55,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7  # the benchmark's traced-run seed
 LAMBDA_100 = ["--lambda", "100"]  # the extra toy-fit job's weight of the PE term
+N_COORDS_1000 = ["--n-coords", "1000"]  # the extra grad-check job's coordinate count
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -90,6 +94,10 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
                 argvs += manifest_variants(op, inputs)
             if op["argv"][0] == "toy-fit" and op["argv"] + LAMBDA_100 not in argvs:
                 argvs.append(op["argv"] + LAMBDA_100)
+        if name == "gradcheck":
+            longest = max(plan["cycle"], key=lambda op: op["audio_s"])["argv"]
+            at = longest.index("--n-coords")
+            argvs.append(longest[:at] + N_COORDS_1000 + longest[at + 2:])
     # The all-kink path, which no plan takes: grad-check of a silent 1 s clip.
     silence = work / "inputs" / "silence.wav"
     fmt = workloads.gen.PCM16_MONO_22K
