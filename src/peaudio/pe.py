@@ -419,7 +419,9 @@ def _frame_local_fd(cfg: StftConfig, values, pe_result: PEResult, flat) -> np.nd
     def perturbed(rows, buf):
         at = np.arange(rows.start, rows.stop) % n
         parts = buf.view(np.float64)
-        np.take(values, frame[at], axis=0, out=parts)
+        # The frames are in range; mode "raise" would copy through a
+        # temporary instead of writing into parts.
+        np.take(values, frame[at], axis=0, out=parts, mode="clip")
         parts[np.arange(at.size), column[at]] += shifts[rows]
         return buf
 
