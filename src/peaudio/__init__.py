@@ -29,7 +29,6 @@ from .pe import (
     pe_loss,
     perceptual_entropy,
     sing_loss,
-    total_loss,
     toy_fit,
 )
 from .psychoacoustic import (

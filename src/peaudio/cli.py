@@ -19,10 +19,11 @@ from json.encoder import encode_basestring_ascii
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
-from .pe import check_gradient, fit_target, perceptual_entropy, toy_fit
-from .psychoacoustic import analyze, bark_layout
+from .pe import _pe_walk, check_gradient, fit_target, toy_fit
+from .psychoacoustic import _analyze_frames, bark_layout
 from .signal_io import load_wav, resample, thread_map
-from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig, stft
+from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
+from .spectral import _frame_source, stft
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,9 +58,7 @@ class CliConfig:
             raise ConfigError(str(exc)) from exc
 
     def stft(self) -> StftConfig:
-        return StftConfig(
-            fft_size=self.fft_size, hop=self.hop, sample_rate=self.sample_rate
-        )
+        return StftConfig(fft_size=self.fft_size, hop=self.hop, sample_rate=self.sample_rate)
 
 
 _KEY_SPELLING = {"lam": "lambda"}  # lambda is a Python keyword
@@ -225,23 +224,26 @@ def _load_spectrum(path, cfg: CliConfig):
     return stft(resample(load_wav(path), cfg.sample_rate), cfg.stft())
 
 
+def _load_frames(path, cfg: CliConfig):
+    """The STFT config, frame count and frame source of a WAV at the config rate: no spectrum."""
+    stft_cfg = cfg.stft()
+    return stft_cfg, *_frame_source(resample(load_wav(path), cfg.sample_rate), stft_cfg)
+
+
 def cmd_analyze(args, cfg: CliConfig) -> int:
-    spec = _load_spectrum(args.input, cfg)
-    result = perceptual_entropy(spec, analyze(spec))
+    result = _pe_walk(*_load_frames(args.input, cfg))
     if cfg.format == "json":
         text = _json_text(result.to_json_dict())
     else:
-        lines = ["frame,pe"]
-        lines += [f"{t},{v!r}" for t, v in enumerate(result.per_frame.tolist())]
-        lines.append(f"mean_pe,{result.mean_pe!r}")
-        lines.append(f"loss_pe,{result.loss_pe!r}")
+        lines = ["frame,pe", *(f"{t},{v!r}" for t, v in enumerate(result.per_frame.tolist()))]
+        lines += [f"mean_pe,{result.mean_pe!r}", f"loss_pe,{result.loss_pe!r}"]
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
-    result = analyze(_load_spectrum(args.input, cfg))
+    result = _analyze_frames(*_load_frames(args.input, cfg))
     centers = bark_layout(cfg.stft()).band_centers()
     quantities = (
         ("band_power", result.band_power.tolist()),
@@ -251,8 +253,7 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
     if cfg.format == "json":
         text = _json_text({"band_center_hz": centers.tolist(), **dict(quantities)})
     else:
-        header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers)
-        lines = [header]
+        lines = ["frame,quantity," + ",".join(f"{c:.1f}" for c in centers)]
         for t in range(result.n_frames):
             for name, values in quantities:
                 lines.append(f"{t},{name}," + ",".join(map(repr, values[t])))
@@ -379,8 +380,7 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     # is a CPU for it; the stages inside an arm then run serially.
     arms = dict(zip(lams, thread_map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
-    text = _json_text(payload)
-    _emit(text, args.output)
+    _emit(_json_text(payload), args.output)
     summary = (
         f"final mean PE: regularized (lambda={cfg.lam}) = {arms['regularized'].final_mean_pe:.6f}, "
         f"baseline (lambda=0) = {arms['baseline'].final_mean_pe:.6f}"

@@ -22,6 +22,7 @@ from .psychoacoustic import (
     BarkAnalysis,
     _band_stage,
     _bin_powers,
+    _block_buffers,
     bark_layout,
     spreading_gain,
     spreading_kernel,
@@ -138,11 +139,6 @@ def _l1_loss(linear_err: np.ndarray, mel_err: np.ndarray, scratch=None) -> float
     return float(np.mean(np.abs(linear_err, out=scratch)) + np.mean(np.abs(mel_err)))
 
 
-def total_loss(l_sing: float, pe_result: PEResult, cfg: LossConfig) -> float:
-    """Synthesis loss plus lam times the PE loss."""
-    return l_sing + cfg.lam * pe_result.loss_pe
-
-
 def _partials_scale(pe_result: PEResult, n_frames: int) -> float:
     """2/ln2 * dL/dPE(t), which turns the walk's partials into those of the PE loss.
 
@@ -225,10 +221,7 @@ def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
             r += np.multiply(dpower, part, out=abs_re)
         finish(rows, r_re, r_im)
 
-    def buffers(rows):
-        return np.empty((8, rows, bins)), np.empty((rows, bins), np.complex128)
-
-    map_rows(walk, n_frames, bins, buffers)
+    map_rows(walk, n_frames, bins, _block_buffers(8, bins))
     return _pe_result(per_frame)
 
 
@@ -242,14 +235,11 @@ def pe_gradient(spec: Spectrogram) -> GradientReport:
     """
     grad = np.empty(spec.frames.shape, np.complex128)
 
-    def frames(rows, _):
-        return spec.frames[rows]
-
     def write(rows, d_re, d_im):
         grad[rows].real = d_re
         grad[rows].imag = d_im
 
-    pe_result = _pe_walk(spec.config, spec.n_frames, frames, write)
+    pe_result = _pe_walk(spec.config, spec.n_frames, lambda rows, _: spec.frames[rows], write)
     parts = grad.view(np.float64)
     parts *= _partials_scale(pe_result, spec.n_frames)
     return GradientReport(grad=grad, pe=pe_result)
@@ -561,7 +551,8 @@ def toy_fit(
             np.subtract(mag, ref_mag, out=grad)
             l_sing = _l1_loss(grad, mel_err, scratch)
         # A finite l_sing makes every mag finite, and |cos|, |sin| <= 1
-        # then make the prediction finite.
+        # then make the prediction finite; with its PE loss in (0, 1] and
+        # a finite lam, the objective l_sing + lam * loss_pe is finite too.
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
         # One masking analysis per iterate; where the PE term moves the
@@ -571,8 +562,6 @@ def toy_fit(
         record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)
-        if not np.isfinite(total_loss(l_sing, pe_result, cfg)):
-            raise DivergenceError(step)
         if step == steps:
             return record
 

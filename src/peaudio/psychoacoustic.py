@@ -78,10 +78,6 @@ class BarkBandLayout:
         """Bin count per band."""
         return self.upper_bins - self.lower_bins + 1
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.upper_bins[-1]) + 1
-
     def band_centers(self) -> np.ndarray:
         """Midpoint frequency of each band in Hz."""
         return 0.5 * (self.band_edges[:-1] + self.band_edges[1:])
@@ -256,20 +252,31 @@ def _band_stage(cfg: StftConfig, band_power, floored_sum, log_sum) -> BarkAnalys
                         renormalize_and_clamp(raw_threshold, cfg), cfg)
 
 
+def _block_buffers(n_work: int, bins: int):
+    """map_rows scratch of a walk over frames: n_work (rows, bins) buffers and a complex one."""
+    return lambda rows: (np.empty((n_work, rows, bins)), np.empty((rows, bins), np.complex128))
+
+
+def _analyze_frames(cfg: StftConfig, n_frames: int, block_of) -> BarkAnalysis:
+    """analyze of n_frames frames under cfg, each block of them from block_of as in pe._pe_walk."""
+    # The per-bin steps run per block of frames and keep only their band
+    # sums; the band stage runs once on the whole (T, n) sums, cheapest so.
+    layout, bins = bark_layout(cfg), cfg.bins
+    sums = np.empty((3, n_frames, layout.n))
+
+    def band_sums(rows, buffers):
+        n = rows.stop - rows.start
+        (power, floored), x = buffers[0][:, :n], block_of(rows, buffers[1][:n])
+        sums[:, rows] = _bin_powers(x, layout.lower_bins, power, floored, power)
+
+    map_rows(band_sums, n_frames, bins, _block_buffers(2, bins))
+    return _band_stage(cfg, *sums)
+
+
 def analyze(spec: Spectrogram) -> BarkAnalysis:
     """Run the full masking pipeline on every frame of a spectrogram.
 
     The bands are bark_layout(spec.config). Spectral flatness is computed
     from the per-bin power components of each band, not from the band sums.
     """
-    # The per-bin steps run per block of frames and keep only their band
-    # sums; the band stage runs once on the whole (T, n) sums, cheapest so.
-    layout, bins = bark_layout(spec.config), spec.config.bins
-    sums = np.empty((3, spec.n_frames, layout.n))
-
-    def band_sums(block, work):
-        power, floored = work[:, : block.stop - block.start]
-        sums[:, block] = _bin_powers(spec.frames[block], layout.lower_bins, power, floored, power)
-
-    map_rows(band_sums, spec.n_frames, bins, lambda rows: np.empty((2, rows, bins)))
-    return _band_stage(spec.config, *sums)
+    return _analyze_frames(spec.config, spec.n_frames, lambda rows, _: spec.frames[rows])

@@ -1,18 +1,21 @@
 """WAV loading, normalization and resampling.
 
 All audio is reduced to mono float64 in [-1, 1] on load. The resampler
-is a plain linear interpolator. It does not band-limit, so downsampling
-aliases content above the new Nyquist frequency into the bands the
-masking model and the metrics read; ROADMAP Direction 7 plans a
-windowed-sinc replacement.
+is a plain linear interpolator, and at the buffer's own rate it returns
+the buffer itself. It does not band-limit, so downsampling aliases
+content above the new Nyquist frequency into the bands the masking
+model and the metrics read; ROADMAP Direction 7 plans a windowed-sinc
+replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of rows through map_rows, the one place that sizes
 them: a block holds BLOCK_ELEMENTS values, so a stage allocates what it
 returns plus a fixed number of block buffers per thread, whatever the
-clip length. From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over
-the process's one thread pool (thread_map); each block writes only its
-own rows, so no bit depends on the thread count.
+clip length. CLI analyze and thresholds form each block of STFT frames
+from the samples inside their walk, so they hold no spectrum at all.
+From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over the
+process's one thread pool (thread_map); each block writes only its own
+rows, so no bit depends on the thread count.
 """
 
 import concurrent.futures
@@ -180,7 +183,6 @@ class AudioBuffer:
         return self.samples.size
 
 
-
 def _payload_reader(data: bytes, offset: int, count: int, bits: int, is_float: bool, path):
     """A function that reads payload samples [a, b) as numbers, before scaling."""
     if is_float:
@@ -311,12 +313,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample by linear interpolation.
 
     Output length is floor(len * target_rate / source_rate). Resampling
-    to the buffer's own rate returns an identical copy, which makes the
-    operation idempotent at a fixed rate.
+    to the buffer's own rate returns the buffer itself, not a copy, which
+    makes the operation idempotent at a fixed rate.
     """
     target_rate = _whole_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
-        return AudioBuffer(buf.samples.copy(), target_rate)
+        return buf
     n_out = buf.samples.size * target_rate // buf.sample_rate
     if n_out == 0 or buf.samples.size == 0:
         return AudioBuffer(np.zeros(0), target_rate)

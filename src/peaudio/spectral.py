@@ -69,10 +69,8 @@ class Spectrogram:
         frames = np.asarray(self.frames, dtype=np.complex128)
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[1] != self.config.bins:
-            raise ValueError(
-                f"frames must be (T, {self.config.bins}) for fft_size {self.config.fft_size}, "
-                f"got {frames.shape}"
-            )
+            raise ValueError(f"frames must be (T, {self.config.bins}) for fft_size "
+                             f"{self.config.fft_size}, got {frames.shape}")
         if frames.size and not np.isfinite(frames).all():
             raise ValueError("spectrogram contains non-finite values")
 
@@ -91,25 +89,29 @@ def _power(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     return power
 
 
+def _frame_source(buf: AudioBuffer, cfg: StftConfig):
+    """The STFT's frame count and block_of(rows, out), which writes frames `rows` into out.
+
+    out is (rows, bins) complex128, and block_of returns it. No row's bits
+    depend on which rows share a block.
+    """
+    x = buf.samples
+    if x.size < cfg.fft_size:
+        raise BufferTooShortError(f"need at least fft_size={cfg.fft_size} samples, got {x.size}")
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
+    window = cfg.window_samples()
+    return frames.shape[0], lambda rows, out: np.fft.rfft(frames[rows] * window, axis=1, out=out)
+
+
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Windowed one-sided STFT without centering.
 
     Frame t covers samples [t*hop, t*hop + fft_size); trailing samples
     that do not fill a frame are dropped.
     """
-    x = buf.samples
-    if x.size < cfg.fft_size:
-        raise BufferTooShortError(
-            f"need at least fft_size={cfg.fft_size} samples, got {x.size}"
-        )
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.fft_size)[:: cfg.hop]
-    window = cfg.window_samples()
-    out = np.empty((frames.shape[0], cfg.bins), np.complex128)
-
-    def transform(block):
-        np.fft.rfft(frames[block] * window, axis=1, out=out[block])
-
-    map_rows(transform, frames.shape[0], cfg.fft_size)
+    n_frames, block_of = _frame_source(buf, cfg)
+    out = np.empty((n_frames, cfg.bins), np.complex128)
+    map_rows(lambda rows: block_of(rows, out[rows]), n_frames, cfg.fft_size)
     return Spectrogram(out, cfg)
 
 

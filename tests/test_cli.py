@@ -1096,8 +1096,9 @@ class TestOutOfMemory:
     def test_memory_error_in_a_block_on_a_pool_thread(
         self, sine_wav_factory, tmp_path, capsys, monkeypatch, pool_spy
     ):
-        # A 3 s clip's STFT is four blocks; at a threshold of 2 the pool
-        # thread transforms the last two, and its FFTs fail.
+        # analyze forms a 3 s clip's 99 frames inside the PE walk, in two
+        # blocks of 63 rows; at a threshold of 2 the pool thread transforms
+        # the second, and its FFTs fail.
         rfft = np.fft.rfft
 
         def exhausted(*args, **kwargs):

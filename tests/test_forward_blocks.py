@@ -6,6 +6,8 @@ compared, at blocks of 1, 2 and 7 rows, with its default block size and
 with a whole-array oracle: the same computation as one call over the
 whole clip. Nor may the thread pool the blocks are mapped over: each
 stage, the gradient and its checker are compared with their serial runs.
+CLI analyze and thresholds, which form their STFT frames inside their
+walks, are compared with the public path over the whole spectrum.
 """
 
 import json
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peaudio import signal_io
+from peaudio.cli import main
 from peaudio.errors import NonFiniteAudioError
 from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy
 from peaudio.psychoacoustic import (
@@ -36,7 +39,7 @@ from peaudio.psychoacoustic import (
     spreading_kernel,
     tonality,
 )
-from peaudio.signal_io import AudioBuffer, load_wav, resample
+from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
 from conftest import harmonic_signal
@@ -159,13 +162,24 @@ def encode(mono: np.ndarray, bits: int, channels: int, is_float: bool) -> bytes:
 FORMATS = [(8, False), (16, False), (24, False), (32, True)]
 
 
+def gapped_signal() -> np.ndarray:
+    """0.6 s of six harmonics at SR, 19 frames of which three are exact zeros."""
+    sig = harmonic_signal(duration=0.6, n_harmonics=6, noise=0.0)
+    sig[4000:7000] = 0.0
+    return sig
+
+
+def cli_json(command: str, wav, out) -> dict:
+    """What CLI `command` writes for a WAV as JSON, read back (repr round-trips every float)."""
+    assert main([command, str(wav), "--format", "json", "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 @pytest.fixture(scope="module")
 def analysis_spec():
     """19 frames with an exact-zero gap and bins below the flatness floor."""
     cfg = StftConfig(sample_rate=SR)
-    sig = harmonic_signal(duration=0.6, n_harmonics=6, noise=0.0)
-    sig[4000:7000] = 0.0
-    frames = stft(AudioBuffer(sig, SR), cfg).frames.copy()
+    frames = stft(AudioBuffer(gapped_signal(), SR), cfg).frames.copy()
     frames[12, ::5] = 1e-7 * (1 + 1j)
     spec = Spectrogram(frames, cfg)
     power = spec.power()
@@ -215,17 +229,34 @@ class TestBlockInvariance:
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * cfg.fft_size)
             np.testing.assert_array_equal(stft(AudioBuffer(x, SR), cfg).frames, default)
 
-    def test_analyze_and_perceptual_entropy(self, analysis_spec, monkeypatch):
+    def test_analyze_and_perceptual_entropy(self, analysis_spec, tmp_path, monkeypatch):
         spec = analysis_spec
         default = analyze(spec)
         assert_analyses_equal(default, whole_analyze(spec))
         default_pe = perceptual_entropy(spec, default).per_frame
         np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
+        # CLI analyze and thresholds form their frames from the samples
+        # inside their block walks, on the pool from 2 blocks up; their
+        # outputs must be those of the spectrum's public path.
+        wav, out = tmp_path / "gapped.wav", tmp_path / "out.json"
+        save_wav(AudioBuffer(gapped_signal(), SR), wav)
+        wav_spec = stft(load_wav(wav), spec.config)
+        wav_analysis = analyze(wav_spec)
+        wav_pe = perceptual_entropy(wav_spec, wav_analysis)
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
         for rows in (1, 2, 3, 5, 7, 8):
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * spec.config.bins)
             blocked = analyze(spec)
             assert_analyses_equal(blocked, default)
             np.testing.assert_array_equal(perceptual_entropy(spec, blocked).per_frame, default_pe)
+            pe = cli_json("analyze", wav, out)
+            np.testing.assert_array_equal(pe["per_frame_pe"], wav_pe.per_frame)
+            assert (pe["mean_pe"], pe["loss_pe"]) == (wav_pe.mean_pe, wav_pe.loss_pe)
+            thresholds = cli_json("thresholds", wav, out)
+            for key, name in [("band_power", "band_power"), ("tonality", "tonality"),
+                              ("threshold", "masking_threshold")]:
+                np.testing.assert_array_equal(thresholds[key], getattr(wav_analysis, name))
 
 
 class TestBandStage:
@@ -368,14 +399,14 @@ class TestResampleProperties:
 # ---------------------------------------------------------------- memory
 
 
-def write_stereo_24bit(path, seconds: int, rate: int = 44100):
-    """`seconds` repeats of one second of 24-bit stereo: a tone plus noise."""
+def write_tone_clip(path, seconds: int, bits: int, channels: int, rate: int):
+    """`seconds` repeats of one second of integer PCM: a tone plus noise."""
     t = np.arange(rate) / rate
     rng = np.random.default_rng(0)
     mono = 0.5 * np.sin(2 * np.pi * 220.0 * t) + 0.01 * rng.standard_normal(rate)
-    second = encode(mono, 24, 2, False)
+    second = encode(mono, bits, channels, False)
     with open(path, "wb") as fh:
-        fh.write(wav_header(len(second) * seconds, 24, 2, rate, False))
+        fh.write(wav_header(len(second) * seconds, bits, channels, rate, False))
         for _ in range(seconds):
             fh.write(second)
 
@@ -400,8 +431,35 @@ def test_forward_path_memory_grows_at_most_twice_the_decoded_samples(tmp_path):
     peaks = {}
     for seconds in (30, 300):
         path = tmp_path / f"clip-{seconds}s.wav"
-        write_stereo_24bit(path, seconds)
+        write_tone_clip(path, seconds, 24, 2, 44100)
         peaks[seconds] = forward_peak_bytes(path)
         path.unlink()
     decoded_bytes_per_s = 44100 * np.dtype(np.float64).itemsize
     assert peaks[300] - peaks[30] <= 2 * decoded_bytes_per_s * (300 - 30)
+
+
+def cli_peak_bytes(argv) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_samples(tmp_path):
+    # CLI analyze forms its STFT frames one block at a time inside the PE
+    # walk and resamples a clip already at --sample-rate to itself without
+    # a copy. So beyond a few blocks per thread it holds the file's bytes
+    # (2 per sample here), the decoded samples and the per-frame PE and
+    # its text, not a spectrum. One extra second of 16-bit mono 22.05 kHz
+    # input is 22050 decoded float64 samples.
+    peaks = {}
+    for seconds in (30, 300):
+        path = tmp_path / f"clip-{seconds}s.wav"
+        write_tone_clip(path, seconds, 16, 1, SR)
+        peaks[seconds] = cli_peak_bytes(["analyze", str(path), "--output", str(tmp_path / "pe.csv")])
+        path.unlink()
+    decoded_bytes_per_s = SR * np.dtype(np.float64).itemsize
+    assert peaks[300] - peaks[30] <= 1.5 * decoded_bytes_per_s * (300 - 30)

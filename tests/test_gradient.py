@@ -5,7 +5,7 @@ import pytest
 
 from peaudio import pe, psychoacoustic, signal_io
 from peaudio.pe import FD_REL_STEP, check_gradient, fit_target, pe_gradient, perceptual_entropy
-from peaudio.pe import FitRecord, LossConfig, toy_fit, total_loss
+from peaudio.pe import FitRecord, LossConfig, toy_fit
 from peaudio.errors import DegenerateThresholdError, DivergenceError
 from peaudio.psychoacoustic import (
     SFM_DB_MAX,
@@ -138,7 +138,7 @@ def reference_toy_fit(target, cfg, steps, learning_rate, seed):
         record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)
-        if not np.isfinite(total_loss(l_sing, pe_result, cfg)):
+        if not np.isfinite(l_sing + cfg.lam * pe_result.loss_pe):
             raise DivergenceError(step)
         if step == steps:
             return record

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from peaudio.errors import DegenerateThresholdError, ShapeMismatchError
 from peaudio.pe import (
     LossConfig,
-    PEResult,
     pe_loss,
     perceptual_entropy,
     sing_loss,
-    total_loss,
 )
 from peaudio.psychoacoustic import (
     BarkAnalysis,
@@ -220,24 +218,7 @@ class TestSingLoss:
             sing_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 2)))
 
 
-class TestTotalLoss:
-    def _pe_result(self, loss):
-        return PEResult(per_frame=np.array([0.0]), mean_pe=1.0 / loss - 1.0, loss_pe=loss)
-
-    def test_zero_lambda_is_identity(self):
-        result = self._pe_result(0.37)
-        assert total_loss(0.8251, result, LossConfig(lam=0.0)) == 0.8251
-
-    def test_default_lambda(self):
-        result = self._pe_result(1.0)
-        assert total_loss(0.5, result, LossConfig(lam=0.01)) == pytest.approx(0.51, rel=1e-15)
-
-    def test_conformer_lambda(self):
-        result = self._pe_result(0.25)
-        assert total_loss(0.5, result, LossConfig(lam=0.02)) == pytest.approx(
-            0.5 + 0.02 * 0.25, rel=1e-15
-        )
-
+class TestLossConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             LossConfig(lam=-0.1)

@@ -282,9 +282,11 @@ class TestResample:
         assert out.sample_rate == 22050
 
     def test_identity_rate(self):
+        # The buffer's own rate returns the buffer itself, not a copy.
         buf = AudioBuffer(np.linspace(-1, 1, 100), 22050)
         out = resample(buf, 22050)
         np.testing.assert_array_equal(out.samples, buf.samples)
+        assert np.shares_memory(out.samples, buf.samples)
 
     def test_length_arithmetic(self):
         buf = AudioBuffer(np.zeros(22050), 22050)
