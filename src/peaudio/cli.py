@@ -16,6 +16,9 @@ import sys
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
+from ._floattext import join_reprs
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
@@ -167,10 +170,12 @@ def _json_text(payload) -> str:
 
     The bytes are the same, but json.dumps with an indent runs its
     pure-Python encoder. Here only dicts and lists that hold other
-    containers recurse in Python. A list of scalars, a lone scalar and a
-    grid (a list of non-empty lists of scalars) each take one call of
-    the C encoder, whose item separator carries the newline and indent
-    of the innermost depth. Dict keys must be str.
+    containers recurse in Python. A list of scalars and a lone scalar
+    each take one call of the C encoder, whose item separator carries
+    the newline and indent of the innermost depth. A 1-D or 2-D array of
+    finite floats is written as the list (of lists) it holds, by
+    join_reprs, since json writes a finite float as its repr. Dict keys
+    must be str.
     """
     return _json_value(payload, 0) + "\n"
 
@@ -195,19 +200,20 @@ def _json_value(value, depth: int) -> str:
             for k, v in value.items()
         )
         return "{" + inner + body + close + "}"
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return "[]"
+        if value.ndim == 1:
+            return "[" + inner + join_reprs(value, "," + inner) + close + "]"
+        leaf = inner + "  "
+        body = join_reprs(value, "," + leaf, inner + "]," + inner + "[" + leaf)
+        return "[" + inner + "[" + leaf + body + inner + "]" + close + "]"
     if not isinstance(value, (list, tuple)):
         return _scalar_encoder(depth).encode(value)
     if not value:
         return "[]"
     if _scalars(value):
         return "[" + inner + _scalar_encoder(depth + 1).encode(value)[1:-1] + close + "]"
-    if all(isinstance(row, (list, tuple)) and row and _scalars(row) for row in value):
-        # The encoder escapes newlines inside strings, so "]", the
-        # separator and "[" in a row are found only between two rows.
-        leaf = inner + "  "
-        rows = _scalar_encoder(depth + 2).encode(value)[2:-2]
-        body = rows.replace("]," + leaf + "[", inner + "]," + inner + "[" + leaf)
-        return "[" + inner + "[" + leaf + body + inner + "]" + close + "]"
     body = ("," + inner).join(_json_value(v, depth + 1) for v in value)
     return "[" + inner + body + close + "]"
 
@@ -235,8 +241,8 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
     if cfg.format == "json":
         text = _json_text(result.to_json_dict())
     else:
-        lines = ["frame,pe", *(f"{t},{v!r}" for t, v in enumerate(result.per_frame.tolist()))]
-        lines += [f"mean_pe,{result.mean_pe!r}", f"loss_pe,{result.loss_pe!r}"]
+        frames = map("{},{!r}".format, range(result.per_frame.size), result.per_frame.tolist())
+        lines = ["frame,pe", *frames, f"mean_pe,{result.mean_pe!r}", f"loss_pe,{result.loss_pe!r}"]
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return EXIT_OK
@@ -245,19 +251,15 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
 def cmd_thresholds(args, cfg: CliConfig) -> int:
     result = _analyze_frames(*_load_frames(args.input, cfg))
     centers = bark_layout(cfg.stft()).band_centers()
-    quantities = (
-        ("band_power", result.band_power.tolist()),
-        ("tonality", result.tonality.tolist()),
-        ("threshold", result.masking_threshold.tolist()),
-    )
+    quantities = (result.band_power, result.tonality, result.masking_threshold)
     if cfg.format == "json":
-        text = _json_text({"band_center_hz": centers.tolist(), **dict(quantities)})
+        names = ("band_power", "tonality", "threshold")
+        text = _json_text({"band_center_hz": centers, **dict(zip(names, quantities))})
     else:
-        lines = ["frame,quantity," + ",".join(f"{c:.1f}" for c in centers)]
-        for t in range(result.n_frames):
-            for name, values in quantities:
-                lines.append(f"{t},{name}," + ",".join(map(repr, values[t])))
-        text = "\n".join(lines) + "\n"
+        rows = [join_reprs(values, ",", "\n").split("\n") for values in quantities]
+        frame = "{0},band_power,{1}\n{0},tonality,{2}\n{0},threshold,{3}".format
+        header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers)
+        text = "\n".join([header, *map(frame, range(result.n_frames), *rows)]) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 

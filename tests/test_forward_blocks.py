@@ -7,7 +7,8 @@ with a whole-array oracle: the same computation as one call over the
 whole clip. Nor may the thread pool the blocks are mapped over: each
 stage, the gradient and its checker are compared with their serial runs.
 CLI analyze and thresholds, which form their STFT frames inside their
-walks, are compared with the public path over the whole spectrum.
+walks, are compared with the public path over the whole spectrum, and
+the bytes thresholds writes with those at the default block size.
 """
 
 import json
@@ -169,10 +170,15 @@ def gapped_signal() -> np.ndarray:
     return sig
 
 
+def cli_bytes(command: str, wav, out, fmt: str) -> bytes:
+    """What CLI `command` writes for a WAV in format fmt."""
+    assert main([command, str(wav), "--format", fmt, "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
 def cli_json(command: str, wav, out) -> dict:
     """What CLI `command` writes for a WAV as JSON, read back (repr round-trips every float)."""
-    assert main([command, str(wav), "--format", "json", "--output", str(out)]) == 0
-    return json.loads(out.read_text())
+    return json.loads(cli_bytes(command, wav, out, "json"))
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +243,15 @@ class TestBlockInvariance:
         np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
         # CLI analyze and thresholds form their frames from the samples
         # inside their block walks, on the pool from 2 blocks up; their
-        # outputs must be those of the spectrum's public path.
+        # outputs must be those of the spectrum's public path. Their
+        # text, whose blocks are sized from the same constant, must not
+        # change by a byte.
         wav, out = tmp_path / "gapped.wav", tmp_path / "out.json"
         save_wav(AudioBuffer(gapped_signal(), SR), wav)
         wav_spec = stft(load_wav(wav), spec.config)
         wav_analysis = analyze(wav_spec)
         wav_pe = perceptual_entropy(wav_spec, wav_analysis)
+        texts = {fmt: cli_bytes("thresholds", wav, out, fmt) for fmt in ("csv", "json")}
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
         monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
         for rows in (1, 2, 3, 5, 7, 8):
@@ -253,7 +262,9 @@ class TestBlockInvariance:
             pe = cli_json("analyze", wav, out)
             np.testing.assert_array_equal(pe["per_frame_pe"], wav_pe.per_frame)
             assert (pe["mean_pe"], pe["loss_pe"]) == (wav_pe.mean_pe, wav_pe.loss_pe)
-            thresholds = cli_json("thresholds", wav, out)
+            for fmt, text in texts.items():
+                assert cli_bytes("thresholds", wav, out, fmt) == text, (rows, fmt)
+            thresholds = json.loads(texts["json"])
             for key, name in [("band_power", "band_power"), ("tonality", "tonality"),
                               ("threshold", "masking_threshold")]:
                 np.testing.assert_array_equal(thresholds[key], getattr(wav_analysis, name))
@@ -463,3 +474,26 @@ def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_sampl
         path.unlink()
     decoded_bytes_per_s = SR * np.dtype(np.float64).itemsize
     assert peaks[300] - peaks[30] <= 1.5 * decoded_bytes_per_s * (300 - 30)
+
+
+def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tmp_path):
+    # CLI thresholds holds the decoded samples while it analyses the clip,
+    # and the (T, 23) analysis and its text, not a Python float per value,
+    # while it writes it; beyond those, the file's bytes (2 per sample
+    # here) and a few blocks. One extra second of 16-bit mono 22.05 kHz
+    # input is 22050 decoded float64 samples and 33 frames of text.
+    peaks, sizes = {}, {}
+    for seconds in (30, 300):
+        path = tmp_path / f"clip-{seconds}s.wav"
+        write_tone_clip(path, seconds, 16, 1, SR)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"thresholds.{fmt}"
+            argv = ["thresholds", str(path), "--format", fmt, "--output", str(out)]
+            peaks[fmt, seconds] = cli_peak_bytes(argv)
+            sizes[fmt, seconds] = out.stat().st_size
+        path.unlink()
+    decoded_bytes_per_s = SR * np.dtype(np.float64).itemsize
+    for fmt in ("csv", "json"):
+        text_bytes_per_s = (sizes[fmt, 300] - sizes[fmt, 30]) / (300 - 30)
+        growth_per_s = (peaks[fmt, 300] - peaks[fmt, 30]) / (300 - 30)
+        assert growth_per_s <= 1.15 * (text_bytes_per_s + decoded_bytes_per_s), fmt

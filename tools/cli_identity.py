@@ -14,9 +14,11 @@ the PE term moves the fit most, so a change in how it rounds shows in
 the numbers), a ``grad-check`` of the gradcheck plan's longest clip at
 ``--n-coords 1000`` (enough perturbed rows that the checker's
 finite-difference blocks map onto the thread pool at the default
-threshold) and a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
+threshold), a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
 clip (the all-kink path, which no plan takes; the script writes the clip
-into its own inputs directory), runs under both trees twice: once with its
+into its own inputs directory) and ``analyze`` and ``thresholds`` of that
+clip in both formats (its -0.0 tonalities and clamped thresholds), runs
+under both trees twice: once with its
 ``--output`` file and once writing to stdout. Output files, stdout,
 stderr and exit codes are compared byte for byte; for each output that
 differs, the script splits both texts into their numbers and the text
@@ -103,6 +105,11 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
     fmt = workloads.gen.PCM16_MONO_22K
     workloads.gen.write_wav(str(silence), [0.0] * fmt[2], fmt)
     argvs.append(["grad-check", str(silence), "--output", str(work / "grad-silence.json")])
+    # Its -0.0 tonalities and clamped thresholds, in both formats.
+    for command in ("analyze", "thresholds"):
+        for fmt in ("csv", "json"):
+            out = work / f"{command}-silence.{fmt}"
+            argvs.append([command, str(silence), "--format", fmt, "--output", str(out)])
     jobs = []
     for i, argv in enumerate(argvs):
         at = argv.index("--output")
