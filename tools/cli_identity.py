@@ -18,8 +18,8 @@ threshold), a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
 clip (the all-kink path, which no plan takes; the script writes the clip
 into its own inputs directory) and ``analyze`` and ``thresholds`` of that
 clip in both formats (its -0.0 tonalities and clamped thresholds), runs
-under both trees twice: once with its
-``--output`` file and once writing to stdout. Output files, stdout,
+under both trees twice: once with its ``--output`` file and once
+writing to stdout. Output files, stdout,
 stderr and exit codes are compared byte for byte; for each output that
 differs, the script splits both texts into their numbers and the text
 between them and reports how many numbers differ and by how much at
@@ -107,9 +107,9 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
     argvs.append(["grad-check", str(silence), "--output", str(work / "grad-silence.json")])
     # Its -0.0 tonalities and clamped thresholds, in both formats.
     for command in ("analyze", "thresholds"):
-        for fmt in ("csv", "json"):
-            out = work / f"{command}-silence.{fmt}"
-            argvs.append([command, str(silence), "--format", fmt, "--output", str(out)])
+        for form in ("csv", "json"):
+            out = work / f"{command}-silence.{form}"
+            argvs.append([command, str(silence), "--format", form, "--output", str(out)])
     jobs = []
     for i, argv in enumerate(argvs):
         at = argv.index("--output")
