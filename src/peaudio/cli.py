@@ -24,7 +24,7 @@ from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import _pe_walk, check_gradient, fit_target, toy_fit
 from .psychoacoustic import _analyze_frames, bark_layout
-from .signal_io import load_wav, resample, thread_map
+from .signal_io import fork_map, load_wav, resample, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
 from .spectral import _frame_source, stft
 
@@ -377,10 +377,11 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
         return toy_fit(target, LossConfig(lam), args.steps, args.lr, cfg.seed)
 
     # The arms only read the shared, read-only reference and share nothing
-    # else (each allocates its step buffers once), and their FFTs and
-    # matrix products release the GIL, so each gets a thread while there
-    # is a CPU for it; the stages inside an arm then run serially.
-    arms = dict(zip(lams, thread_map(fit, lams.values())))
+    # else (each allocates its step buffers once). Each walk block runs its
+    # band stage in Python, so on two threads the arms would mostly take
+    # turns on the GIL: while there is a CPU for it, the baseline arm runs
+    # in a forked child, and the stages inside each arm run serially.
+    arms = dict(zip(lams, fork_map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
     _emit(_json_text(payload), args.output)
     summary = (

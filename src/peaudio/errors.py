@@ -44,6 +44,13 @@ class DivergenceError(PeAudioError, RuntimeError):
         self.step = step
         super().__init__(message or f"loss became non-finite at step {step}")
 
+    def __reduce__(self):  # pickled by its step and message, not by its args alone
+        return type(self), (self.step, str(self))
+
+
+class WorkerLostError(PeAudioError):
+    """A forked worker process ended without sending back its result."""
+
 
 class ConfigError(PeAudioError, ValueError):
     """Invalid or unknown configuration key/value."""

@@ -21,8 +21,11 @@ rows, so no bit depends on the thread count.
 import concurrent.futures
 import contextvars
 import os
+import pickle
 import struct
+import sys
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ from .errors import (
     InvalidRateError,
     NonFiniteAudioError,
     UnsupportedFormatError,
+    WorkerLostError,
 )
 
 _FORMAT_PCM = 0x0001
@@ -90,6 +94,14 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _shares(items: list, min_items: int) -> list[list]:
+    """items cut into one contiguous share per thread of a map: [items] where it runs serially."""
+    serial = _in_map.get() or len(items) < min_items
+    threads = 1 if serial else min(MAX_THREADS, usable_cpus(), len(items))
+    bounds = [len(items) * i // threads for i in range(threads + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def thread_map(fn, items, scratch=None, min_items=2) -> list:
     """[fn(item) for item in items], the items split over the shared thread pool.
 
@@ -112,12 +124,9 @@ def thread_map(fn, items, scratch=None, min_items=2) -> list:
         buffers = scratch()
         return [fn(item, buffers) for item in share]
 
-    serial = _in_map.get() or len(items) < min_items
-    threads = 1 if serial else min(MAX_THREADS, usable_cpus(), len(items))
-    if threads < 2:
+    shares = _shares(items, min_items)
+    if len(shares) < 2:
         return run(items)
-    bounds = [len(items) * i // threads for i in range(threads + 1)]
-    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     token = _in_map.set(True)
     try:
         pool = _shared_pool()
@@ -131,6 +140,101 @@ def thread_map(fn, items, scratch=None, min_items=2) -> list:
     for future in futures:
         results += future.result()
     return results
+
+
+# Only Linux forks: numpy's Accelerate BLAS on macOS is not fork-safe.
+_CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
+
+
+def _stop_pool() -> None:
+    """Join the shared pool's threads; the next map starts a new pool."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+def fork_map(fn, items) -> list:
+    """thread_map(fn, items), with each share after the first run in a forked child process.
+
+    For work that holds the GIL too often to gain from a second thread.
+    The shares are thread_map's; the calling process runs the first and
+    a child made with os.fork() each other one, and sends back its
+    results, or the exception it raised, pickled over a pipe. Before it
+    forks it stops the shared pool, so no pool thread holds a lock that
+    a child would inherit locked; call it where no other thread uses the
+    pool, as the CLI does. Every child is reaped before the map returns
+    or raises, the error raised is the first in item order, and a child
+    that ends without sending its share's outcome raises WorkerLostError
+    in its place. Where a map would run serially, or the platform does
+    not fork, it is thread_map.
+    """
+    items = list(items)
+    shares = _shares(items, 2)
+    if not _CAN_FORK or len(shares) < 2:
+        return thread_map(fn, items)
+    _stop_pool()
+    token = _in_map.set(True)  # each process runs its share's stages serially
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(fn, share))
+        results = [fn(item) for item in shares[0]]
+    finally:
+        _in_map.reset(token)
+        outcomes = [_reap(*child) for child in children]
+    for share_results, error in outcomes:
+        if error is not None:
+            raise error
+        results += share_results
+    return results
+
+
+def _fork(fn, share) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that runs fn over share and writes back the outcome."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork in a process that has threads.
+            # The child runs only fn, and the pool's threads are stopped.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to be had: the caller's error line says why
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # The child leaves through os._exit whatever happens, so it never
+    # unwinds into the caller or flushes the caller's stdio.
+    code = 1
+    try:
+        os.close(read)
+        try:
+            outcome = [fn(item) for item in share], None
+        except Exception as exc:
+            outcome = None, exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read: int) -> tuple[list | None, BaseException | None]:
+    """(results, error) a child sent, once it has exited; WorkerLostError if it sent none."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(data)  # bytes this module's child wrote
+    reason = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+    return None, WorkerLostError(f"a forked worker process {reason} before sending its result")
 
 
 def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:

@@ -35,4 +35,9 @@ def test_tiny_record_of_one_workload(tmp_path):
         assert 0 < provenance["bare_interpreter_maxrss_mb"] < run["metrics"]["peak_rss_mb"]
     assert set(fit["median"]) == end_to_end
     assert fit["traced"]["seed"] == bench_record.TRACE_SEED
+    # Whether the second core was free: one process's kernel time against
+    # the slower of two at once, about 1 when free and 2 when shared.
+    probe = fit["core_probe"]
+    assert probe["one_process_s"] > 0 and len(probe["two_processes_s"]) == 2
+    assert probe["ratio"] == max(probe["two_processes_s"]) / probe["one_process_s"]
     assert set(fit["traced"]["metrics"]) == {m["name"] for m in SPEC["per_layer"]}

@@ -7,6 +7,7 @@ import math
 import os
 import pkgutil
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -25,6 +26,7 @@ import peaudio
 from peaudio import cli, signal_io, spectral
 from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
 from peaudio.cli import resolve_config
+from peaudio.errors import DivergenceError
 from peaudio.metrics import compare
 from peaudio.pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig, check_gradient, fit_target
 from peaudio.pe import toy_fit
@@ -542,10 +544,11 @@ class TestToyFit:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_concurrent_arms_match_serial_fits(self, voiced_wav, tmp_path, monkeypatch, cpus):
-        # The arms run on min(2, usable CPUs) threads over one shared
-        # reference, with numpy's BLAS threads as the test process has
-        # them; the bytes must be those of two fits run one after the
-        # other, each against a reference of its own.
+        # With two usable CPUs the baseline arm runs in a forked child,
+        # with one both run on the calling thread, with numpy's BLAS
+        # threads as the test process has them; the bytes must be those
+        # of two fits run one after the other, each against a reference
+        # of its own.
         monkeypatch.setattr("peaudio.signal_io.usable_cpus", lambda: cpus)
         out = tmp_path / "t.json"
         assert run(["toy-fit", str(voiced_wav), "--steps", "3", "--output", str(out)]) == 0
@@ -569,8 +572,9 @@ class TestToyFit:
 
     def test_divergence_is_one_stderr_line(self, sine_wav_factory, tmp_path):
         # In a process of its own, as a shell runs it: numpy's overflow
-        # warnings would print before the error line. Both arms diverge
-        # on their own threads; the regularized arm's error is reported.
+        # warnings would print before the error line. Both arms diverge,
+        # the baseline arm in a forked child; the regularized arm's error
+        # is reported.
         path = sine_wav_factory(440.0)
         out = tmp_path / "fit.json"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
@@ -585,6 +589,107 @@ class TestToyFit:
         assert err[0].startswith("error: loss became non-finite at step ")
         assert proc.stdout == ""
         assert not out.exists()
+
+
+@pytest.mark.skipif(not signal_io._CAN_FORK, reason="the baseline arm forks on Linux only")
+class TestForkedArm:
+    """toy-fit's baseline arm runs in a forked child while there are two usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+
+    @staticmethod
+    def in_the_child(monkeypatch, fail):
+        """Patch cli.toy_fit to call fail() in the forked child and fit as usual in this process."""
+        parent, real = os.getpid(), cli.toy_fit
+
+        def fit(*args, **kwargs):
+            if os.getpid() != parent:
+                fail()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "toy_fit", fit)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("lam", ["0.01", "100"])
+    def test_same_bytes_as_the_thread_map_fallback(self, voiced_wav, tmp_path, monkeypatch, lam):
+        outputs = []
+        for can_fork in (True, False):
+            monkeypatch.setattr(signal_io, "_CAN_FORK", can_fork)
+            out = tmp_path / f"fit-{can_fork}.json"
+            argv = ["toy-fit", str(voiced_wav), "--steps", "3", "--lambda", lam]
+            assert run([*argv, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error, code, line", [
+        (DivergenceError(4), 1, "error: loss became non-finite at step 4"),
+        (MemoryError("Unable to allocate 1.00 TiB"), 2,
+         "error: out of memory: Unable to allocate 1.00 TiB"),
+    ], ids=["divergence", "memory"])
+    def test_an_error_in_the_child_is_the_one_line_of_today(
+        self, voiced_wav, tmp_path, capfd, monkeypatch, error, code, line
+    ):
+        def fail():
+            raise error
+
+        self.in_the_child(monkeypatch, fail)
+        out = tmp_path / "fit.json"
+        assert run(["toy-fit", str(voiced_wav), "--steps", "2", "--output", str(out)]) == code
+        assert capfd.readouterr() == ("", line + "\n")
+        assert not out.exists()
+        self.assert_no_child_left()
+
+    def test_a_child_killed_by_a_signal_is_one_line_exit_2(
+        self, voiced_wav, tmp_path, capfd, monkeypatch
+    ):
+        self.in_the_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        out = tmp_path / "fit.json"
+        assert run(["toy-fit", str(voiced_wav), "--steps", "2", "--output", str(out)]) == 2
+        stdout, stderr = capfd.readouterr()
+        assert stdout == ""
+        assert stderr == (
+            f"error: a forked worker process was killed by signal {int(signal.SIGKILL)}"
+            " before sending its result\n"
+        )
+        assert not out.exists()
+        self.assert_no_child_left()
+
+    def test_the_child_writes_nothing_and_flushes_nothing(self, voiced_wav, tmp_path):
+        # In a process of its own whose stdout is a buffered pipe, so the
+        # text written before the fit is still in the parent's buffer when
+        # the child is forked: it must reach stdout once.
+        out = tmp_path / "fit.json"
+        script = (
+            "import os, sys\n"
+            "from peaudio import signal_io\n"
+            "from peaudio.cli import main\n"
+            "signal_io.usable_cpus = lambda: 2\n"
+            "sys.stdout.write('before\\n')\n"
+            "code = main(sys.argv[1:])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left', code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "toy-fit", str(voiced_wav), "--steps", "2",
+             "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        lines = proc.stdout.splitlines()
+        assert proc.stderr == ""
+        assert lines[0] == "before" and lines[1].startswith("final mean PE: regularized")
+        assert lines[2:] == ["no child left 0"]
+        assert out.exists()
 
 
 json_scalars = st.one_of(
@@ -1069,15 +1174,18 @@ class TestOutOfMemory:
     def test_memory_error_in_a_pool_thread(
         self, voiced_wav, sine_wav_factory, tmp_path, capsys, monkeypatch, command, worker
     ):
-        # The calling thread runs the first arm or file itself; the error
-        # is raised on the pool thread that runs the other. A bare worker
-        # name is the CLI's; metrics.extract_f0 fails inside file_features,
-        # whose catch-all returns the error for the row to raise.
+        # The calling thread runs the first file or arm itself; the error
+        # is raised on the pool thread that runs the other file, or in the
+        # forked child that runs the baseline arm (a child's only thread is
+        # its main thread). A bare worker name is the CLI's;
+        # metrics.extract_f0 fails inside file_features, whose catch-all
+        # returns the error for the row to raise.
         target = worker if "." in worker else f"cli.{worker}"
         real = pkgutil.resolve_name(f"peaudio.{target}")
+        parent = os.getpid()
 
         def exhausted(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
+            if threading.current_thread() is threading.main_thread() and os.getpid() == parent:
                 return real(*args, **kwargs)
             raise MemoryError("Unable to allocate 1.00 TiB")
 
@@ -1137,14 +1245,15 @@ class TestSharedPool:
             return ["toy-fit", str(clip), "--steps", "2"]
         return ["analyze", str(clip)]
 
-    @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 3)])
+    @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 2)])
     def test_no_map_submits_from_a_pool_thread(
         self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command, maps
     ):
-        # The files, or the arms, are one map of two shares; toy-fit
-        # decodes its target and takes its STFT before it, in a map each.
-        # The stages inside a share run serially on its thread, though
-        # each has two blocks or more.
+        # The files are one map of two shares. toy-fit decodes its target
+        # and takes its STFT in a map each; its arms then run in this
+        # process and a forked child, which submit nothing. The stages
+        # inside a share or an arm run serially, though each has two
+        # blocks or more.
         argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
         assert run([*argv, "--output", str(tmp_path / "out")]) == 0
         assert pool_spy.submitters == [threading.main_thread()] * maps
@@ -1163,7 +1272,8 @@ class TestSharedPool:
 class TestToyFitFaults:
     def test_a_step_does_not_fault_its_memory_back_in(self, tmp_path):
         # In a fresh interpreter, after a warm-up run: a 24-step fit on a
-        # 5 s clip may take only a little more than a 4-step one. A step
+        # 5 s clip may take only a little more than a 4-step one, counting
+        # the faults of the forked child that runs the baseline arm. A step
         # that allocated and freed a whole spectrum took about 870 minor
         # faults more, as the allocator returned the pages and the next
         # step touched them again.
@@ -1177,11 +1287,14 @@ class TestToyFitFaults:
             "import resource, sys\n"
             "from peaudio.cli import main\n"
             "clip, out = sys.argv[1], sys.argv[2]\n"
+            "def minflt():\n"
+            "    return sum(resource.getrusage(who).ru_minflt\n"
+            "               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))\n"
             "def faults(steps):\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    before = minflt()\n"
             "    code = main(['toy-fit', clip, '--steps', str(steps), '--output', out])\n"
             "    assert code == 0, code\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "    return minflt() - before\n"
             "faults(2)\n"
             "print(faults(4), faults(24))\n"
         )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peaudio.errors import DegenerateThresholdError, ShapeMismatchError
+from peaudio.pe import _quantize_block
 from peaudio.pe import (
     LossConfig,
     pe_loss,
@@ -93,6 +94,39 @@ class TestPerceptualEntropy:
         frames[0, 0] = step0 / 2.0
         result = perceptual_entropy(Spectrogram(frames, cfg), toy_analysis(cfg, threshold, 1))
         assert result.per_frame[0] == pytest.approx(1.0, rel=1e-15)
+
+    def test_halved_step_quotient_is_the_doubled_magnitude_one(self):
+        # The quantizer forms u = |x|/(step/2) + 1 for 2|x|/step + 1. A step
+        # is at least sqrt(6 * 5e-324 / k), far above the subnormals, so
+        # halving it is exact, and so is doubling any |x| below DBL_MAX/2:
+        # both quotients round the same real number. Random blocks over
+        # 600 decades, plus the extremes: 0, subnormal and huge |x|,
+        # subnormal, huge and infinite thresholds.
+        rng = np.random.default_rng(11)
+        k = np.array([1, 2, 3])
+        rows, bins = 4000, int(k.sum())
+        big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+        shape = (2, rows, bins)
+        parts = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-323.5, 308.2, shape)
+        extremes = [0.0, -0.0, tiny, -3 * tiny, np.finfo(float).tiny, big / 2, -big / 2, big]
+        parts[:, : len(extremes)] = np.reshape(extremes, (-1, 1))
+        thresholds = 10.0 ** rng.uniform(-323, 308, (rows, k.size))
+        thresholds[: len(extremes)] = thresholds[:: len(extremes) + 1] = [tiny, big, np.inf]
+        x = parts[0] + 1j * parts[1]
+        work = np.empty((6, rows, bins))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _quantize_block(x, thresholds, k, work)
+            steps = np.repeat(np.sqrt(6.0 * thresholds / k), k, axis=1)
+            doubled = [2.0 * np.abs(part) / steps + 1.0 for part in parts]
+        for u, want, part in zip(work[:2], doubled, parts):
+            finite = np.abs(part) <= big / 2  # 2|x| is finite
+            np.testing.assert_array_equal(u[finite], want[finite])
+            # Where 2|x| overflows the doubled form reads inf, or NaN at an
+            # infinite step; the halved form stays finite from a step of 2 up.
+            over = ~finite
+            assert np.isinf(want[over & np.isfinite(steps)]).all()
+            assert np.isnan(want[over & np.isinf(steps)]).all()
+            assert np.isfinite(u[over & (steps >= 2.0)]).all() and (over & np.isinf(steps)).any()
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(123)

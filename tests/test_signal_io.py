@@ -17,9 +17,10 @@ from peaudio.errors import (
     InvalidRateError,
     NonFiniteAudioError,
     UnsupportedFormatError,
+    WorkerLostError,
 )
 from peaudio import signal_io
-from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav, thread_map
+from peaudio.signal_io import AudioBuffer, fork_map, load_wav, resample, save_wav, thread_map
 
 # Zero, negative, fractional, NaN, infinite and boolean rates all read as InvalidRateError.
 BAD_RATES = [0, -8000, 1.5, float("nan"), float("inf"), float("-inf"), True, np.True_]
@@ -465,3 +466,74 @@ class TestThreadMap:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not signal_io._CAN_FORK, reason="fork_map forks on Linux only")
+class TestForkMap:
+    @pytest.fixture(autouse=True)
+    def two_cpus_and_no_child_left(self, monkeypatch):
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_order_the_second_share_from_a_child(self):
+        parent = os.getpid()
+        results = fork_map(lambda item: (item, os.getpid()), range(5))
+        assert [item for item, _ in results] == list(range(5))
+        # Items 0-1 are this process's share, 2-4 the child's.
+        assert [pid == parent for _, pid in results] == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("failing, raised", [((1, 3), 1), ((3,), 3), ((3, 4), 3)])
+    def test_first_error_in_item_order(self, failing, raised):
+        def fn(item):
+            if item in failing:
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError) as info:
+            fork_map(fn, range(5))
+        assert info.value.args == (raised,)
+
+    def test_a_child_that_ends_without_a_result_raises_worker_lost(self):
+        parent = os.getpid()
+
+        def fn(item):
+            if os.getpid() != parent:
+                os._exit(3)
+            return item
+
+        with pytest.raises(WorkerLostError, match="exited with code 3 before sending its result"):
+            fork_map(fn, range(2))
+
+    def test_stops_the_pool_and_runs_each_share_serially(self, pool_spy):
+        assert thread_map(abs, [-1, -2]) == [1, 2]  # starts the pool
+
+        def fn(item):
+            pool_threads = [t for t in threading.enumerate() if t.name.startswith("peaudio")]
+            return len(pool_threads), thread_map(abs, [-item, -item])
+
+        assert fork_map(fn, [1, 2]) == [(0, [1, 1]), (0, [2, 2])]
+        assert len(pool_spy.submitters) == 1 and signal_io._pool is None
+
+    def test_a_live_thread_gives_no_fork_warning(self):
+        # Python 3.12+ warns of a fork in a process with threads; the test
+        # suite turns every DeprecationWarning into an error.
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            assert fork_map(abs, [-1, -2]) == [1, 2]
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    @pytest.mark.parametrize("can_fork, cpus", [(False, 2), (True, 1)], ids=["no-fork", "one-cpu"])
+    def test_thread_map_where_it_cannot_fork_or_would_run_serially(
+        self, monkeypatch, can_fork, cpus
+    ):
+        monkeypatch.setattr(signal_io, "_CAN_FORK", can_fork)
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
+        pids = fork_map(lambda item: os.getpid(), range(3))
+        assert pids == [os.getpid()] * 3
