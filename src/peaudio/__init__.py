@@ -25,6 +25,7 @@ from .pe import (
     PEResult,
     check_gradient,
     fit_target,
+    magnitude_gradient,
     pe_gradient,
     pe_loss,
     perceptual_entropy,

@@ -497,6 +497,32 @@ def fit_target(spec: Spectrogram) -> FitTarget:
     return FitTarget(magnitude, phase, mel, spec.config)
 
 
+def magnitude_gradient(target: FitTarget, mag: np.ndarray, lam: float, out=None) -> PEResult:
+    """The PE of the prediction target.phase * mag, and into out d(lam * loss_PE) / d mag.
+
+    mag is a (T, bins) magnitude spectrogram under target.config; the
+    phase is the target's. pe_gradient's block walk forms the prediction
+    one block of frames at a time, so no complex spectrum or gradient is
+    held. With out, a (T, bins) float array, each block's partials
+    g = d loss_PE / d(Re + i Im) are projected onto the magnitude,
+    Re(g) cos(phi) + Im(g) sin(phi), into out; after the walk, out is
+    scaled once by the one product (2/ln2) dL/dPE * lam. Without out the
+    walk runs forward only. The PE is bit for bit perceptual_entropy's
+    on Spectrogram(target.phase * mag).
+    """
+    def predicted(rows, buf):
+        return np.multiply(target.phase[rows], mag[rows], out=buf)
+
+    def project(rows, d_re, d_im):
+        along = np.multiply(d_re, target.phase.real[rows], out=out[rows])
+        along += np.multiply(d_im, target.phase.imag[rows], out=d_im)
+
+    pe_result = _pe_walk(target.config, mag.shape[0], predicted, None if out is None else project)
+    if out is not None:
+        out *= _partials_scale(pe_result, mag.shape[0]) * lam
+    return pe_result
+
+
 def _sign_over(err: np.ndarray, n: int, zero: np.ndarray) -> None:
     """err <- sign(err) / n in place, with zero, a bool buffer of err's shape, as scratch.
 
@@ -519,41 +545,27 @@ def toy_fit(
 
     The variable starts as seeded small positive noise and descends the
     interpolated objective (L1 on linear magnitudes and mel energies,
-    plus lam times the PE loss) against the target's features, using the
-    target's phases to rebuild complex spectra, under the target's STFT
-    config, for the PE term. The PE curve is recorded even when lam is 0,
+    plus lam times the PE loss) against the target's features, the PE term
+    from magnitude_gradient. The PE curve is recorded even when lam is 0,
     where it never moves the optimizer. Deterministic for a fixed seed.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0.0 < learning_rate < np.inf:
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
-    ref_mag, ref_mel, phase = target.magnitude, target.mel, target.phase
-    cos_phi = phase.real
-    sin_phi = phase.imag
+    ref_mag, ref_mel = target.magnitude, target.mel
     weights = mel_filterbank(target.config)
 
     rng = np.random.default_rng(seed)
     mag = rng.uniform(1e-4, 1e-2, ref_mag.shape)
-    n_frames = mag.shape[0]
     n_linear = mag.size
     n_mel = ref_mel.size
-    # Every iterate reuses these, so a step allocates no spectrum-sized
-    # array of its own. The complex prediction phase * mag exists one
-    # block at a time, inside the PE walk.
+    # Every iterate reuses these, so a step allocates no spectrum-sized array of its own.
     grad = np.empty_like(mag)
     scratch = np.empty_like(mag)
     mel_err = np.empty_like(ref_mel)
     linear_zero = np.empty(mag.shape, bool)
     mel_zero = np.empty(ref_mel.shape, bool)
-
-    def predicted(rows, buf):
-        return np.multiply(phase[rows], mag[rows], out=buf)
-
-    def project(rows, d_re, d_im):
-        # Re(g) cos(phi) + Im(g) sin(phi), the PE partial along mag, into scratch.
-        along = np.multiply(d_re, cos_phi[rows], out=scratch[rows])
-        along += np.multiply(d_im, sin_phi[rows], out=d_im)
 
     record = FitRecord(lam=cfg.lam, steps=steps, learning_rate=learning_rate, seed=seed)
     for step in range(steps + 1):
@@ -570,10 +582,9 @@ def toy_fit(
         # a finite lam, the objective l_sing + lam * loss_pe is finite too.
         if not np.isfinite(l_sing):
             raise DivergenceError(step)
-        # One masking analysis per iterate; where the PE term moves the
-        # next step, the same walk projects its gradient into scratch.
+        # One masking analysis per iterate, which fills scratch where the PE term moves the step.
         moves = cfg.lam > 0 and step < steps
-        pe_result = _pe_walk(target.config, n_frames, predicted, project if moves else None)
+        pe_result = magnitude_gradient(target, mag, cfg.lam, scratch if moves else None)
         record.l_sing_curve.append(l_sing)
         record.loss_pe_curve.append(pe_result.loss_pe)
         record.mean_pe_curve.append(pe_result.mean_pe)
@@ -585,7 +596,6 @@ def toy_fit(
         # mag - ref_mag, and mel_err is spent once read.
         _sign_over(grad, n_linear, linear_zero)
         if moves:
-            scratch *= _partials_scale(pe_result, n_frames) * cfg.lam
             grad += scratch
         _sign_over(mel_err, n_mel, mel_zero)
         np.matmul(mel_err, weights, out=scratch)

@@ -5,11 +5,13 @@ import pytest
 
 from peaudio import pe, psychoacoustic, signal_io
 from peaudio.pe import FD_REL_STEP, check_gradient, fit_target, pe_gradient, perceptual_entropy
-from peaudio.pe import FitRecord, LossConfig, toy_fit
+from peaudio.pe import FitRecord, LossConfig, magnitude_gradient, toy_fit
 from peaudio.errors import DegenerateThresholdError, DivergenceError
 from peaudio.psychoacoustic import (
+    NOISE_OFFSET_DB,
     SFM_DB_MAX,
     SFM_POWER_FLOOR,
+    TONE_OFFSET_BASE_DB,
     absolute_threshold,
     analyze,
     bark_layout,
@@ -110,6 +112,56 @@ def reference_gradient(spec, analysis):
     return dl_dpe * (dpe_dre + 1j * dpe_dim)
 
 
+def jvp(spec, v):
+    """The PE loss of spec and its forward-mode derivative along the complex direction v.
+
+    Written from README "What it computes", sharing no code with pe.py:
+    every stage carries a (value, tangent) pair. The kinks follow the
+    README's conventions: d|x|/dx = 0 at x = 0, the tonality keeps its
+    flatness branch at 1, a flatness clamped at 0 dB passes nothing, and
+    the power floor and the absolute-threshold clamp follow the active
+    branch, ties going to the variable one.
+    """
+    cfg, x = spec.config, spec.frames
+    layout = bark_layout(cfg)
+    k, lower, band = layout.k, layout.lower_bins, band_of_bin(layout)
+
+    def band_sum(a):
+        return np.add.reduceat(a, lower, axis=1)
+
+    power = x.real**2 + x.imag**2
+    d_power = 2.0 * (x.real * v.real + x.imag * v.imag)
+    kernel = spreading_kernel(cfg)
+    spread, d_spread = band_sum(power) @ kernel.T, band_sum(d_power) @ kernel.T
+    live = power >= SFM_POWER_FLOOR
+    q, d_q = np.where(live, power, SFM_POWER_FLOOR), np.where(live, d_power, 0.0)
+    to_db = 10.0 / np.log(10.0)
+    flat = to_db * (band_sum(np.log(q)) / k - np.log(band_sum(q) / k))
+    d_flat = to_db * (band_sum(d_q / q) / k - band_sum(d_q) / band_sum(q))
+    flatness, d_flatness = np.minimum(flat, 0.0), np.where(flat < 0.0, d_flat, 0.0)
+    ratio = flatness / SFM_DB_MAX
+    alpha, d_alpha = np.minimum(ratio, 1.0), np.where(ratio <= 1.0, d_flatness / SFM_DB_MAX, 0.0)
+    tone = TONE_OFFSET_BASE_DB + np.arange(1, layout.n + 1)
+    offset = alpha * tone + NOISE_OFFSET_DB * (1.0 - alpha)
+    d_offset = d_alpha * (tone - NOISE_OFFSET_DB)
+    lowered = 10.0 ** (-offset / 10.0)
+    raw = spread * lowered
+    d_raw = (d_spread - spread * (np.log(10.0) / 10.0) * d_offset) * lowered
+    gain, quiet = spreading_gain(cfg), absolute_threshold(cfg)
+    threshold = np.maximum(raw / gain, quiet)
+    d_threshold = np.where(raw / gain >= quiet, d_raw / gain, 0.0)
+    step = np.sqrt(6.0 * threshold / k)[:, band]
+    d_step = step * (d_threshold / (2.0 * threshold))[:, band]
+    pe, d_pe = 0.0, 0.0
+    for part, d_part in ((x.real, v.real), (x.imag, v.imag)):
+        u = 2.0 * np.abs(part) / step + 1.0
+        d_u = 2.0 * (np.sign(part) * d_part / step - np.abs(part) * d_step / step**2)
+        pe += np.log2(u).sum(axis=1)
+        d_pe += (d_u / (u * np.log(2.0))).sum(axis=1)
+    mean_pe = pe.mean()
+    return 1.0 / (1.0 + mean_pe), -d_pe.mean() / (1.0 + mean_pe) ** 2
+
+
 def reference_toy_fit(target, cfg, steps, learning_rate, seed):
     """toy_fit's descent in the spectrum domain, written from the public API.
 
@@ -194,8 +246,11 @@ class TestFusedGradient:
     def test_block_size_does_not_change_the_result(self, gapped_spec, monkeypatch):
         spec = gapped_spec
         bins = spec.config.bins
+        target, mag = prediction(spec)
         monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", spec.n_frames * bins)
         whole = pe_gradient(spec)
+        whole_mag = np.empty_like(mag)
+        whole_mag_pe = magnitude_gradient(target, mag, 100.0, whole_mag)
         # 19 frames leave a lone last row for blocks of 2 and 3 rows.
         for rows in (1, 2, 3, 5, 7, 8, 63):
             monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * bins)
@@ -204,6 +259,10 @@ class TestFusedGradient:
             np.testing.assert_array_equal(blocked.pe.per_frame, whole.pe.per_frame)
             np.testing.assert_array_equal(forward.per_frame, whole.pe.per_frame)
             np.testing.assert_array_equal(blocked.grad, whole.grad)
+            blocked_mag = np.empty_like(mag)
+            blocked_mag_pe = magnitude_gradient(target, mag, 100.0, blocked_mag)
+            np.testing.assert_array_equal(blocked_mag_pe.per_frame, whole_mag_pe.per_frame)
+            np.testing.assert_array_equal(blocked_mag, whole_mag)
 
     def test_memory_grows_at_most_twice_the_spectrum(self):
         # Beyond its output (one spectrum's worth) and the per-frame PE the
@@ -262,11 +321,15 @@ class TestFrameLocalFd:
         # 120 perturbed rows, walked in blocks of 1, 2, 7 and 63 rows (a
         # ragged last block at 7 and 63), at the default parallel
         # threshold and at 2 blocks, which maps every walk of two blocks
-        # or more over the pool.
+        # or more over the pool. magnitude_gradient's walk over the 9 frames
+        # of the clip takes the same blocks.
         spec = self._spec()
         bins = spec.config.bins
         whole = check_gradient(spec, n_coords=60, seed=2)
         assert whole.n_checked == 60
+        target, mag = prediction(spec)
+        whole_mag = np.empty_like(mag)
+        whole_mag_pe = magnitude_gradient(target, mag, 0.01, whole_mag)
         default = signal_io.PARALLEL_MIN_BLOCKS
         for rows in (1, 2, 7, 63):
             for min_blocks in (default, 2):
@@ -277,6 +340,10 @@ class TestFrameLocalFd:
                 np.testing.assert_array_equal(
                     blocked.finite_differences, whole.finite_differences
                 )
+                blocked_mag = np.empty_like(mag)
+                blocked_mag_pe = magnitude_gradient(target, mag, 0.01, blocked_mag)
+                np.testing.assert_array_equal(blocked_mag_pe.per_frame, whole_mag_pe.per_frame)
+                np.testing.assert_array_equal(blocked_mag, whole_mag)
 
     def test_checker_runs_two_walks(self, monkeypatch):
         # The gradient's walk over the clip's T frames, then one
@@ -382,6 +449,66 @@ class TestPeGradient:
         spec = voiced_spec
         with pytest.raises(ValueError, match=f"n_coords must be >= 1, got {n_coords}"):
             check_gradient(spec, n_coords=n_coords)
+
+
+def prediction(spec, seed=0):
+    """fit_target(spec) and a magnitude spectrogram unlike its own, for magnitude_gradient."""
+    target = fit_target(spec)
+    scale = np.random.default_rng(seed).uniform(0.5, 1.5, spec.frames.shape)
+    return target, target.magnitude * scale
+
+
+@pytest.mark.parametrize("clip", ["voiced_spec", "gapped_spec"])
+class TestMagnitudeGradient:
+    def test_is_the_projection_of_pe_gradient(self, clip, request):
+        target, mag = prediction(request.getfixturevalue(clip))
+        lam = 100.0
+        got = np.empty_like(mag)
+        magnitude_gradient(target, mag, lam, got)
+        grad = pe_gradient(Spectrogram(target.phase * mag, target.config)).grad
+        want = lam * (grad.real * target.phase.real + grad.imag * target.phase.imag)
+        # The projection comes before the scale here, after it in want.
+        assert np.abs(got - want).max() <= 1e-15 * lam * np.abs(grad).max()
+
+    def test_forward_only_pe_is_the_gradient_runs(self, clip, request):
+        target, mag = prediction(request.getfixturevalue(clip))
+        forward = magnitude_gradient(target, mag, 0.01)
+        with_gradient = magnitude_gradient(target, mag, 0.01, np.empty_like(mag))
+        spec = Spectrogram(target.phase * mag, target.config)
+        for want in (with_gradient, perceptual_entropy(spec, analyze(spec))):
+            np.testing.assert_array_equal(forward.per_frame, want.per_frame)
+            assert (forward.mean_pe, forward.loss_pe) == (want.mean_pe, want.loss_pe)
+
+
+@pytest.mark.parametrize("clip", ["voiced_spec", "gapped_spec"])
+class TestForwardModeOracle:
+    """Both gradients against jvp, which shares no code with the walk, along random directions."""
+
+    def test_helper_forward_value_is_the_pe_loss(self, clip, request):
+        spec = request.getfixturevalue(clip)
+        loss, _ = jvp(spec, np.zeros_like(spec.frames))
+        assert abs(loss - loss_pe_of(spec)) <= 1e-13 * loss
+
+    def test_pe_gradient_along_random_directions(self, clip, request):
+        spec = request.getfixturevalue(clip)
+        grad = pe_gradient(spec).grad
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            v = rng.standard_normal(grad.shape) + 1j * rng.standard_normal(grad.shape)
+            want = jvp(spec, v)[1]
+            got = np.sum(grad.real * v.real) + np.sum(grad.imag * v.imag)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_magnitude_gradient_along_phase_times_random_directions(self, clip, request):
+        target, mag = prediction(request.getfixturevalue(clip))
+        spec = Spectrogram(target.phase * mag, target.config)
+        grad = np.empty_like(mag)
+        magnitude_gradient(target, mag, 1.0, grad)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            v = rng.standard_normal(mag.shape)
+            want = jvp(spec, target.phase * v)[1]
+            assert abs(np.sum(grad * v) - want) <= 1e-12 * abs(want)
 
 
 class TestToyFit:
