@@ -317,7 +317,7 @@ def check_gradient(
     # the (T, 2 * bins) float views, in which column 2 * bin + part holds
     # part 0 (Re) or 1 (Im) of a bin. They are judged one block of frames
     # at a time, which keeps whole-clip temporaries out and maps the
-    # blocks over the thread pool.
+    # blocks over threads.
     values = np.ascontiguousarray(spec.frames).view(np.float64)
     slopes = report.grad.view(np.float64)
     width = values.shape[1]

@@ -13,20 +13,19 @@ them: a block holds BLOCK_ELEMENTS values, so a stage allocates what it
 returns plus a fixed number of block buffers per thread, whatever the
 clip length. CLI analyze and thresholds form each block of STFT frames
 from the samples inside their walk, so they hold no spectrum at all.
-From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over the
-process's one thread pool (thread_map); each block writes only its own
-rows, so no bit depends on the thread count.
+From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over threads
+started for the map and joined before it returns (thread_map); each
+block writes only its own rows, so no bit depends on the thread count.
 """
 
-import concurrent.futures
 import contextvars
 import os
 import pickle
 import struct
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -44,11 +43,11 @@ _FORMAT_EXTENSIBLE = 0xFFFE
 
 # Values in each work buffer of one block (2^15 float64 is 256 KiB).
 BLOCK_ELEMENTS = 1 << 15
-# Blocks from which a stage maps them over the thread pool. Below it the
+# Blocks from which a stage maps them over threads. Below it the
 # second thread costs about what it saves; measured per stage in the
 # README's "Threads" section, it keeps every stage of a 10 s clip serial.
 PARALLEL_MIN_BLOCKS = 12
-# Threads of the pool, at most, and so of one map, the caller's among them.
+# Threads of one map, at most, the caller's among them.
 MAX_THREADS = 8
 
 
@@ -64,59 +63,21 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The process's one pool, started on first use: a pool per map cost more
-# than a 60 s clip's stages gained from it. It is process state, not an
-# object callers pass, because every stage and command shares it.
-_pool = None
-_pool_lock = threading.Lock()
-# True while a map's shares run, on every thread that runs one (each
-# share runs in a copy of the caller's context): a map called inside a
-# share runs serially, so the pool never waits on itself and the threads
-# never outnumber the CPUs.
+# True while a map's shares run, in every thread and child that runs one
+# (each share runs in a copy of the caller's context): a map called
+# inside a share runs serially, so the threads never outnumber the CPUs.
 _in_map = contextvars.ContextVar("peaudio_in_map", default=False)
 
 
-def _shared_pool() -> concurrent.futures.Executor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            threads = min(MAX_THREADS, usable_cpus())
-            _pool = concurrent.futures.ThreadPoolExecutor(threads, "peaudio")
-        return _pool
+def _map_shares(fn, items: list, scratch, min_items: int, start) -> list:
+    """[fn(item) for item in items] in thread_map's shares, the runner of both maps.
 
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _shares(items: list, min_items: int) -> list[list]:
-    """items cut into one contiguous share per thread of a map: [items] where it runs serially."""
-    serial = _in_map.get() or len(items) < min_items
-    threads = 1 if serial else min(MAX_THREADS, usable_cpus(), len(items))
-    bounds = [len(items) * i // threads for i in range(threads + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def thread_map(fn, items, scratch=None, min_items=2) -> list:
-    """[fn(item) for item in items], the items split over the shared thread pool.
-
-    The items are cut into min(MAX_THREADS, usable CPUs, len(items))
-    contiguous shares. The calling thread runs the first share and pool
-    threads the others, each in a copy of the caller's contextvars
-    context (numpy's errstate lives there), each share's items in order.
-    With scratch, a share calls scratch() once and runs fn(item, buffers)
-    on what it returned, so each thread allocates its work buffers once
-    per map. Fewer than min_items items, or a map called inside a
-    share, run serially on the calling thread. Every share
-    finishes before the map returns or raises, and the error raised is
-    the first in item order, the one a serial loop would raise.
+    The calling thread runs the first share and start(run, share) starts
+    each other one, returning a wait() that gives the share's (results,
+    error) once its thread is joined or its child reaped. Every share is
+    waited for before the map returns or raises, and the error raised is
+    the first in item order.
     """
-    items = list(items)
 
     def run(share):
         if scratch is None:
@@ -124,35 +85,67 @@ def thread_map(fn, items, scratch=None, min_items=2) -> list:
         buffers = scratch()
         return [fn(item, buffers) for item in share]
 
-    shares = _shares(items, min_items)
-    if len(shares) < 2:
+    serial = _in_map.get() or len(items) < min_items
+    threads = 1 if serial else min(MAX_THREADS, usable_cpus(), len(items))
+    if threads < 2:
         return run(items)
+    bounds = [len(items) * i // threads for i in range(threads + 1)]
+    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     token = _in_map.set(True)
+    waits = []
     try:
-        pool = _shared_pool()
-        futures = [pool.submit(contextvars.copy_context().run, run, s) for s in shares[1:]]
-        try:
-            results = run(shares[0])
-        finally:
-            concurrent.futures.wait(futures)
+        for share in shares[1:]:
+            waits.append(start(run, share))
+        results = run(shares[0])
     finally:
         _in_map.reset(token)
-    for future in futures:
-        results += future.result()
+        outcomes = [wait() for wait in waits]
+    for share_results, error in outcomes:
+        if error is not None:
+            raise error
+        results += share_results
     return results
+
+
+def _start_thread(run, share):
+    """Start run(share) on a new thread, in a copy of the caller's context; a wait() that joins it."""
+    outcome = [None, None]
+
+    def target():
+        try:
+            outcome[0] = run(share)
+        except BaseException as exc:  # raised again by the map, from the calling thread
+            outcome[1] = exc
+
+    thread = Thread(target=contextvars.copy_context().run, args=(target,), name="peaudio-share")
+    thread.start()
+
+    def wait():
+        thread.join()
+        return outcome
+
+    return wait
+
+
+def thread_map(fn, items, scratch=None, min_items=2) -> list:
+    """[fn(item) for item in items], the items split over threads started for this map.
+
+    The items are cut into min(MAX_THREADS, usable CPUs, len(items))
+    contiguous shares. The calling thread runs the first share and a
+    new thread each other one, each in a copy of the caller's
+    contextvars context (numpy's errstate lives there), each share's
+    items in order. With scratch, a share calls scratch() once and runs
+    fn(item, buffers) on what it returned, so each thread allocates its
+    work buffers once per map. Fewer than min_items items, or a map
+    called inside a share, run serially on the calling thread. Every
+    thread is joined before the map returns or raises, and the error
+    raised is the first in item order, the one a serial loop would raise.
+    """
+    return _map_shares(fn, list(items), scratch, min_items, _start_thread)
 
 
 # Only Linux forks: numpy's Accelerate BLAS on macOS is not fork-safe.
 _CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
-
-
-def _stop_pool() -> None:
-    """Join the shared pool's threads; the next map starts a new pool."""
-    global _pool
-    with _pool_lock:
-        pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown(wait=True)
 
 
 def fork_map(fn, items) -> list:
@@ -161,43 +154,24 @@ def fork_map(fn, items) -> list:
     For work that holds the GIL too often to gain from a second thread.
     The shares are thread_map's; the calling process runs the first and
     a child made with os.fork() each other one, and sends back its
-    results, or the exception it raised, pickled over a pipe. Before it
-    forks it stops the shared pool, so no pool thread holds a lock that
-    a child would inherit locked; call it where no other thread uses the
-    pool, as the CLI does. Every child is reaped before the map returns
-    or raises, the error raised is the first in item order, and a child
-    that ends without sending its share's outcome raises WorkerLostError
-    in its place. Where a map would run serially, or the platform does
-    not fork, it is thread_map.
+    results, or the exception it raised, pickled over a pipe. Every
+    child is reaped before the map returns or raises, the error raised
+    is the first in item order, and a child that ends without sending
+    its share's outcome raises WorkerLostError in its place. Where the
+    platform does not fork, it is thread_map.
     """
-    items = list(items)
-    shares = _shares(items, 2)
-    if not _CAN_FORK or len(shares) < 2:
-        return thread_map(fn, items)
-    _stop_pool()
-    token = _in_map.set(True)  # each process runs its share's stages serially
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork(fn, share))
-        results = [fn(item) for item in shares[0]]
-    finally:
-        _in_map.reset(token)
-        outcomes = [_reap(*child) for child in children]
-    for share_results, error in outcomes:
-        if error is not None:
-            raise error
-        results += share_results
-    return results
+    start = _start_child if _CAN_FORK else _start_thread
+    return _map_shares(fn, list(items), None, 2, start)
 
 
-def _fork(fn, share) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a child that runs fn over share and writes back the outcome."""
+def _start_child(run, share):
+    """Fork a child that runs run(share) and writes back the outcome; a wait() that reaps it."""
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns of a fork in a process that has threads.
-            # The child runs only fn, and the pool's threads are stopped.
+            # The child runs only its share, and no thread of this module
+            # outlives its map, so none is mid-share at the fork.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:  # no process to be had: the caller's error line says why
@@ -206,14 +180,14 @@ def _fork(fn, share) -> tuple[int, int]:
         raise
     if pid:
         os.close(write)
-        return pid, read
+        return lambda: _reap(pid, read)
     # The child leaves through os._exit whatever happens, so it never
     # unwinds into the caller or flushes the caller's stdio.
     code = 1
     try:
         os.close(read)
         try:
-            outcome = [fn(item) for item in share], None
+            outcome = run(share), None
         except Exception as exc:
             outcome = None, exc
         with open(write, "wb") as pipe:
@@ -238,7 +212,7 @@ def _reap(pid: int, read: int) -> tuple[list | None, BaseException | None]:
 
 
 def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:
-    """[fn(rows) for rows in a stage's blocks], the blocks split over the shared thread pool.
+    """[fn(rows) for rows in a stage's blocks], the blocks split over threads (thread_map).
 
     The blocks are the row_blocks of range(n_rows) that hold as many rows
     of row_len values as fill BLOCK_ELEMENTS, and at least one. Below

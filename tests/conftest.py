@@ -107,23 +107,33 @@ def sine_wav_factory(tmp_path):
     return make
 
 
-class PoolSpy:
-    """Stands in for the shared thread pool: records who submits and what, then delegates."""
+class ThreadSpy:
+    """Records every thread signal_io starts, the thread that starts it and which are joined."""
 
-    def __init__(self, pool):
-        self.pool = pool
-        self.submitters = []
-        self.futures = []
+    def __init__(self):
+        self.starters = []
+        self.threads = []
+        self.joined = []
 
-    def submit(self, fn, *args):
-        self.submitters.append(threading.current_thread())
-        future = self.pool().submit(fn, *args)
-        self.futures.append(future)
-        return future
+    def all_joined(self) -> bool:
+        """True if every started thread was joined and none is alive."""
+        return self.joined == self.threads and not any(t.is_alive() for t in self.threads)
 
 
 @pytest.fixture
-def pool_spy(monkeypatch):
-    spy = PoolSpy(signal_io._shared_pool)
-    monkeypatch.setattr(signal_io, "_shared_pool", lambda: spy)
+def thread_spy(monkeypatch):
+    spy = ThreadSpy()
+
+    class SpiedThread(threading.Thread):
+        def start(self):
+            super().start()
+            spy.starters.append(threading.current_thread())
+            spy.threads.append(self)
+
+        def join(self, timeout=None):
+            super().join(timeout)
+            if not self.is_alive() and self not in spy.joined:
+                spy.joined.append(self)
+
+    monkeypatch.setattr(signal_io, "Thread", SpiedThread)
     return spy

@@ -196,7 +196,7 @@ def test_criterion_9_invariant_suite_green():
     start = time.monotonic()
     proc = subprocess.run(
         [
-            sys.executable, "-m", "pytest", str(tests_dir), "-q",
+            sys.executable, "-m", "pytest", str(tests_dir), "-q", "-rfE",
             "--ignore", str(tests_dir / "test_acceptance.py"),
             "-p", "no:cacheprovider",
         ],
@@ -205,7 +205,12 @@ def test_criterion_9_invariant_suite_green():
         cwd=tests_dir.parent,
     )
     elapsed = time.monotonic() - start
-    assert proc.returncode == 0, f"invariant suite failed:\n{proc.stdout[-4000:]}"
+    # -rfE puts one FAILED or ERROR line per failing test in the summary.
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    assert proc.returncode == 0, "\n".join([
+        "invariant suite failed:", *failed,
+        "--- stdout tail ---", proc.stdout[-4000:], "--- stderr tail ---", proc.stderr[-2000:],
+    ])
     assert elapsed < 300.0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     report(9, f"invariant suite green in {elapsed:.0f}s ({summary})")

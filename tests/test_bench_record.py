@@ -9,6 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
+import numpy as np  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -92,3 +93,13 @@ def test_core_probe_times_one_process_against_two():
     probe = bench_record.core_probe()
     assert probe["one_process_s"] > 0 and len(probe["two_processes_s"]) == 2
     assert probe["ratio"] == max(probe["two_processes_s"]) / probe["one_process_s"]
+
+
+def test_bare_maxrss_is_not_the_callers_peak():
+    # A child inherits its parent's ru_maxrss: started straight from this
+    # process, the bare interpreter would read at least these 200 MB.
+    ballast = np.ones(25_000_000)
+    try:
+        assert 0 < bench_record.bare_maxrss_mb() < 40
+    finally:
+        del ballast

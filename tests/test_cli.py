@@ -1175,7 +1175,7 @@ class TestOutOfMemory:
         self, voiced_wav, sine_wav_factory, tmp_path, capsys, monkeypatch, command, worker
     ):
         # The calling thread runs the first file or arm itself; the error
-        # is raised on the pool thread that runs the other file, or in the
+        # is raised on the thread that runs the other file, or in the
         # forked child that runs the baseline arm (a child's only thread is
         # its main thread). A bare worker name is the CLI's;
         # metrics.extract_f0 fails inside file_features, whose catch-all
@@ -1202,11 +1202,11 @@ class TestOutOfMemory:
         assert not out.exists()
 
     def test_memory_error_in_a_block_on_a_pool_thread(
-        self, sine_wav_factory, tmp_path, capsys, monkeypatch, pool_spy
+        self, sine_wav_factory, tmp_path, capsys, monkeypatch, thread_spy
     ):
         # analyze forms a 3 s clip's 99 frames inside the PE walk, in two
-        # blocks of 63 rows; at a threshold of 2 the pool thread transforms
-        # the second, and its FFTs fail.
+        # blocks of 63 rows; at a threshold of 2 the map's second thread
+        # transforms the second, and its FFTs fail.
         rfft = np.fft.rfft
 
         def exhausted(*args, **kwargs):
@@ -1222,11 +1222,11 @@ class TestOutOfMemory:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: out of memory: Unable to allocate 1.00 TiB"]
         assert not out.exists()
-        assert pool_spy.futures and all(future.done() for future in pool_spy.futures)
+        assert thread_spy.threads and thread_spy.all_joined()
 
 
 class TestSharedPool:
-    """Every map of every command runs on the one pool, and none nests in another."""
+    """Each command's maps start threads from the main thread only, join them and never nest."""
 
     @pytest.fixture(autouse=True)
     def every_stage_maps(self, monkeypatch):
@@ -1243,29 +1243,61 @@ class TestSharedPool:
         clip = sine_wav_factory(220.0, duration=3.0)
         if command == "toy-fit":
             return ["toy-fit", str(clip), "--steps", "2"]
-        return ["analyze", str(clip)]
+        return [command, str(clip)]
 
     @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 2)])
     def test_no_map_submits_from_a_pool_thread(
-        self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command, maps
+        self, voiced_wav, sine_wav_factory, tmp_path, thread_spy, command, maps
     ):
         # The files are one map of two shares. toy-fit decodes its target
         # and takes its STFT in a map each; its arms then run in this
-        # process and a forked child, which submit nothing. The stages
+        # process and a forked child, which start none. The stages
         # inside a share or an arm run serially, though each has two
         # blocks or more.
         argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
         assert run([*argv, "--output", str(tmp_path / "out")]) == 0
-        assert pool_spy.submitters == [threading.main_thread()] * maps
+        assert thread_spy.starters == [threading.main_thread()] * maps
 
     @pytest.mark.parametrize("command", ["analyze", "compare", "toy-fit"])
     def test_no_pool_work_runs_after_main_returns(
-        self, voiced_wav, sine_wav_factory, tmp_path, pool_spy, command
+        self, voiced_wav, sine_wav_factory, tmp_path, thread_spy, command
     ):
         argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)
         assert run([*argv, "--output", str(tmp_path / "out")]) == 0
-        assert pool_spy.futures
-        assert all(future.done() for future in pool_spy.futures)
+        assert thread_spy.threads and thread_spy.all_joined()
+
+    @pytest.mark.parametrize("case", [
+        "returns", "raises", "start-fails",
+        "analyze", "thresholds", "grad-check", "compare", "toy-fit",
+    ])
+    def test_no_peaudio_thread_outlives_a_map(
+        self, voiced_wav, sine_wav_factory, tmp_path, monkeypatch, thread_spy, case
+    ):
+        if case == "returns":
+            assert signal_io.thread_map(abs, [-1, -2]) == [1, 2]
+        elif case == "raises":
+            # The second share, on the map's thread, divides by zero.
+            with pytest.raises(ZeroDivisionError):
+                signal_io.thread_map(lambda x: 1 / x, [1, 0])
+        elif case == "start-fails":
+            # Three shares; the second thread cannot be started, and the
+            # first must still be joined before the error is raised.
+            start = threading.Thread.start
+
+            def second_start_fails(thread):
+                if thread.name.startswith("peaudio") and thread_spy.threads:
+                    raise RuntimeError("can't start new thread")
+                start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+            monkeypatch.setattr(signal_io, "usable_cpus", lambda: 3)
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                signal_io.thread_map(abs, [-1, -2, -3])
+        else:
+            argv = self.argv(case, voiced_wav, sine_wav_factory, tmp_path)
+            assert run([*argv, "--output", str(tmp_path / "out")]) == 0
+        assert thread_spy.threads and thread_spy.all_joined()
+        assert not [t for t in threading.enumerate() if t.name.startswith("peaudio")]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's ru_minflt")
@@ -1337,7 +1369,7 @@ class TestColdStart:
     def test_fresh_interpreter_manifest_at_8_cpus_equals_warm_run(
         self, voiced_wav, sine_wav_factory, tmp_path
     ):
-        # A fresh interpreter's pool threads do their first work, and any
+        # A fresh interpreter's map threads do their first work, and any
         # first-use setup, at about the same time; the bytes must not change.
         other = sine_wav_factory(247.0, name="other.wav")
         manifest = tmp_path / "m.csv"

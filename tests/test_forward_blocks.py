@@ -4,7 +4,7 @@ Every stage walks its input in blocks of signal_io.BLOCK_ELEMENTS values.
 The block size must not change a bit of any result, so each stage is
 compared, at blocks of 1, 2 and 7 rows, with its default block size and
 with a whole-array oracle: the same computation as one call over the
-whole clip. Nor may the thread pool the blocks are mapped over: each
+whole clip. Nor may the threads the blocks are mapped over: each
 stage, the gradient and its checker are compared with their serial runs.
 CLI analyze and thresholds, which form their STFT frames inside their
 walks, are compared with the public path over the whole spectrum, and
@@ -242,7 +242,7 @@ class TestBlockInvariance:
         default_pe = perceptual_entropy(spec, default).per_frame
         np.testing.assert_array_equal(default_pe, whole_pe(spec, default))
         # CLI analyze and thresholds form their frames from the samples
-        # inside their block walks, on the pool from 2 blocks up; their
+        # inside their block walks, on threads from 2 blocks up; their
         # outputs must be those of the spectrum's public path. Their
         # text, whose blocks are sized from the same constant, must not
         # change by a byte.
@@ -337,20 +337,20 @@ def stage_outputs(path) -> dict:
 
 
 class TestThreadedBlocks:
-    """From PARALLEL_MIN_BLOCKS blocks up, a stage maps its blocks over the thread pool."""
+    """From PARALLEL_MIN_BLOCKS blocks up, a stage maps its blocks over threads."""
 
     @pytest.fixture(scope="class")
     def clips(self, tmp_path_factory):
         return threaded_clips(tmp_path_factory.mktemp("threaded"))
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_threaded_stages_match_serial(self, clips, monkeypatch, pool_spy, cpus):
+    def test_threaded_stages_match_serial(self, clips, monkeypatch, thread_spy, cpus):
         # Every stage of these clips maps its blocks at a threshold of 2,
         # over as many threads as there are usable CPUs; the bits must be
         # those of the serial loops.
         monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", sys.maxsize)
         serial = [stage_outputs(path) for path in clips]
-        assert pool_spy.submitters == []
+        assert thread_spy.starters == []
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
         for path, want in zip(clips, serial):
@@ -359,14 +359,14 @@ class TestThreadedBlocks:
                 assert got[name].shape == value.shape, (path.name, name)
                 assert got[name].tobytes() == value.tobytes(), (path.name, name)
         if cpus == 1:
-            assert pool_spy.submitters == []
+            assert thread_spy.starters == []
         else:
-            assert pool_spy.submitters
-            assert set(pool_spy.submitters) == {threading.main_thread()}
+            assert thread_spy.starters
+            assert set(thread_spy.starters) == {threading.main_thread()}
 
     @pytest.mark.parametrize("nan_at", [(100, 100_000), (100_000,)])
     def test_first_non_finite_block_is_reported(self, tmp_path, monkeypatch, nan_at):
-        # 110,250 float samples are four blocks; the pool thread's share
+        # 110,250 float samples are four blocks; the second thread's share
         # holds the last one.
         mono = harmonic_signal(duration=5.0, amplitude=0.8)
         mono[list(nan_at)] = np.nan

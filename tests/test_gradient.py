@@ -321,7 +321,7 @@ class TestFrameLocalFd:
         # 120 perturbed rows, walked in blocks of 1, 2, 7 and 63 rows (a
         # ragged last block at 7 and 63), at the default parallel
         # threshold and at 2 blocks, which maps every walk of two blocks
-        # or more over the pool. magnitude_gradient's walk over the 9 frames
+        # or more over threads. magnitude_gradient's walk over the 9 frames
         # of the clip takes the same blocks.
         spec = self._spec()
         bins = spec.config.bins

@@ -372,7 +372,7 @@ class TestThreadMap:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
 
-    def test_results_in_order_with_scratch_once_per_share(self, pool_spy):
+    def test_results_in_order_with_scratch_once_per_share(self, thread_spy):
         made = []
 
         def scratch():
@@ -384,14 +384,14 @@ class TestThreadMap:
             return item, list(seen)
 
         results = thread_map(fn, range(7), scratch)
-        # Items 0-2 run on the calling thread, 3-6 on a pool thread.
+        # Items 0-2 run on the calling thread, 3-6 on a thread of the map's.
         assert results == [(i, list(range(3 if i >= 3 else 0, i + 1))) for i in range(7)]
         assert len(set(made)) == 2 and threading.main_thread() in made
-        assert pool_spy.submitters == [threading.main_thread()]
+        assert thread_spy.starters == [threading.main_thread()]
 
     @pytest.mark.parametrize("failing, raised", [((1, 6), 1), ((6,), 6), ((6, 8), 6)])
-    def test_first_error_in_item_order_after_every_share(self, pool_spy, failing, raised):
-        # Items 0-4 are the calling thread's share, 5-9 the pool thread's,
+    def test_first_error_in_item_order_after_every_share(self, thread_spy, failing, raised):
+        # Items 0-4 are the calling thread's share, 5-9 the other thread's,
         # which is still sleeping when the calling thread's share fails.
         def fn(item):
             if item >= 5:
@@ -403,14 +403,14 @@ class TestThreadMap:
         with pytest.raises(ValueError) as info:
             thread_map(fn, range(10))
         assert info.value.args == (raised,)
-        assert len(pool_spy.futures) == 1 and pool_spy.futures[0].done()
+        assert len(thread_spy.threads) == 1 and thread_spy.all_joined()
 
-    def test_a_map_inside_a_share_runs_serially(self, pool_spy):
+    def test_a_map_inside_a_share_runs_serially(self, thread_spy):
         def inner(item):
             return thread_map(lambda x: (x, threading.current_thread()), range(4))
 
         outer = thread_map(inner, range(2))
-        assert pool_spy.submitters == [threading.main_thread()]
+        assert thread_spy.starters == [threading.main_thread()]
         for inner_results in outer:
             assert len({thread for _, thread in inner_results}) == 1
 
@@ -433,16 +433,16 @@ class TestThreadMap:
             sys.setswitchinterval(interval)
         assert (out == 20.0).all()
 
-    def test_below_min_items_runs_on_the_calling_thread(self, pool_spy):
+    def test_below_min_items_runs_on_the_calling_thread(self, thread_spy):
         assert thread_map(lambda x: x * 2, range(5), min_items=6) == [0, 2, 4, 6, 8]
         assert thread_map(lambda x: x, [1]) == [1]
-        assert pool_spy.submitters == []
+        assert thread_spy.starters == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_maps_on_a_pool_of_its_own(self):
-        # A child forked after the pool started has none of its threads: a
-        # map there that submitted to the parent's pool would wait forever.
-        # The parent kills a child that is still running after 10 s.
+        # A child forked after a map has none of the parent's threads: a
+        # map there that waited on a thread of the parent's would wait
+        # forever. The parent kills a child that is still running after 10 s.
         script = (
             "import os, signal, sys, time\n"
             "from peaudio import signal_io\n"
@@ -506,15 +506,17 @@ class TestForkMap:
         with pytest.raises(WorkerLostError, match="exited with code 3 before sending its result"):
             fork_map(fn, range(2))
 
-    def test_stops_the_pool_and_runs_each_share_serially(self, pool_spy):
-        assert thread_map(abs, [-1, -2]) == [1, 2]  # starts the pool
+    def test_stops_the_pool_and_runs_each_share_serially(self, thread_spy):
+        assert thread_map(abs, [-1, -2]) == [1, 2]  # starts and joins one thread
 
         def fn(item):
-            pool_threads = [t for t in threading.enumerate() if t.name.startswith("peaudio")]
-            return len(pool_threads), thread_map(abs, [-item, -item])
+            live = [t for t in threading.enumerate() if t.name.startswith("peaudio")]
+            return len(live), thread_map(abs, [-item, -item])
 
+        # No peaudio thread is alive in either share, and neither share's
+        # own map starts one.
         assert fork_map(fn, [1, 2]) == [(0, [1, 1]), (0, [2, 2])]
-        assert len(pool_spy.submitters) == 1 and signal_io._pool is None
+        assert len(thread_spy.threads) == 1 and thread_spy.all_joined()
 
     def test_a_live_thread_gives_no_fork_warning(self):
         # Python 3.12+ warns of a fork in a process with threads; the test

@@ -56,6 +56,9 @@ SECONDS = 12  # BENCHMARK.json's run_seconds
 TINY_SECONDS = 0.5
 RUN_TIMEOUT_S = 600
 BARE_MAXRSS = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+# Runs argv[1:] and exits with its code: the process between this one and
+# the bare interpreter, whose own small peak is all that one inherits.
+HOP = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 PROBE_PASSES = 100  # kernel passes per probe process, about 0.2 s on a 2-vCPU x86-64 host
 # Above this probe ratio the second core was busy: runs of one code taken at
 # probes of 1.45-1.98 read 20-25% below those taken at about 1.
@@ -106,9 +109,14 @@ def core_probe() -> dict:
 
 
 def bare_maxrss_mb() -> float:
-    """Peak RSS of an interpreter that does nothing, in MB as run.py counts them (KiB / 1024)."""
-    out = subprocess.run([sys.executable, "-c", BARE_MAXRSS], capture_output=True, text=True,
-                         check=True).stdout
+    """Peak RSS of an interpreter that does nothing, in MB as run.py counts them (KiB / 1024).
+
+    A child inherits its parent's ru_maxrss across fork and exec, so one
+    started by this process would read this process's peak. The bare
+    interpreter is started by a second one (HOP) instead.
+    """
+    argv = [sys.executable, "-c", HOP, sys.executable, "-c", BARE_MAXRSS]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     return int(out) / 1024.0
 
 

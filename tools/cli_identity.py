@@ -13,7 +13,7 @@ rows), a ``toy-fit`` of the fit plan's target at ``--lambda 100`` (where
 the PE term moves the fit most, so a change in how it rounds shows in
 the numbers), a ``grad-check`` of the gradcheck plan's longest clip at
 ``--n-coords 1000`` (enough perturbed rows that the checker's
-finite-difference blocks map onto the thread pool at the default
+finite-difference blocks map onto threads at the default
 threshold), a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
 clip (the all-kink path, which no plan takes; the script writes the clip
 into its own inputs directory) and ``analyze`` and ``thresholds`` of that
@@ -28,7 +28,7 @@ the numbers) differs. Each tree also runs
 every job a second time with the stages' parallel threshold,
 ``peaudio.signal_io.PARALLEL_MIN_BLOCKS``, set to 2 blocks in the forked
 child, so every stage of every clip long enough for two blocks maps its
-blocks over the thread pool; those runs are compared with the other
+blocks over threads; those runs are compared with the other
 tree's default runs (a tree without the constant runs them as its
 default runs). The script prints
 each difference, then what each tree's runs cost per command (the
@@ -122,7 +122,7 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
 
 
 # The stages' parallel threshold in the forced runs: every stage of two
-# blocks or more maps them over the pool.
+# blocks or more maps them over threads.
 FORCED_MIN_BLOCKS = 2
 
 
