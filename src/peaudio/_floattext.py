@@ -272,17 +272,14 @@ def _words(text: bytes, n: int) -> np.ndarray:
     return np.frombuffer(text.ljust(8 * n, b"\0"), np.dtype("<u8"))
 
 
-def join_reprs(values, sep: str, row_sep: str | None = None) -> str:
-    """sep.join(map(repr, values)) of a 1-D float64 array; of a 2-D one with a row_sep,
-    row_sep.join(sep.join(map(repr, row)) for row in values).
+def join_reprs(values, sep: str, row_sep: str) -> str:
+    """row_sep.join(sep.join(map(repr, row)) for row in values) of a 2-D float64 array.
 
     The separators hold no NUL. The values are walked in map_rows
     blocks, so the temporaries are a few block buffers whatever the
     array's size.
     """
     values = np.asarray(values, np.float64)
-    if row_sep is None:
-        values, row_sep = values.reshape(-1, 1), sep
     sep_b, row_sep_b = sep.encode(), row_sep.encode()
     n = -(-max(len(sep_b), len(row_sep_b)) // 8)
     sep_words, row_sep_words = _words(sep_b, n), _words(row_sep_b, n)

@@ -14,9 +14,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from ._floattext import join_reprs
 from .errors import ConfigError, DivergenceError, PeAudioError
@@ -162,60 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
 def _json_text(payload) -> str:
-    """What json.dumps writes with an indent of 2, plus a newline, at the C encoder's speed.
+    """The CLI's JSON: what json.dumps writes with an indent of 2, plus a newline."""
+    return json.dumps(payload, indent=2) + "\n"
 
-    The bytes are the same, but json.dumps with an indent runs its
-    pure-Python encoder. Here only dicts and lists that hold other
-    containers recurse in Python. A list of scalars and a lone scalar
-    each take one call of the C encoder, whose item separator carries
-    the newline and indent of the innermost depth. A 1-D or 2-D array of
-    finite floats is written as the list (of lists) it holds, by
-    join_reprs, since json writes a finite float as its repr. Dict keys
-    must be str.
+
+def _json_with_grids(head: dict, grids: dict) -> str:
+    """_json_text({**head, **grids}) of a non-empty head and grids of (T, n) finite floats.
+
+    T, n >= 1. The head goes through the stdlib, its closing "\n}\n" cut
+    off, and each grid through join_reprs, since json writes a finite
+    float as its repr.
     """
-    return _json_value(payload, 0) + "\n"
-
-
-@functools.cache
-def _scalar_encoder(depth: int) -> json.JSONEncoder:
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-def _scalars(values) -> bool:
-    return _SCALAR_TYPES.issuperset(map(type, values))
-
-
-def _json_value(value, depth: int) -> str:
-    close = "\n" + "  " * depth
-    inner = close + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ("," + inner).join(
-            f"{encode_basestring_ascii(k)}: {_json_value(v, depth + 1)}"
-            for k, v in value.items()
-        )
-        return "{" + inner + body + close + "}"
-    if isinstance(value, np.ndarray):
-        if not value.size:
-            return "[]"
-        if value.ndim == 1:
-            return "[" + inner + join_reprs(value, "," + inner) + close + "]"
-        leaf = inner + "  "
-        body = join_reprs(value, "," + leaf, inner + "]," + inner + "[" + leaf)
-        return "[" + inner + "[" + leaf + body + inner + "]" + close + "]"
-    if not isinstance(value, (list, tuple)):
-        return _scalar_encoder(depth).encode(value)
-    if not value:
-        return "[]"
-    if _scalars(value):
-        return "[" + inner + _scalar_encoder(depth + 1).encode(value)[1:-1] + close + "]"
-    body = ("," + inner).join(_json_value(v, depth + 1) for v in value)
-    return "[" + inner + body + close + "]"
+    row = "\n    [\n      "
+    parts = [_json_text(head)[:-3]]
+    for name, values in grids.items():
+        body = join_reprs(values, ",\n      ", "\n    ]," + row)
+        parts += (f",\n  {json.dumps(name)}: [", row, body, "\n    ]\n  ]")
+    return "".join([*parts, "\n}\n"])
 
 
 def _emit(text: str, output) -> None:
@@ -254,7 +215,7 @@ def cmd_thresholds(args, cfg: CliConfig) -> int:
     quantities = (result.band_power, result.tonality, result.masking_threshold)
     if cfg.format == "json":
         names = ("band_power", "tonality", "threshold")
-        text = _json_text({"band_center_hz": centers, **dict(zip(names, quantities))})
+        text = _json_with_grids({"band_center_hz": centers.tolist()}, dict(zip(names, quantities)))
     else:
         rows = [join_reprs(values, ",", "\n").split("\n") for values in quantities]
         frame = "{0},band_power,{1}\n{0},tonality,{2}\n{0},threshold,{3}".format

@@ -136,6 +136,8 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
     Frames are processed F0_BLOCK_FRAMES at a time, so memory beyond
     the per-frame outputs does not grow with the signal's length.
     """
+    if not 0.0 < hop_seconds < math.inf:
+        raise ValueError(f"hop_seconds must be finite and positive, got {hop_seconds}")
     rate = buf.sample_rate
     window = max(2, round(F0_WINDOW_SECONDS * rate))
     hop = max(1, round(hop_seconds * rate))

@@ -95,6 +95,8 @@ def _frame_source(buf: AudioBuffer, cfg: StftConfig):
     out is (rows, bins) complex128, and block_of returns it. No row's bits
     depend on which rows share a block.
     """
+    if buf.sample_rate != cfg.sample_rate:
+        raise ValueError(f"samples at {buf.sample_rate} Hz, STFT config at {cfg.sample_rate} Hz")
     x = buf.samples
     if x.size < cfg.fft_size:
         raise BufferTooShortError(f"need at least fft_size={cfg.fft_size} samples, got {x.size}")
@@ -107,7 +109,7 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Windowed one-sided STFT without centering.
 
     Frame t covers samples [t*hop, t*hop + fft_size); trailing samples
-    that do not fill a frame are dropped.
+    that do not fill a frame are dropped. buf must be at cfg.sample_rate.
     """
     n_frames, block_of = _frame_source(buf, cfg)
     out = np.empty((n_frames, cfg.bins), np.complex128)

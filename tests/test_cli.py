@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import peaudio
 from peaudio import cli, signal_io, spectral
-from peaudio.cli import _REPORT_COLUMNS, _json_text, _mean_report_row, build_parser, main
-from peaudio.cli import resolve_config
+from peaudio.cli import _REPORT_COLUMNS, _json_text, _json_with_grids, _mean_report_row
+from peaudio.cli import build_parser, main, resolve_config
 from peaudio.errors import DivergenceError
 from peaudio.metrics import compare
 from peaudio.pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig, check_gradient, fit_target
@@ -692,37 +692,35 @@ class TestForkedArm:
         assert out.exists()
 
 
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),  # NaN and both infinities among them
+grid_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1e16, 1e-05]),
-    st.text(),  # non-ASCII and control characters among them
+    st.integers(1, 2**52 - 1).map(lambda m: m * 5e-324),  # subnormals, each exact
 )
-json_payloads = st.recursive(
-    # Lists of lists of scalars take the writer's grid path; empty rows do not.
-    json_scalars | st.lists(st.lists(json_scalars, max_size=4), max_size=4),
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
-    ),
-    max_leaves=40,
-)
+
+
+@st.composite
+def float_grids(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    values = draw(st.lists(grid_floats, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, np.float64).reshape(rows, cols)
 
 
 class TestJsonText:
-    @settings(max_examples=500, deadline=None)
-    @given(payload=json_payloads)
-    @example(payload={
-        "caf\u00e9 \u2713": [[-0.0, 5e-324], [1e16, 1e-05]],
-        "special": [math.nan, math.inf, -math.inf, True, False, None, -3],
-        "empty": [[], {}, [[]], [[], [1.5]]],
-        "nested": {"rows": [[1, "\U0001F600"], ["\n\"", None]]},
-    })
-    def test_bytes_of_json_dumps_with_indent_2(self, payload):
-        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    @settings(max_examples=300, deadline=None)
+    @given(
+        centers=st.lists(grid_floats, min_size=1, max_size=7),
+        grids=st.lists(float_grids(), min_size=1, max_size=3),
+    )
+    @example(
+        centers=[1e16, -0.0],
+        grids=[np.array([[-0.0, 5e-324], [1e16, 1e-05]]), np.array([[2.5e-310]])],
+    )
+    def test_thresholds_json_is_json_dumps_with_indent_2(self, centers, grids):
+        named = dict(zip(("band_power", "tonality", "threshold"), grids))
+        want = {"band_center_hz": centers, **{name: g.tolist() for name, g in named.items()}}
+        text = _json_with_grids({"band_center_hz": centers}, named)
+        assert text == json.dumps(want, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "WAV"],
@@ -1201,7 +1199,7 @@ class TestOutOfMemory:
         assert err == ["error: out of memory: Unable to allocate 1.00 TiB"]
         assert not out.exists()
 
-    def test_memory_error_in_a_block_on_a_pool_thread(
+    def test_memory_error_in_a_block_on_a_map_thread(
         self, sine_wav_factory, tmp_path, capsys, monkeypatch, thread_spy
     ):
         # analyze forms a 3 s clip's 99 frames inside the PE walk, in two

@@ -19,9 +19,7 @@ from peaudio._floattext import join_reprs
 SEPARATORS = [",", "", "; ", ",\n      ", "\n    ],\n    [\n      ", "·"]
 
 
-def reprs(values, sep, row_sep=None) -> str:
-    if row_sep is None:
-        return sep.join(map(repr, values.tolist()))
+def reprs(values, sep, row_sep) -> str:
     return row_sep.join(sep.join(map(repr, row)) for row in values.tolist())
 
 
@@ -39,8 +37,9 @@ doubles = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(doubles, max_size=40), sep=st.sampled_from(SEPARATORS))
 def test_1d_matches_repr(values, sep):
-    x = np.array(values, np.float64)
-    assert join_reprs(x, sep) == reprs(x, sep)
+    # A list is one column whose rows are joined by the same separator.
+    x = np.array(values, np.float64).reshape(-1, 1)
+    assert join_reprs(x, sep, sep) == sep.join(map(repr, values))
 
 
 @settings(max_examples=300, deadline=None)
@@ -69,7 +68,7 @@ def test_sweep_matches_repr():
         neighbours(powers_of_two), neighbours(powers_of_ten), neighbours(edges), -edges,
         random_bits.view(np.float64),
     ])
-    assert join_reprs(x, ",") == reprs(x, ",")
+    assert join_reprs(x.reshape(-1, 1), ",", ",") == ",".join(map(repr, x.tolist()))
 
 
 def test_rows_are_the_same_at_any_block_size(monkeypatch):
@@ -80,4 +79,4 @@ def test_rows_are_the_same_at_any_block_size(monkeypatch):
     for elements in (1, 23 * 4, 23 * 4 * 7, 1 << 15):
         monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", elements)
         assert join_reprs(x, ",", "\n") == want
-        assert join_reprs(x.ravel(), ",") == reprs(x.ravel(), ",")
+        assert join_reprs(x.reshape(-1, 1), ",", ",") == ",".join(map(repr, x.ravel().tolist()))

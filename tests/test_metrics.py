@@ -280,6 +280,11 @@ class TestExtractF0:
         result = extract_f0(buf, hop_seconds=0.03)
         assert np.abs(result.f0[result.voiced] - 440.0).max() < 2.0
 
+    @pytest.mark.parametrize("hop_seconds", [-0.03, 0.0, math.nan, math.inf])
+    def test_hop_not_finite_and_positive(self, hop_seconds):
+        with pytest.raises(ValueError, match="hop_seconds must be finite and positive"):
+            extract_f0(AudioBuffer(sine_signal(220.0), SR), hop_seconds)
+
 
 class TestF0Track:
     @pytest.mark.parametrize("value", [3000.0, 10.0, -5.0, float("nan"), float("inf")])

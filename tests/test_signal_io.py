@@ -439,7 +439,7 @@ class TestThreadMap:
         assert thread_spy.starters == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_maps_on_a_pool_of_its_own(self):
+    def test_a_forked_child_maps_on_threads_of_its_own(self):
         # A child forked after a map has none of the parent's threads: a
         # map there that waited on a thread of the parent's would wait
         # forever. The parent kills a child that is still running after 10 s.
@@ -506,7 +506,7 @@ class TestForkMap:
         with pytest.raises(WorkerLostError, match="exited with code 3 before sending its result"):
             fork_map(fn, range(2))
 
-    def test_stops_the_pool_and_runs_each_share_serially(self, thread_spy):
+    def test_no_thread_alive_in_a_share_and_each_maps_serially(self, thread_spy):
         assert thread_map(abs, [-1, -2]) == [1, 2]  # starts and joins one thread
 
         def fn(item):

@@ -89,6 +89,11 @@ class TestStft:
         with pytest.raises(BufferTooShortError):
             stft(AudioBuffer(np.zeros(63), 8000), cfg)
 
+    def test_samples_at_another_rate(self):
+        # Framing 44.1 kHz samples under a 22.05 kHz config would label its bins wrongly.
+        with pytest.raises(ValueError, match="44100 Hz.*22050 Hz"):
+            stft(AudioBuffer(np.zeros(4096), 44100), StftConfig())
+
     def test_parseval_every_frame(self):
         # Windowed-frame energy equals the one-sided spectral sum / N.
         rng = np.random.default_rng(11)
