@@ -339,7 +339,7 @@ class TestMapRows:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
 
-    @pytest.mark.parametrize("min_blocks", [2, sys.maxsize], ids=["pool", "serial"])
+    @pytest.mark.parametrize("min_blocks", [2, sys.maxsize], ids=["threads", "serial"])
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_blocks_and_one_scratch_per_share(self, monkeypatch, block, min_blocks):
         monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", block)
