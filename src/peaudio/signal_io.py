@@ -13,9 +13,12 @@ them: a block holds BLOCK_ELEMENTS values, so a stage allocates what it
 returns plus a fixed number of block buffers per thread, whatever the
 clip length. CLI analyze and thresholds form each block of STFT frames
 from the samples inside their walk, so they hold no spectrum at all.
-From PARALLEL_MIN_BLOCKS blocks up map_rows maps them over threads
-started for the map and joined before it returns (thread_map); each
-block writes only its own rows, so no bit depends on the thread count.
+thread_map and fork_map share one contract, fn over items in
+contiguous shares, and differ only in whether a share after the first
+runs on a thread or in a forked child. map_rows alone knows blocks: it
+hands its blocks, each share's work buffers and the PARALLEL_MIN_BLOCKS
+threshold to the same runner, on threads. Each block writes only its
+own rows, so no bit depends on the thread count.
 """
 
 import contextvars
@@ -24,6 +27,7 @@ import pickle
 import struct
 import sys
 import warnings
+import wave
 from dataclasses import dataclass
 from threading import Thread
 
@@ -69,14 +73,18 @@ def usable_cpus() -> int:
 _in_map = contextvars.ContextVar("peaudio_in_map", default=False)
 
 
-def _map_shares(fn, items: list, scratch, min_items: int, start) -> list:
-    """[fn(item) for item in items] in thread_map's shares, the runner of both maps.
+def _map_shares(fn, items: list, start, scratch=None, min_items=2) -> list:
+    """[fn(item) for item in items] in contiguous shares, the runner of every map.
 
-    The calling thread runs the first share and start(run, share) starts
-    each other one, returning a wait() that gives the share's (results,
-    error) once its thread is joined or its child reaped. Every share is
-    waited for before the map returns or raises, and the error raised is
-    the first in item order.
+    The items are cut into min(MAX_THREADS, usable CPUs, len(items))
+    shares. The calling thread runs the first share and start(run, share)
+    starts each other one, returning a wait() that gives the share's
+    (results, error) once its thread is joined or its child reaped. With
+    scratch, a share calls scratch() once and runs fn(item, buffers) on
+    what it returned. Fewer than min_items items, or a map called inside
+    a share, run serially on the calling thread. Every share is waited
+    for before the map returns or raises, and the error raised is the
+    first in item order, the one a serial loop would raise.
     """
 
     def run(share):
@@ -127,21 +135,14 @@ def _start_thread(run, share):
     return wait
 
 
-def thread_map(fn, items, scratch=None, min_items=2) -> list:
-    """[fn(item) for item in items], the items split over threads started for this map.
+def thread_map(fn, items) -> list:
+    """[fn(item) for item in items], each share after the first on a thread started for this map.
 
-    The items are cut into min(MAX_THREADS, usable CPUs, len(items))
-    contiguous shares. The calling thread runs the first share and a
-    new thread each other one, each in a copy of the caller's
-    contextvars context (numpy's errstate lives there), each share's
-    items in order. With scratch, a share calls scratch() once and runs
-    fn(item, buffers) on what it returned, so each thread allocates its
-    work buffers once per map. Fewer than min_items items, or a map
-    called inside a share, run serially on the calling thread. Every
-    thread is joined before the map returns or raises, and the error
-    raised is the first in item order, the one a serial loop would raise.
+    The shares are _map_shares'; each runs its items in order, in a copy
+    of the caller's contextvars context (numpy's errstate lives there),
+    and every thread is joined before the map returns or raises.
     """
-    return _map_shares(fn, list(items), scratch, min_items, _start_thread)
+    return _map_shares(fn, list(items), _start_thread)
 
 
 # Only Linux forks: numpy's Accelerate BLAS on macOS is not fork-safe.
@@ -149,19 +150,17 @@ _CAN_FORK = sys.platform == "linux" and hasattr(os, "fork")
 
 
 def fork_map(fn, items) -> list:
-    """thread_map(fn, items), with each share after the first run in a forked child process.
+    """[fn(item) for item in items], each share after the first in a forked child process.
 
-    For work that holds the GIL too often to gain from a second thread.
-    The shares are thread_map's; the calling process runs the first and
-    a child made with os.fork() each other one, and sends back its
-    results, or the exception it raised, pickled over a pipe. Every
-    child is reaped before the map returns or raises, the error raised
-    is the first in item order, and a child that ends without sending
-    its share's outcome raises WorkerLostError in its place. Where the
-    platform does not fork, it is thread_map.
+    thread_map's contract, for work that holds the GIL too often to gain
+    from a second thread: a child made with os.fork() runs each share
+    after the first and sends back its results, or the exception it
+    raised, pickled over a pipe. Every child is reaped before the map
+    returns or raises, and a child that ends without sending its share's
+    outcome raises WorkerLostError in its place. Where the platform does
+    not fork, it is thread_map.
     """
-    start = _start_child if _CAN_FORK else _start_thread
-    return _map_shares(fn, list(items), None, 2, start)
+    return _map_shares(fn, list(items), _start_child if _CAN_FORK else _start_thread)
 
 
 def _start_child(run, share):
@@ -212,7 +211,7 @@ def _reap(pid: int, read: int) -> tuple[list | None, BaseException | None]:
 
 
 def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:
-    """[fn(rows) for rows in a stage's blocks], the blocks split over threads (thread_map).
+    """[fn(rows) for rows in a stage's blocks], the blocks split over threads as thread_map's items.
 
     The blocks are the row_blocks of range(n_rows) that hold as many rows
     of row_len values as fill BLOCK_ELEMENTS, and at least one. Below
@@ -222,7 +221,7 @@ def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:
     """
     rows = max(1, BLOCK_ELEMENTS // max(row_len, 1))
     buffers = None if scratch is None else lambda: scratch(min(rows, n_rows))
-    return thread_map(fn, row_blocks(n_rows, rows), buffers, min_items=PARALLEL_MIN_BLOCKS)
+    return _map_shares(fn, row_blocks(n_rows, rows), _start_thread, buffers, PARALLEL_MIN_BLOCKS)
 
 
 def _whole_rate(rate, name: str) -> int:
@@ -370,21 +369,10 @@ def save_wav(buf: AudioBuffer, path) -> None:
     32768), so save/load round-trips within half a quantization step;
     +1.0 saturates to 32767.
     """
-    pcm = np.clip(np.round(buf.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = pcm.tobytes()
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, _FORMAT_PCM, 1, buf.sample_rate, buf.sample_rate * 2, 2, 16),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    pcm = np.clip(np.round(buf.samples * 32768.0), -32768, 32767).astype(np.int16)
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setparams((1, 2, buf.sample_rate, 0, "NONE", "not compressed"))
+        out.writeframes(pcm.tobytes())
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:

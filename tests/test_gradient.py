@@ -419,6 +419,30 @@ class TestPeGradient:
         assert got.mean_pe == want.mean_pe
         assert got.loss_pe == want.loss_pe
 
+    def test_check_memory_on_noise_grows_at_most_3_2_spectra(self):
+        # On white noise nearly every component is off the kink and
+        # eligible. Beyond the gradient (one spectrum) and the eligible
+        # indices (one more), the screening keeps a count and a sum of
+        # squared partials per block; concatenating every off-kink
+        # partial grew by 3.8 spectra per frame.
+        cfg = StftConfig(sample_rate=SR)
+        sizes = {}
+        for seconds in (10, 30):
+            sig = 0.2 * np.random.default_rng(3).standard_normal(seconds * SR)
+            spec = stft(AudioBuffer(np.clip(sig, -1.0, 1.0), SR), cfg)
+            del sig
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                check_gradient(spec)
+                sizes[seconds] = (tracemalloc.get_traced_memory()[1] - base, spec.n_frames)
+            finally:
+                tracemalloc.stop()
+        (short_peak, short_frames), (long_peak, long_frames) = sizes[10], sizes[30]
+        spectrum_frame_bytes = cfg.bins * np.dtype(np.complex128).itemsize
+        growth = (long_peak - short_peak) / (long_frames - short_frames) / spectrum_frame_bytes
+        assert growth <= 3.2
+
     def test_all_kink_vacuous_pass(self):
         cfg = StftConfig(sample_rate=SR)
         spec = Spectrogram(np.zeros((2, cfg.bins), complex), cfg)
@@ -480,32 +504,60 @@ class TestMagnitudeGradient:
             assert (forward.mean_pe, forward.loss_pe) == (want.mean_pe, want.loss_pe)
 
 
-@pytest.mark.parametrize("clip", ["voiced_spec", "gapped_spec"])
+# The oracle's clips beside the voiced and gapped ones: 0.6 s of the
+# voiced signal or of white noise (sigma 0.2) at (fft_size, hop, rate).
+ORACLE_CLIPS = {
+    "noise_spec": ("noise", 1024, 661, SR),
+    "voiced_fft256_8k": ("voiced", 256, 128, 8000),
+    "noise_fft256_8k": ("noise", 256, 128, 8000),
+    "voiced_fft4096_48k": ("voiced", 4096, 1024, 48000),
+    "noise_fft4096_48k": ("noise", 4096, 1024, 48000),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_clips():
+    specs = {}
+    for name, (kind, fft_size, hop, rate) in ORACLE_CLIPS.items():
+        if kind == "voiced":
+            sig = harmonic_signal(duration=0.6, sr=rate)
+        else:
+            sig = np.clip(0.2 * np.random.default_rng(rate).standard_normal(int(0.6 * rate)), -1, 1)
+        specs[name] = stft(AudioBuffer(sig, rate), StftConfig(fft_size, hop, rate))
+    return specs
+
+
+@pytest.fixture
+def clip_spec(clip, oracle_clips, request):
+    return oracle_clips[clip] if clip in oracle_clips else request.getfixturevalue(clip)
+
+
+@pytest.mark.parametrize("clip", ["voiced_spec", "gapped_spec", *ORACLE_CLIPS])
 class TestForwardModeOracle:
     """Both gradients against jvp, which shares no code with the walk, along random directions."""
 
-    def test_helper_forward_value_is_the_pe_loss(self, clip, request):
-        spec = request.getfixturevalue(clip)
+    def test_helper_forward_value_is_the_pe_loss(self, clip_spec):
+        spec = clip_spec
         loss, _ = jvp(spec, np.zeros_like(spec.frames))
         assert abs(loss - loss_pe_of(spec)) <= 1e-13 * loss
 
-    def test_pe_gradient_along_random_directions(self, clip, request):
-        spec = request.getfixturevalue(clip)
+    def test_pe_gradient_along_random_directions(self, clip_spec):
+        spec = clip_spec
         grad = pe_gradient(spec).grad
         rng = np.random.default_rng(12)
-        for _ in range(10):
+        for _ in range(20):
             v = rng.standard_normal(grad.shape) + 1j * rng.standard_normal(grad.shape)
             want = jvp(spec, v)[1]
             got = np.sum(grad.real * v.real) + np.sum(grad.imag * v.imag)
             assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_magnitude_gradient_along_phase_times_random_directions(self, clip, request):
-        target, mag = prediction(request.getfixturevalue(clip))
+    def test_magnitude_gradient_along_phase_times_random_directions(self, clip_spec):
+        target, mag = prediction(clip_spec)
         spec = Spectrogram(target.phase * mag, target.config)
         grad = np.empty_like(mag)
         magnitude_gradient(target, mag, 1.0, grad)
         rng = np.random.default_rng(13)
-        for _ in range(10):
+        for _ in range(20):
             v = rng.standard_normal(mag.shape)
             want = jvp(spec, target.phase * v)[1]
             assert abs(np.sum(grad * v) - want) <= 1e-12 * abs(want)

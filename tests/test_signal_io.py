@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestLoadWav:
         back = load_wav(path)
         assert back.sample_rate == 16000
         np.testing.assert_allclose(back.samples, buf.samples, atol=0.5 / 32768)
+
+
+class TestSaveWav:
+    @pytest.mark.parametrize("sample_rate", [8000, 22050, 44100])
+    @pytest.mark.parametrize("n", [0, 1, 7, 22050])
+    def test_bytes_of_the_struct_packed_header(self, tmp_path, n, sample_rate):
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        samples[:2] = [1.0, -1.0][:n]  # full scale saturates to 32767 and -32768
+        # riff packs the header with struct, field by field: the 44 bytes save_wav must write.
+        pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+        want = riff([(b"fmt ", fmt_body(1, 16, sample_rate=sample_rate)), (b"data", pcm)])
+        assert np.frombuffer(want, "<i2", min(n, 2), 44).tolist() == [32767, -32768][:n]
+        for path in (tmp_path / "path.wav", str(tmp_path / "str.wav")):
+            save_wav(AudioBuffer(samples, sample_rate), path)
+            assert Path(path).read_bytes() == want
 
 
 def encode_pcm(values, bits):
@@ -341,7 +357,7 @@ class TestMapRows:
 
     @pytest.mark.parametrize("min_blocks", [2, sys.maxsize], ids=["threads", "serial"])
     @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_blocks_and_one_scratch_per_share(self, monkeypatch, block, min_blocks):
+    def test_blocks_and_one_scratch_per_share(self, monkeypatch, thread_spy, block, min_blocks):
         monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", block)
         monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", min_blocks)
         for row_len in (0, 1, 3, block + 1, 100):
@@ -349,10 +365,11 @@ class TestMapRows:
             for n_rows in (0, 1, 50):
                 expected = signal_io.row_blocks(n_rows, rows)
                 shares = []
+                started = len(thread_spy.threads)
 
                 def scratch(n):
-                    shares.append((n, []))
-                    return shares[-1][1]
+                    shares.append((n, threading.current_thread(), []))
+                    return shares[-1][2]
 
                 def fn(block_rows, seen):
                     seen.append(block_rows)
@@ -361,33 +378,22 @@ class TestMapRows:
                 assert signal_io.map_rows(fn, n_rows, row_len, scratch) == expected
                 parallel = len(expected) >= min_blocks
                 assert len(shares) == (min(2, len(expected)) if parallel else 1)
-                assert all(n == min(rows, n_rows) for n, _ in shares)
-                ran = [block_rows for _, seen in shares for block_rows in seen]
-                assert sorted(ran, key=lambda block_rows: block_rows.start) == expected
+                assert all(n == min(rows, n_rows) for n, _, _ in shares)
+                # The calling thread runs one share and a thread started
+                # for the map each other one, each its blocks in order.
+                assert threading.main_thread() in [thread for _, thread, _ in shares]
+                assert len(thread_spy.threads) - started == len(shares) - 1
+                shares.sort(key=lambda share: share[2][0].start if share[2] else 0)
+                assert [block_rows for _, _, seen in shares for block_rows in seen] == expected
                 assert signal_io.map_rows(lambda r: r, n_rows, row_len) == expected
+        assert thread_spy.all_joined()
+        assert set(thread_spy.starters) <= {threading.main_thread()}
 
 
 class TestThreadMap:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
-
-    def test_results_in_order_with_scratch_once_per_share(self, thread_spy):
-        made = []
-
-        def scratch():
-            made.append(threading.current_thread())
-            return []
-
-        def fn(item, seen):
-            seen.append(item)
-            return item, list(seen)
-
-        results = thread_map(fn, range(7), scratch)
-        # Items 0-2 run on the calling thread, 3-6 on a thread of the map's.
-        assert results == [(i, list(range(3 if i >= 3 else 0, i + 1))) for i in range(7)]
-        assert len(set(made)) == 2 and threading.main_thread() in made
-        assert thread_spy.starters == [threading.main_thread()]
 
     @pytest.mark.parametrize("failing, raised", [((1, 6), 1), ((6,), 6), ((6, 8), 6)])
     def test_first_error_in_item_order_after_every_share(self, thread_spy, failing, raised):
@@ -421,22 +427,18 @@ class TestThreadMap:
         out = np.zeros((400, 64))
         blocks = signal_io.row_blocks(400, 3)
 
-        def add(rows, ones):
+        def add(rows):
+            ones = np.ones((rows.stop - rows.start, 64))
             for _ in range(20):
-                out[rows] += ones[: rows.stop - rows.start]
+                out[rows] += ones
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            thread_map(add, blocks, lambda: np.ones((3, 64)))
+            thread_map(add, blocks)
         finally:
             sys.setswitchinterval(interval)
         assert (out == 20.0).all()
-
-    def test_below_min_items_runs_on_the_calling_thread(self, thread_spy):
-        assert thread_map(lambda x: x * 2, range(5), min_items=6) == [0, 2, 4, 6, 8]
-        assert thread_map(lambda x: x, [1]) == [1]
-        assert thread_spy.starters == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_maps_on_threads_of_its_own(self):
