@@ -272,22 +272,35 @@ def _words(text: bytes, n: int) -> np.ndarray:
     return np.frombuffer(text.ljust(8 * n, b"\0"), np.dtype("<u8"))
 
 
-def join_reprs(values, sep: str, row_sep: str) -> str:
-    """row_sep.join(sep.join(map(repr, row)) for row in values) of a 2-D float64 array.
+class Reprs:
+    """The text of 2-D float64 arrays: each value's repr, then sep, or row_sep after a row's last.
 
-    The separators hold no NUL. The values are walked in map_rows
-    blocks, so the temporaries are a few block buffers whatever the
-    array's size.
+    The separators hold no NUL. A block's text is built in a grid of
+    row_len(cols) words per row, which is what map_rows sizes blocks by.
     """
-    values = np.asarray(values, np.float64)
-    sep_b, row_sep_b = sep.encode(), row_sep.encode()
-    n = -(-max(len(sep_b), len(row_sep_b)) // 8)
-    sep_words, row_sep_words = _words(sep_b, n), _words(row_sep_b, n)
 
-    def block(rows):
-        text = _block_text(values[rows], sep_words, row_sep_words)
-        return text[:text.size - len(row_sep_b)].tobytes()
+    def __init__(self, sep: str, row_sep: str):
+        sep_b, row_sep_b = sep.encode(), row_sep.encode()
+        n = -(-max(len(sep_b), len(row_sep_b)) // 8)
+        self.sep_words, self.row_sep_words = _words(sep_b, n), _words(row_sep_b, n)
+        self.row_sep = row_sep
 
-    # A block is sized by its grid, 3 + sep_words.size words per value.
-    row_words = values.shape[1] * (3 + sep_words.size)
-    return row_sep_b.join(map_rows(block, values.shape[0], row_words)).decode()
+    def row_len(self, cols: int) -> int:
+        return cols * (3 + self.sep_words.size)
+
+    def block(self, values) -> str:
+        """The text of a (rows, cols) block, row_sep after every row, the last included."""
+        return _block_text(values, self.sep_words, self.row_sep_words).tobytes().decode()
+
+    def pieces(self, values) -> list[str]:
+        """row_sep.join(sep.join(map(repr, row)) for row in values), one piece per map_rows block.
+
+        Beyond the pieces, the temporaries are a few block buffers,
+        whatever the array's size.
+        """
+        values = np.asarray(values, np.float64)
+        pieces = map_rows(lambda rows: self.block(values[rows]), values.shape[0],
+                          self.row_len(values.shape[1]))
+        if pieces:
+            pieces[-1] = pieces[-1][:len(pieces[-1]) - len(self.row_sep)]
+        return pieces

@@ -15,13 +15,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from ._floattext import join_reprs
+from ._floattext import Reprs
 from .errors import ConfigError, DivergenceError, PeAudioError
 from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import _pe_walk, check_gradient, fit_target, toy_fit
 from .psychoacoustic import _analyze_frames, bark_layout
-from .signal_io import fork_map, load_wav, resample, thread_map
+from .signal_io import fork_map, load_wav, map_rows, resample, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
 from .spectral import _frame_source, stft
 
@@ -164,27 +164,29 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_with_grids(head: dict, grids: dict) -> str:
-    """_json_text({**head, **grids}) of a non-empty head and grids of (T, n) finite floats.
+def _json_with_grids(head: dict, grids: dict) -> list[str]:
+    """The pieces of _json_text({**head, **grids}) of a non-empty head and grids of (T, n) finite floats.
 
     T, n >= 1. The head goes through the stdlib, its closing "\n}\n" cut
-    off, and each grid through join_reprs, since json writes a finite
-    float as its repr.
+    off, and each grid through Reprs, one piece per block of rows, since
+    json writes a finite float as its repr.
     """
     row = "\n    [\n      "
-    parts = [_json_text(head)[:-3]]
+    reprs = Reprs(",\n      ", "\n    ]," + row)
+    pieces = [_json_text(head)[:-3]]
     for name, values in grids.items():
-        body = join_reprs(values, ",\n      ", "\n    ]," + row)
-        parts += (f",\n  {json.dumps(name)}: [", row, body, "\n    ]\n  ]")
-    return "".join([*parts, "\n}\n"])
+        pieces += (f",\n  {json.dumps(name)}: [", row, *reprs.pieces(values), "\n    ]\n  ]")
+    pieces.append("\n}\n")
+    return pieces
 
 
-def _emit(text: str, output) -> None:
+def _emit(pieces: list[str], output) -> None:
+    """Write the text pieces in order; all of them exist before the output is opened."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_spectrum(path, cfg: CliConfig):
@@ -205,24 +207,32 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
         frames = map("{},{!r}".format, range(result.per_frame.size), result.per_frame.tolist())
         lines = ["frame,pe", *frames, f"mean_pe,{result.mean_pe!r}", f"loss_pe,{result.loss_pe!r}"]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit([text], args.output)
     return EXIT_OK
 
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
     result = _analyze_frames(*_load_frames(args.input, cfg))
     centers = bark_layout(cfg.stft()).band_centers()
-    quantities = (result.band_power, result.tonality, result.masking_threshold)
-    if cfg.format == "json":
-        names = ("band_power", "tonality", "threshold")
-        text = _json_with_grids({"band_center_hz": centers.tolist()}, dict(zip(names, quantities)))
-    else:
-        rows = [join_reprs(values, ",", "\n").split("\n") for values in quantities]
-        frame = "{0},band_power,{1}\n{0},tonality,{2}\n{0},threshold,{3}".format
-        header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers)
-        text = "\n".join([header, *map(frame, range(result.n_frames), *rows)]) + "\n"
-    _emit(text, args.output)
+    _emit(_thresholds_pieces(result, centers, cfg.format), args.output)
     return EXIT_OK
+
+
+def _thresholds_pieces(result, centers, fmt: str) -> list[str]:
+    """thresholds' text of a masking analysis, in one piece per block of frames (JSON: of each grid)."""
+    quantities = (result.band_power, result.tonality, result.masking_threshold)
+    if fmt == "json":
+        names = ("band_power", "tonality", "threshold")
+        return _json_with_grids({"band_center_hz": centers.tolist()}, dict(zip(names, quantities)))
+    reprs = Reprs(",", "\n")
+    frame = "{0},band_power,{1}\n{0},tonality,{2}\n{0},threshold,{3}\n".format
+
+    def piece(rows):
+        lines = [reprs.block(values[rows]).split("\n") for values in quantities]
+        return "".join(map(frame, range(rows.start, rows.stop), *lines))
+
+    header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers) + "\n"
+    return [header, *map_rows(piece, result.n_frames, reprs.row_len(centers.size))]
 
 
 def cmd_grad_check(args, cfg: CliConfig) -> int:
@@ -230,7 +240,7 @@ def cmd_grad_check(args, cfg: CliConfig) -> int:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
     spec = _load_spectrum(args.input, cfg)
     check = check_gradient(spec, n_coords=args.n_coords, seed=cfg.seed)
-    _emit(_json_text(check.to_json_dict()), args.output)
+    _emit([_json_text(check.to_json_dict())], args.output)
     if not check.passed():
         worst = check.worst or {}  # unset when the worst relative error is NaN
         print(f"gradient check failed: worst coordinate {worst}", file=sys.stderr)
@@ -321,7 +331,7 @@ def cmd_compare(args, cfg: CliConfig) -> int:
             mean = _mean_report_row(rows)
             lines.append("mean,," + ",".join(cell(mean[c]) for c in _REPORT_COLUMNS))
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit([text], args.output)
     return EXIT_OK
 
 
@@ -344,7 +354,7 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     # in a forked child, and the stages inside each arm run serially.
     arms = dict(zip(lams, fork_map(fit, lams.values())))
     payload = {name: record.to_json_dict() for name, record in arms.items()}
-    _emit(_json_text(payload), args.output)
+    _emit([_json_text(payload)], args.output)
     summary = (
         f"final mean PE: regularized (lambda={cfg.lam}) = {arms['regularized'].final_mean_pe:.6f}, "
         f"baseline (lambda=0) = {arms['baseline'].final_mean_pe:.6f}"

@@ -9,6 +9,7 @@ reverse-mode and flow through the whole masking pipeline (spreading,
 flatness, offsets, renormalization).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,30 @@ def pe_gradient(spec: Spectrogram) -> GradientReport:
 FD_REL_STEP = 1e-5
 
 
+def _percentiles(values: np.ndarray, qs) -> list[float]:
+    """np.percentile(values, qs) of a non-empty 1-D array, with no numpy.ma import.
+
+    numpy's default linear rule on a sorted copy: the q-th percentile sits
+    at the virtual index (n - 1) * q / 100 between the values a and b on
+    either side, and is numpy's _lerp of them. Past the last index both are
+    the last value, and any NaN makes every percentile NaN. The results
+    are np.percentile's bits, but for a NaN's sign and payload. (np.percentile
+    calls np.unique, which imports numpy.ma: 13-16 ms of a fresh grad-check.)
+    """
+    x = np.sort(values).tolist()
+    if math.isnan(x[-1]):  # NaNs sort last
+        return [x[-1]] * len(qs)
+    out = []
+    for q in qs:
+        v = (len(x) - 1) * (q / 100)
+        i, j = (int(v), int(v) + 1) if v < len(x) - 1 else (-1, -1)
+        gamma = v - i
+        a, b = x[i], x[j]
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out
+
+
 @dataclass
 class GradientCheckResult:
     """Outcome of comparing the analytic gradient to central differences.
@@ -278,7 +303,7 @@ class GradientCheckResult:
     def to_json_dict(self) -> dict:
         p50 = p95 = None
         if self.rel_errs.size:
-            p50, p95 = (float(q) for q in np.percentile(self.rel_errs, [50, 95]))
+            p50, p95 = _percentiles(self.rel_errs, (50, 95))
         payload = {
             "max_rel_err_vs_fd": None if self.all_kink else float(self.max_rel_err),
             "n_coords": self.n_checked,

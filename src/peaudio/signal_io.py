@@ -1,11 +1,14 @@
 """WAV loading, normalization and resampling.
 
-All audio is reduced to mono float64 in [-1, 1] on load. The resampler
-is a plain linear interpolator, and at the buffer's own rate it returns
-the buffer itself. It does not band-limit, so downsampling aliases
-content above the new Nyquist frequency into the bands the masking
-model and the metrics read; ROADMAP Direction 7 plans a windowed-sinc
-replacement.
+All audio is reduced to mono float64 in [-1, 1] on load. load_wav maps
+a regular file read-only and decodes the payload from the mapped pages,
+so the file's bytes are never copied onto the heap; the file must not
+shrink while it is read, since touching a mapped page past its end
+raises SIGBUS. The resampler is a plain linear interpolator, and at the
+buffer's own rate it returns the buffer itself. It does not band-limit,
+so downsampling aliases content above the new Nyquist frequency into
+the bands the masking model and the metrics read; ROADMAP Direction 7
+plans a windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of rows through map_rows, the one place that sizes
@@ -22,8 +25,10 @@ own rows, so no bit depends on the thread count.
 """
 
 import contextvars
+import mmap
 import os
 import pickle
+import stat
 import struct
 import sys
 import warnings
@@ -260,8 +265,8 @@ class AudioBuffer:
         return self.samples.size
 
 
-def _payload_reader(data: bytes, offset: int, count: int, bits: int, is_float: bool, path):
-    """A function that reads payload samples [a, b) as numbers, before scaling."""
+def _payload_reader(data, offset: int, count: int, bits: int, is_float: bool, path):
+    """A function that reads payload samples [a, b) as float32 or int values, before scaling."""
     if is_float:
         raw = np.frombuffer(data, "<f4", count, offset)
         return lambda a, b: raw[a:b]
@@ -287,10 +292,20 @@ def load_wav(path) -> AudioBuffer:
     or stereo. Stereo collapses to mono as exactly (L + R) / 2. Integer
     samples are scaled by the format's full-scale value, which already
     puts them in [-1, 1); float samples are clipped to [-1, 1], and NaN
-    or infinite ones are rejected.
+    or infinite ones are rejected. A non-empty regular file is mapped
+    read-only, not read onto the heap, and must not shrink while it is
+    loaded: a mapped page past the file's end raises SIGBUS. A pipe or an
+    empty file is read.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            # Not closed here: an array over it can outlive this call in a
+            # traceback, and closing a map that arrays still export raises
+            # BufferError. It is unmapped once the last of them is gone.
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
 
@@ -336,27 +351,27 @@ def load_wav(path) -> AudioBuffer:
     read = _payload_reader(data, offset, count, bits, is_float, path)
     if count % channels:
         raise CorruptHeaderError(f"{path}: payload not aligned to {channels}-channel frames")
-    # Decoded block by block straight into the result. Integer sums are
-    # exact in float64, float sums round as a two-term mean does, and the
-    # power-of-two scale divides without rounding.
+    # Decoded block by block straight into the result, in one pass over
+    # each block's output. Stereo sums are exact (int32 holds two 24-bit
+    # samples, float64 two float32 ones), and the power-of-two scale
+    # multiplies without rounding. Float values are tested before any
+    # arithmetic, so none can overflow or meet an infinity of the other sign.
     samples = np.empty(count // channels)
     scale = 1.0 / (channels * (1 if is_float else 1 << (bits - 1)))
 
     def decode(rows):
         values = read(rows.start * channels, rows.stop * channels)
         out = samples[rows]
+        if is_float and not np.isfinite(values).all():
+            raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
         if channels == 2:
-            # +inf and -inf sum to NaN, which the finiteness test below
-            # reports; numpy's warning on the way would only repeat it.
-            with np.errstate(invalid="ignore"):
-                np.add(values[0::2], values[1::2], out=out, dtype=np.float64)
+            values = np.add(values[0::2], values[1::2], dtype=np.float64 if is_float else np.int32)
+        if is_float and channels == 1:
+            np.clip(values, -1.0, 1.0, out=out)  # the scale is 1
         else:
-            out[...] = values
-        out *= scale
-        if is_float:
-            if not np.isfinite(out).all():
-                raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
-            np.clip(out, -1.0, 1.0, out=out)
+            np.multiply(values, scale, out=out)
+            if is_float:
+                np.clip(out, -1.0, 1.0, out=out)
 
     map_rows(decode, samples.size, channels)
     return AudioBuffer(samples, sample_rate)

@@ -13,7 +13,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from importlib import resources
+from types import SimpleNamespace
 from unittest import mock
 
 import jsonschema
@@ -23,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peaudio
-from peaudio import cli, signal_io, spectral
+from peaudio import _floattext, cli, signal_io, spectral
 from peaudio.cli import _REPORT_COLUMNS, _json_text, _json_with_grids, _mean_report_row
 from peaudio.cli import build_parser, main, resolve_config
 from peaudio.errors import DivergenceError
@@ -719,7 +721,7 @@ class TestJsonText:
     def test_thresholds_json_is_json_dumps_with_indent_2(self, centers, grids):
         named = dict(zip(("band_power", "tonality", "threshold"), grids))
         want = {"band_center_hz": centers, **{name: g.tolist() for name, g in named.items()}}
-        text = _json_with_grids({"band_center_hz": centers}, named)
+        text = "".join(_json_with_grids({"band_center_hz": centers}, named))
         assert text == json.dumps(want, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
@@ -737,6 +739,78 @@ class TestJsonText:
         assert code == 0, stderr
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def held_analysis(n_frames: int, seed: int = 0) -> SimpleNamespace:
+    """What thresholds writes of a masking analysis: (T, 23) grids of finite floats of any scale."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((3, n_frames, 23)) * 10.0 ** rng.integers(-12, 12, (3, n_frames, 23))
+    values[:, :1, :4] = [-0.0, 5e-324, 1e16, 1e-05]
+    return SimpleNamespace(band_power=values[0], tonality=values[1], masking_threshold=values[2],
+                           n_frames=n_frames)
+
+
+class TestThresholdsPieces:
+    """thresholds' text is one piece per block of frames, the bytes of the stdlib's JSON and repr."""
+
+    centers = bark_layout(StftConfig()).band_centers()
+    separators = {"csv": (",", "\n"), "json": (",\n      ", "\n    ],\n    [\n      ")}
+
+    def text_of_repr(self, result, fmt: str) -> str:
+        """The text as str.join and repr, or json.dumps, write it."""
+        grids = {"band_power": result.band_power, "tonality": result.tonality,
+                 "threshold": result.masking_threshold}
+        if fmt == "json":
+            payload = {"band_center_hz": self.centers.tolist()}
+            payload.update((name, grid.tolist()) for name, grid in grids.items())
+            return json.dumps(payload, indent=2) + "\n"
+        lines = ["frame,quantity," + ",".join(f"{c:.1f}" for c in self.centers)]
+        for frame in range(result.n_frames):
+            for name, grid in grids.items():
+                lines.append(f"{frame},{name}," + ",".join(map(repr, grid[frame].tolist())))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("threads", ["serial", "two-blocks"])
+    @pytest.mark.parametrize("frames", ["one", "below", "at", "above"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_at_a_piece_boundary(self, tmp_path, monkeypatch, thread_spy, fmt, frames, threads):
+        if threads == "two-blocks":
+            monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+            monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+        row_len = _floattext.Reprs(*self.separators[fmt]).row_len(self.centers.size)
+        rows = signal_io.BLOCK_ELEMENTS // row_len
+        n_frames = {"one": 1, "below": rows - 1, "at": rows, "above": rows + 1}[frames]
+        result = held_analysis(n_frames)
+        pieces = cli._thresholds_pieces(result, self.centers, fmt)
+        blocks = -(-n_frames // rows)
+        # CSV: the header, then a piece per block; JSON: the head, and per
+        # grid its opening, a piece per block and its closing, then the end.
+        assert len(pieces) == (1 + blocks if fmt == "csv" else 2 + 3 * (3 + blocks))
+        out = tmp_path / f"thresholds.{fmt}"
+        cli._emit(pieces, str(out))
+        assert out.read_bytes() == self.text_of_repr(result, fmt).encode()
+        assert bool(thread_spy.threads) == (threads == "two-blocks" and blocks >= 2)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_writer_holds_its_text_about_once(self, tmp_path, fmt):
+        # Beyond its text, held once in its pieces, the writer holds a few
+        # blocks. When it split three whole-grid texts into lines, formatted
+        # a string per frame and joined them, it grew by 3.1 (CSV) and 2.0
+        # (JSON) times its text; a 10 min clip traced 87.3 MB for 27.9 MB of CSV.
+        peaks, sizes = {}, {}
+        for n_frames in (2000, 8000):
+            result = held_analysis(n_frames)
+            out = tmp_path / f"thresholds-{n_frames}.{fmt}"
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli._emit(cli._thresholds_pieces(result, self.centers, fmt), str(out))
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            sizes[n_frames] = out.stat().st_size
+        growth = (peaks[8000] - peaks[2000]) / (sizes[8000] - sizes[2000])
+        assert growth <= 1.2, growth
 
 
 class TestConfigHandling:
@@ -1169,7 +1243,7 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("command, worker", [
         ("toy-fit", "toy_fit"), ("compare", "file_features"), ("compare", "metrics.extract_f0"),
     ])
-    def test_memory_error_in_a_pool_thread(
+    def test_memory_error_off_the_calling_thread(
         self, voiced_wav, sine_wav_factory, tmp_path, capsys, monkeypatch, command, worker
     ):
         # The calling thread runs the first file or arm itself; the error
@@ -1342,7 +1416,8 @@ class TestColdStart:
     def test_no_command_imports_scipy_signal(self, voiced_wav, tmp_path):
         # In a fresh interpreter, as a shell runs it: scipy.signal alone
         # roughly doubles the import time and the import-time RSS, and
-        # scipy.fft cost compare 0.24-0.34 s and 25 MB.
+        # scipy.fft cost compare 0.24-0.34 s and 25 MB. numpy.ma, which
+        # np.percentile imports through np.unique, cost grad-check 13-16 ms.
         script = (
             "import sys\n"
             "from peaudio.cli import main\n"
@@ -1354,7 +1429,7 @@ class TestColdStart:
             "    main(['toy-fit', wav, '--steps', '1', '--output', out]),\n"
             "    main(['compare', wav, wav, '--output', out]),\n"
             "]\n"
-            "print(codes, 'scipy' in sys.modules)\n"
+            "print(codes, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peaudio.__file__)))
         proc = subprocess.run(
@@ -1362,7 +1437,7 @@ class TestColdStart:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"
 
     def test_fresh_interpreter_manifest_at_8_cpus_equals_warm_run(
         self, voiced_wav, sine_wav_factory, tmp_path

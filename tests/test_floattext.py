@@ -1,4 +1,4 @@
-"""join_reprs against repr, byte for byte.
+"""Reprs' pieces against repr, byte for byte.
 
 The kernel finds each double's shortest round-trip digits with integer
 arithmetic and lays them out as CPython's repr does, so the reference
@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peaudio import signal_io
-from peaudio._floattext import join_reprs
+from peaudio._floattext import Reprs
 
 # Separators of one byte, none, and of more than one word, as the JSON
 # grids of `thresholds` use them.
 SEPARATORS = [",", "", "; ", ",\n      ", "\n    ],\n    [\n      ", "·"]
+
+
+def join_reprs(values, sep, row_sep) -> str:
+    """The text of Reprs(sep, row_sep).pieces(values), joined."""
+    return "".join(Reprs(sep, row_sep).pieces(values))
 
 
 def reprs(values, sep, row_sep) -> str:

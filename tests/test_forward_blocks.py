@@ -462,10 +462,10 @@ def cli_peak_bytes(argv) -> int:
 def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_samples(tmp_path):
     # CLI analyze forms its STFT frames one block at a time inside the PE
     # walk and resamples a clip already at --sample-rate to itself without
-    # a copy. So beyond a few blocks per thread it holds the file's bytes
-    # (2 per sample here), the decoded samples and the per-frame PE and
-    # its text, not a spectrum. One extra second of 16-bit mono 22.05 kHz
-    # input is 22050 decoded float64 samples.
+    # a copy. So beyond a few blocks per thread it holds the decoded
+    # samples and the per-frame PE and its text, not a spectrum; the
+    # file's bytes are mapped, not read onto the heap. One extra second of
+    # 16-bit mono 22.05 kHz input is 22050 decoded float64 samples.
     peaks = {}
     for seconds in (30, 300):
         path = tmp_path / f"clip-{seconds}s.wav"
@@ -478,10 +478,10 @@ def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_sampl
 
 def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tmp_path):
     # CLI thresholds holds the decoded samples while it analyses the clip,
-    # and the (T, 23) analysis and its text, not a Python float per value,
-    # while it writes it; beyond those, the file's bytes (2 per sample
-    # here) and a few blocks. One extra second of 16-bit mono 22.05 kHz
-    # input is 22050 decoded float64 samples and 33 frames of text.
+    # and the (T, 23) analysis and its text, once, in pieces, while it
+    # writes it; beyond those, a few blocks. One extra second of 16-bit
+    # mono 22.05 kHz input is 22050 decoded float64 samples and 33 frames
+    # of text.
     peaks, sizes = {}, {}
     for seconds in (30, 300):
         path = tmp_path / f"clip-{seconds}s.wav"
@@ -497,3 +497,24 @@ def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tm
         text_bytes_per_s = (sizes[fmt, 300] - sizes[fmt, 30]) / (300 - 30)
         growth_per_s = (peaks[fmt, 300] - peaks[fmt, 30]) / (300 - 30)
         assert growth_per_s <= 1.15 * (text_bytes_per_s + decoded_bytes_per_s), fmt
+
+
+def test_cli_memory_on_24_bit_stereo_grows_at_most_1_55_times_the_decoded_samples(tmp_path):
+    # A 44.1 kHz file is resampled to the 22.05 kHz analysis rate, so the
+    # peak is the decoded samples plus the resampled half of them. The
+    # file's bytes (0.75 of the decoded samples here) are mapped, not read
+    # onto the heap: held beside the decoded samples they read 1.75x. The
+    # text and the analysis come after the samples are dropped. One extra
+    # second of 24-bit stereo 44.1 kHz input is 44100 decoded float64 samples.
+    peaks = {}
+    for seconds in (30, 120):
+        path = tmp_path / f"clip-{seconds}s.wav"
+        write_tone_clip(path, seconds, 24, 2, 44100)
+        for command, fmt in (("analyze", "csv"), ("thresholds", "csv"), ("thresholds", "json")):
+            argv = [command, str(path), "--format", fmt, "--output", str(tmp_path / "out")]
+            peaks[command, fmt, seconds] = cli_peak_bytes(argv)
+        path.unlink()
+    decoded_bytes_per_s = 44100 * np.dtype(np.float64).itemsize
+    for command, fmt in (("analyze", "csv"), ("thresholds", "csv"), ("thresholds", "json")):
+        growth = (peaks[command, fmt, 120] - peaks[command, fmt, 30]) / (120 - 30)
+        assert growth <= 1.55 * decoded_bytes_per_s, (command, fmt, growth / decoded_bytes_per_s)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peaudio import pe, psychoacoustic, signal_io
 from peaudio.pe import FD_REL_STEP, check_gradient, fit_target, pe_gradient, perceptual_entropy
@@ -480,6 +482,31 @@ def prediction(spec, seed=0):
     target = fit_target(spec)
     scale = np.random.default_rng(seed).uniform(0.5, 1.5, spec.frames.shape)
     return target, target.magnitude * scale
+
+
+class TestCheckPercentiles:
+    """to_json_dict's rel_err_p50 and p95 are np.percentile's values, without importing numpy.ma."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=1000))
+    @example(values=[-0.0])  # one value: both indices past the last
+    @example(values=[np.inf, 1.0])  # an infinity at either neighbour
+    @example(values=[-np.inf, np.inf, 0.0])
+    @example(values=[0.1, 0.2, np.nan, 0.3])
+    @example(values=[1e-300, 1e300, 1e-300, 3.0, 7.0])  # gamma on both sides of 0.5
+    def test_matches_np_percentile(self, values):
+        x = np.array(values)
+        with np.errstate(invalid="ignore"):  # np.percentile's own inf - inf
+            want = np.percentile(x, [50, 95])
+        # repr tells -0.0 from 0.0 and, as JSON does, every NaN from nothing but a number.
+        assert repr(pe._percentiles(x, (50, 95))) == repr(want.tolist())
+
+    def test_json_reads_them(self):
+        rel_errs = np.array([3e-6, 1e-7, 2e-5, 5e-6])
+        result = pe.GradientCheckResult(4, False, 2e-5, rel_errs=rel_errs)
+        payload = result.to_json_dict()
+        assert payload["rel_err_p50"] == float(np.percentile(rel_errs, 50))
+        assert payload["rel_err_p95"] == float(np.percentile(rel_errs, 95))
 
 
 @pytest.mark.parametrize("clip", ["voiced_spec", "gapped_spec"])

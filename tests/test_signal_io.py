@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,76 @@ class TestSaveWav:
         for path in (tmp_path / "path.wav", str(tmp_path / "str.wav")):
             save_wav(AudioBuffer(samples, sample_rate), path)
             assert Path(path).read_bytes() == want
+
+
+class TestMappedInput:
+    """load_wav maps a non-empty regular file, and reads a pipe or an empty file."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        """The sizes of the files load_wav maps, in order."""
+        sizes = []
+        real = signal_io.mmap.mmap
+
+        def spied(fileno, length, **kwargs):
+            sizes.append(os.fstat(fileno).st_size)
+            return real(fileno, length, **kwargs)
+
+        monkeypatch.setattr(signal_io.mmap, "mmap", spied)
+        return sizes
+
+    def test_empty_file_is_one_line_exit_2(self, tmp_path, capsys, maps):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(b"")
+        out = tmp_path / "pe.csv"
+        assert main(["analyze", str(path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not a RIFF/WAVE file\n"
+        assert not out.exists()
+        assert maps == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_decodes_as_the_file(self, tmp_path, maps):
+        values = np.random.default_rng(5).integers(-(1 << 23), 1 << 23, 2 * 3000).tolist()
+        path = build_wav(tmp_path / "t.wav", encode_pcm(values, 24), channels=2, bits=24)
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+
+        def writer():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        piped = load_wav(fifo)
+        thread.join(timeout=60)
+        assert maps == []
+        mapped = load_wav(path)
+        assert maps == [path.stat().st_size]
+        assert piped.sample_rate == mapped.sample_rate == 22050
+        assert piped.samples.tobytes() == mapped.samples.tobytes()
+        assert mapped.samples.size == 3000
+
+    def test_peak_is_the_decoded_samples_with_no_file_bytes(self, tmp_path, maps):
+        # 30 s of 24-bit stereo 44.1 kHz: a 7.9 MB file and 10.6 MB of
+        # decoded samples. Read onto the heap, the file's bytes would add
+        # 7.9 MB to the peak; mapped, they add nothing tracemalloc sees.
+        n = 30 * 44100
+        ints = np.random.default_rng(6).integers(-(1 << 23), 1 << 23, 2 * n).astype("<i4")
+        payload = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        path = build_wav(tmp_path / "t.wav", payload, channels=2, sample_rate=44100, bits=24)
+        del ints, payload
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            buf = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert maps == [path.stat().st_size]
+        assert buf.samples.nbytes == 8 * n
+        assert peak <= buf.samples.nbytes + 2**20, peak
 
 
 def encode_pcm(values, bits):
