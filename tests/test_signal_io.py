@@ -228,6 +228,7 @@ class TestMappedInput:
         thread.start()
         piped = load_wav(fifo)
         thread.join(timeout=60)
+        assert not thread.is_alive()
         assert maps == []
         mapped = load_wav(path)
         assert maps == [path.stat().st_size]
