@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from ._floattext import Reprs
 from .errors import ConfigError, DivergenceError, PeAudioError
@@ -21,7 +22,7 @@ from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import _pe_walk, check_gradient, fit_target, toy_fit
 from .psychoacoustic import _analyze_frames, bark_layout
-from .signal_io import fork_map, load_wav, map_rows, resample, thread_map
+from .signal_io import _open_wav, _resampled, fork_map, load_wav, map_rows, resample, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
 from .spectral import _frame_source, stft
 
@@ -194,9 +195,9 @@ def _load_spectrum(path, cfg: CliConfig):
 
 
 def _load_frames(path, cfg: CliConfig):
-    """The STFT config, frame count and frame source of a WAV at the config rate: no spectrum."""
+    """The STFT config, frame count and frame source of a WAV at the config rate: no samples."""
     stft_cfg = cfg.stft()
-    return stft_cfg, *_frame_source(resample(load_wav(path), cfg.sample_rate), stft_cfg)
+    return stft_cfg, *_frame_source(_resampled(_open_wav(path), cfg.sample_rate), stft_cfg)
 
 
 def cmd_analyze(args, cfg: CliConfig) -> int:
@@ -212,7 +213,8 @@ def cmd_analyze(args, cfg: CliConfig) -> int:
 
 
 def cmd_thresholds(args, cfg: CliConfig) -> int:
-    result = _analyze_frames(*_load_frames(args.input, cfg))
+    names = ("band_power", "tonality", "masking_threshold")
+    result = SimpleNamespace(**_analyze_frames(*_load_frames(args.input, cfg), names))
     centers = bark_layout(cfg.stft()).band_centers()
     _emit(_thresholds_pieces(result, centers, cfg.format), args.output)
     return EXIT_OK
@@ -232,7 +234,7 @@ def _thresholds_pieces(result, centers, fmt: str) -> list[str]:
         return "".join(map(frame, range(rows.start, rows.stop), *lines))
 
     header = "frame,quantity," + ",".join(f"{c:.1f}" for c in centers) + "\n"
-    return [header, *map_rows(piece, result.n_frames, reprs.row_len(centers.size))]
+    return [header, *map_rows(piece, len(result.band_power), reprs.row_len(centers.size))]
 
 
 def cmd_grad_check(args, cfg: CliConfig) -> int:

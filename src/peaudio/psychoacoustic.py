@@ -19,7 +19,7 @@ The bands follow from the STFT config alone: bark_layout(cfg) is their
 one source, and what needs them takes the config or the spectrum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -257,10 +257,13 @@ def _block_buffers(n_work: int, bins: int):
     return lambda rows: (np.empty((n_work, rows, bins)), np.empty((rows, bins), np.complex128))
 
 
-def _analyze_frames(cfg: StftConfig, n_frames: int, block_of) -> BarkAnalysis:
-    """analyze of n_frames frames under cfg, each block of them from block_of as in pe._pe_walk."""
+def _analyze_frames(cfg: StftConfig, n_frames: int, block_of, names) -> dict:
+    """The (T, n) analysis arrays `names` of n_frames frames under cfg, each block from block_of."""
     # The per-bin steps run per block of frames and keep only their band
-    # sums; the band stage runs once on the whole (T, n) sums, cheapest so.
+    # sums. The band stage then runs on blocks of 2^15 sums, where its small
+    # array operations cost little (per block of frames, it slowed the
+    # analyze benchmark), and writes its results over the sums it has read:
+    # band_power is its own sums, and the next two arrays take the others.
     layout, bins = bark_layout(cfg), cfg.bins
     sums = np.empty((3, n_frames, layout.n))
 
@@ -270,7 +273,17 @@ def _analyze_frames(cfg: StftConfig, n_frames: int, block_of) -> BarkAnalysis:
         sums[:, rows] = _bin_powers(x, layout.lower_bins, power, floored, power)
 
     map_rows(band_sums, n_frames, bins, _block_buffers(2, bins))
-    return _band_stage(cfg, *sums)
+    spare = [sums[1], sums[2]]
+    arrays = {name: sums[0] if name == "band_power" else spare.pop() if spare else np.empty_like(sums[0])
+              for name in names}
+
+    def band_stage(rows):
+        analysis = _band_stage(cfg, *sums[:, rows])
+        for name, array in arrays.items():
+            array[rows] = getattr(analysis, name)
+
+    map_rows(band_stage, n_frames, layout.n)
+    return arrays
 
 
 def analyze(spec: Spectrogram) -> BarkAnalysis:
@@ -279,4 +292,6 @@ def analyze(spec: Spectrogram) -> BarkAnalysis:
     The bands are bark_layout(spec.config). Spectral flatness is computed
     from the per-bin power components of each band, not from the band sums.
     """
-    return _analyze_frames(spec.config, spec.n_frames, lambda rows, _: spec.frames[rows])
+    names = [field.name for field in fields(BarkAnalysis) if field.name != "config"]
+    arrays = _analyze_frames(spec.config, spec.n_frames, lambda rows, _: spec.frames[rows], names)
+    return BarkAnalysis(**arrays, config=spec.config)

@@ -1,27 +1,27 @@
 """WAV loading, normalization and resampling.
 
-All audio is reduced to mono float64 in [-1, 1] on load. load_wav maps
-a regular file read-only and decodes the payload from the mapped pages,
-so the file's bytes are never copied onto the heap; the file must not
-shrink while it is read, since touching a mapped page past its end
-raises SIGBUS. The resampler is a plain linear interpolator, and at the
-buffer's own rate it returns the buffer itself. It does not band-limit,
-so downsampling aliases content above the new Nyquist frequency into
-the bands the masking model and the metrics read; ROADMAP Direction 7
-plans a windowed-sinc replacement.
+All audio is reduced to mono float64 in [-1, 1]. A WAV file opens as a
+sample source, whose read(a, b) decodes samples [a, b) from the file
+mapped read-only; the file must not shrink while it is read, since
+touching a mapped page past its end raises SIGBUS. A resampling source
+reads just the input each range reaches. load_wav and resample fill one
+array through these reads; CLI analyze and thresholds read each block
+of frames from the source inside their walk. The resampler is a plain
+linear interpolator, and at the buffer's own rate it returns the buffer
+itself. It does not band-limit, so downsampling aliases content above
+the new Nyquist frequency into the bands the masking model and the
+metrics read; ROADMAP Direction 7 plans a windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of rows through map_rows, the one place that sizes
 them: a block holds BLOCK_ELEMENTS values, so a stage allocates what it
 returns plus a fixed number of block buffers per thread, whatever the
-clip length. CLI analyze and thresholds form each block of STFT frames
-from the samples inside their walk, so they hold no spectrum at all.
-thread_map and fork_map share one contract, fn over items in
-contiguous shares, and differ only in whether a share after the first
-runs on a thread or in a forked child. map_rows alone knows blocks: it
-hands its blocks, each share's work buffers and the PARALLEL_MIN_BLOCKS
-threshold to the same runner, on threads. Each block writes only its
-own rows, so no bit depends on the thread count.
+clip length. thread_map and fork_map share one contract, fn over items
+in contiguous shares, and differ only in whether a share after the
+first runs on a thread or in a forked child. map_rows alone knows
+blocks: it hands its blocks, each share's work buffers and the
+PARALLEL_MIN_BLOCKS threshold to the same runner, on threads. Each block
+writes only its own rows, so no bit depends on the thread count.
 """
 
 import contextvars
@@ -33,6 +33,7 @@ import struct
 import sys
 import warnings
 import wave
+from collections.abc import Callable
 from dataclasses import dataclass
 from threading import Thread
 
@@ -265,6 +266,62 @@ class AudioBuffer:
         return self.samples.size
 
 
+@dataclass(frozen=True)
+class _Source:
+    """A clip's length, rate and read(a, b, out=None): its float64 samples [a, b) in [-1, 1].
+
+    read writes them into out if it is given, else returns a new
+    contiguous array or a contiguous view not to be written. No bit
+    depends on the range read. A whole read maps its blocks by rows of
+    `channels` values.
+    """
+
+    size: int
+    sample_rate: int
+    read: Callable
+    channels: int = 1
+
+
+def _into(out, values):
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+def _buffer_source(buf: AudioBuffer) -> _Source:
+    samples = np.ascontiguousarray(buf.samples)  # a copy only of a strided view
+    return _Source(samples.size, buf.sample_rate, lambda a, b, out=None: _into(out, samples[a:b]))
+
+
+def _whole(source: _Source) -> AudioBuffer:
+    """All of a source's samples in one array, read into it one map_rows block at a time."""
+    samples = np.empty(source.size)
+    map_rows(lambda rows: source.read(rows.start, rows.stop, samples[rows]), source.size, source.channels)
+    return AudioBuffer(samples, source.sample_rate)
+
+
+def _resampled(source: _Source, target_rate: int) -> _Source:
+    """The source linearly interpolated to floor(size * target_rate / rate) samples, or itself.
+
+    A read is one np.interp over just the input its positions reach, so
+    each output has the neighbours, slope and arithmetic of a whole-clip call.
+    """
+    if target_rate == source.sample_rate:
+        return source
+    step = source.sample_rate / target_rate
+    last = source.size - 1
+
+    def interpolate(a, b, out=None):
+        positions = np.arange(a, b, dtype=np.float64) * step
+        lo = min(int(positions[0]), last)
+        hi = min(int(positions[-1]) + 2, last + 1)
+        knots = np.arange(lo, hi, dtype=np.float64)  # float: np.interp converts int knots
+        return _into(out, np.interp(positions, knots, source.read(lo, hi)))
+
+    return _Source(source.size * target_rate // source.sample_rate, target_rate, interpolate)
+
+
 def _payload_reader(data, offset: int, count: int, bits: int, is_float: bool, path):
     """A function that reads payload samples [a, b) as float32 or int values, before scaling."""
     if is_float:
@@ -285,18 +342,8 @@ def _payload_reader(data, offset: int, count: int, bits: int, is_float: bool, pa
     raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
 
 
-def load_wav(path) -> AudioBuffer:
-    """Load a RIFF/WAVE file as normalized mono audio.
-
-    Accepts little-endian 8/16/24-bit integer PCM and 32-bit float, mono
-    or stereo. Stereo collapses to mono as exactly (L + R) / 2. Integer
-    samples are scaled by the format's full-scale value, which already
-    puts them in [-1, 1); float samples are clipped to [-1, 1], and NaN
-    or infinite ones are rejected. A non-empty regular file is mapped
-    read-only, not read onto the heap, and must not shrink while it is
-    loaded: a mapped page past the file's end raises SIGBUS. A pipe or an
-    empty file is read.
-    """
+def _open_wav(path) -> _Source:
+    """The sample source of a WAV file, decoded from its mapped pages as load_wav describes."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode) and info.st_size:
@@ -351,30 +398,39 @@ def load_wav(path) -> AudioBuffer:
     read = _payload_reader(data, offset, count, bits, is_float, path)
     if count % channels:
         raise CorruptHeaderError(f"{path}: payload not aligned to {channels}-channel frames")
-    # Decoded block by block straight into the result, in one pass over
-    # each block's output. Stereo sums are exact (int32 holds two 24-bit
-    # samples, float64 two float32 ones), and the power-of-two scale
-    # multiplies without rounding. Float values are tested before any
-    # arithmetic, so none can overflow or meet an infinity of the other sign.
-    samples = np.empty(count // channels)
+    # Screened before any sample is decoded, so a NaN or an infinity anywhere
+    # is reported first; min and max carry them with no whole-clip temporary.
+    if is_float and count and not np.isfinite([read(0, count).min(), read(0, count).max()]).all():
+        raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
+    # Stereo sums are exact (int32 holds two 24-bit samples, float64 two
+    # float32 ones), and the power-of-two scale multiplies without rounding.
     scale = 1.0 / (channels * (1 if is_float else 1 << (bits - 1)))
 
-    def decode(rows):
-        values = read(rows.start * channels, rows.stop * channels)
-        out = samples[rows]
-        if is_float and not np.isfinite(values).all():
-            raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
+    def decode(a, b, out=None):
+        values = read(a * channels, b * channels)
         if channels == 2:
             values = np.add(values[0::2], values[1::2], dtype=np.float64 if is_float else np.int32)
         if is_float and channels == 1:
-            np.clip(values, -1.0, 1.0, out=out)  # the scale is 1
-        else:
-            np.multiply(values, scale, out=out)
-            if is_float:
-                np.clip(out, -1.0, 1.0, out=out)
+            return np.clip(values, -1.0, 1.0, out=out, dtype=np.float64)  # the scale is 1
+        out = np.multiply(values, scale, out=out)
+        return np.clip(out, -1.0, 1.0, out=out) if is_float else out
 
-    map_rows(decode, samples.size, channels)
-    return AudioBuffer(samples, sample_rate)
+    return _Source(count // channels, sample_rate, decode, channels)
+
+
+def load_wav(path) -> AudioBuffer:
+    """Load a RIFF/WAVE file as normalized mono audio.
+
+    Accepts little-endian 8/16/24-bit integer PCM and 32-bit float, mono
+    or stereo. Stereo collapses to mono as exactly (L + R) / 2. Integer
+    samples are scaled by the format's full-scale value, which already
+    puts them in [-1, 1); float samples are clipped to [-1, 1], and NaN
+    or infinite ones are rejected. A non-empty regular file is mapped
+    read-only, not read onto the heap, and must not shrink while it is
+    loaded: a mapped page past the file's end raises SIGBUS. A pipe or an
+    empty file is read.
+    """
+    return _whole(_open_wav(path))
 
 
 def save_wav(buf: AudioBuffer, path) -> None:
@@ -400,21 +456,4 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     target_rate = _whole_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
         return buf
-    n_out = buf.samples.size * target_rate // buf.sample_rate
-    if n_out == 0 or buf.samples.size == 0:
-        return AudioBuffer(np.zeros(0), target_rate)
-    # One np.interp per block of output positions, over just the input
-    # samples that block reaches: each output sees the same neighbours,
-    # slope and arithmetic as in one whole-clip call.
-    step = buf.sample_rate / target_rate
-    out = np.empty(n_out)
-    last = buf.samples.size - 1
-
-    def interpolate(rows):
-        positions = np.arange(rows.start, rows.stop) * step
-        lo = min(int(positions[0]), last)
-        hi = min(int(positions[-1]) + 2, last + 1)
-        out[rows] = np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi])
-
-    map_rows(interpolate, n_out, 1)
-    return AudioBuffer(out, target_rate)
+    return _whole(_resampled(_buffer_source(buf), target_rate))

@@ -1215,9 +1215,28 @@ class TestInputErrors:
         assert stderr.startswith("error: ") and "NaN or infinite" in stderr
 
 
+    @pytest.mark.parametrize("command", ["analyze", "thresholds"])
+    @pytest.mark.parametrize("n, at", [(4396, 4390), (500, 250)])
+    def test_non_finite_where_no_frame_reads(self, command, n, at):
+        # At fft 1024 and hop 661, 4,396 samples make 6 frames, which read
+        # none past sample 4,328; 500 samples are too short for one frame.
+        # The NaN is still what is reported.
+        samples = 0.1 * np.sin(0.05 * np.arange(n))
+        samples[at] = np.nan
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "bad.wav")
+            with open(bad, "wb") as fh:
+                fh.write(float_wav_bytes(samples))
+            code, stdout, stderr, left = run_to_file([command, bad])
+        assert code == 2, stderr
+        assert_clean_failure(stdout, stderr, left)
+        assert stderr.startswith("error: ") and "NaN or infinite" in stderr
+
+
 class TestOutOfMemory:
     def test_memory_error_is_one_line_exit_2(self, sine_wav_factory, tmp_path):
-        # Resampling 1 s to 2 GHz asks numpy for a 14.9 GiB array, which a
+        # A 2^25-point FFT of 1 s resampled to 2 GHz asks numpy for 1.25 GiB
+        # of work buffers for one block of frames of the PE walk, which a
         # 1,500 MB address-space limit refuses: a MemoryError, as a huge
         # input or setting gives on a small machine.
         path = sine_wav_factory(220.0)
@@ -1297,7 +1316,7 @@ class TestOutOfMemory:
         assert thread_spy.threads and thread_spy.all_joined()
 
 
-class TestSharedPool:
+class TestMapThreads:
     """Each command's maps start threads from the main thread only, join them and never nest."""
 
     @pytest.fixture(autouse=True)
@@ -1318,7 +1337,7 @@ class TestSharedPool:
         return [command, str(clip)]
 
     @pytest.mark.parametrize("command, maps", [("compare", 1), ("toy-fit", 2)])
-    def test_no_map_submits_from_a_pool_thread(
+    def test_no_map_starts_threads_inside_a_share(
         self, voiced_wav, sine_wav_factory, tmp_path, thread_spy, command, maps
     ):
         # The files are one map of two shares. toy-fit decodes its target
@@ -1331,7 +1350,7 @@ class TestSharedPool:
         assert thread_spy.starters == [threading.main_thread()] * maps
 
     @pytest.mark.parametrize("command", ["analyze", "compare", "toy-fit"])
-    def test_no_pool_work_runs_after_main_returns(
+    def test_no_share_runs_after_main_returns(
         self, voiced_wav, sine_wav_factory, tmp_path, thread_spy, command
     ):
         argv = self.argv(command, voiced_wav, sine_wav_factory, tmp_path)

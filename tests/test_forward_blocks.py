@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peaudio import signal_io
-from peaudio.cli import main
+from peaudio.cli import CliConfig, _load_frames, main
 from peaudio.errors import NonFiniteAudioError
 from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy
 from peaudio.psychoacoustic import (
@@ -40,7 +40,7 @@ from peaudio.psychoacoustic import (
     spreading_kernel,
     tonality,
 )
-from peaudio.signal_io import AudioBuffer, load_wav, resample, save_wav
+from peaudio.signal_io import AudioBuffer, load_wav, map_rows, resample, save_wav
 from peaudio.spectral import Spectrogram, StftConfig, stft
 
 from conftest import harmonic_signal
@@ -383,6 +383,38 @@ class TestThreadedBlocks:
         assert messages[0] == messages[1] == f"{path}: float payload holds NaN or infinite samples"
 
 
+class TestStreamedFrames:
+    """CLI analyze and thresholds decode, resample and frame each block of frames from the file."""
+
+    @pytest.mark.parametrize("rate", [16000, SR, 44100])
+    @pytest.mark.parametrize("bits, is_float", FORMATS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_frames_equal_those_of_the_whole_clip(
+        self, tmp_path, monkeypatch, thread_spy, rate, bits, is_float, channels
+    ):
+        # 1.5 s is 49 frames at the analysis rate. The frames the CLI's
+        # walks form, at blocks of 1 to 64 frames and on threads from 2
+        # blocks up, must be those of the whole decoded, resampled clip.
+        mono = harmonic_signal(duration=1.5, sr=rate, amplitude=0.8)
+        if is_float:
+            mono[::97] *= 1.5  # out of range: the float path clips
+        payload = encode(mono, bits, channels, is_float)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_header(len(payload), bits, channels, rate, is_float) + payload)
+        cfg = CliConfig()
+        want = stft(resample(load_wav(path), SR), cfg.stft()).frames
+        assert want.shape[0] == 49
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+        for rows in (1, 2, 7, 64):
+            monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", rows * want.shape[1])
+            stft_cfg, n_frames, block_of = _load_frames(path, cfg)
+            got = np.empty((n_frames, stft_cfg.bins), np.complex128)
+            map_rows(lambda rows: block_of(rows, got[rows]), n_frames, stft_cfg.bins)
+            assert got.tobytes() == want.tobytes(), rows
+        assert thread_spy.threads and thread_spy.all_joined()
+
+
 class TestResampleProperties:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -459,13 +491,22 @@ def cli_peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_samples(tmp_path):
-    # CLI analyze forms its STFT frames one block at a time inside the PE
-    # walk and resamples a clip already at --sample-rate to itself without
-    # a copy. So beyond a few blocks per thread it holds the decoded
-    # samples and the per-frame PE and its text, not a spectrum; the
-    # file's bytes are mapped, not read onto the heap. One extra second of
-    # 16-bit mono 22.05 kHz input is 22050 decoded float64 samples.
+# Bytes per extra second of thresholds' three (T, 23) float64 arrays at
+# the 22.05 kHz analysis rate (hop 661), whatever the input's rate.
+THRESHOLDS_ARRAY_BYTES_PER_S = 3 * 23 * 8 * SR / 661
+
+
+def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_samples(
+    tmp_path, monkeypatch
+):
+    # CLI analyze decodes each block of STFT frames from the mapped file
+    # inside the PE walk, so beyond one thread's few blocks (the map runs
+    # on one thread here, so the peak does not depend on how the threads'
+    # blocks overlap) it holds its per-frame PE and, after the walk, its
+    # text: no samples and no spectrum. It grows by 0.3 KB/s, 0.002 times
+    # the 22050 decoded float64 samples that one extra second of 16-bit
+    # mono 22.05 kHz input is; it grew by 1.00 times while it held them.
+    monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
     peaks = {}
     for seconds in (30, 300):
         path = tmp_path / f"clip-{seconds}s.wav"
@@ -473,15 +514,18 @@ def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_sampl
         peaks[seconds] = cli_peak_bytes(["analyze", str(path), "--output", str(tmp_path / "pe.csv")])
         path.unlink()
     decoded_bytes_per_s = SR * np.dtype(np.float64).itemsize
-    assert peaks[300] - peaks[30] <= 1.5 * decoded_bytes_per_s * (300 - 30)
+    assert peaks[300] - peaks[30] <= 0.005 * decoded_bytes_per_s * (300 - 30)
 
 
-def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tmp_path):
-    # CLI thresholds holds the decoded samples while it analyses the clip,
-    # and the (T, 23) analysis and its text, once, in pieces, while it
-    # writes it; beyond those, a few blocks. One extra second of 16-bit
-    # mono 22.05 kHz input is 22050 decoded float64 samples and 33 frames
-    # of text.
+def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tmp_path, monkeypatch):
+    # CLI thresholds decodes its frames from the file as analyze does and
+    # holds only the three (T, 23) arrays it writes, then their text, once,
+    # in pieces; beyond those, one thread's few blocks. One extra second
+    # of 16-bit mono 22.05 kHz input is 33 frames: 18.4 KB of the arrays
+    # and 47 KB of CSV or 62 KB of JSON. The peak grows by 1.01 (CSV) and
+    # 1.00 (JSON) times their sum; it grew by 1.03 and 0.96 times the
+    # text and the 22050 decoded samples while it held those.
+    monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
     peaks, sizes = {}, {}
     for seconds in (30, 300):
         path = tmp_path / f"clip-{seconds}s.wav"
@@ -492,29 +536,38 @@ def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tm
             peaks[fmt, seconds] = cli_peak_bytes(argv)
             sizes[fmt, seconds] = out.stat().st_size
         path.unlink()
-    decoded_bytes_per_s = SR * np.dtype(np.float64).itemsize
     for fmt in ("csv", "json"):
         text_bytes_per_s = (sizes[fmt, 300] - sizes[fmt, 30]) / (300 - 30)
         growth_per_s = (peaks[fmt, 300] - peaks[fmt, 30]) / (300 - 30)
-        assert growth_per_s <= 1.15 * (text_bytes_per_s + decoded_bytes_per_s), fmt
+        assert growth_per_s <= 1.05 * (text_bytes_per_s + THRESHOLDS_ARRAY_BYTES_PER_S), fmt
 
 
-def test_cli_memory_on_24_bit_stereo_grows_at_most_1_55_times_the_decoded_samples(tmp_path):
-    # A 44.1 kHz file is resampled to the 22.05 kHz analysis rate, so the
-    # peak is the decoded samples plus the resampled half of them. The
-    # file's bytes (0.75 of the decoded samples here) are mapped, not read
-    # onto the heap: held beside the decoded samples they read 1.75x. The
-    # text and the analysis come after the samples are dropped. One extra
-    # second of 24-bit stereo 44.1 kHz input is 44100 decoded float64 samples.
-    peaks = {}
+def test_cli_memory_on_24_bit_stereo_grows_at_most_1_55_times_the_decoded_samples(tmp_path, monkeypatch):
+    # A 44.1 kHz file is resampled to the 22.05 kHz analysis rate one
+    # block of frames at a time, from just the decoded input that block
+    # reaches, so neither the decoded nor the resampled samples are held.
+    # The file's bytes are mapped, not read onto the heap. Per extra second
+    # (44100 decoded float64 samples, 353 KB) analyze grows by 0.4 KB,
+    # and thresholds by 0.92 (CSV) and 0.96 (JSON) times its text and its
+    # three (T, 23) arrays; all three grew by 1.50 times the decoded
+    # samples while the decoded and the resampled ones were held.
+    monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
+    peaks, sizes = {}, {}
     for seconds in (30, 120):
         path = tmp_path / f"clip-{seconds}s.wav"
         write_tone_clip(path, seconds, 24, 2, 44100)
         for command, fmt in (("analyze", "csv"), ("thresholds", "csv"), ("thresholds", "json")):
-            argv = [command, str(path), "--format", fmt, "--output", str(tmp_path / "out")]
+            out = tmp_path / "out"
+            argv = [command, str(path), "--format", fmt, "--output", str(out)]
             peaks[command, fmt, seconds] = cli_peak_bytes(argv)
+            sizes[command, fmt, seconds] = out.stat().st_size
         path.unlink()
     decoded_bytes_per_s = 44100 * np.dtype(np.float64).itemsize
     for command, fmt in (("analyze", "csv"), ("thresholds", "csv"), ("thresholds", "json")):
         growth = (peaks[command, fmt, 120] - peaks[command, fmt, 30]) / (120 - 30)
-        assert growth <= 1.55 * decoded_bytes_per_s, (command, fmt, growth / decoded_bytes_per_s)
+        if command == "analyze":
+            assert growth <= 0.005 * decoded_bytes_per_s, growth / decoded_bytes_per_s
+        else:
+            text = (sizes[command, fmt, 120] - sizes[command, fmt, 30]) / (120 - 30)
+            bound = 1.05 * (text + THRESHOLDS_ARRAY_BYTES_PER_S)
+            assert growth <= bound, (fmt, growth / (text + THRESHOLDS_ARRAY_BYTES_PER_S))
