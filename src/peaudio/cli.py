@@ -22,9 +22,9 @@ from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import _pe_walk, check_gradient, fit_target, toy_fit
 from .psychoacoustic import _analyze_frames, bark_layout
-from .signal_io import _open_wav, _resampled, fork_map, load_wav, map_rows, resample, thread_map
+from .signal_io import _open_wav, fork_map, map_rows, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
-from .spectral import _frame_source, stft
+from .spectral import _frame_source, _spectrum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -190,14 +190,10 @@ def _emit(pieces: list[str], output) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _load_spectrum(path, cfg: CliConfig):
-    return stft(resample(load_wav(path), cfg.sample_rate), cfg.stft())
-
-
 def _load_frames(path, cfg: CliConfig):
     """The STFT config, frame count and frame source of a WAV at the config rate: no samples."""
     stft_cfg = cfg.stft()
-    return stft_cfg, *_frame_source(_resampled(_open_wav(path), cfg.sample_rate), stft_cfg)
+    return stft_cfg, *_frame_source(_open_wav(path, cfg.sample_rate), stft_cfg)
 
 
 def cmd_analyze(args, cfg: CliConfig) -> int:
@@ -240,7 +236,7 @@ def _thresholds_pieces(result, centers, fmt: str) -> list[str]:
 def cmd_grad_check(args, cfg: CliConfig) -> int:
     if args.n_coords < 1:
         raise ConfigError(f"--n-coords must be >= 1, got {args.n_coords}")
-    spec = _load_spectrum(args.input, cfg)
+    spec = _spectrum(*_load_frames(args.input, cfg))
     check = check_gradient(spec, n_coords=args.n_coords, seed=cfg.seed)
     _emit([_json_text(check.to_json_dict())], args.output)
     if not check.passed():
@@ -343,7 +339,7 @@ def cmd_toy_fit(args, cfg: CliConfig) -> int:
     if not 0.0 < args.lr < math.inf:
         raise ConfigError(f"--lr must be finite and positive, got {args.lr}")
     # The target spectrum itself is not kept: the arms read only its fit reference.
-    target = fit_target(_load_spectrum(args.target, cfg))
+    target = fit_target(_spectrum(*_load_frames(args.target, cfg)))
     lams = {"regularized": cfg.lam, "baseline": 0.0}
 
     def fit(lam):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
-from .signal_io import AudioBuffer, load_wav, resample, row_blocks
+from .signal_io import AudioBuffer, _open_wav, _whole, row_blocks
 from .spectral import StftConfig, _power, mel_cepstrum, mel_spectrogram, stft
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
@@ -250,15 +250,14 @@ class FileFeatures:
 
 
 def file_features(path, cfg: StftConfig) -> FileFeatures:
-    """Decode one WAV, resample it to the config rate and keep only its
-    mel cepstrum and F0 track.
+    """Decode one WAV into one array at the config rate; keep only its mel cepstrum and F0 track.
 
     An error is returned, not raised, so that score can report a pair's
     errors in a fixed order; a clip too short for either feature is
     named in its error.
     """
     try:
-        buf = resample(load_wav(path), cfg.sample_rate)
+        buf = _whole(_open_wav(path, cfg.sample_rate))
     except Exception as exc:
         return FileFeatures(load_error=exc)
     try:

@@ -3,14 +3,16 @@
 All audio is reduced to mono float64 in [-1, 1]. A WAV file opens as a
 sample source, whose read(a, b) decodes samples [a, b) from the file
 mapped read-only; the file must not shrink while it is read, since
-touching a mapped page past its end raises SIGBUS. A resampling source
-reads just the input each range reaches. load_wav and resample fill one
-array through these reads; CLI analyze and thresholds read each block
-of frames from the source inside their walk. The resampler is a plain
-linear interpolator, and at the buffer's own rate it returns the buffer
-itself. It does not band-limit, so downsampling aliases content above
-the new Nyquist frequency into the bands the masking model and the
-metrics read; ROADMAP Direction 7 plans a windowed-sinc replacement.
+touching a mapped page past its end raises SIGBUS. Opened at a rate, it
+is a resampling source, which reads just the input each range reaches.
+load_wav and resample fill one array through these reads. Every CLI
+command opens its input at the analysis rate; all but compare, which
+reads it whole once, read each block of frames inside an STFT or walk.
+The resampler is a plain linear interpolator, and at the buffer's own
+rate it returns the buffer itself. It does not band-limit, so
+downsampling aliases content above the new Nyquist frequency into the
+bands the masking model and the metrics read; ROADMAP Direction 7 plans
+a windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of rows through map_rows, the one place that sizes
@@ -272,14 +274,12 @@ class _Source:
 
     read writes them into out if it is given, else returns a new
     contiguous array or a contiguous view not to be written. No bit
-    depends on the range read. A whole read maps its blocks by rows of
-    `channels` values.
+    depends on the range read.
     """
 
     size: int
     sample_rate: int
     read: Callable
-    channels: int = 1
 
 
 def _into(out, values):
@@ -297,7 +297,7 @@ def _buffer_source(buf: AudioBuffer) -> _Source:
 def _whole(source: _Source) -> AudioBuffer:
     """All of a source's samples in one array, read into it one map_rows block at a time."""
     samples = np.empty(source.size)
-    map_rows(lambda rows: source.read(rows.start, rows.stop, samples[rows]), source.size, source.channels)
+    map_rows(lambda rows: source.read(rows.start, rows.stop, samples[rows]), source.size, 1)
     return AudioBuffer(samples, source.sample_rate)
 
 
@@ -342,8 +342,8 @@ def _payload_reader(data, offset: int, count: int, bits: int, is_float: bool, pa
     raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
 
 
-def _open_wav(path) -> _Source:
-    """The sample source of a WAV file, decoded from its mapped pages as load_wav describes."""
+def _open_wav(path, rate: int | None = None) -> _Source:
+    """The sample source of a WAV file as load_wav decodes it, resampled to rate if one is given."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode) and info.st_size:
@@ -415,7 +415,8 @@ def _open_wav(path) -> _Source:
         out = np.multiply(values, scale, out=out)
         return np.clip(out, -1.0, 1.0, out=out) if is_float else out
 
-    return _Source(count // channels, sample_rate, decode, channels)
+    source = _Source(count // channels, sample_rate, decode)
+    return source if rate is None else _resampled(source, rate)
 
 
 def load_wav(path) -> AudioBuffer:

@@ -112,16 +112,20 @@ def _frame_source(source: _Source, cfg: StftConfig):
     return (source.size - fft) // hop + 1, block_of
 
 
+def _spectrum(cfg: StftConfig, n_frames: int, block_of) -> Spectrogram:
+    """The spectrogram of n_frames frames under cfg, each block written by a _frame_source's block_of."""
+    out = np.empty((n_frames, cfg.bins), np.complex128)
+    map_rows(lambda rows: block_of(rows, out[rows]), n_frames, cfg.fft_size)
+    return Spectrogram(out, cfg)
+
+
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Windowed one-sided STFT without centering.
 
     Frame t covers samples [t*hop, t*hop + fft_size); trailing samples
     that do not fill a frame are dropped. buf must be at cfg.sample_rate.
     """
-    n_frames, block_of = _frame_source(_buffer_source(buf), cfg)
-    out = np.empty((n_frames, cfg.bins), np.complex128)
-    map_rows(lambda rows: block_of(rows, out[rows]), n_frames, cfg.fft_size)
-    return Spectrogram(out, cfg)
+    return _spectrum(cfg, *_frame_source(_buffer_source(buf), cfg))
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:

@@ -93,6 +93,7 @@ def test_core_probe_times_one_process_against_two():
     probe = bench_record.core_probe()
     assert probe["one_process_s"] > 0 and len(probe["two_processes_s"]) == 2
     assert probe["ratio"] == max(probe["two_processes_s"]) / probe["one_process_s"]
+    assert probe["load_avg_1min"] >= 0
 
 
 def test_bare_maxrss_is_not_the_callers_peak():

@@ -6,9 +6,10 @@ compared, at blocks of 1, 2 and 7 rows, with its default block size and
 with a whole-array oracle: the same computation as one call over the
 whole clip. Nor may the threads the blocks are mapped over: each
 stage, the gradient and its checker are compared with their serial runs.
-CLI analyze and thresholds, which form their STFT frames inside their
-walks, are compared with the public path over the whole spectrum, and
-the bytes thresholds writes with those at the default block size.
+The CLI's frames, which every command but compare forms inside its STFT
+or walk, and compare's features are compared with the public path over
+the whole clip, and the bytes thresholds writes with those at the
+default block size.
 """
 
 import json
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from peaudio import signal_io
 from peaudio.cli import CliConfig, _load_frames, main
 from peaudio.errors import NonFiniteAudioError
+from peaudio.metrics import extract_f0, file_features
 from peaudio.pe import check_gradient, pe_gradient, perceptual_entropy
 from peaudio.psychoacoustic import (
     SFM_POWER_FLOOR,
@@ -41,7 +43,7 @@ from peaudio.psychoacoustic import (
     tonality,
 )
 from peaudio.signal_io import AudioBuffer, load_wav, map_rows, resample, save_wav
-from peaudio.spectral import Spectrogram, StftConfig, stft
+from peaudio.spectral import Spectrogram, StftConfig, mel_cepstrum, mel_spectrogram, stft
 
 from conftest import harmonic_signal
 
@@ -384,7 +386,7 @@ class TestThreadedBlocks:
 
 
 class TestStreamedFrames:
-    """CLI analyze and thresholds decode, resample and frame each block of frames from the file."""
+    """The CLI opens every WAV at the analysis rate through one source, never through load_wav."""
 
     @pytest.mark.parametrize("rate", [16000, SR, 44100])
     @pytest.mark.parametrize("bits, is_float", FORMATS)
@@ -394,7 +396,8 @@ class TestStreamedFrames:
     ):
         # 1.5 s is 49 frames at the analysis rate. The frames the CLI's
         # walks form, at blocks of 1 to 64 frames and on threads from 2
-        # blocks up, must be those of the whole decoded, resampled clip.
+        # blocks up, must be those of the whole decoded, resampled clip,
+        # and so must compare's cepstrum and F0 track.
         mono = harmonic_signal(duration=1.5, sr=rate, amplitude=0.8)
         if is_float:
             mono[::97] *= 1.5  # out of range: the float path clips
@@ -402,7 +405,9 @@ class TestStreamedFrames:
         path = tmp_path / "x.wav"
         path.write_bytes(wav_header(len(payload), bits, channels, rate, is_float) + payload)
         cfg = CliConfig()
-        want = stft(resample(load_wav(path), SR), cfg.stft()).frames
+        buf = resample(load_wav(path), SR)
+        spec = stft(buf, cfg.stft())
+        want = spec.frames
         assert want.shape[0] == 49
         monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
         monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
@@ -412,7 +417,36 @@ class TestStreamedFrames:
             got = np.empty((n_frames, stft_cfg.bins), np.complex128)
             map_rows(lambda rows: block_of(rows, got[rows]), n_frames, stft_cfg.bins)
             assert got.tobytes() == want.tobytes(), rows
+        features = file_features(path, cfg.stft())
+        assert features.cepstrum.tobytes() == mel_cepstrum(mel_spectrogram(spec)).tobytes()
+        assert features.track.f0.tobytes() == extract_f0(buf, cfg.hop / SR).f0.tobytes()
         assert thread_spy.threads and thread_spy.all_joined()
+
+    def test_grad_check_and_toy_fit_read_no_whole_clip(self, tmp_path, monkeypatch):
+        # Both commands take their spectrum from a 44.1 kHz stereo file
+        # one block of frames at a time, so with every whole-clip read
+        # refused they still exit 0 and write the same bytes.
+        mono = harmonic_signal(duration=3.0, sr=44100, amplitude=0.8)
+        payload = encode(mono, 24, 2, False)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_header(len(payload), 24, 2, 44100, False) + payload)
+        argvs = [["grad-check", str(path), "--n-coords", "20"], ["toy-fit", str(path), "--steps", "2"]]
+
+        def outputs(tag):
+            got = []
+            for argv in argvs:
+                out = tmp_path / f"{argv[0]}-{tag}"
+                assert main([*argv, "--output", str(out)]) == 0, argv[0]
+                got.append(out.read_bytes())
+            return got
+
+        want = outputs("whole")
+
+        def refused(source):
+            raise AssertionError("a whole-clip read")
+
+        monkeypatch.setattr(signal_io, "_whole", refused)
+        assert outputs("streamed") == want
 
 
 class TestResampleProperties:
@@ -496,9 +530,7 @@ def cli_peak_bytes(argv) -> int:
 THRESHOLDS_ARRAY_BYTES_PER_S = 3 * 23 * 8 * SR / 661
 
 
-def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_samples(
-    tmp_path, monkeypatch
-):
+def test_cli_analyze_memory_grows_at_most_0_005_times_the_decoded_samples(tmp_path, monkeypatch):
     # CLI analyze decodes each block of STFT frames from the mapped file
     # inside the PE walk, so beyond one thread's few blocks (the map runs
     # on one thread here, so the peak does not depend on how the threads'
@@ -517,7 +549,7 @@ def test_cli_analyze_memory_grows_at_most_one_and_a_half_times_the_decoded_sampl
     assert peaks[300] - peaks[30] <= 0.005 * decoded_bytes_per_s * (300 - 30)
 
 
-def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tmp_path, monkeypatch):
+def test_cli_thresholds_memory_grows_at_most_its_text_and_three_arrays(tmp_path, monkeypatch):
     # CLI thresholds decodes its frames from the file as analyze does and
     # holds only the three (T, 23) arrays it writes, then their text, once,
     # in pieces; beyond those, one thread's few blocks. One extra second
@@ -542,7 +574,9 @@ def test_cli_thresholds_memory_grows_at_most_its_text_and_the_decoded_samples(tm
         assert growth_per_s <= 1.05 * (text_bytes_per_s + THRESHOLDS_ARRAY_BYTES_PER_S), fmt
 
 
-def test_cli_memory_on_24_bit_stereo_grows_at_most_1_55_times_the_decoded_samples(tmp_path, monkeypatch):
+def test_cli_memory_on_24_bit_stereo_grows_at_most_0_005_times_the_decoded_samples_or_its_text_and_arrays(
+    tmp_path, monkeypatch
+):
     # A 44.1 kHz file is resampled to the 22.05 kHz analysis rate one
     # block of frames at a time, from just the decoded input that block
     # reaches, so neither the decoded nor the resampled samples are held.

@@ -25,12 +25,13 @@ of two forked processes at once, and ``ratio``, the slower of the two
 over the one. About 1 means the second core was free; about 2, that
 the two processes shared one core, so work split over two processes or
 threads had no core to gain from, and the run measured the host's load
-as much as the code. A run whose probe ratio exceeds
-``PROBE_MAX_RATIO`` is discarded and its seed probed and run again, up
-to ``PROBE_TRIES`` runs; a seed that never passes keeps its last run,
-flagged ``probe_exceeded``. Each kept run holds its probe, the
-discarded runs are listed apart with their probe and the reason, and
-the medians are taken over the kept runs only. ``--tiny`` runs the
+as much as the code. Each probe also holds the host's 1-minute load
+average (``load_avg_1min``), read right after it. A run whose probe
+ratio exceeds ``PROBE_MAX_RATIO`` is discarded and its seed probed and
+run again, up to ``PROBE_TRIES`` runs; a seed that never passes keeps
+its last run, flagged ``probe_exceeded``. Each kept run holds its probe,
+the discarded runs are listed apart with their probe and the reason,
+and the medians are taken over the kept runs only. ``--tiny`` runs the
 benchmark's tiny inputs for ``TINY_SECONDS``, which makes a run take
 seconds; its figures mean nothing and it writes ``"tiny": true``.
 A run that fails stops the script with its stderr and exit code 1.
@@ -102,10 +103,14 @@ def forked_kernel_s(n: int) -> list[float]:
 
 
 def core_probe() -> dict:
-    """The kernel passes' seconds in one process, in each of two at once, and the slower over the one."""
+    """The kernel passes' seconds in one process, in each of two at once, and the slower over the one.
+
+    It also holds the host's 1-minute load average, read once the passes are done.
+    """
     one = forked_kernel_s(1)[0]
     two = forked_kernel_s(2)
-    return {"one_process_s": one, "two_processes_s": two, "ratio": max(two) / one}
+    return {"one_process_s": one, "two_processes_s": two, "ratio": max(two) / one,
+            "load_avg_1min": os.getloadavg()[0]}
 
 
 def bare_maxrss_mb() -> float:
