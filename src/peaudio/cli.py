@@ -8,7 +8,6 @@ its default path can come from the PE_AUDIO_CONFIG environment variable.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from .metrics import file_features, score
 from .pe import DEFAULT_N_COORDS, DEFAULT_SEED, LossConfig
 from .pe import _pe_walk, check_gradient, fit_target, toy_fit
 from .psychoacoustic import _analyze_frames, bark_layout
-from .signal_io import _open_wav, fork_map, map_rows, thread_map
+from .signal_io import Workspace, _open_wav, fork_map, map_rows, thread_map
 from .spectral import DEFAULT_FFT_SIZE, DEFAULT_HOP, DEFAULT_SAMPLE_RATE, StftConfig
 from .spectral import _frame_source, _spectrum
 
@@ -285,15 +284,17 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     else:
         raise ConfigError("compare needs REF PRED arguments or --manifest")
 
-    features = functools.partial(file_features, cfg=cfg.stft())
+    stft_cfg = cfg.stft()
     # One task per distinct path, as written, in order of first appearance.
     paths = list(dict.fromkeys(path for pair in pairs for path in pair))
 
     # A file's FFTs release the GIL, so the files are split over one
     # thread per usable CPU, and each file's stages run serially on its
-    # thread. file_features returns a file's error, and rows are scored
-    # in manifest order, so the first failing row is the one reported.
-    by_path = dict(zip(paths, thread_map(features, paths)))
+    # thread, in the one Workspace of its thread's share. file_features
+    # returns a file's error, and rows are scored in manifest order, so
+    # the first failing row is the one reported.
+    features = thread_map(lambda path, work: file_features(path, stft_cfg, work), paths, Workspace)
+    by_path = dict(zip(paths, features))
     reports = []
     for (ref, pred), label in zip(pairs, labels):
         # Either error exits 2; the label names the manifest row it came from.

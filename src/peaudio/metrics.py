@@ -5,7 +5,8 @@ co-voiced frames, voiced/unvoiced disagreement rate, Pearson
 correlation), plus an autocorrelation pitch extractor so raw WAV pairs
 can be compared directly. Frames are compared index-aligned, no DTW.
 compare scores one pair as score(file_features(ref), file_features(pred));
-a caller scoring many pairs can compute each file's features once.
+a caller scoring many pairs can compute each file's features once, and
+a thread featuring many files can reuse one Workspace for all of them.
 """
 
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
-from .signal_io import AudioBuffer, _open_wav, _whole, row_blocks
-from .spectral import StftConfig, _power, mel_cepstrum, mel_spectrogram, stft
+from .signal_io import AudioBuffer, Workspace, _buffer_source, _open_wav, _read_into, row_blocks
+from .spectral import StftConfig, _cepstra, _frame_source, _power
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
@@ -94,34 +95,49 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int, work: Workspace | None = None):
     """Autocorrelation of each row at lags lo..hi-1, each lag normalized
     by the energies of the two overlapping segments; zero-energy overlaps
     give 0.
 
     The FFT is at least window + hi long, so no lag below hi wraps
     around: the values are the linear autocorrelation, not an
-    approximation of it.
+    approximation of it. Every array it forms, the one it returns
+    among them, is a buffer of work (a new Workspace if it is None).
     """
-    n = frames.shape[1]
+    work = Workspace() if work is None else work
+    rows, n = frames.shape
     size = next_fast_len(n + hi)
     # Padded here, not through rfft's n: numpy's own padding took 1.4x
     # as long on the tracker's blocks, for the same bits.
-    padded = np.zeros((frames.shape[0], size))
+    padded = work.take("fft_in", (rows, size))
     padded[:, :n] = frames
-    spectrum = np.fft.rfft(padded, axis=1)
-    power = _power(spectrum)
-    raw = np.fft.irfft(power, size, axis=1)[:, lo:hi]
+    padded[:, n:] = 0
+    spectrum = work.take("fft_out", (rows, size // 2 + 1), np.complex128)
+    np.fft.rfft(padded, axis=1, out=spectrum)
+    # The power goes into the spectrum's real parts, whose imaginary
+    # parts square in place: irfft would cast a real power to a new
+    # complex array, with these same bits.
+    _power(spectrum, spectrum.real, spectrum.imag)
+    spectrum.imag = 0.0
+    raw = np.fft.irfft(spectrum, size, axis=1, out=padded)[:, lo:hi]
     # squares[:, m] is the energy of the first m samples of each row.
-    squares = np.zeros((frames.shape[0], n + 1))
-    np.cumsum(frames * frames, axis=1, out=squares[:, 1:])
+    squares = work.take("squares", (rows, n + 1))
+    squares[:, 0] = 0.0
+    np.cumsum(np.multiply(frames, frames, out=squares[:, 1:]), axis=1, out=squares[:, 1:])
     energy_head = squares[:, n - hi + 1 : n - lo + 1][:, ::-1]
-    energy_tail = squares[:, n:] - squares[:, lo:hi]
-    denom = np.sqrt(energy_head * energy_tail)
-    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+    lags = (rows, hi - lo)
+    denom = np.subtract(squares[:, n:], squares[:, lo:hi], out=work.take("f0_denom", lags))
+    np.sqrt(np.multiply(energy_head, denom, out=denom), out=denom)
+    positive = np.greater(denom, 0, out=work.take("f0_positive", lags, np.bool_))
+    corr = work.take("f0_corr", lags)
+    corr.fill(0.0)
+    return np.divide(raw, denom, out=corr, where=positive)
 
 
-def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
+def extract_f0(
+    buf: AudioBuffer, hop_seconds: float = 0.03, work: Workspace | None = None
+) -> F0Track:
     """Autocorrelation pitch tracker.
 
     A frame is voiced when its best normalized autocorrelation peak
@@ -134,7 +150,9 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
     parabolic interpolation before converting to Hz.
 
     Frames are processed F0_BLOCK_FRAMES at a time, so memory beyond
-    the per-frame outputs does not grow with the signal's length.
+    the per-frame outputs does not grow with the signal's length. Each
+    block's arrays are buffers of work, which a caller tracking many
+    clips on one thread can pass to each (a new Workspace if it is None).
     """
     if not 0.0 < hop_seconds < math.inf:
         raise ValueError(f"hop_seconds must be finite and positive, got {hop_seconds}")
@@ -149,27 +167,37 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
     if n_frames == 0 or lag_max <= lag_min:
         return F0Track(f0)
 
+    work = Workspace() if work is None else work
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     rms = np.empty(n_frames)
-    for block in row_blocks(n_frames, F0_BLOCK_FRAMES):
-        rms[block] = np.sqrt(np.mean(windows[block] ** 2, axis=1))
+    blocks = row_blocks(n_frames, F0_BLOCK_FRAMES)
+    for block in blocks:
+        squares = work.take("squares", (block.stop - block.start, window))
+        np.square(windows[block], out=squares)
+        np.sqrt(np.mean(squares, axis=1, out=rms[block]), out=rms[block])
     peak_rms = rms.max()
     if peak_rms == 0:
         return F0Track(f0)
-    gated_in = np.flatnonzero(~(rms < VOICING_RMS_GATE * peak_rms))
+    gated_in = ~(rms < VOICING_RMS_GATE * peak_rms)
 
     # Lags lag_min-1 .. lag_max+1 are read; the window holds lag_max + 2
     # samples at every rate where the tracker runs (test_window_holds_every_lag_read).
     lo = lag_min - 1
     hi = lag_max + 2
-    for block in row_blocks(gated_in.size, F0_BLOCK_FRAMES):
-        rows = gated_in[block]
-        corr = _normalized_autocorr(windows[rows], lo, hi)
+    # A block's windows are a view of the samples, so no frame is
+    # gathered: a frame below the gate is correlated with its block and
+    # then passed over, and a block with none above it is skipped.
+    for block in blocks:
+        if not gated_in[block].any():
+            continue
+        corr = _normalized_autocorr(windows[block], lo, hi, work)
         candidates = corr[:, 1 : lag_max - lo + 1]
         best = candidates.max(axis=1)
-        at = np.flatnonzero(~(best < VOICING_AUTOCORR_THRESHOLD))
+        at = np.flatnonzero(gated_in[block] & ~(best < VOICING_AUTOCORR_THRESHOLD))
+        near = np.greater_equal(candidates, 0.98 * best[:, None],
+                                out=work.take("f0_near", candidates.shape, np.bool_))
         # Column of the chosen lag in corr; its neighbours are at +-1.
-        col = 1 + np.argmax(candidates[at] >= 0.98 * best[at, None], axis=1)
+        col = 1 + np.argmax(near, axis=1)[at]
         lag = lo + col
         left = corr[at, col - 1]
         mid = corr[at, col]
@@ -178,7 +206,7 @@ def extract_f0(buf: AudioBuffer, hop_seconds: float = 0.03) -> F0Track:
         refined = lag.astype(np.float64)
         bend = denom < 0
         refined[bend] += 0.5 * (left - right)[bend] / denom[bend]
-        f0[rows[at]] = np.minimum(np.maximum(rate / refined, F0_MIN_HZ), F0_MAX_HZ)
+        f0[block.start + at] = np.minimum(np.maximum(rate / refined, F0_MIN_HZ), F0_MAX_HZ)
 
     return F0Track(f0)
 
@@ -197,8 +225,11 @@ def mcd(ref: np.ndarray, pred: np.ndarray) -> float:
         raise ShapeMismatchError("need at least 2 coefficients (c0 is excluded)")
     if ref.shape[0] == 0:
         raise ShapeMismatchError("no frames to compare")
-    diff = ref[:, 1:] - pred[:, 1:]
-    return MCD_CONSTANT * float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
+    # F-ordered, so that each frame's squares are summed in one fixed
+    # order, left to right, whatever the memory order of the inputs.
+    diff = np.subtract(ref[:, 1:], pred[:, 1:], order="F")
+    np.multiply(diff, diff, out=diff)
+    return MCD_CONSTANT * float(np.mean(np.sqrt(np.sum(diff, axis=1))))
 
 
 def f0_metrics(ref: F0Track, pred: F0Track) -> tuple[float, float, float]:
@@ -249,20 +280,26 @@ class FileFeatures:
     feature_error: Exception | None = None
 
 
-def file_features(path, cfg: StftConfig) -> FileFeatures:
-    """Decode one WAV into one array at the config rate; keep only its mel cepstrum and F0 track.
+def file_features(path, cfg: StftConfig, work: Workspace | None = None) -> FileFeatures:
+    """Decode one WAV at the config rate; keep only its mel cepstrum and F0 track.
 
-    An error is returned, not raised, so that score can report a pair's
-    errors in a fixed order; a clip too short for either feature is
-    named in its error.
+    The samples are decoded into work's samples buffer, and the cepstrum
+    and the F0 track are formed block by block in work's other buffers,
+    so a thread that passes one Workspace to each of its files allocates
+    little more than the features it keeps (a new Workspace if it is
+    None). An error is returned, not raised, so that score can report a
+    pair's errors in a fixed order; a clip too short for either feature
+    is named in its error.
     """
+    work = Workspace() if work is None else work
     try:
-        buf = _whole(_open_wav(path, cfg.sample_rate))
+        source = _open_wav(path, cfg.sample_rate)
+        buf = _read_into(source, work.take("samples", (source.size,)))
     except Exception as exc:
         return FileFeatures(load_error=exc)
     try:
-        cepstrum = mel_cepstrum(mel_spectrogram(stft(buf, cfg)))
-        track = extract_f0(buf, cfg.hop / cfg.sample_rate)
+        cepstrum = _cepstra(cfg, *_frame_source(_buffer_source(buf), cfg), work)
+        track = extract_f0(buf, cfg.hop / cfg.sample_rate, work)
     except BufferTooShortError as exc:
         return FileFeatures(feature_error=BufferTooShortError(f"{path}: {exc}"))
     except Exception as exc:
@@ -314,8 +351,9 @@ def compare(ref_path, pred_path, cfg: StftConfig | None = None) -> MetricReport:
     its message, which names both files.
     """
     cfg = cfg or StftConfig()
-    ref = file_features(ref_path, cfg)
-    report = score(ref_path, pred_path, ref, file_features(pred_path, cfg))
+    work = Workspace()
+    ref = file_features(ref_path, cfg, work)
+    report = score(ref_path, pred_path, ref, file_features(pred_path, cfg, work))
     if report.mismatch:
         warnings.warn(report.mismatch, MismatchWarning, stacklevel=2)
     return report

@@ -27,6 +27,7 @@ writes only its own rows, so no bit depends on the thread count.
 """
 
 import contextvars
+import math
 import mmap
 import os
 import pickle
@@ -143,14 +144,16 @@ def _start_thread(run, share):
     return wait
 
 
-def thread_map(fn, items) -> list:
+def thread_map(fn, items, scratch=None) -> list:
     """[fn(item) for item in items], each share after the first on a thread started for this map.
 
     The shares are _map_shares'; each runs its items in order, in a copy
     of the caller's contextvars context (numpy's errstate lives there),
-    and every thread is joined before the map returns or raises.
+    and every thread is joined before the map returns or raises. With
+    scratch, each share calls scratch() once and runs fn(item, buffers)
+    on what it returned, as _map_shares does.
     """
-    return _map_shares(fn, list(items), _start_thread)
+    return _map_shares(fn, list(items), _start_thread, scratch)
 
 
 # Only Linux forks: numpy's Accelerate BLAS on macOS is not fork-safe.
@@ -294,11 +297,39 @@ def _buffer_source(buf: AudioBuffer) -> _Source:
     return _Source(samples.size, buf.sample_rate, lambda a, b, out=None: _into(out, samples[a:b]))
 
 
-def _whole(source: _Source) -> AudioBuffer:
-    """All of a source's samples in one array, read into it one map_rows block at a time."""
-    samples = np.empty(source.size)
+def _read_into(source: _Source, samples: np.ndarray) -> AudioBuffer:
+    """A source's samples, read into samples (source.size values) one map_rows block at a time."""
     map_rows(lambda rows: source.read(rows.start, rows.stop, samples[rows]), source.size, 1)
     return AudioBuffer(samples, source.sample_rate)
+
+
+def _whole(source: _Source) -> AudioBuffer:
+    """All of a source's samples in one new array."""
+    return _read_into(source, np.empty(source.size))
+
+
+class Workspace:
+    """Work buffers that one thread reuses from call to call, whatever it computes.
+
+    take(name, shape) is a view of the buffer called name, which is made
+    again only when a larger shape of it, or another dtype, is asked for.
+    The view holds whatever the last taker left there, and it is
+    overwritten by the next; nothing returned to a caller may be one.
+    Names are roles, so stages that run one after the other share the
+    buffer of a role: "fft_in" and "fft_out" hold a block's forward FFT
+    input and output and "squares" its power or its running energy, in
+    the cepstrum and then in the F0 tracker.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _resampled(source: _Source, target_rate: int) -> _Source:

@@ -12,7 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BufferTooShortError
-from .signal_io import AudioBuffer, _buffer_source, _Source, _whole_rate, map_rows
+from .signal_io import AudioBuffer, Workspace, _buffer_source, _Source, _whole_rate
+from .signal_io import map_rows, row_blocks
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
@@ -20,6 +21,10 @@ DEFAULT_HOP = 661  # ~29.98 ms at 22050 Hz
 N_MELS = 80  # mel bands of every mel spectrum: the synthesis loss's and the MCD's
 DEFAULT_N_CEPSTRA = 25
 LOG_FLOOR = 1e-10
+# Rows of every mel product. A clip of more frames is formed in blocks
+# of this many, the last of them its last MEL_BLOCK_FRAMES frames, so no
+# frame's mel energies depend on the clip's length.
+MEL_BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,12 @@ class Spectrogram:
         return self.frames.shape[0]
 
     def power(self) -> np.ndarray:
-        return _power(self.frames)
+        """|frames|^2, the imaginary parts squared one MEL_BLOCK_FRAMES block at a time."""
+        power = np.empty(self.frames.shape)
+        scratch = np.empty((min(MEL_BLOCK_FRAMES, self.n_frames), self.config.bins))
+        for rows in row_blocks(self.n_frames, MEL_BLOCK_FRAMES):
+            _power(self.frames[rows], power[rows], scratch[: rows.stop - rows.start])
+        return power
 
 
 def _power(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -92,9 +102,11 @@ def _power(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
 def _frame_source(source: _Source, cfg: StftConfig):
     """The STFT's frame count and block_of(rows, out), which writes frames `rows` into out.
 
-    out is (rows, bins) complex128, and block_of returns it. A block of
-    frames reads source samples [rows.start * hop, (rows.stop - 1) * hop
-    + fft_size), and no row's bits depend on which rows share a block.
+    out is (rows, bins) complex128, and block_of returns it; the
+    windowed frames go into windowed, (rows, fft_size) float64, if it is
+    given. A block of frames reads source samples [rows.start * hop,
+    (rows.stop - 1) * hop + fft_size), and no row's bits depend on which
+    rows share a block.
     """
     if source.sample_rate != cfg.sample_rate:
         raise ValueError(f"samples at {source.sample_rate} Hz, STFT config at {cfg.sample_rate} Hz")
@@ -102,12 +114,12 @@ def _frame_source(source: _Source, cfg: StftConfig):
         raise BufferTooShortError(f"need at least fft_size={cfg.fft_size} samples, got {source.size}")
     window, hop, fft = cfg.window_samples(), cfg.hop, cfg.fft_size
 
-    def block_of(rows, out):
+    def block_of(rows, out, windowed=None):
         x = source.read(rows.start * hop, (rows.stop - 1) * hop + fft)
         # A strided view of the contiguous samples: sliding_window_view
         # costs about 20 us more per block.
         frames = np.ndarray((rows.stop - rows.start, fft), np.float64, x, 0, (8 * hop, 8))
-        return np.fft.rfft(frames * window, axis=1, out=out)
+        return np.fft.rfft(np.multiply(frames, window, out=windowed), axis=1, out=out)
 
     return (source.size - fft) // hop + 1, block_of
 
@@ -158,9 +170,53 @@ def mel_filterbank(cfg: StftConfig) -> np.ndarray:
     return weights
 
 
+def _mel_blocks(n_frames: int) -> list[slice]:
+    """Blocks of MEL_BLOCK_FRAMES frames, or of all n_frames if fewer, that cover range(n_frames).
+
+    The last block is the last MEL_BLOCK_FRAMES frames, so it may
+    overlap the one before it.
+    """
+    rows = min(MEL_BLOCK_FRAMES, n_frames)
+    starts = (min(a, n_frames - rows) for a in range(0, n_frames, MEL_BLOCK_FRAMES))
+    return [slice(a, a + rows) for a in starts]
+
+
+def _mel_product(power: np.ndarray, cfg: StftConfig, out: np.ndarray) -> np.ndarray:
+    """The mel energies of one _mel_blocks block of power spectra, written into out."""
+    return np.matmul(power, mel_filterbank(cfg).T, out=out)
+
+
 def mel_spectrogram(spec: Spectrogram) -> np.ndarray:
-    """Mel-band energies of the power spectrum |X|^2, shape (n_frames, N_MELS)."""
-    return spec.power() @ mel_filterbank(spec.config).T
+    """Mel-band energies of the power spectrum |X|^2, shape (n_frames, N_MELS).
+
+    The power and the product are formed one _mel_blocks block at a time.
+    """
+    mel = np.empty((spec.n_frames, N_MELS))
+    power, scratch = np.empty((2, min(MEL_BLOCK_FRAMES, spec.n_frames), spec.config.bins))
+    for rows in _mel_blocks(spec.n_frames):
+        _mel_product(_power(spec.frames[rows], power, scratch), spec.config, mel[rows])
+    return mel
+
+
+def _cepstra(cfg: StftConfig, n_frames: int, block_of, work: Workspace) -> np.ndarray:
+    """mel_cepstrum(mel_spectrogram(spectrum)) of a _frame_source's n_frames frames.
+
+    Each _mel_blocks block is windowed, transformed, squared, put
+    through the mel product and the DCT in work's buffers; only the
+    (n_frames, DEFAULT_N_CEPSTRA) cepstrum is a new array.
+    """
+    rows = min(MEL_BLOCK_FRAMES, n_frames)
+    cepstra = np.empty((n_frames, DEFAULT_N_CEPSTRA))
+    frames = work.take("fft_out", (rows, cfg.bins), np.complex128)
+    windowed = work.take("fft_in", (rows, cfg.fft_size))
+    power = work.take("squares", (rows, cfg.bins))
+    mel = work.take("mel", (rows, N_MELS))
+    for block in _mel_blocks(n_frames):
+        block_of(block, frames, windowed)
+        # The imaginary parts square in place: the frames are not read again.
+        _mel_product(_power(frames, power, frames.imag), cfg, mel)
+        _mel_cepstrum(mel, cepstra[block], work)
+    return cepstra
 
 
 def mel_cepstrum(mel: np.ndarray) -> np.ndarray:
@@ -175,16 +231,29 @@ def mel_cepstrum(mel: np.ndarray) -> np.ndarray:
     n = mel.shape[1]
     if n < DEFAULT_N_CEPSTRA:
         raise ValueError(f"need at least {DEFAULT_N_CEPSTRA} mel bands, got {n}")
-    log_mel = np.log(mel + LOG_FLOOR)
-    reordered = np.concatenate((log_mel[:, 0::2], log_mel[:, 1::2][:, ::-1]), axis=1)
+    return _mel_cepstrum(mel, np.empty((mel.shape[0], DEFAULT_N_CEPSTRA)), Workspace())
+
+
+def _mel_cepstrum(mel: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
+    """mel_cepstrum(mel) written into out, with its temporaries in work's buffers."""
+    rows, n = mel.shape
+    log_mel = np.add(mel, LOG_FLOOR, out=work.take("log_mel", (rows, n)))
+    np.log(log_mel, out=log_mel)
+    reordered = work.take("reordered", (rows, n))
+    reordered[:, : (n + 1) // 2] = log_mel[:, 0::2]
+    reordered[:, (n + 1) // 2 :] = log_mel[:, 1::2][:, ::-1]
+    spectrum = work.take("dct_spectrum", (rows, n // 2 + 1), np.complex128)
+    np.fft.rfft(reordered, axis=1, out=spectrum)
     k = np.arange(DEFAULT_N_CEPSTRA)
     # The rfft holds bins 0..n//2; bin k above that is the conjugate of bin n - k.
-    spectrum = np.fft.rfft(reordered, axis=1)[:, np.minimum(k, n - k)]
+    picked = work.take("dct_bins", (rows, DEFAULT_N_CEPSTRA), np.complex128)
+    np.take(spectrum, np.minimum(k, n - k), axis=1, out=picked, mode="clip")
     conjugate = np.where(k > n // 2, -1.0, 1.0)
     scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     phase = np.pi * k / (2 * n)
     # Re(exp(-i phase) X) as two real products: numpy's complex product
     # may round differently in its vector and scalar paths.
-    return spectrum.real * (np.cos(phase) * scale) + spectrum.imag * (
-        np.sin(phase) * scale * conjugate
-    )
+    np.multiply(picked.real, np.cos(phase) * scale, out=out)
+    out += np.multiply(picked.imag, np.sin(phase) * scale * conjugate,
+                       out=work.take("dct_imag", (rows, DEFAULT_N_CEPSTRA)))
+    return out

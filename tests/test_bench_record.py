@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -10,6 +12,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -47,6 +50,13 @@ def test_tiny_record_of_one_workload(tmp_path):
     provenance = payload["provenance"]
     for key in ("nproc", "python", "numpy", "scipy", "git_commit", "src_lines"):
         assert key in provenance
+    # The code measured: its hash, whether git saw src/ changed, and the
+    # warm-up loop that ran before the first workload.
+    assert provenance["src_sha256"] == bench_record.src_state()["src_sha256"]
+    git = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                         capture_output=True, text=True)
+    assert provenance["src_dirty"] == (bool(git.stdout.strip()) if git.returncode == 0 else None)
+    assert provenance["core_warmup_s"] == bench_record.TINY_WARMUP_S
     assert list(payload["workloads"]) == ["fit"]
     fit = payload["workloads"]["fit"]
     end_to_end = {m["name"] for m in SPEC["end_to_end"]}
@@ -86,6 +96,48 @@ def test_a_seed_that_never_passes_the_probe_keeps_its_last_run(monkeypatch):
     assert all(run["probe_exceeded"] for run in fit["runs"])
     assert len(fit["discarded"]) == (tries - 1) * len(bench_record.SEEDS)
     assert fit["median"]["audio_s_per_s"] == 2 * tries - 1.0
+
+
+def test_src_state_hashes_the_sources_and_asks_git(tmp_path, monkeypatch):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_bytes(b"x = 1\n")
+    (tmp_path / "src" / "b.py").write_bytes(b"")
+    (tmp_path / "src" / "notes.txt").write_text("not hashed")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    want = hashlib.sha256(b"src/b.py\x000\x00" + b"src/pkg/a.py\x006\x00x = 1\n").hexdigest()
+    assert bench_record.src_state() == {"src_sha256": want, "src_dirty": None}  # no repository
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    assert bench_record.src_state() == {"src_sha256": want, "src_dirty": False}
+    (tmp_path / "src" / "pkg" / "a.py").write_bytes(b"x = 2\n")
+    changed = bench_record.src_state()
+    assert changed["src_dirty"] and changed["src_sha256"] != want
+
+
+def test_warm_cores_reaps_both_processes(monkeypatch):
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    start = time.perf_counter()
+    bench_record.warm_cores(0.1)
+    assert time.perf_counter() - start >= 0.1
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped already
 
 
 def test_core_probe_times_one_process_against_two():

@@ -24,7 +24,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peaudio import signal_io
+from peaudio import signal_io, spectral
 from peaudio.cli import CliConfig, _load_frames, main
 from peaudio.errors import NonFiniteAudioError
 from peaudio.metrics import extract_f0, file_features
@@ -42,8 +42,16 @@ from peaudio.psychoacoustic import (
     spreading_kernel,
     tonality,
 )
-from peaudio.signal_io import AudioBuffer, load_wav, map_rows, resample, save_wav
-from peaudio.spectral import Spectrogram, StftConfig, mel_cepstrum, mel_spectrogram, stft
+from peaudio.signal_io import AudioBuffer, Workspace, load_wav, map_rows, resample, save_wav
+from peaudio.spectral import (
+    DEFAULT_N_CEPSTRA,
+    Spectrogram,
+    StftConfig,
+    mel_cepstrum,
+    mel_filterbank,
+    mel_spectrogram,
+    stft,
+)
 
 from conftest import harmonic_signal
 
@@ -448,6 +456,78 @@ class TestStreamedFrames:
         monkeypatch.setattr(signal_io, "_whole", refused)
         assert outputs("streamed") == want
 
+    def test_file_features_equal_the_whole_clip_at_any_frame_count(self, tmp_path, monkeypatch):
+        # compare forms its cepstrum in blocks of MEL_BLOCK_FRAMES frames,
+        # the last of them the clip's last frames, in one Workspace that
+        # its files share. At frame counts below, at and around one and
+        # two blocks, and at 120 s, cepstrum and F0 track must be those of
+        # the whole decoded, resampled clip through stft and one mel
+        # product over all its frames, whichever file the workspace held
+        # before: the files run longest first, then shortest first.
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        cfg = StftConfig()
+        want, paths = {}, {}
+        for n_frames in (1, 127, 128, 129, 255, 333, 4002):
+            # 44.1 kHz samples that resample to n_frames frames and 300 more samples.
+            n = 2 * ((n_frames - 1) * cfg.hop + cfg.fft_size + 300)
+            mono = harmonic_signal(duration=n / 44100 + 1e-3, sr=44100, amplitude=0.8, seed=n_frames)
+            payload = encode(mono[:n], 24, 2, False)
+            path = paths[n_frames] = tmp_path / f"{n_frames}.wav"
+            path.write_bytes(wav_header(len(payload), 24, 2, 44100, False) + payload)
+            buf = resample(load_wav(path), SR)
+            spec = stft(buf, cfg)
+            assert spec.n_frames == n_frames
+            want[n_frames] = (
+                mel_cepstrum(spec.power() @ mel_filterbank(cfg).T).tobytes(),
+                extract_f0(buf, cfg.hop / SR).f0.tobytes(),
+            )
+        work = Workspace()
+        for n_frames in [*sorted(paths, reverse=True), *sorted(paths)]:
+            features = file_features(paths[n_frames], cfg, work)
+            assert features.cepstrum.shape == (n_frames, DEFAULT_N_CEPSTRA)
+            assert features.cepstrum.tobytes() == want[n_frames][0], n_frames
+            assert features.track.f0.tobytes() == want[n_frames][1], n_frames
+        for n_frames, path in paths.items():
+            assert file_features(path, cfg).cepstrum.tobytes() == want[n_frames][0], n_frames
+
+    def test_compare_forms_no_spectrogram_and_no_whole_clip_read(self, tmp_path, monkeypatch):
+        # compare decodes each file into its thread's workspace and forms
+        # its features block by block, so with stft, mel_spectrogram and
+        # every whole-clip read refused it still exits 0 with the same
+        # bytes, on threads and serially.
+        clips = []
+        for i, (bits, channels, rate, is_float) in enumerate(
+            [(16, 1, SR, False), (24, 2, 44100, False), (32, 1, 16000, True), (16, 1, SR, False)]
+        ):
+            mono = harmonic_signal(duration=5.0 + i, sr=rate, amplitude=0.8, seed=i)
+            payload = encode(mono, bits, channels, is_float)
+            clips.append(tmp_path / f"clip-{i}.wav")
+            clips[-1].write_bytes(wav_header(len(payload), bits, channels, rate, is_float) + payload)
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text(f"{clips[0]},{clips[1]}\n{clips[2]},{clips[3]}\n{clips[0]},{clips[0]}\n")
+        argvs = [["--manifest", str(manifest)], ["--manifest", str(manifest), "--format", "json"],
+                 [str(clips[1]), str(clips[2])]]
+
+        def outputs(tag):
+            got = []
+            for i, argv in enumerate(argvs):
+                out = tmp_path / f"compare-{tag}-{i}"
+                assert main(["compare", *argv, "--output", str(out)]) == 0, argv
+                got.append(out.read_bytes())
+            return got
+
+        want = outputs("whole")
+
+        def refused(*args):
+            raise AssertionError("a spectrogram or a whole-clip read")
+
+        for name in ("stft", "mel_spectrogram"):
+            monkeypatch.setattr(spectral, name, refused)
+        monkeypatch.setattr(signal_io, "_whole", refused)
+        for cpus in (2, 1):
+            monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
+            assert outputs(f"blocked-{cpus}") == want, cpus
+
 
 class TestResampleProperties:
     @settings(max_examples=150, deadline=None)
@@ -523,6 +603,31 @@ def cli_peak_bytes(argv) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_cli_compare_memory_grows_at_most_its_features_and_one_samples_array(tmp_path, monkeypatch):
+    # compare's one thread decodes each file into the one samples buffer of
+    # its workspace and forms the features in blocks, so per extra frame
+    # it may hold both files' cepstrum rows and F0 values and one file's
+    # samples at the analysis rate, 5.7 KB. It grows by 5.5 KB; it grew
+    # by 21.9 KB while each file's whole spectrum and power were formed.
+    # A 44.1 kHz stereo file's decoded samples are never held whole.
+    monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
+    peaks, frames = {}, {}
+    for seconds in (30, 300):
+        ref, pred = tmp_path / f"ref-{seconds}s.wav", tmp_path / f"pred-{seconds}s.wav"
+        write_tone_clip(ref, seconds, 16, 1, SR)
+        write_tone_clip(pred, seconds, 24, 2, 44100)
+        out = tmp_path / "compare.csv"
+        peaks[seconds] = cli_peak_bytes(["compare", str(ref), str(pred), "--output", str(out)])
+        frames[seconds] = int(out.read_text().splitlines()[1].split(",")[-1])
+        ref.unlink()
+        pred.unlink()
+    cfg = StftConfig()
+    features_per_frame = 2 * (DEFAULT_N_CEPSTRA + 1) * np.dtype(np.float64).itemsize
+    samples_per_frame = cfg.hop * np.dtype(np.float64).itemsize
+    extra = frames[300] - frames[30]
+    assert peaks[300] - peaks[30] <= (features_per_frame + samples_per_frame) * extra + 64 * 1024
 
 
 # Bytes per extra second of thresholds' three (T, 23) float64 arrays at

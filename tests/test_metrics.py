@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peaudio import metrics
 from peaudio.errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
@@ -323,6 +325,25 @@ class TestMcd:
         a = rng.standard_normal((5, 13))
         b = rng.standard_normal((5, 13))
         assert mcd(a, b) == mcd(b, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames=st.integers(1, 40), coeffs=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    @example(frames=9, coeffs=25, seed=0)  # a manifest row's shape
+    @example(frames=1, coeffs=25, seed=1)  # one frame: C- and F-contiguous at once
+    def test_bits_do_not_depend_on_memory_order(self, frames, coeffs, seed):
+        # Each frame's squared differences are summed in one order,
+        # whether the cepstra come C-ordered, F-ordered or strided.
+        rng = np.random.default_rng(seed)
+        ref, pred = rng.standard_normal((2, frames, coeffs)) * 10.0
+
+        def strided(a):
+            wide = np.zeros((2 * frames, 3 * coeffs))
+            wide[::2, ::3] = a
+            return wide[::2, ::3]
+
+        layouts = (np.ascontiguousarray, np.asfortranarray, strided)
+        got = {mcd(r(ref), p(pred)).hex() for r in layouts for p in layouts}
+        assert len(got) == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -483,6 +483,28 @@ class TestThreadMap:
         assert info.value.args == (raised,)
         assert len(thread_spy.threads) == 1 and thread_spy.all_joined()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_scratch_once_per_share(self, monkeypatch, thread_spy, cpus):
+        # With scratch, each share calls it once, on the thread that runs
+        # the share, and passes what it returned to each of its items.
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: cpus)
+        shares = []
+
+        def scratch():
+            shares.append((threading.current_thread(), []))
+            return shares[-1][1]
+
+        def fn(item, seen):
+            assert seen is dict(shares)[threading.current_thread()]
+            seen.append(item)
+            return -item
+
+        assert thread_map(fn, range(7), scratch) == [-i for i in range(7)]
+        assert len(shares) == cpus and len({thread for thread, _ in shares}) == cpus
+        assert len(thread_spy.threads) == cpus - 1 and thread_spy.all_joined()
+        shares.sort(key=lambda share: share[1][0])
+        assert [item for _, seen in shares for item in seen] == list(range(7))
+
     def test_a_map_inside_a_share_runs_serially(self, thread_spy):
         def inner(item):
             return thread_map(lambda x: (x, threading.current_thread()), range(4))

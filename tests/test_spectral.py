@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,6 +7,7 @@ import scipy.fft
 from peaudio.errors import BufferTooShortError, InvalidRateError
 from peaudio.signal_io import AudioBuffer
 from peaudio.spectral import (
+    MEL_BLOCK_FRAMES,
     N_MELS,
     Spectrogram,
     StftConfig,
@@ -66,6 +69,25 @@ class TestSpectrogram:
         frames[1, 3] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="spectrogram contains non-finite values"):
             Spectrogram(frames, StftConfig(fft_size=64, hop=32))
+
+    def test_power_holds_one_block_beside_its_result(self):
+        # |X|^2 of a 60 s spectrum (2,000 frames) squares its imaginary
+        # parts one block at a time: its traced peak is the power, one
+        # block of squares and a small constant, with the same bits as
+        # the two whole-array squares.
+        cfg = StftConfig()
+        rng = np.random.default_rng(3)
+        re, im = rng.standard_normal((2, 2000, cfg.bins))
+        spec = Spectrogram(re + 1j * im, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            power = spec.power()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert power.tobytes() == (np.square(spec.frames.real) + np.square(spec.frames.imag)).tobytes()
+        assert peak <= power.nbytes + MEL_BLOCK_FRAMES * cfg.bins * 8 + 16 * 1024
 
 
 class TestStft:
@@ -163,6 +185,30 @@ class TestMel:
         weights = mel_filterbank(self.cfg)
         assert weights.max() <= 1.0 + 1e-12
         assert weights.min() >= 0.0
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 127, 128, 129, 255, 333])
+    def test_blocked_product_holds_no_whole_power(self, n_frames):
+        # The power and the mel product are formed one block of
+        # MEL_BLOCK_FRAMES frames at a time, the last block the last
+        # frames: every product has the same row count, and beside the
+        # (T, N_MELS) result only two blocks of power are held.
+        rng = np.random.default_rng(n_frames)
+        frames = rng.standard_normal((n_frames, self.cfg.bins)) * (1 + 1j)
+        spec = Spectrogram(frames, self.cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mel = mel_spectrogram(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert mel.shape == (n_frames, N_MELS)
+        assert peak <= mel.nbytes + 2 * MEL_BLOCK_FRAMES * self.cfg.bins * 8 + 16 * 1024
+        weights = mel_filterbank(self.cfg).T
+        rows = min(MEL_BLOCK_FRAMES, n_frames)
+        for a in range(0, n_frames, MEL_BLOCK_FRAMES):
+            block = slice(min(a, n_frames - rows), min(a, n_frames - rows) + rows)
+            assert (mel[block] == spec.power()[block] @ weights).all()
 
     def test_built_once_and_read_only(self):
         weights = mel_filterbank(self.cfg)

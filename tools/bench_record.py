@@ -14,8 +14,15 @@ first line (the provenance) and last line (the result) are kept.
 
 The file holds the provenance (``nproc``, usable CPUs, the Python,
 numpy and scipy versions, the git revision and the ``src/`` line count
-as ``run.py`` reports them, and the ``ru_maxrss`` of a bare interpreter
-started by this script, the floor under every ``peak_rss_mb``), then
+as ``run.py`` reports them; the ``ru_maxrss`` of a bare interpreter
+started by this script, the floor under every ``peak_rss_mb``; the code
+measured, as ``src_sha256``, a sha256 over ``src/**/*.py`` in the order
+of their sorted paths, each file fed as its path relative to the root,
+a NUL, its byte count, a NUL and its bytes, and ``src_dirty``, whether
+``git status --porcelain -- src`` lists anything, null where git cannot
+say, since ``run.py``'s revision is that of HEAD and names the parent
+of code not yet committed; and ``core_warmup_s``, the seconds of the
+busy loop below), then
 per workload each seed's end-to-end metrics and fail ratio, their
 medians and the traced run's per-layer metrics. Each seed's run comes
 right after its own probe of the second core: the wall time of
@@ -31,13 +38,18 @@ ratio exceeds ``PROBE_MAX_RATIO`` is discarded and its seed probed and
 run again, up to ``PROBE_TRIES`` runs; a seed that never passes keeps
 its last run, flagged ``probe_exceeded``. Each kept run holds its probe,
 the discarded runs are listed apart with their probe and the reason,
-and the medians are taken over the kept runs only. ``--tiny`` runs the
+and the medians are taken over the kept runs only. Before the first
+workload, two forked processes spin for ``WARMUP_S`` seconds: after an
+idle stretch, a 2-vCPU host's first probes read 1.65-2.79 where, after
+such a loop, they read 0.95-1.36, so without it the first workload
+recorded paid for the idle host. ``--tiny`` runs the
 benchmark's tiny inputs for ``TINY_SECONDS``, which makes a run take
 seconds; its figures mean nothing and it writes ``"tiny": true``.
 A run that fails stops the script with its stderr and exit code 1.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -65,6 +77,8 @@ PROBE_PASSES = 100  # kernel passes per probe process, about 0.2 s on a 2-vCPU x
 # probes of 1.45-1.98 read 20-25% below those taken at about 1.
 PROBE_MAX_RATIO = 1.3
 PROBE_TRIES = 3  # runs per seed at most, the first included
+WARMUP_S = 5.0  # seconds of the two-process busy loop before the first workload
+TINY_WARMUP_S = 0.2
 
 
 def forked_kernel_s(n: int) -> list[float]:
@@ -111,6 +125,39 @@ def core_probe() -> dict:
     two = forked_kernel_s(2)
     return {"one_process_s": one, "two_processes_s": two, "ratio": max(two) / one,
             "load_avg_1min": os.getloadavg()[0]}
+
+
+def warm_cores(seconds: float) -> None:
+    """Keep two forked processes busy for the given seconds, and reap them."""
+    pids = []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                end = time.perf_counter() + seconds
+                while time.perf_counter() < end:
+                    pass
+            finally:
+                os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+            raise RuntimeError("a warm-up process failed")
+
+
+def src_state() -> dict:
+    """src_sha256 and src_dirty of this checkout, as the module docstring defines them."""
+    digest = hashlib.sha256()
+    for path in sorted(ROOT.glob("src/**/*.py"), key=lambda p: p.relative_to(ROOT).as_posix()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(ROOT).as_posix()}\0{len(data)}\0".encode() + data)
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True)
+        dirty = bool(proc.stdout.strip()) if proc.returncode == 0 else None
+    except OSError:  # no git
+        dirty = None
+    return {"src_sha256": digest.hexdigest(), "src_dirty": dirty}
 
 
 def bare_maxrss_mb() -> float:
@@ -163,6 +210,9 @@ def probed_run(workload: str, seed: int, tiny: bool, provenances: list, discarde
 
 def record(workloads, tiny: bool) -> dict:
     bare_mb = bare_maxrss_mb()  # first, before any child has run
+    state = src_state()
+    warmup_s = TINY_WARMUP_S if tiny else WARMUP_S
+    warm_cores(warmup_s)
     provenances, entries = [], {}
     for workload in workloads:
         discarded = []
@@ -183,7 +233,8 @@ def record(workloads, tiny: bool) -> dict:
         "tiny": tiny,
         "seconds": TINY_SECONDS if tiny else SECONDS,
         "seeds": list(SEEDS),
-        "provenance": {**provenances[0], "bare_interpreter_maxrss_mb": bare_mb},
+        "provenance": {**provenances[0], "bare_interpreter_maxrss_mb": bare_mb, **state,
+                       "core_warmup_s": warmup_s},
         "workloads": entries,
     }
 
