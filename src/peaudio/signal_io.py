@@ -1,18 +1,21 @@
 """WAV loading, normalization and resampling.
 
 All audio is reduced to mono float64 in [-1, 1]. A WAV file opens as a
-sample source, whose read(a, b) decodes samples [a, b) from the file
-mapped read-only; the file must not shrink while it is read, since
-touching a mapped page past its end raises SIGBUS. Opened at a rate, it
-is a resampling source, which reads just the input each range reaches.
-load_wav and resample fill one array through these reads. Every CLI
-command opens its input at the analysis rate; all but compare, which
-reads it whole once, read each block of frames inside an STFT or walk.
-The resampler is a plain linear interpolator, and at the buffer's own
-rate it returns the buffer itself. It does not band-limit, so
-downsampling aliases content above the new Nyquist frequency into the
-bands the masking model and the metrics read; ROADMAP Direction 7 plans
-a windowed-sinc replacement.
+sample source, whose read(a, b, step=1) decodes samples a, a + step, ...
+below b from the file mapped read-only, and only those; the file must
+not shrink while it is read, since touching a mapped page past its end
+raises SIGBUS. Opened at a rate, it is a resampling source, which reads
+just the input each range reaches. load_wav and resample fill one array
+through these reads. Every CLI command opens its input at the analysis
+rate; all but compare, which reads it whole once, read each block of
+frames inside an STFT or walk. The resampler is a plain linear
+interpolator, and at the buffer's own rate it returns the buffer itself.
+At a whole-number ratio s of the rates it reads every s-th input
+sample, the value linear interpolation gives at a knot, so a 44.1 kHz
+file decodes only the frames a 22.05 kHz analysis keeps. It does not
+band-limit, so downsampling aliases content above the new Nyquist
+frequency into the bands the masking model and the metrics read;
+ROADMAP Direction 7 plans a windowed-sinc replacement.
 
 Every stage of the forward path, here and in the modules above, walks
 its input in blocks of rows through map_rows, the one place that sizes
@@ -273,11 +276,12 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class _Source:
-    """A clip's length, rate and read(a, b, out=None): its float64 samples [a, b) in [-1, 1].
+    """A clip's length, rate and read(a, b, out=None, step=1): its float64 samples in [-1, 1].
 
-    read writes them into out if it is given, else returns a new
-    contiguous array or a contiguous view not to be written. No bit
-    depends on the range read.
+    read gives samples a, a + step, ... below b, and no others. It writes
+    them into out if it is given, else returns a new contiguous array or
+    a contiguous view not to be written. No bit depends on the range
+    read or the step.
     """
 
     size: int
@@ -287,14 +291,15 @@ class _Source:
 
 def _into(out, values):
     if out is None:
-        return values
+        return np.ascontiguousarray(values)  # a copy only of a strided view
     out[...] = values
     return out
 
 
 def _buffer_source(buf: AudioBuffer) -> _Source:
     samples = np.ascontiguousarray(buf.samples)  # a copy only of a strided view
-    return _Source(samples.size, buf.sample_rate, lambda a, b, out=None: _into(out, samples[a:b]))
+    return _Source(samples.size, buf.sample_rate,
+                   lambda a, b, out=None, step=1: _into(out, samples[a:b:step]))
 
 
 def _read_into(source: _Source, samples: np.ndarray) -> AudioBuffer:
@@ -335,42 +340,48 @@ class Workspace:
 def _resampled(source: _Source, target_rate: int) -> _Source:
     """The source linearly interpolated to floor(size * target_rate / rate) samples, or itself.
 
-    A read is one np.interp over just the input its positions reach, so
-    each output has the neighbours, slope and arithmetic of a whole-clip call.
+    At a whole-number ratio s of the rates every output is at a knot, so
+    a read reads every s-th input sample, the knot's value, and no other.
+    Otherwise a read is one np.interp over just the input its positions
+    reach, so each output has the neighbours, slope and arithmetic of a
+    whole-clip call.
     """
     if target_rate == source.sample_rate:
         return source
-    step = source.sample_rate / target_rate
+    size = source.size * target_rate // source.sample_rate
+    if source.sample_rate % target_rate == 0:
+        s = source.sample_rate // target_rate
+        return _Source(size, target_rate,
+                       lambda a, b, out=None, step=1: source.read(a * s, b * s, out, s * step))
+    ratio = source.sample_rate / target_rate
     last = source.size - 1
 
-    def interpolate(a, b, out=None):
-        positions = np.arange(a, b, dtype=np.float64) * step
+    def interpolate(a, b, out=None, step=1):
+        positions = np.arange(a, b, step, dtype=np.float64) * ratio
         lo = min(int(positions[0]), last)
         hi = min(int(positions[-1]) + 2, last + 1)
         knots = np.arange(lo, hi, dtype=np.float64)  # float: np.interp converts int knots
         return _into(out, np.interp(positions, knots, source.read(lo, hi)))
 
-    return _Source(source.size * target_rate // source.sample_rate, target_rate, interpolate)
+    return _Source(size, target_rate, interpolate)
 
 
-def _payload_reader(data, offset: int, count: int, bits: int, is_float: bool, path):
-    """A function that reads payload samples [a, b) as float32 or int values, before scaling."""
+def _payload_reader(data, offset: int, frames: int, channels: int, bits: int, is_float: bool, path):
+    """A (frames, channels) view of the payload and what converts a slice of it to unscaled values."""
     if is_float:
-        raw = np.frombuffer(data, "<f4", count, offset)
-        return lambda a, b: raw[a:b]
-    if bits == 8:
-        raw = np.frombuffer(data, np.uint8, count, offset)
-        return lambda a, b: np.subtract(raw[a:b], 128, dtype=np.int32)
-    if bits == 16:
-        raw = np.frombuffer(data, "<i2", count, offset)
-        return lambda a, b: raw[a:b]
-    if bits == 24:
+        dtype, convert = "<f4", lambda v: v
+    elif bits == 8:
+        dtype, convert = np.uint8, lambda v: np.subtract(v, 128, dtype=np.int32)
+    elif bits == 16:
+        dtype, convert = "<i2", lambda v: v
+    elif bits == 24:
         # Read each 3-byte sample as an unaligned <i4 that starts one byte
         # early (a chunk header always precedes the payload): the sample
         # fills the top 24 bits and the arithmetic shift sign-extends it.
-        raw = np.ndarray((count,), "<i4", data, offset - 1, (3,))
-        return lambda a, b: raw[a:b] >> 8
-    raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
+        dtype, convert, offset = "<i4", lambda v: v >> 8, offset - 1
+    else:
+        raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported (8/16/24-bit only)")
+    return np.ndarray((frames, channels), dtype, data, offset, (bits // 8 * channels, bits // 8)), convert
 
 
 def _open_wav(path, rate: int | None = None) -> _Source:
@@ -426,27 +437,29 @@ def _open_wav(path, rate: int | None = None) -> _Source:
         kind = "float" if is_float else "PCM"
         raise CorruptHeaderError(f"{path}: {kind} payload not sample-aligned")
     count = size // (bits // 8)
-    read = _payload_reader(data, offset, count, bits, is_float, path)
+    frames, convert = _payload_reader(data, offset, count // channels, channels, bits, is_float, path)
     if count % channels:
         raise CorruptHeaderError(f"{path}: payload not aligned to {channels}-channel frames")
-    # Screened before any sample is decoded, so a NaN or an infinity anywhere
-    # is reported first; min and max carry them with no whole-clip temporary.
-    if is_float and count and not np.isfinite([read(0, count).min(), read(0, count).max()]).all():
+    # Screened before any sample is decoded, so a NaN or an infinity anywhere, even
+    # where a read never goes, is reported first; min and max need no temporary.
+    if is_float and count and not np.isfinite([frames.min(), frames.max()]).all():
         raise NonFiniteAudioError(f"{path}: float payload holds NaN or infinite samples")
     # Stereo sums are exact (int32 holds two 24-bit samples, float64 two
     # float32 ones), and the power-of-two scale multiplies without rounding.
     scale = 1.0 / (channels * (1 if is_float else 1 << (bits - 1)))
 
-    def decode(a, b, out=None):
-        values = read(a * channels, b * channels)
+    def decode(a, b, out=None, step=1):
+        values = convert(frames[a:b:step])  # only the frames read
         if channels == 2:
-            values = np.add(values[0::2], values[1::2], dtype=np.float64 if is_float else np.int32)
+            values = np.add(values[:, 0], values[:, 1], dtype=np.float64 if is_float else np.int32)
+        else:
+            values = values[:, 0]
         if is_float and channels == 1:
             return np.clip(values, -1.0, 1.0, out=out, dtype=np.float64)  # the scale is 1
         out = np.multiply(values, scale, out=out)
         return np.clip(out, -1.0, 1.0, out=out) if is_float else out
 
-    source = _Source(count // channels, sample_rate, decode)
+    source = _Source(len(frames), sample_rate, decode)
     return source if rate is None else _resampled(source, rate)
 
 
@@ -483,7 +496,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     Output length is floor(len * target_rate / source_rate). Resampling
     to the buffer's own rate returns the buffer itself, not a copy, which
-    makes the operation idempotent at a fixed rate.
+    makes the operation idempotent at a fixed rate. At a whole-number
+    ratio s of the rates it is every s-th sample, its value at a knot.
     """
     target_rate = _whole_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:

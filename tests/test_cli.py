@@ -1233,6 +1233,26 @@ class TestInputErrors:
         assert stderr.startswith("error: ") and "NaN or infinite" in stderr
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("command", ["analyze", "thresholds", "grad-check", "compare"])
+    def test_non_finite_in_a_frame_the_2_to_1_read_skips(self, short_wav, command, channels, bad):
+        # At the 22.05 kHz analysis rate a 44.1 kHz file is read every
+        # second frame, so frame 4,411 is never decoded; the screen of the
+        # whole payload still reports it, as at any other frame.
+        samples = 0.1 * np.sin(0.05 * np.arange(channels * 44100))
+        samples[channels * 4411] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            wav = os.path.join(tmp, "bad.wav")
+            with open(wav, "wb") as fh:
+                fh.write(float_wav_bytes(samples, 44100, channels))
+            argv = [command, wav, *([str(short_wav)] if command == "compare" else [])]
+            code, stdout, stderr, left = run_to_file(argv)
+        assert code == 2, stderr
+        assert_clean_failure(stdout, stderr, left)
+        assert stderr == f"error: {wav}: float payload holds NaN or infinite samples\n"
+
+
 class TestOutOfMemory:
     def test_memory_error_is_one_line_exit_2(self, sine_wav_factory, tmp_path):
         # A 2^25-point FFT of 1 s resampled to 2 GHz asks numpy for 1.25 GiB

@@ -15,6 +15,7 @@ default block size.
 import json
 import struct
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -553,6 +554,96 @@ class TestResampleProperties:
         np.testing.assert_array_equal(got, want)
 
 
+class TestMappedSourceProperties:
+    """A WAV opened at a rate reads, bit for bit, the whole-array decode resampled as one call.
+
+    At a whole-number ratio the source reads every s-th frame and decodes
+    no other; bytes, not values, are compared, so a -0.0 read as +0.0
+    fails.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fmt=st.sampled_from(FORMATS),
+        channels=st.sampled_from([1, 2]),
+        ratio=st.sampled_from([2, 3, 4, 1.5]),
+        target=st.sampled_from([8000, 16000, 22050]),
+        n=st.integers(1, 400),
+        zeros=st.lists(st.tuples(st.integers(0, 399), st.integers(1, 40), st.sampled_from([0.0, -0.0])),
+                       max_size=4),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(fmt=(32, True), channels=2, ratio=2, target=22050, n=9, zeros=[(0, 9, -0.0)], block=1, seed=0)
+    @example(fmt=(24, False), channels=2, ratio=4, target=22050, n=301, zeros=[], block=7, seed=1)
+    def test_matches_whole_decode_and_resample_at_any_block(self, fmt, channels, ratio, target, n, zeros,
+                                                            block, seed):
+        bits, is_float = fmt
+        rate = round(target * ratio)
+        mono = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        for start, length, zero in zeros:  # runs of exact zeros, signed in a float payload
+            mono[start : start + length] = zero
+        payload = encode(mono, bits, channels, is_float)
+        want = whole_resample(whole_decode(payload, bits, channels, is_float), rate, target)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = f"{tmp}/x.wav"
+            with open(path, "wb") as fh:
+                fh.write(wav_header(len(payload), bits, channels, rate, is_float) + payload)
+            mp.setattr(signal_io, "BLOCK_ELEMENTS", block)
+            got = signal_io._whole(signal_io._open_wav(path, target)).samples
+        assert got.size == n * target // rate
+        assert got.tobytes() == want.tobytes()
+
+
+def stepped_sources(directory) -> dict:
+    """Every kind of sample source: a buffer's, a WAV's in each format, each resampled."""
+    rng = np.random.default_rng(5)
+    buf = AudioBuffer(rng.uniform(-1.0, 1.0, 997), 44100)
+    sources = {
+        "buffer": signal_io._buffer_source(buf),
+        "buffer 2:1": signal_io._resampled(signal_io._buffer_source(buf), 22050),
+        "buffer 3:2": signal_io._resampled(signal_io._buffer_source(buf), 29400),
+    }
+    mono = rng.uniform(-1.0, 1.0, 997)
+    mono[100:140] = -0.0
+    for bits, is_float in FORMATS:
+        for channels in (1, 2):
+            payload = encode(mono, bits, channels, is_float)
+            path = directory / f"{bits}-{channels}.wav"
+            path.write_bytes(wav_header(len(payload), bits, channels, 44100, is_float) + payload)
+            for rate in (None, 22050, 11025, 16000):
+                sources[f"{bits}-bit {channels} ch at {rate}"] = signal_io._open_wav(path, rate)
+    return sources
+
+
+@pytest.fixture(scope="module")
+def sources(tmp_path_factory):
+    return stepped_sources(tmp_path_factory.mktemp("sources"))
+
+
+SOURCE_NAMES = ["buffer", "buffer 2:1", "buffer 3:2"] + [
+    f"{bits}-bit {channels} ch at {rate}"
+    for bits, _ in FORMATS for channels in (1, 2) for rate in (None, 22050, 11025, 16000)
+]
+
+
+@pytest.mark.parametrize("name", SOURCE_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_stepped_read_is_that_slice_of_the_whole_read(sources, name, data):
+    source = sources[name]
+    whole = source.read(0, source.size).copy()
+    a = data.draw(st.integers(0, source.size - 1))
+    b = data.draw(st.integers(a + 1, source.size))
+    step = data.draw(st.integers(1, 5))
+    got = source.read(a, b, step=step)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == whole[a:b:step].tobytes()
+    out = np.full(len(range(a, b, step)), np.nan)
+    assert source.read(a, b, out, step) is out
+    assert out.tobytes() == whole[a:b:step].tobytes()
+
+
 # ---------------------------------------------------------------- memory
 
 
@@ -605,13 +696,37 @@ def cli_peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
+def test_a_2_to_1_read_decodes_only_the_frames_it_keeps(tmp_path):
+    # One read of 5 s of 24-bit stereo 44.1 kHz at 22.05 kHz converts the
+    # two channels of every second frame (two int32 values per kept
+    # frame), sums them and scales the sum into the float64 output: its
+    # peak is 12.6 bytes per kept frame. Decoding every frame and
+    # interpolating at the kept positions took 48.6.
+    path = tmp_path / "clip.wav"
+    write_tone_clip(path, 5, 24, 2, 44100)
+    source = signal_io._open_wav(path, SR)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        source.read(0, source.size)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert source.size == 5 * SR
+    assert peak <= source.size * (np.dtype(np.float64).itemsize + 2 * np.dtype(np.int32).itemsize)
+
+
 def test_cli_compare_memory_grows_at_most_its_features_and_one_samples_array(tmp_path, monkeypatch):
     # compare's one thread decodes each file into the one samples buffer of
     # its workspace and forms the features in blocks, so per extra frame
-    # it may hold both files' cepstrum rows and F0 values and one file's
-    # samples at the analysis rate, 5.7 KB. It grows by 5.5 KB; it grew
-    # by 21.9 KB while each file's whole spectrum and power were formed.
-    # A 44.1 kHz stereo file's decoded samples are never held whole.
+    # it may hold both files' cepstrum rows and F0 values, one file's
+    # samples at the analysis rate and the F0 tracker's frame RMS and
+    # voicing gate (a float64 and, with the gate's temporary, two bools),
+    # 5.7 KB. It grows by 5.71 KB, both peaks in the second file's
+    # tracker; it grew by 21.9 KB while each file's whole spectrum and
+    # power were formed. A 44.1 kHz stereo file's decoded samples are
+    # never held whole. (The tracker's 10 bytes went unseen while the
+    # resampler's per-block temporaries set the 30 s run's peak.)
     monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
     peaks, frames = {}, {}
     for seconds in (30, 300):
@@ -626,8 +741,10 @@ def test_cli_compare_memory_grows_at_most_its_features_and_one_samples_array(tmp
     cfg = StftConfig()
     features_per_frame = 2 * (DEFAULT_N_CEPSTRA + 1) * np.dtype(np.float64).itemsize
     samples_per_frame = cfg.hop * np.dtype(np.float64).itemsize
+    tracker_per_frame = np.dtype(np.float64).itemsize + 2 * np.dtype(np.bool_).itemsize
     extra = frames[300] - frames[30]
-    assert peaks[300] - peaks[30] <= (features_per_frame + samples_per_frame) * extra + 64 * 1024
+    per_frame = features_per_frame + samples_per_frame + tracker_per_frame
+    assert peaks[300] - peaks[30] <= per_frame * extra + 64 * 1024
 
 
 # Bytes per extra second of thresholds' three (T, 23) float64 arrays at
@@ -686,8 +803,8 @@ def test_cli_memory_on_24_bit_stereo_grows_at_most_0_005_times_the_decoded_sampl
     # block of frames at a time, from just the decoded input that block
     # reaches, so neither the decoded nor the resampled samples are held.
     # The file's bytes are mapped, not read onto the heap. Per extra second
-    # (44100 decoded float64 samples, 353 KB) analyze grows by 0.4 KB,
-    # and thresholds by 0.92 (CSV) and 0.96 (JSON) times its text and its
+    # (44100 decoded float64 samples, 353 KB) analyze grows by 0.1 KB,
+    # and thresholds by 1.02 (CSV) and 0.99 (JSON) times its text and its
     # three (T, 23) arrays; all three grew by 1.50 times the decoded
     # samples while the decoded and the resampled ones were held.
     monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)

@@ -16,8 +16,12 @@ the numbers), a ``grad-check`` of the gradcheck plan's longest clip at
 finite-difference blocks map onto threads at the default
 threshold), a ``grad-check`` of a silent 1 s 16-bit mono 22.05 kHz
 clip (the all-kink path, which no plan takes; the script writes the clip
-into its own inputs directory) and ``analyze`` and ``thresholds`` of that
-clip in both formats (its -0.0 tonalities and clamped thresholds), runs
+into its own inputs directory), ``analyze`` and ``thresholds`` of that
+clip in both formats (its -0.0 tonalities and clamped thresholds), and
+``analyze`` and ``thresholds`` in both formats and ``grad-check`` of two
+more clips of its own, which read every second and every fourth input
+sample (a 2 s 32-bit float stereo 44.1 kHz clip whose silent gaps hold
+-0.0 in both channels, and a 2 s 16-bit mono 88.2 kHz clip), runs
 under both trees twice: once with its ``--output`` file and once
 writing to stdout. Output files, stdout,
 stderr and exit codes are compared byte for byte; for each output that
@@ -110,6 +114,20 @@ def build_jobs(work: Path, tiny: bool) -> list[dict]:
         for form in ("csv", "json"):
             out = work / f"{command}-silence.{form}"
             argvs.append([command, str(silence), "--format", form, "--output", str(out)])
+    # Whole-number rate ratios that the plans reach only from 24-bit
+    # stereo: float stereo with signed zeros at 2:1, 16-bit mono at 4:1.
+    rng = workloads.np.random.default_rng(SEED)
+    for name, fmt in (("float-stereo-44k", (32, 2, 44100, True)), ("pcm16-mono-88k", (16, 1, 88200, False))):
+        clip = work / "inputs" / f"{name}.wav"
+        mono = workloads.gen.synth(rng, 2.0, fmt[2])
+        if fmt[3]:
+            mono[mono == 0.0] = -0.0
+        workloads.gen.write_wav(str(clip), mono, fmt)
+        for command in ("analyze", "thresholds"):
+            for form in ("csv", "json"):
+                out = work / f"{command}-{name}.{form}"
+                argvs.append([command, str(clip), "--format", form, "--output", str(out)])
+        argvs.append(["grad-check", str(clip), "--output", str(work / f"grad-{name}.json")])
     jobs = []
     for i, argv in enumerate(argvs):
         at = argv.index("--output")
