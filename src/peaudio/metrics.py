@@ -169,16 +169,17 @@ def extract_f0(
 
     work = Workspace() if work is None else work
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
-    rms = np.empty(n_frames)
     blocks = row_blocks(n_frames, F0_BLOCK_FRAMES)
-    for block in blocks:
+    for block in blocks:  # each frame's RMS, held in f0 until the gate is set
         squares = work.take("squares", (block.stop - block.start, window))
         np.square(windows[block], out=squares)
-        np.sqrt(np.mean(squares, axis=1, out=rms[block]), out=rms[block])
-    peak_rms = rms.max()
+        np.sqrt(np.mean(squares, axis=1, out=f0[block]), out=f0[block])
+    peak_rms = f0.max()
+    gated_in = np.less(f0, VOICING_RMS_GATE * peak_rms)
+    np.logical_not(gated_in, out=gated_in)
+    f0.fill(0.0)
     if peak_rms == 0:
         return F0Track(f0)
-    gated_in = ~(rms < VOICING_RMS_GATE * peak_rms)
 
     # Lags lag_min-1 .. lag_max+1 are read; the window holds lag_max + 2
     # samples at every rate where the tracker runs (test_window_holds_every_lag_read).

@@ -700,8 +700,7 @@ def test_a_2_to_1_read_decodes_only_the_frames_it_keeps(tmp_path):
     # One read of 5 s of 24-bit stereo 44.1 kHz at 22.05 kHz converts the
     # two channels of every second frame (two int32 values per kept
     # frame), sums them and scales the sum into the float64 output: its
-    # peak is 12.6 bytes per kept frame. Decoding every frame and
-    # interpolating at the kept positions took 48.6.
+    # peak is 12.6 bytes per kept frame.
     path = tmp_path / "clip.wav"
     write_tone_clip(path, 5, 24, 2, 44100)
     source = signal_io._open_wav(path, SR)
@@ -719,14 +718,10 @@ def test_a_2_to_1_read_decodes_only_the_frames_it_keeps(tmp_path):
 def test_cli_compare_memory_grows_at_most_its_features_and_one_samples_array(tmp_path, monkeypatch):
     # compare's one thread decodes each file into the one samples buffer of
     # its workspace and forms the features in blocks, so per extra frame
-    # it may hold both files' cepstrum rows and F0 values, one file's
-    # samples at the analysis rate and the F0 tracker's frame RMS and
-    # voicing gate (a float64 and, with the gate's temporary, two bools),
-    # 5.7 KB. It grows by 5.71 KB, both peaks in the second file's
-    # tracker; it grew by 21.9 KB while each file's whole spectrum and
-    # power were formed. A 44.1 kHz stereo file's decoded samples are
-    # never held whole. (The tracker's 10 bytes went unseen while the
-    # resampler's per-block temporaries set the 30 s run's peak.)
+    # it may hold both files' cepstrum rows and F0 values and one file's
+    # samples at the analysis rate, 5.7 KB; the F0 tracker's one-byte
+    # voicing gate per frame fits in the slack. A 44.1 kHz stereo file's
+    # decoded samples are never held whole.
     monkeypatch.setattr(signal_io, "usable_cpus", lambda: 1)
     peaks, frames = {}, {}
     for seconds in (30, 300):
@@ -741,10 +736,8 @@ def test_cli_compare_memory_grows_at_most_its_features_and_one_samples_array(tmp
     cfg = StftConfig()
     features_per_frame = 2 * (DEFAULT_N_CEPSTRA + 1) * np.dtype(np.float64).itemsize
     samples_per_frame = cfg.hop * np.dtype(np.float64).itemsize
-    tracker_per_frame = np.dtype(np.float64).itemsize + 2 * np.dtype(np.bool_).itemsize
     extra = frames[300] - frames[30]
-    per_frame = features_per_frame + samples_per_frame + tracker_per_frame
-    assert peaks[300] - peaks[30] <= per_frame * extra + 64 * 1024
+    assert peaks[300] - peaks[30] <= (features_per_frame + samples_per_frame) * extra + 64 * 1024
 
 
 # Bytes per extra second of thresholds' three (T, 23) float64 arrays at
