@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BufferTooShortError, LengthMismatchError, MismatchWarning, ShapeMismatchError
 from .signal_io import AudioBuffer, Workspace, _buffer_source, _open_wav, _read_into, row_blocks
-from .spectral import StftConfig, _cepstra, _frame_source, _power
+from .spectral import StftConfig, _cepstra, _frame_source, _frames, _power
 
 MCD_CONSTANT = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
@@ -95,7 +95,7 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int, work: Workspace | None = None):
+def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int, work: Workspace):
     """Autocorrelation of each row at lags lo..hi-1, each lag normalized
     by the energies of the two overlapping segments; zero-energy overlaps
     give 0.
@@ -103,9 +103,8 @@ def _normalized_autocorr(frames: np.ndarray, lo: int, hi: int, work: Workspace |
     The FFT is at least window + hi long, so no lag below hi wraps
     around: the values are the linear autocorrelation, not an
     approximation of it. Every array it forms, the one it returns
-    among them, is a buffer of work (a new Workspace if it is None).
+    among them, is a buffer of work.
     """
-    work = Workspace() if work is None else work
     rows, n = frames.shape
     size = next_fast_len(n + hi)
     # Padded here, not through rfft's n: numpy's own padding took 1.4x
@@ -159,8 +158,7 @@ def extract_f0(
     rate = buf.sample_rate
     window = max(2, round(F0_WINDOW_SECONDS * rate))
     hop = max(1, round(hop_seconds * rate))
-    x = buf.samples
-    n_frames = 1 + (x.size - window) // hop if x.size >= window else 0
+    n_frames, frames_of = _frames(_buffer_source(buf), window, hop)
     f0 = np.zeros(n_frames)
     lag_min = max(1, math.ceil(rate / F0_MAX_HZ))
     lag_max = math.floor(rate / F0_MIN_HZ)
@@ -168,11 +166,10 @@ def extract_f0(
         return F0Track(f0)
 
     work = Workspace() if work is None else work
-    windows = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     blocks = row_blocks(n_frames, F0_BLOCK_FRAMES)
     for block in blocks:  # each frame's RMS, held in f0 until the gate is set
         squares = work.take("squares", (block.stop - block.start, window))
-        np.square(windows[block], out=squares)
+        np.square(frames_of(block), out=squares)
         np.sqrt(np.mean(squares, axis=1, out=f0[block]), out=f0[block])
     peak_rms = f0.max()
     gated_in = np.less(f0, VOICING_RMS_GATE * peak_rms)
@@ -185,13 +182,13 @@ def extract_f0(
     # samples at every rate where the tracker runs (test_window_holds_every_lag_read).
     lo = lag_min - 1
     hi = lag_max + 2
-    # A block's windows are a view of the samples, so no frame is
+    # A block's frames are a view of the samples, so no frame is
     # gathered: a frame below the gate is correlated with its block and
     # then passed over, and a block with none above it is skipped.
     for block in blocks:
         if not gated_in[block].any():
             continue
-        corr = _normalized_autocorr(windows[block], lo, hi, work)
+        corr = _normalized_autocorr(frames_of(block), lo, hi, work)
         candidates = corr[:, 1 : lag_max - lo + 1]
         best = candidates.max(axis=1)
         at = np.flatnonzero(gated_in[block] & ~(best < VOICING_AUTOCORR_THRESHOLD))

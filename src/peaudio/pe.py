@@ -23,12 +23,11 @@ from .psychoacoustic import (
     BarkAnalysis,
     _band_stage,
     _bin_powers,
-    _block_buffers,
     bark_layout,
     spreading_gain,
     spreading_kernel,
 )
-from .signal_io import map_rows
+from .signal_io import Workspace, map_rows
 from .spectral import Spectrogram, StftConfig, mel_filterbank
 
 _LN2 = float(np.log(2.0))
@@ -121,10 +120,10 @@ def perceptual_entropy(spec: Spectrogram, analysis: BarkAnalysis) -> PEResult:
     per_frame = np.empty(spec.n_frames)
 
     def quantize(rows, work):
-        x, work = spec.frames[rows], work[:, : rows.stop - rows.start]
-        per_frame[rows] = _quantize_block(x, thresholds[rows], layout.k, work)[0]
+        stack = work.take("walk", (6, rows.stop - rows.start, bins))
+        per_frame[rows] = _quantize_block(spec.frames[rows], thresholds[rows], layout.k, stack)[0]
 
-    map_rows(quantize, spec.n_frames, bins, lambda rows: np.empty((6, rows, bins)))
+    map_rows(quantize, spec.n_frames, bins, Workspace)
     return _pe_result(per_frame)
 
 
@@ -154,15 +153,15 @@ def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
     """The PE of n_frames frames under cfg, and with finish each block's partials.
 
     One walk over blocks of frames. block_of(rows, buf) returns the
-    complex frames `rows`: a view, or values it writes into buf, a
-    (rows, bins) complex128 buffer of the thread running the block. Each
+    complex frames `rows`: a view, or values it writes into buf, the
+    (rows, bins) "frames" buffer of the running share's Workspace. Each
     block forms its band sums, its thresholds and its PE as analyze and
     perceptual_entropy do, so the PE is theirs bit for bit. With finish,
     the block then forms its partials while it is still in cache and
     calls finish(rows, d_re, d_im), the (rows, bins) partials of the
     PE loss w.r.t. Re and Im divided by _partials_scale, the one factor
     that needs the whole-clip mean PE; the caller applies it after the
-    walk. The buffers are the thread's, reused by its next block.
+    walk. The buffers are the share's, reused by its next block.
     """
     layout, bins = bark_layout(cfg), cfg.bins
     # Per bin, r = 1/(step*u) gives both quantizer partials: d bits / dx is
@@ -177,10 +176,11 @@ def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
     offset_slope = (tone_minus_noise + np.arange(1, layout.n + 1)) / (SFM_DB_MAX * k)
     per_frame = np.empty(n_frames)
 
-    def walk(rows, buffers):
+    def walk(rows, work):
         n = rows.stop - rows.start
-        work, x = buffers[0][:, :n], block_of(rows, buffers[1][:n])
-        power, floored, quantizer = work[0], work[1], work[2:]
+        stack = work.take("walk", (8, n, bins))
+        x = block_of(rows, work.take("frames", (n, bins), np.complex128))
+        power, floored, quantizer = stack[0], stack[1], stack[2:]
         sums = _bin_powers(x, lower, power, floored, quantizer[0])
         analysis = _band_stage(cfg, *sums)
         per_frame[rows], steps = _quantize_block(x, analysis.masking_threshold, k, quantizer)
@@ -224,7 +224,7 @@ def _pe_walk(cfg: StftConfig, n_frames: int, block_of, finish=None) -> PEResult:
             r += np.multiply(dpower, part, out=abs_re)
         finish(rows, r_re, r_im)
 
-    map_rows(walk, n_frames, bins, _block_buffers(8, bins))
+    map_rows(walk, n_frames, bins, Workspace)
     return _pe_result(per_frame)
 
 

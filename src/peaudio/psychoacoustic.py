@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_io import map_rows
+from .signal_io import Workspace, map_rows
 from .spectral import Spectrogram, StftConfig, _power
 
 # Upper edges of the Zwicker critical bands, Hz.
@@ -252,11 +252,6 @@ def _band_stage(cfg: StftConfig, band_power, floored_sum, log_sum) -> BarkAnalys
                         renormalize_and_clamp(raw_threshold, cfg), cfg)
 
 
-def _block_buffers(n_work: int, bins: int):
-    """map_rows scratch of a walk over frames: n_work (rows, bins) buffers and a complex one."""
-    return lambda rows: (np.empty((n_work, rows, bins)), np.empty((rows, bins), np.complex128))
-
-
 def _analyze_frames(cfg: StftConfig, n_frames: int, block_of, names) -> dict:
     """The (T, n) analysis arrays `names` of n_frames frames under cfg, each block from block_of."""
     # The per-bin steps run per block of frames and keep only their band
@@ -267,12 +262,13 @@ def _analyze_frames(cfg: StftConfig, n_frames: int, block_of, names) -> dict:
     layout, bins = bark_layout(cfg), cfg.bins
     sums = np.empty((3, n_frames, layout.n))
 
-    def band_sums(rows, buffers):
+    def band_sums(rows, work):
         n = rows.stop - rows.start
-        (power, floored), x = buffers[0][:, :n], block_of(rows, buffers[1][:n])
+        power, floored = work.take("walk", (2, n, bins))
+        x = block_of(rows, work.take("frames", (n, bins), np.complex128))
         sums[:, rows] = _bin_powers(x, layout.lower_bins, power, floored, power)
 
-    map_rows(band_sums, n_frames, bins, _block_buffers(2, bins))
+    map_rows(band_sums, n_frames, bins, Workspace)
     spare = [sums[1], sums[2]]
     arrays = {name: sums[0] if name == "band_power" else spare.pop() if spare else np.empty_like(sums[0])
               for name in names}

@@ -24,7 +24,8 @@ returns plus a fixed number of block buffers per thread, whatever the
 clip length. thread_map and fork_map share one contract, fn over items
 in contiguous shares, and differ only in whether a share after the
 first runs on a thread or in a forked child. map_rows alone knows
-blocks: it hands its blocks, each share's work buffers and the
+blocks: it hands its blocks, the factory of each share's work buffers
+(a Workspace, as thread_map's callers pass too) and the
 PARALLEL_MIN_BLOCKS threshold to the same runner, on threads. Each block
 writes only its own rows, so no bit depends on the thread count.
 """
@@ -229,13 +230,12 @@ def map_rows(fn, n_rows: int, row_len: int, scratch=None) -> list:
 
     The blocks are the row_blocks of range(n_rows) that hold as many rows
     of row_len values as fill BLOCK_ELEMENTS, and at least one. Below
-    PARALLEL_MIN_BLOCKS blocks the map runs serially. With scratch, each
-    share calls scratch(rows) once, rows the block's row count capped at
-    n_rows, and runs fn(rows, buffers) on what it returned.
+    PARALLEL_MIN_BLOCKS blocks the map runs serially. scratch is
+    thread_map's: each share calls scratch() once and runs fn(rows,
+    buffers) on what it returned.
     """
     rows = max(1, BLOCK_ELEMENTS // max(row_len, 1))
-    buffers = None if scratch is None else lambda: scratch(min(rows, n_rows))
-    return _map_shares(fn, row_blocks(n_rows, rows), _start_thread, buffers, PARALLEL_MIN_BLOCKS)
+    return _map_shares(fn, row_blocks(n_rows, rows), _start_thread, scratch, PARALLEL_MIN_BLOCKS)
 
 
 def _whole_rate(rate, name: str) -> int:
@@ -323,7 +323,9 @@ class Workspace:
     Names are roles, so stages that run one after the other share the
     buffer of a role: "fft_in" and "fft_out" hold a block's forward FFT
     input and output and "squares" its power or its running energy, in
-    the cepstrum and then in the F0 tracker.
+    the cepstrum and then in the F0 tracker. A walk over blocks of STFT
+    frames takes its stack of (rows, bins) work arrays as "walk" and its
+    block's complex frames as "frames".
     """
 
     def __init__(self):

@@ -92,11 +92,29 @@ class Spectrogram:
         return power
 
 
-def _power(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """|x|^2 as two squares (x * conj(x) rounds by how rows are blocked), into out if given."""
+def _power(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|x|^2 as two squares (x * conj(x) rounds by how rows are blocked), into out."""
     power = np.square(x.real, out=out)
     power += np.square(x.imag, out=scratch)
     return power
+
+
+def _frames(source: _Source, length: int, hop: int):
+    """How many frames of length samples, hop apart, a source holds, and frames_of(rows).
+
+    Frame t covers samples [t*hop, t*hop + length). frames_of(rows) is
+    frames `rows`, a (rows, length) strided view of the one source.read
+    of samples [rows.start * hop, (rows.stop - 1) * hop + length), so no
+    row's bits depend on which rows share a block.
+    """
+
+    def frames_of(rows):
+        x = source.read(rows.start * hop, (rows.stop - 1) * hop + length)
+        # A strided view of the contiguous samples: numpy's windowing helper
+        # costs about 20 us more per block.
+        return np.ndarray((rows.stop - rows.start, length), np.float64, x, 0, (8 * hop, 8))
+
+    return (1 + (source.size - length) // hop if source.size >= length else 0), frames_of
 
 
 def _frame_source(source: _Source, cfg: StftConfig):
@@ -104,24 +122,19 @@ def _frame_source(source: _Source, cfg: StftConfig):
 
     out is (rows, bins) complex128, and block_of returns it; the
     windowed frames go into windowed, (rows, fft_size) float64, if it is
-    given. A block of frames reads source samples [rows.start * hop,
-    (rows.stop - 1) * hop + fft_size), and no row's bits depend on which
-    rows share a block.
+    given. The frames are _frames' of the source.
     """
     if source.sample_rate != cfg.sample_rate:
         raise ValueError(f"samples at {source.sample_rate} Hz, STFT config at {cfg.sample_rate} Hz")
     if source.size < cfg.fft_size:
         raise BufferTooShortError(f"need at least fft_size={cfg.fft_size} samples, got {source.size}")
-    window, hop, fft = cfg.window_samples(), cfg.hop, cfg.fft_size
+    window = cfg.window_samples()
+    n_frames, frames_of = _frames(source, cfg.fft_size, cfg.hop)
 
     def block_of(rows, out, windowed=None):
-        x = source.read(rows.start * hop, (rows.stop - 1) * hop + fft)
-        # A strided view of the contiguous samples: sliding_window_view
-        # costs about 20 us more per block.
-        frames = np.ndarray((rows.stop - rows.start, fft), np.float64, x, 0, (8 * hop, 8))
-        return np.fft.rfft(np.multiply(frames, window, out=windowed), axis=1, out=out)
+        return np.fft.rfft(np.multiply(frames_of(rows), window, out=windowed), axis=1, out=out)
 
-    return (source.size - fft) // hop + 1, block_of
+    return n_frames, block_of
 
 
 def _spectrum(cfg: StftConfig, n_frames: int, block_of) -> Spectrogram:
@@ -201,9 +214,9 @@ def mel_spectrogram(spec: Spectrogram) -> np.ndarray:
 def _cepstra(cfg: StftConfig, n_frames: int, block_of, work: Workspace) -> np.ndarray:
     """mel_cepstrum(mel_spectrogram(spectrum)) of a _frame_source's n_frames frames.
 
-    Each _mel_blocks block is windowed, transformed, squared, put
-    through the mel product and the DCT in work's buffers; only the
-    (n_frames, DEFAULT_N_CEPSTRA) cepstrum is a new array.
+    Each _mel_blocks block is windowed, transformed, squared and put
+    through the mel product in work's buffers, and then through
+    mel_cepstrum, whose temporaries are a block's plain arrays.
     """
     rows = min(MEL_BLOCK_FRAMES, n_frames)
     cepstra = np.empty((n_frames, DEFAULT_N_CEPSTRA))
@@ -215,7 +228,7 @@ def _cepstra(cfg: StftConfig, n_frames: int, block_of, work: Workspace) -> np.nd
         block_of(block, frames, windowed)
         # The imaginary parts square in place: the frames are not read again.
         _mel_product(_power(frames, power, frames.imag), cfg, mel)
-        _mel_cepstrum(mel, cepstra[block], work)
+        cepstra[block] = mel_cepstrum(mel)
     return cepstra
 
 
@@ -231,29 +244,16 @@ def mel_cepstrum(mel: np.ndarray) -> np.ndarray:
     n = mel.shape[1]
     if n < DEFAULT_N_CEPSTRA:
         raise ValueError(f"need at least {DEFAULT_N_CEPSTRA} mel bands, got {n}")
-    return _mel_cepstrum(mel, np.empty((mel.shape[0], DEFAULT_N_CEPSTRA)), Workspace())
-
-
-def _mel_cepstrum(mel: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
-    """mel_cepstrum(mel) written into out, with its temporaries in work's buffers."""
-    rows, n = mel.shape
-    log_mel = np.add(mel, LOG_FLOOR, out=work.take("log_mel", (rows, n)))
-    np.log(log_mel, out=log_mel)
-    reordered = work.take("reordered", (rows, n))
-    reordered[:, : (n + 1) // 2] = log_mel[:, 0::2]
-    reordered[:, (n + 1) // 2 :] = log_mel[:, 1::2][:, ::-1]
-    spectrum = work.take("dct_spectrum", (rows, n // 2 + 1), np.complex128)
-    np.fft.rfft(reordered, axis=1, out=spectrum)
+    log_mel = np.log(mel + LOG_FLOOR)
+    reordered = np.concatenate((log_mel[:, 0::2], log_mel[:, 1::2][:, ::-1]), axis=1)
     k = np.arange(DEFAULT_N_CEPSTRA)
     # The rfft holds bins 0..n//2; bin k above that is the conjugate of bin n - k.
-    picked = work.take("dct_bins", (rows, DEFAULT_N_CEPSTRA), np.complex128)
-    np.take(spectrum, np.minimum(k, n - k), axis=1, out=picked, mode="clip")
+    spectrum = np.fft.rfft(reordered, axis=1)[:, np.minimum(k, n - k)]
     conjugate = np.where(k > n // 2, -1.0, 1.0)
     scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     phase = np.pi * k / (2 * n)
     # Re(exp(-i phase) X) as two real products: numpy's complex product
     # may round differently in its vector and scalar paths.
-    np.multiply(picked.real, np.cos(phase) * scale, out=out)
-    out += np.multiply(picked.imag, np.sin(phase) * scale * conjugate,
-                       out=work.take("dct_imag", (rows, DEFAULT_N_CEPSTRA)))
-    return out
+    return spectrum.real * (np.cos(phase) * scale) + spectrum.imag * (
+        np.sin(phase) * scale * conjugate
+    )

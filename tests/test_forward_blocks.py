@@ -25,7 +25,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peaudio import signal_io, spectral
+from peaudio import pe, signal_io, spectral
 from peaudio.cli import CliConfig, _load_frames, main
 from peaudio.errors import NonFiniteAudioError
 from peaudio.metrics import extract_f0, file_features
@@ -393,6 +393,37 @@ class TestThreadedBlocks:
             messages.append(str(info.value))
         assert messages[0] == messages[1] == f"{path}: float payload holds NaN or infinite samples"
 
+    def test_a_threaded_walk_makes_one_workspace_and_one_walk_stack_per_share(self, monkeypatch):
+        # pe_gradient's 41 blocks of 2 frames split over two shares. Each
+        # share makes one Workspace, and its first block, the largest,
+        # allocates the "walk" stack that every later block takes a view of.
+        mono = harmonic_signal(duration=2.5, amplitude=0.8)[: 80 * 661 + 1024]
+        spec = stft(AudioBuffer(mono, SR), StftConfig())
+        assert spec.n_frames == 81
+        monkeypatch.setattr(signal_io, "BLOCK_ELEMENTS", 2 * spec.config.bins)
+        serial = pe_gradient(spec).grad
+        made = []
+
+        class CountingWorkspace(Workspace):
+            def __init__(self):
+                super().__init__()
+                self.walk_stacks = []
+                made.append((threading.current_thread(), self))
+
+            def take(self, name, shape, dtype=np.float64):
+                view = super().take(name, shape, dtype)
+                if name == "walk" and not any(view.base is stack for stack in self.walk_stacks):
+                    self.walk_stacks.append(view.base)
+                return view
+
+        monkeypatch.setattr(pe, "Workspace", CountingWorkspace)
+        monkeypatch.setattr(signal_io, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(signal_io, "PARALLEL_MIN_BLOCKS", 2)
+        assert pe_gradient(spec).grad.tobytes() == serial.tobytes()
+        assert len(made) == 2
+        assert len({thread for thread, _ in made}) == 2
+        assert [len(work.walk_stacks) for _, work in made] == [1, 1]
+
 
 class TestStreamedFrames:
     """The CLI opens every WAV at the analysis rate through one source, never through load_wav."""
@@ -642,6 +673,34 @@ def test_a_stepped_read_is_that_slice_of_the_whole_read(sources, name, data):
     out = np.full(len(range(a, b, step)), np.nan)
     assert source.read(a, b, out, step) is out
     assert out.tobytes() == whole[a:b:step].tobytes()
+
+
+@pytest.mark.parametrize("hop", [1, 16, 23])
+def test_frames_count_and_views_are_those_of_a_sliding_window(tmp_path, hop):
+    # spectral._frames against sliding_window_view(x, length)[::hop] and
+    # its count, at sizes one short of a frame, of exactly one and around
+    # two, with hops below, at and above the frame length, through a
+    # buffer's source, a 16-bit WAV's and a WAV's read at 2:1.
+    length = 16
+    rng = np.random.default_rng(hop)
+    for n in (length - 1, length, length + hop - 1, length + hop, length + hop + 1):
+        mono = rng.uniform(-1.0, 1.0, 2 * n + 1)
+        sources = {"buffer": signal_io._buffer_source(AudioBuffer(mono[:n], SR))}
+        for name, rate, samples in [("16-bit WAV", SR, mono[:n]), ("2:1", 2 * SR, mono)]:
+            payload = encode(samples, 16, 1, False)
+            path = tmp_path / f"{n}-{rate}.wav"
+            path.write_bytes(wav_header(len(payload), 16, 1, rate, False) + payload)
+            sources[name] = signal_io._open_wav(path, SR)
+        for name, source in sources.items():
+            assert source.size == n, name
+            x = source.read(0, n)
+            want = np.lib.stride_tricks.sliding_window_view(x, length)[::hop] if n >= length else x[:0]
+            n_frames, frames_of = spectral._frames(source, length, hop)
+            assert n_frames == (1 + (n - length) // hop if n >= length else 0) == len(want), (name, n)
+            for rows in [slice(0, n_frames), *signal_io.row_blocks(n_frames, 1)] if n_frames else []:
+                got = frames_of(rows)
+                assert got.shape == (rows.stop - rows.start, length), (name, n, rows)
+                assert got.tobytes() == want[rows].tobytes(), (name, n, rows)
 
 
 # ---------------------------------------------------------------- memory

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from peaudio import metrics
 from peaudio.errors import LengthMismatchError, MismatchWarning, ShapeMismatchError
 from peaudio.metrics import MCD_CONSTANT, F0Track, compare, extract_f0, f0_metrics, mcd
-from peaudio.signal_io import AudioBuffer, save_wav
+from peaudio.signal_io import AudioBuffer, Workspace, save_wav
 from peaudio.spectral import StftConfig
 
 from conftest import SR, sine_signal
@@ -215,7 +215,7 @@ def test_autocorr_bit_identical_to_scipy_fft(rate, window, lo, hi):
     hop = round(0.01 * rate)
     frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop][: metrics.F0_BLOCK_FRAMES]
     frames = np.vstack([frames, np.zeros(window)])  # a zero-energy row
-    got = metrics._normalized_autocorr(frames, lo, hi)
+    got = metrics._normalized_autocorr(frames, lo, hi, Workspace())
     want = scipy_normalized_autocorr(frames, lo, hi)
     assert got.shape == (metrics.F0_BLOCK_FRAMES + 1, hi - lo)
     assert got.tobytes() == want.tobytes()

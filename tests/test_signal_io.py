@@ -439,9 +439,9 @@ class TestMapRows:
                 shares = []
                 started = len(thread_spy.threads)
 
-                def scratch(n):
-                    shares.append((n, threading.current_thread(), []))
-                    return shares[-1][2]
+                def scratch():
+                    shares.append((threading.current_thread(), []))
+                    return shares[-1][1]
 
                 def fn(block_rows, seen):
                     seen.append(block_rows)
@@ -450,13 +450,12 @@ class TestMapRows:
                 assert signal_io.map_rows(fn, n_rows, row_len, scratch) == expected
                 parallel = len(expected) >= min_blocks
                 assert len(shares) == (min(2, len(expected)) if parallel else 1)
-                assert all(n == min(rows, n_rows) for n, _, _ in shares)
                 # The calling thread runs one share and a thread started
                 # for the map each other one, each its blocks in order.
-                assert threading.main_thread() in [thread for _, thread, _ in shares]
+                assert threading.main_thread() in [thread for thread, _ in shares]
                 assert len(thread_spy.threads) - started == len(shares) - 1
-                shares.sort(key=lambda share: share[2][0].start if share[2] else 0)
-                assert [block_rows for _, _, seen in shares for block_rows in seen] == expected
+                shares.sort(key=lambda share: share[1][0].start if share[1] else 0)
+                assert [block_rows for _, seen in shares for block_rows in seen] == expected
                 assert signal_io.map_rows(lambda r: r, n_rows, row_len) == expected
         assert thread_spy.all_joined()
         assert set(thread_spy.starters) <= {threading.main_thread()}
